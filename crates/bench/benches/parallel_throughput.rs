@@ -51,7 +51,7 @@ const BUDGETS: &[usize] = &[1, 2, 4, 8];
 const SOLO_QUERY: &str = "//diagnosis";
 
 /// The bench document spreads its patients over many departments — many
-/// balanced top-level shards, the shape the work-stealing pool likes.
+/// balanced top-level shards, the shape the claim-counter pool likes.
 fn bench_document() -> XmlTree {
     generate_hospital(&HospitalConfig {
         patients: 2_000,

@@ -7,8 +7,8 @@
 //! sequential wall-clock, because whichever worker drew the dominant
 //! subtree ran ~5× longer than the rest of the pool combined. The split
 //! planner now turns the dominant child into a *spine* whose children are
-//! claimed off per-worker Chase–Lev deques, so the skew disappears into
-//! the steal traffic.
+//! tasks of their own, claimed off one atomic counter like every other
+//! task, so no single task dominates the pool.
 //!
 //! Two parts:
 //!

@@ -39,7 +39,7 @@ use smoqe_xml::{NodeId, XmlTree};
 
 use crate::engine::HypeResult;
 use crate::index::ReachabilityIndex;
-use crate::runtime::{HypeCore, QueryRuntime};
+use crate::runtime::HypeCore;
 
 /// One query of a batch: a builder-representation MFA plus, optionally, its
 /// OptHyPE(-C) reachability index. The execution IR is compiled on entry;
@@ -216,11 +216,7 @@ pub fn evaluate_batch_compiled_at(
         };
     }
 
-    let runtimes = queries
-        .iter()
-        .map(|q| QueryRuntime::new(tree.labels(), Arc::clone(&q.compiled), q.index))
-        .collect();
-    let mut core = HypeCore::new(runtimes);
+    let mut core = HypeCore::for_queries(tree.labels(), queries);
     walk(&mut core, tree, context);
     let (results, nodes_visited, sequential_node_visits) = core.into_results(nodes_total);
     BatchResult {

@@ -26,7 +26,6 @@
 //! builds the task list from its `DocumentStore` and caches, then dispatches
 //! here.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use smoqe_automata::CompiledMfa;
@@ -34,7 +33,7 @@ use smoqe_xml::XmlTree;
 
 use crate::engine::{evaluate_compiled_at_with, HypeResult};
 use crate::index::ReachabilityIndex;
-use crate::parallel::{claim_parallel, resolve_threads};
+use crate::parallel::{claim_map, resolve_threads};
 
 /// One (document, query) work item of a corpus evaluation.
 ///
@@ -115,26 +114,8 @@ pub fn evaluate_corpus(tasks: &[CorpusTask]) -> Vec<HypeResult> {
 /// assert_eq!(evaluate_corpus_parallel(&tasks, 4), evaluate_corpus(&tasks));
 /// ```
 pub fn evaluate_corpus_parallel(tasks: &[CorpusTask], threads: usize) -> Vec<HypeResult> {
-    if tasks.is_empty() {
-        return Vec::new();
-    }
-    let workers = resolve_threads(threads).min(tasks.len());
-    let mut collected: Vec<(usize, HypeResult)> = claim_parallel(workers, |next| {
-        let mut mine = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(task) = tasks.get(i) else {
-                break;
-            };
-            mine.push((i, task.run()));
-        }
-        mine
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    collected.sort_by_key(|&(i, _)| i);
-    collected.into_iter().map(|(_, r)| r).collect()
+    let run = |_: &mut (), _, task: &CorpusTask| task.run();
+    claim_map(tasks, resolve_threads(threads), || (), run).0
 }
 
 #[cfg(test)]

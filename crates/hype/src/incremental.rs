@@ -53,7 +53,6 @@
 //! remain exact as long as the index describes the same DTD.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use smoqe_automata::CompiledMfa;
@@ -61,7 +60,7 @@ use smoqe_xml::{EditOp, NodeId, XmlError, XmlTree};
 
 use crate::batch::{walk, BatchResult, BatchStats};
 use crate::index::ReachabilityIndex;
-use crate::parallel::{claim_parallel, finalize_queries, resolve_threads};
+use crate::parallel::{claim_map, finalize_queries, resolve_threads};
 use crate::runtime::{HypeCore, QueryRuntime, ShardQueryOutput};
 
 /// One query evaluated incrementally: the compiled execution IR plus an
@@ -301,33 +300,18 @@ impl IncrementalEvaluator {
 
         // Recompute dirty subtrees, one core per subtree (not per worker) so
         // each subtree's outputs are individually cacheable.
-        if !todo.is_empty() {
-            let workers = threads.min(todo.len());
-            let computed = claim_parallel(workers, |next| {
-                let mut mine: Vec<(NodeId, ShardState)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&child) = todo.get(i) else {
-                        break;
-                    };
-                    let mut shard_core = HypeCore::new(build_runtimes(queries, tree));
-                    shard_core.seed_context_frame(context, &seeds);
-                    walk(&mut shard_core, tree, child);
-                    let (outputs, physical_visits) = shard_core.into_shard_outputs();
-                    mine.push((
-                        child,
-                        ShardState {
-                            outputs,
-                            physical_visits,
-                        },
-                    ));
-                }
-                mine
-            });
-            for (child, state) in computed.into_iter().flatten() {
-                self.shards.insert(child, state);
+        let shard_of = |_: &mut (), _, &child: &NodeId| {
+            let mut shard_core = HypeCore::new(build_runtimes(queries, tree));
+            shard_core.seed_context_frame(context, &seeds);
+            walk(&mut shard_core, tree, child);
+            let (outputs, physical_visits) = shard_core.into_shard_outputs();
+            ShardState {
+                outputs,
+                physical_visits,
             }
-        }
+        };
+        let (computed, _) = claim_map(&todo, threads, || (), shard_of);
+        self.shards.extend(todo.into_iter().zip(computed));
 
         // Fold every subtree's value rows — cached and fresh alike — into
         // the real context frame (OR is order-free) and close it.
@@ -341,7 +325,7 @@ impl IncrementalEvaluator {
         let (blocks, context_physical) = core.into_context_parts();
 
         let results = finalize_queries(
-            blocks,
+            &blocks,
             |query| {
                 children
                     .iter()

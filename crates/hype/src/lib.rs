@@ -38,14 +38,14 @@
 //!
 //! When a single document is large and latency matters, the [`parallel`]
 //! module spreads one (or one batch of) compiled evaluation across a pool
-//! of scoped threads: the top-level subtrees under the evaluation context
-//! are sharded over `min(threads, subtrees)` workers ([`evaluate_parallel`],
-//! [`evaluate_batch_parallel`]), each running the unchanged sequential
-//! per-node logic with private scratch, and the per-shard artefacts are
-//! merged deterministically — answers in pre-order index order, statistics
-//! as exact sums — so the results are **bit-identical to the sequential
-//! engines** at every thread budget (a guarantee the
-//! `parallel_differential` suite enforces).
+//! of scoped threads: the subtrees under the evaluation context (oversized
+//! ones re-split) are sharded over up to `threads` workers
+//! ([`evaluate_parallel`], [`evaluate_batch_parallel`]), each running the
+//! unchanged sequential per-node logic with private scratch, and the
+//! per-shard artefacts are merged deterministically — answers in pre-order
+//! index order, statistics as exact sums — so the results are
+//! **bit-identical to the sequential engines** at every thread budget (a
+//! guarantee the `parallel_differential` suite enforces).
 //!
 //! When the workload is *many documents* rather than one big one, the
 //! [`corpus`] module routes a batch of (document, query) pairs across the

@@ -21,11 +21,11 @@
 //!    calling thread under its parent's replayed frame, its own frame is
 //!    snapshotted, and its children re-enter the planner — so a single
 //!    dominant subtree no longer pins the whole document to one worker;
-//! 3. tasks are distributed round-robin over per-worker fixed-capacity
-//!    **Chase–Lev work-stealing deques** (`TaskDeque`, plain `std`
-//!    atomics): each of `min(threads, tasks)` scoped workers drains its
-//!    own deque LIFO and steals FIFO from the others when it runs dry.
-//!    Each worker replays a seed frame **once per group** it touches into
+//! 3. every task exists before any worker starts, so `min(threads, tasks)`
+//!    scoped workers simply claim them in plan order off **one atomic
+//!    counter** — the crate's single worker pool, shared with the finalize
+//!    phase, [`crate::corpus`] and [`crate::incremental`]. Each worker
+//!    replays a seed frame **once per group** it touches into
 //!    a private core (one label-column map, pruning-table set and scratch
 //!    pool per *worker and group*, so the hot path stays allocation-free
 //!    per node) and runs the **unchanged** sequential `open`/`close`
@@ -49,8 +49,8 @@
 //!   merge). Answer collection runs the context block first, then seeds
 //!   every unit arena with the reached context vertices; the union (a
 //!   `BTreeSet` over pre-order [`NodeId`]s) is the sequential answer set
-//!   in pre-order index order, whatever order tasks were claimed, stolen
-//!   or finished in.
+//!   in pre-order index order, whatever order tasks were claimed or
+//!   finished in.
 //! * **[`HypeStats`]** — every counter is a sum of per-node contributions
 //!   that depend only on that query's own state at the node, so summing
 //!   context + spines + tasks reproduces the sequential numbers exactly;
@@ -68,17 +68,17 @@
 //! ## Thread budget
 //!
 //! Every entry point takes a `threads` knob: `0` means "all available
-//! cores" ([`std::thread::available_parallelism`]), `1` degenerates to a
-//! sequential execution *through the planner, deque and merge machinery*
-//! (so a budget of one is a correctness vise for re-splitting and
-//! grafting, not a separate code path), and larger budgets are capped by
-//! the **task count after re-splitting** — a two-subtree document with
+//! cores" ([`std::thread::available_parallelism`]), `1` runs the same
+//! pool with one inline worker *through the planner, spine and merge
+//! machinery* (so a budget of one is a correctness vise for re-splitting
+//! and grafting, not a separate code path), and larger budgets are capped
+//! by the **task count after re-splitting** — a two-subtree document with
 //! one dominant subtree still fans out to every worker. Workers are
 //! spawned per evaluation; for a parsed document the spawn cost is noise
 //! next to the traversal.
 
-use std::sync::atomic::{fence, AtomicIsize, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread;
 
 use smoqe_automata::CompiledMfa;
@@ -89,7 +89,7 @@ use crate::engine::{HypeResult, HypeStats};
 use crate::index::ReachabilityIndex;
 use crate::runtime::{
     collect_answers, collect_answers_and_reached, CollectScratch, ContextBlock, ContextSeed,
-    HypeCore, QueryRuntime, ShardQueryOutput,
+    HypeCore, ShardQueryOutput,
 };
 
 // The parallel evaluator shares these across worker threads by reference;
@@ -101,7 +101,6 @@ const _: () = {
     assert_sync::<CompiledMfa>();
     assert_sync::<ReachabilityIndex>();
     assert_sync::<CompiledBatchQuery<'static>>();
-    assert_sync::<TaskDeque>();
 };
 
 /// Subtrees at or below this node count are never re-split: the spine
@@ -205,11 +204,7 @@ pub fn evaluate_batch_parallel_at(
 
     // Open the evaluation context on the calling thread, exactly as the
     // sequential engine would (vertices, ε edges, λ triggers, statistics).
-    let runtimes: Vec<QueryRuntime> = queries
-        .iter()
-        .map(|q| QueryRuntime::new(tree.labels(), Arc::clone(&q.compiled), q.index))
-        .collect();
-    let mut core = HypeCore::new(runtimes);
+    let mut core = HypeCore::for_queries(tree.labels(), queries);
     let opened = core.open(context, tree.label(context));
     debug_assert!(opened, "the evaluation context is never pruned");
     let seeds = core.context_seeds();
@@ -232,7 +227,7 @@ pub fn evaluate_batch_parallel_at(
 
     // Per-query merge + answer collection, parallel across queries.
     let mut results = finalize_queries(
-        blocks,
+        &blocks,
         |query| top_units.iter().map(|(unit, _)| &unit[query]).collect(),
         nodes_total,
         threads,
@@ -296,18 +291,6 @@ struct ShardPlan<'a> {
     spines: Vec<SpinePlan<'a>>,
 }
 
-/// Counts the subtree rooted at `node` without materialising the node
-/// list ([`XmlTree::subtree_size`] allocates the full descendant vector).
-fn subtree_nodes(tree: &XmlTree, node: NodeId) -> usize {
-    let mut count = 1usize;
-    let mut stack: Vec<NodeId> = tree.children(node).to_vec();
-    while let Some(n) = stack.pop() {
-        count += 1;
-        stack.extend_from_slice(tree.children(n));
-    }
-    count
-}
-
 /// Turns the context's children into leaf tasks, recursively re-splitting
 /// oversized children into spines. The split predicate is uniform across
 /// thread budgets (so a budget of one still exercises the spine machinery
@@ -344,16 +327,12 @@ fn plan_shards<'a>(
         i += 1;
         let split = plan.spines.len() < max_spines
             && tree.children(node).len() >= 2
-            && subtree_nodes(tree, node) > limit;
+            && tree.subtree_size(node) > limit;
         if !split {
             plan.tasks.push(Task { node, group });
             continue;
         }
-        let runtimes: Vec<QueryRuntime> = queries
-            .iter()
-            .map(|q| QueryRuntime::new(tree.labels(), Arc::clone(&q.compiled), q.index))
-            .collect();
-        let mut core = HypeCore::new(runtimes);
+        let mut core = HypeCore::for_queries(tree.labels(), queries);
         let (group_node, group_seeds) = if group == 0 {
             (plan.context, &plan.context_seeds)
         } else {
@@ -386,241 +365,60 @@ fn plan_shards<'a>(
     plan
 }
 
-/// A fixed-capacity Chase–Lev work-stealing deque over task indices.
+/// One merged work unit: per-query shard outputs plus the unit's physical
+/// visit count.
+type Unit = (Vec<ShardQueryOutput>, usize);
+
+/// Runs the planned tasks over up to `threads` workers of the crate's pool
+/// and buckets the resulting units by group. Also returns the largest
+/// single task in physical visits (the `max_shard_fraction` numerator).
 ///
-/// Every item is pushed by the planner **before** the workers spawn (the
-/// spawn is the happens-before edge that publishes the buffer), so the
-/// buffer is immutable while the deque is shared and only the two cursors
-/// are atomic: the owner pops `bottom` LIFO (hot subtrees stay cache-warm),
-/// thieves race CAS on `top` FIFO (the oldest — round-robin ⇒ typically
-/// largest-remaining — task moves, minimising steal traffic). `pop` must
-/// only ever be called by the deque's owner; `steal` by anyone.
-pub(crate) struct TaskDeque {
-    items: Box<[usize]>,
-    top: AtomicIsize,
-    bottom: AtomicIsize,
-}
-
-/// Outcome of a [`TaskDeque::steal`] attempt. `Retry` means the CAS lost
-/// to a concurrent pop/steal — the deque may still hold work, so an
-/// all-`Empty` sweep (and only that) lets a worker retire.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Steal {
-    Success(usize),
-    Empty,
-    Retry,
-}
-
-impl TaskDeque {
-    fn new(items: Vec<usize>) -> Self {
-        let bottom = items.len() as isize;
-        TaskDeque {
-            items: items.into_boxed_slice(),
-            top: AtomicIsize::new(0),
-            bottom: AtomicIsize::new(bottom),
-        }
-    }
-
-    /// Owner-only LIFO pop. The SeqCst fence orders the speculative
-    /// `bottom` decrement against thieves' `top` reads; the final item is
-    /// raced for with a CAS on `top` so it is handed out exactly once.
-    fn pop(&self) -> Option<usize> {
-        let b = self.bottom.load(Ordering::Relaxed) - 1;
-        self.bottom.store(b, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        let t = self.top.load(Ordering::Relaxed);
-        if t > b {
-            // Already empty: undo the decrement.
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            return None;
-        }
-        let item = self.items[b as usize];
-        if t == b {
-            // Last item: win it from any concurrent thief via `top`.
-            let won = self
-                .top
-                .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-                .is_ok();
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            return won.then_some(item);
-        }
-        Some(item)
-    }
-
-    /// Thief-side FIFO steal; any thread but the owner may call it.
-    fn steal(&self) -> Steal {
-        let t = self.top.load(Ordering::Acquire);
-        fence(Ordering::SeqCst);
-        let b = self.bottom.load(Ordering::Acquire);
-        if t >= b {
-            return Steal::Empty;
-        }
-        let item = self.items[t as usize];
-        match self
-            .top
-            .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-        {
-            Ok(_) => Steal::Success(item),
-            Err(_) => Steal::Retry,
-        }
-    }
-}
-
-/// One worker's outputs: per-group shard artefacts covering every task the
-/// worker claimed, plus skew bookkeeping. Which task lands on which worker
-/// is scheduling-dependent, but the merge only ever sums counters, ORs
-/// bitset rows, grafts arenas and unions ordered sets — all commutative —
-/// so the result is deterministic regardless.
-struct DequeWorkerResult {
-    /// `(group, per-query outputs, physical visits)` for every group this
-    /// worker created a core for.
-    groups: Vec<(usize, Vec<ShardQueryOutput>, usize)>,
-    /// The largest single task the worker ran, in physical node visits —
-    /// the numerator of [`HypeStats::max_shard_fraction`].
-    max_task_visits: usize,
-}
-
-/// One worker's whole run: drain the own deque, then steal. Cores are
-/// created lazily, one per *group* the worker actually touches — a single
-/// `QueryRuntime` set (ColumnMap, scratch pools, pruning tables) per
+/// Cores are created lazily, one per *group* a worker actually touches — a
+/// single `QueryRuntime` set (ColumnMap, scratch pools, pruning tables) per
 /// worker and group, seeded once and fed every task of that group the
 /// worker claims. Walking several children under one seeded frame is
 /// exactly what the sequential walk does, so per-query artefacts stay
 /// bit-exact while setup cost scales with the worker count, not the
-/// (possibly huge) child count.
-fn run_deque_worker(
+/// (possibly huge) child count. Which task lands on which worker depends on
+/// scheduling, but the merge only ever sums counters, ORs bitset rows,
+/// grafts arenas and unions ordered sets — all commutative — so the result
+/// is deterministic regardless.
+fn run_tasks(
     tree: &XmlTree,
     queries: &[CompiledBatchQuery],
-    groups: &[(NodeId, &[ContextSeed])],
-    tasks: &[Task],
-    deques: &[TaskDeque],
-    me: usize,
-) -> DequeWorkerResult {
-    let mut cores: Vec<Option<HypeCore>> = (0..groups.len()).map(|_| None).collect();
-    let mut max_task_visits = 0usize;
-    {
-        let mut run_task = |index: usize| {
-            let task = tasks[index];
+    plan: &ShardPlan,
+    threads: usize,
+) -> (Vec<Vec<Unit>>, usize) {
+    let groups: Vec<(NodeId, &[ContextSeed])> =
+        std::iter::once((plan.context, plan.context_seeds.as_slice()))
+            .chain(plan.spines.iter().map(|s| (s.node, s.seeds.as_slice())))
+            .collect();
+    let (task_visits, worker_cores) = claim_map(
+        &plan.tasks,
+        threads,
+        || -> Vec<Option<HypeCore>> { groups.iter().map(|_| None).collect() },
+        |cores, _, task| {
             let g = task.group as usize;
             let core = cores[g].get_or_insert_with(|| {
-                let runtimes: Vec<QueryRuntime> = queries
-                    .iter()
-                    .map(|q| QueryRuntime::new(tree.labels(), Arc::clone(&q.compiled), q.index))
-                    .collect();
-                let mut core = HypeCore::new(runtimes);
+                let mut core = HypeCore::for_queries(tree.labels(), queries);
                 let (group_node, group_seeds) = groups[g];
                 core.seed_context_frame(group_node, group_seeds);
                 core
             });
             let before = core.physical_visits;
             walk(core, tree, task.node);
-            max_task_visits = max_task_visits.max(core.physical_visits - before);
-        };
-        let mine = &deques[me];
-        loop {
-            if let Some(index) = mine.pop() {
-                run_task(index);
-                continue;
-            }
-            // Own deque drained: sweep the other workers' deques. No task
-            // is ever pushed after spawn, so a full all-`Empty` sweep means
-            // the run is globally out of work.
-            let mut retry = false;
-            let mut stolen = None;
-            for other in (me + 1..deques.len()).chain(0..me) {
-                match deques[other].steal() {
-                    Steal::Success(index) => {
-                        stolen = Some(index);
-                        break;
-                    }
-                    Steal::Retry => retry = true,
-                    Steal::Empty => {}
-                }
-            }
-            match stolen {
-                Some(index) => run_task(index),
-                None if retry => std::hint::spin_loop(),
-                None => break,
+            core.physical_visits - before
+        },
+    );
+    let mut units: Vec<Vec<Unit>> = groups.iter().map(|_| Vec::new()).collect();
+    for cores in worker_cores {
+        for (group, core) in cores.into_iter().enumerate() {
+            if let Some(core) = core {
+                units[group].push(core.into_shard_outputs());
             }
         }
     }
-    let groups = cores
-        .into_iter()
-        .enumerate()
-        .filter_map(|(g, core)| {
-            core.map(|core| {
-                let (outputs, physical) = core.into_shard_outputs();
-                (g, outputs, physical)
-            })
-        })
-        .collect();
-    DequeWorkerResult {
-        groups,
-        max_task_visits,
-    }
-}
-
-/// One merged work unit: per-query shard outputs plus the unit's physical
-/// visit count.
-type Unit = (Vec<ShardQueryOutput>, usize);
-
-/// Runs the planned tasks over up to `threads` scoped workers claiming off
-/// per-worker Chase–Lev deques, and buckets the resulting units by group.
-/// Also returns the largest single task in physical visits (the
-/// `max_shard_fraction` numerator).
-fn run_tasks<'a>(
-    tree: &XmlTree,
-    queries: &[CompiledBatchQuery],
-    plan: &ShardPlan<'a>,
-    threads: usize,
-) -> (Vec<Vec<Unit>>, usize) {
-    let mut units: Vec<Vec<Unit>> = (0..1 + plan.spines.len()).map(|_| Vec::new()).collect();
-    if plan.tasks.is_empty() {
-        return (units, 0);
-    }
-    // Cap by the task count *after* re-splitting: a two-subtree document
-    // with one dominant subtree still occupies every worker.
-    let workers = threads.min(plan.tasks.len()).max(1);
-    let mut lists: Vec<Vec<usize>> = (0..workers).map(|_| Vec::new()).collect();
-    for index in 0..plan.tasks.len() {
-        lists[index % workers].push(index);
-    }
-    let deques: Vec<TaskDeque> = lists.into_iter().map(TaskDeque::new).collect();
-    let groups: Vec<(NodeId, &[ContextSeed])> =
-        std::iter::once((plan.context, plan.context_seeds.as_slice()))
-            .chain(plan.spines.iter().map(|s| (s.node, s.seeds.as_slice())))
-            .collect();
-    let results: Vec<DequeWorkerResult> = if workers <= 1 {
-        // Budget 1 exercises the same deque code path, unspawned.
-        vec![run_deque_worker(tree, queries, &groups, &plan.tasks, &deques, 0)]
-    } else {
-        let mut collected = Vec::with_capacity(workers);
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|me| {
-                    let groups = &groups;
-                    let deques = &deques;
-                    let tasks = &plan.tasks;
-                    scope.spawn(move || run_deque_worker(tree, queries, groups, tasks, deques, me))
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok(result) => collected.push(result),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-        });
-        collected
-    };
-    let mut max_task_visits = 0;
-    for result in results {
-        max_task_visits = max_task_visits.max(result.max_task_visits);
-        for (group, outputs, physical) in result.groups {
-            units[group].push((outputs, physical));
-        }
-    }
-    (units, max_task_visits)
+    (units, task_visits.into_iter().max().unwrap_or(0))
 }
 
 /// Collapses every spine into one ordinary unit of its parent group,
@@ -664,37 +462,57 @@ fn merge_spines<'a>(
     }
 }
 
-/// The shared worker scaffold of the finalize phase (and of
-/// [`crate::corpus`]'s across-documents axis): runs `worker` once per
-/// worker slot, handing each the claim counter the bodies pull work-item
-/// indices from. One worker runs inline (budget 1 exercises the same code
-/// path, unspawned); panics inside a spawned worker are re-raised on the
-/// calling thread after all workers joined.
-pub(crate) fn claim_parallel<T: Send>(
-    workers: usize,
-    worker: impl Fn(&AtomicUsize) -> T + Sync,
-) -> Vec<T> {
+/// The crate's one worker pool: maps `items` over up to `threads` scoped
+/// workers that claim item indices, in input order, off one shared atomic
+/// counter. Every worker threads its own state (made by `init`) through the
+/// items it claims. Returns the per-item results in input order plus every
+/// worker's final state. One worker runs inline (budget 1 exercises the
+/// same code path, unspawned); a panic inside a spawned worker is re-raised
+/// on the calling thread after all workers joined.
+pub(crate) fn claim_map<I: Sync, S: Send, R: Send>(
+    items: &[I],
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    run: impl Fn(&mut S, usize, &I) -> R + Sync,
+) -> (Vec<R>, Vec<S>) {
     let next = AtomicUsize::new(0);
-    if workers <= 1 {
-        return vec![worker(&next)];
-    }
-    let mut collected = Vec::with_capacity(workers);
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let worker = &worker;
-                scope.spawn(move || worker(next))
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(result) => collected.push(result),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
+    let worker = || {
+        let mut state = init();
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                break;
+            };
+            done.push((i, run(&mut state, i, item)));
         }
-    });
-    collected
+        (done, state)
+    };
+    let workers = threads.min(items.len()).max(1);
+    let finished: Vec<(Vec<(usize, R)>, S)> = if workers == 1 {
+        vec![worker()]
+    } else {
+        thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .map(|handle| {
+                    handle
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
+                .collect()
+        })
+    };
+    let mut indexed = Vec::with_capacity(items.len());
+    let mut states = Vec::with_capacity(workers);
+    for (done, state) in finished {
+        indexed.extend(done);
+        states.push(state);
+    }
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    let results = indexed.into_iter().map(|(_, result)| result).collect();
+    (results, states)
 }
 
 /// Merges one query from its per-shard-unit outputs: answers collected
@@ -708,8 +526,8 @@ pub(crate) fn claim_parallel<T: Send>(
 /// counter is a sum of per-node contributions and the context placeholders
 /// (the first `context_vertices` ids of every unit) are discounted once per
 /// unit.
-pub(crate) fn finalize_one(
-    block: ContextBlock,
+fn finalize_one(
+    block: &ContextBlock,
     shard_outputs: &[&ShardQueryOutput],
     nodes_total: usize,
     scratch: &mut CollectScratch,
@@ -747,44 +565,19 @@ pub(crate) fn finalize_one(
 }
 
 /// Finalizes every query, distributing the per-query DAG collections over
-/// up to `threads` workers when the batch is large enough to pay for it.
-/// `outputs_of` names each query's shard-unit outputs (see
-/// [`finalize_one`]); it is called once per query, from whichever worker
-/// claims that query.
+/// up to `threads` workers. `outputs_of` names each query's shard-unit
+/// outputs (see [`finalize_one`]); it is called once per query, from
+/// whichever worker claims that query.
 pub(crate) fn finalize_queries<'a>(
-    blocks: Vec<ContextBlock>,
+    blocks: &[ContextBlock],
     outputs_of: impl Fn(usize) -> Vec<&'a ShardQueryOutput> + Sync,
     nodes_total: usize,
     threads: usize,
 ) -> Vec<HypeResult> {
-    let workers = threads.min(blocks.len()).max(1);
-    // Each block is consumed by exactly one worker; the Mutex<Option<..>>
-    // wrapper is what lets a worker move its claim out of the shared Vec.
-    let slots: Vec<Mutex<Option<ContextBlock>>> =
-        blocks.into_iter().map(|b| Mutex::new(Some(b))).collect();
-    let mut collected: Vec<(usize, HypeResult)> = claim_parallel(workers, |next| {
-        let mut scratch = CollectScratch::new();
-        let mut mine = Vec::new();
-        loop {
-            let q = next.fetch_add(1, Ordering::Relaxed);
-            let Some(slot) = slots.get(q) else {
-                break;
-            };
-            let block = slot
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .take()
-                .expect("each slot is claimed exactly once");
-            let outputs = outputs_of(q);
-            mine.push((q, finalize_one(block, &outputs, nodes_total, &mut scratch)));
-        }
-        mine
+    claim_map(blocks, threads, CollectScratch::new, |scratch, q, block| {
+        finalize_one(block, &outputs_of(q), nodes_total, scratch)
     })
-    .into_iter()
-    .flatten()
-    .collect();
-    collected.sort_by_key(|&(q, _)| q);
-    collected.into_iter().map(|(_, result)| result).collect()
+    .0
 }
 
 #[cfg(test)]
@@ -936,11 +729,7 @@ mod tests {
         queries: &'a [CompiledBatchQuery<'a>],
         threads: usize,
     ) -> (ShardPlan<'a>, Vec<ContextSeed>) {
-        let runtimes: Vec<QueryRuntime> = queries
-            .iter()
-            .map(|q| QueryRuntime::new(tree.labels(), Arc::clone(&q.compiled), q.index))
-            .collect();
-        let mut core = HypeCore::new(runtimes);
+        let mut core = HypeCore::for_queries(tree.labels(), queries);
         assert!(core.open(tree.root(), tree.label(tree.root())));
         let seeds = core.context_seeds();
         let plan = plan_shards(
@@ -989,54 +778,35 @@ mod tests {
     }
 
     #[test]
-    fn deque_owner_pops_lifo_and_thief_steals_fifo() {
-        let d = TaskDeque::new(vec![10, 11, 12]);
-        assert_eq!(d.steal(), Steal::Success(10));
-        assert_eq!(d.pop(), Some(12));
-        assert_eq!(d.pop(), Some(11));
-        assert_eq!(d.pop(), None);
-        assert_eq!(d.steal(), Steal::Empty);
-
-        let d = TaskDeque::new(Vec::new());
-        assert_eq!(d.pop(), None);
-        assert_eq!(d.steal(), Steal::Empty);
-    }
-
-    #[test]
-    fn deque_concurrent_drain_yields_each_item_exactly_once() {
-        const ITEMS: usize = 10_000;
-        const THIEVES: usize = 3;
-        let d = TaskDeque::new((0..ITEMS).collect());
-        let mut claimed: Vec<Vec<usize>> = Vec::new();
-        thread::scope(|scope| {
-            let thieves: Vec<_> = (0..THIEVES)
-                .map(|_| {
-                    let d = &d;
-                    scope.spawn(move || {
-                        let mut got = Vec::new();
-                        loop {
-                            match d.steal() {
-                                Steal::Success(i) => got.push(i),
-                                Steal::Retry => std::hint::spin_loop(),
-                                Steal::Empty => break,
-                            }
-                        }
-                        got
-                    })
-                })
-                .collect();
-            let mut own = Vec::new();
-            while let Some(i) = d.pop() {
-                own.push(i);
+    fn claim_map_runs_every_item_once_in_input_order() {
+        for len in [0, 1, 3, 100] {
+            let items: Vec<usize> = (0..len).map(|i| i * 7).collect();
+            for threads in [1, 2, 8] {
+                let (results, states) = claim_map(
+                    &items,
+                    threads,
+                    || (thread::current().id(), Vec::new()),
+                    |(_, ran), i, &item| {
+                        assert_eq!(item, items[i], "`run` gets the item at its index");
+                        ran.push(i);
+                        (item + 1, thread::current().id())
+                    },
+                );
+                let ctx = format!("{len} items @{threads}");
+                let values: Vec<usize> = results.iter().map(|&(v, _)| v - 1).collect();
+                assert_eq!(values, items, "{ctx}: results in input order");
+                assert_eq!(states.len(), threads.min(len).max(1), "{ctx}");
+                let mut all: Vec<usize> = Vec::new();
+                for (worker, ran) in &states {
+                    let by_worker: Vec<usize> =
+                        (0..len).filter(|&i| results[i].1 == *worker).collect();
+                    assert_eq!(ran, &by_worker, "{ctx}: a state holds what its worker ran");
+                    all.extend(ran);
+                }
+                all.sort_unstable();
+                assert_eq!(all, (0..len).collect::<Vec<_>>(), "{ctx}: every item once");
             }
-            claimed.push(own);
-            for t in thieves {
-                claimed.push(t.join().unwrap());
-            }
-        });
-        let mut all: Vec<usize> = claimed.into_iter().flatten().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..ITEMS).collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -38,6 +38,7 @@ use smoqe_automata::compiled::{bits, ColumnMap, CompiledMfa};
 use smoqe_automata::{CompiledAfaState, FinalPredicate, ANY_LABEL};
 use smoqe_xml::{LabelId, LabelInterner, NodeId};
 
+use crate::batch::CompiledBatchQuery;
 use crate::engine::HypeStats;
 use crate::index::ReachabilityIndex;
 
@@ -740,6 +741,16 @@ impl<'a> HypeCore<'a> {
             physical_visits: 0,
             init_of: vec![Vec::new(); queries],
         }
+    }
+
+    /// A core with one runtime per query of a batch, over `labels`.
+    pub fn for_queries(labels: &LabelInterner, queries: &[CompiledBatchQuery<'a>]) -> Self {
+        HypeCore::new(
+            queries
+                .iter()
+                .map(|q| QueryRuntime::new(labels, Arc::clone(&q.compiled), q.index))
+                .collect(),
+        )
     }
 
     /// Number of live frames (for the streaming engine's observability).

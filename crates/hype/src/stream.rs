@@ -40,15 +40,13 @@
 //! indexed streaming requires seeding the engine with that same interner
 //! via [`StreamHype::with_interner`]. The plain-HyPE path needs no seeding.
 
-use std::sync::Arc;
-
 use smoqe_automata::Mfa;
 use smoqe_xml::stream::{EventSource, XmlEvent};
 use smoqe_xml::{LabelInterner, NodeId, ParseError};
 
 use crate::batch::{BatchQuery, CompiledBatchQuery};
 use crate::engine::HypeResult;
-use crate::runtime::{HypeCore, QueryRuntime};
+use crate::runtime::HypeCore;
 
 /// Aggregate statistics of one streamed evaluation.
 ///
@@ -178,12 +176,8 @@ impl<'a> StreamHype<'a> {
     /// A machine over pre-compiled execution IRs (shared via `Arc`, e.g.
     /// from the `smoqe` service cache), with a seeded label interner.
     pub fn from_compiled(queries: &[CompiledBatchQuery<'a>], labels: LabelInterner) -> Self {
-        let runtimes: Vec<QueryRuntime> = queries
-            .iter()
-            .map(|q| QueryRuntime::new(&labels, Arc::clone(&q.compiled), q.index))
-            .collect();
         StreamHype {
-            core: HypeCore::new(runtimes),
+            core: HypeCore::for_queries(&labels, queries),
             known_labels: labels.len(),
             labels,
             texts: Vec::new(),

@@ -5,21 +5,22 @@
 //! cloning of node handles, and lets the evaluation algorithms of the paper
 //! (HyPE and the baselines) use plain integer-indexed side tables.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use crate::error::XmlError;
 use crate::label::{LabelId, LabelInterner};
 
-/// Process-wide count of arena nodes ever allocated by [`XmlTreeBuilder`]s
-/// (and therefore by [`crate::parse_document`], which builds through one).
-static NODE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static NODE_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Total number of arena nodes allocated in this process so far.
+/// Total number of arena nodes the calling thread has allocated so far
+/// through [`XmlTreeBuilder`]s (and therefore [`crate::parse_document`]).
 ///
 /// The counter only ever grows; take a snapshot before a region of interest
-/// and diff afterwards. The streaming benchmark and tests use this to
-/// *prove* that evaluating over [`crate::stream`] events never materializes
-/// an arena tree:
+/// and diff afterwards (other threads' trees do not move it). The streaming
+/// benchmark and tests use this to *prove* that evaluating over
+/// [`crate::stream`] events never materializes an arena tree:
 ///
 /// ```
 /// use smoqe_xml::{node_allocations, parse_document};
@@ -33,7 +34,7 @@ static NODE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// assert_eq!(node_allocations() - before, 0);
 /// ```
 pub fn node_allocations() -> u64 {
-    NODE_ALLOCATIONS.load(Ordering::Relaxed)
+    NODE_ALLOCATIONS.with(Cell::get)
 }
 
 /// Identifier of a node inside one [`XmlTree`] arena.
@@ -217,27 +218,28 @@ impl XmlTree {
     /// Returns the ids of all descendants of `id` (excluding `id` itself),
     /// in pre-order.
     pub fn descendants(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack: Vec<NodeId> = self.children(id).iter().rev().copied().collect();
-        while let Some(n) = stack.pop() {
-            out.push(n);
-            for &c in self.children(n).iter().rev() {
-                stack.push(c);
-            }
-        }
-        out
+        self.preorder(id).skip(1).collect()
     }
 
     /// Returns the ids of `id` and all its descendants, in pre-order.
     pub fn descendants_or_self(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = vec![id];
-        out.extend(self.descendants(id));
-        out
+        self.preorder(id).collect()
     }
 
     /// Counts the nodes in the subtree rooted at `id` (including `id`).
     pub fn subtree_size(&self, id: NodeId) -> usize {
-        1 + self.descendants(id).len()
+        self.preorder(id).count()
+    }
+
+    /// Walks `id`'s subtree in pre-order, which is also arena order for a
+    /// parsed tree: visiting children right to left is several times slower.
+    fn preorder(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let mut stack = vec![id];
+        std::iter::from_fn(move || {
+            let n = stack.pop()?;
+            stack.extend(self.children(n).iter().rev());
+            Some(n)
+        })
     }
 
     /// Checks structural invariants (parent/child consistency), covering
@@ -382,7 +384,7 @@ impl XmlTree {
             .iter()
             .map(|(_, name)| self.labels.intern(name))
             .collect();
-        NODE_ALLOCATIONS.fetch_add(subtree.len() as u64, Ordering::Relaxed);
+        NODE_ALLOCATIONS.with(|n| n.set(n.get() + subtree.len() as u64));
         for id in subtree.node_ids() {
             let node = subtree.node(id);
             self.nodes.push(Node {
@@ -451,6 +453,12 @@ impl XmlTree {
                 reason: "the document root cannot be deleted; replace it instead".to_owned(),
             });
         };
+        Ok(self.detach(node, parent).1)
+    }
+
+    /// Unlinks live `node` from its `parent`, tombstoning its subtree;
+    /// returns its former sibling position and the number of nodes detached.
+    fn detach(&mut self, node: NodeId, parent: NodeId) -> (usize, usize) {
         let detached = self.subtree_size(node);
         let position = self
             .children(parent)
@@ -460,7 +468,7 @@ impl XmlTree {
         self.nodes[parent.index()].children.remove(position);
         self.nodes[node.index()].parent = None;
         self.live -= detached;
-        Ok(detached)
+        (position, detached)
     }
 
     /// Replaces the subtree rooted at `node` with a copy of `subtree`,
@@ -481,15 +489,7 @@ impl XmlTree {
         Self::require_clean_payload(subtree)?;
         match self.parent(node) {
             Some(parent) => {
-                let position = self
-                    .children(parent)
-                    .iter()
-                    .position(|&c| c == node)
-                    .expect("live node is listed among its parent's children");
-                let detached = self.subtree_size(node);
-                self.nodes[parent.index()].children.remove(position);
-                self.nodes[node.index()].parent = None;
-                self.live -= detached;
+                let (position, _) = self.detach(node, parent);
                 let new_root = self.graft(subtree, Some(parent));
                 self.nodes[parent.index()].children.insert(position, new_root);
                 self.live += subtree.len();
@@ -583,7 +583,7 @@ impl XmlTreeBuilder {
     /// Creates the root element. Must be called exactly once, first.
     pub fn root(&mut self, label: &str) -> NodeId {
         assert!(self.root.is_none(), "root() called twice");
-        NODE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        NODE_ALLOCATIONS.with(|n| n.set(n.get() + 1));
         let label = self.labels.intern(label);
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
@@ -604,7 +604,7 @@ impl XmlTreeBuilder {
 
     /// Appends a child element with an already-interned label.
     pub fn child_interned(&mut self, parent: NodeId, label: LabelId) -> NodeId {
-        NODE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        NODE_ALLOCATIONS.with(|n| n.set(n.get() + 1));
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(Node {
             label,
@@ -726,9 +726,19 @@ mod tests {
     #[test]
     fn subtree_size_counts_self_and_descendants() {
         let t = small_tree();
-        assert_eq!(t.subtree_size(t.root()), 7);
         let dept = t.children(t.root())[0];
-        assert_eq!(t.subtree_size(dept), 3);
+        // The same tree after deleting the first department's patient: its
+        // two nodes are tombstoned and no longer counted.
+        let mut edited = small_tree();
+        let patient = edited.children(dept)[0];
+        edited.delete_subtree(patient).unwrap();
+        for (tree, root_size, dept_size) in [(&t, 7, 3), (&edited, 5, 1)] {
+            assert_eq!(tree.subtree_size(tree.root()), root_size);
+            assert_eq!(tree.subtree_size(dept), dept_size);
+            for n in tree.descendants_or_self(tree.root()) {
+                assert_eq!(tree.subtree_size(n), tree.descendants_or_self(n).len());
+            }
+        }
     }
 
     #[test]
@@ -805,11 +815,10 @@ mod tests {
     fn insert_counts_node_allocations() {
         let mut t = small_tree();
         let dept = t.children(t.root())[0];
+        let payload = payload();
         let before = node_allocations();
-        t.insert_subtree(dept, 1, &payload()).unwrap();
-        // The counter is process-global and other tests run concurrently, so
-        // only a lower bound is exact.
-        assert!(node_allocations() - before >= 3);
+        t.insert_subtree(dept, 1, &payload).unwrap();
+        assert_eq!(node_allocations() - before, payload.len() as u64);
     }
 
     #[test]

@@ -163,7 +163,7 @@ fn every_domain_and_shape_parallel_matches_sequential() {
     // domain and every adversarial shape, solo and as one whole-corpus
     // batch per document, at every tested budget. The shapes matter here:
     // Deep yields single-chain documents (one shard), Skewed yields one
-    // dominant shard the work-stealing re-splitter has to break up.
+    // dominant shard the re-splitting planner has to break up.
     for domain in all_domains() {
         let irs = domain_corpus_irs(&domain);
         for &shape in domain.shapes {
