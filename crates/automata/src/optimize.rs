@@ -14,8 +14,10 @@
 //!
 //! [`optimize_mfa`] removes all of the above while preserving the automaton's
 //! semantics (checked against the naive evaluator by the tests and by the
-//! cross-crate property suite). It is used by the engine as an optional
-//! pass and by the `rewrite_complexity` ablation benchmark.
+//! cross-crate property suite). The engine always applies it: every
+//! `smoqe::CompiledQuery` is trimmed before its execution IR is built,
+//! since the IR's step-closure tables grow with the square of the state
+//! count. The `rewrite_complexity` ablation benchmark also measures it.
 
 use std::collections::HashMap;
 
@@ -67,27 +69,34 @@ pub fn optimize_mfa(mfa: &Mfa) -> (Mfa, OptimizeStats) {
     }
 
     // ---- 2. Backward usefulness: can a final state be reached? ----
-    let mut useful = vec![false; nfa.len()];
+    // One search over the reversed edges from the final states, so the pass
+    // stays linear in the automaton (it runs on every compiled query).
+    let mut predecessors: Vec<Vec<StateId>> = vec![Vec::new(); nfa.len()];
     for (id, state) in nfa.states() {
-        if state.is_final {
-            useful[id.index()] = true;
+        let targets = state
+            .eps
+            .iter()
+            .copied()
+            .chain(state.trans.iter().map(|&(_, t)| t));
+        for target in targets {
+            predecessors[target.index()].push(id);
         }
     }
-    loop {
-        let mut changed = false;
-        for (id, state) in nfa.states() {
-            if useful[id.index()] {
-                continue;
+    let mut useful = vec![false; nfa.len()];
+    let mut stack: Vec<StateId> = nfa
+        .states()
+        .filter(|(_, s)| s.is_final)
+        .map(|(id, _)| id)
+        .collect();
+    for &s in &stack {
+        useful[s.index()] = true;
+    }
+    while let Some(s) = stack.pop() {
+        for &p in &predecessors[s.index()] {
+            if !useful[p.index()] {
+                useful[p.index()] = true;
+                stack.push(p);
             }
-            let reaches = state.eps.iter().any(|e| useful[e.index()])
-                || state.trans.iter().any(|&(_, t)| useful[t.index()]);
-            if reaches {
-                useful[id.index()] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
         }
     }
 

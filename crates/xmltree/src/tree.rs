@@ -227,7 +227,14 @@ impl XmlTree {
     }
 
     /// Counts the nodes in the subtree rooted at `id` (including `id`).
+    ///
+    /// O(1) at the root, where the live-node counter the edit methods keep
+    /// (and [`XmlTree::check_consistency`] audits) is the answer; a walk of
+    /// the subtree anywhere else.
     pub fn subtree_size(&self, id: NodeId) -> usize {
+        if id == self.root {
+            return self.live;
+        }
         self.preorder(id).count()
     }
 
@@ -732,13 +739,38 @@ mod tests {
         let mut edited = small_tree();
         let patient = edited.children(dept)[0];
         edited.delete_subtree(patient).unwrap();
-        for (tree, root_size, dept_size) in [(&t, 7, 3), (&edited, 5, 1)] {
+        // Inserting a two-node patient under the second department grows
+        // the root's count (its O(1) answer) as well as the department's.
+        let payload = {
+            let mut b = XmlTreeBuilder::new();
+            let p = b.root("patient");
+            b.child_with_text(p, "pname", "Carol");
+            b.finish()
+        };
+        let mut inserted = small_tree();
+        let dept2 = inserted.children(inserted.root())[1];
+        inserted.insert_subtree(dept2, 1, &payload).unwrap();
+        for (tree, root_size, dept_size) in [(&t, 7, 3), (&edited, 5, 1), (&inserted, 9, 3)] {
             assert_eq!(tree.subtree_size(tree.root()), root_size);
             assert_eq!(tree.subtree_size(dept), dept_size);
             for n in tree.descendants_or_self(tree.root()) {
                 assert_eq!(tree.subtree_size(n), tree.descendants_or_self(n).len());
             }
         }
+        assert_eq!(inserted.subtree_size(dept2), 5);
+        // Replacing the root leaves the old tree as tombstones: the new
+        // root counts only the replacement, and the old root (no longer
+        // `root()`) still walks its detached subtree.
+        let mut replaced = small_tree();
+        let old_root = replaced.root();
+        let new_root = replaced.replace_subtree(old_root, &payload).unwrap();
+        assert_eq!(replaced.root(), new_root);
+        assert_eq!(replaced.subtree_size(new_root), 2);
+        assert_eq!(
+            replaced.subtree_size(new_root),
+            replaced.descendants_or_self(new_root).len()
+        );
+        assert_eq!(replaced.subtree_size(old_root), 7);
     }
 
     #[test]
