@@ -18,10 +18,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
+use std::sync::Arc;
+
 use smoqe::{EvaluationMode, QueryService};
-use smoqe_automata::{compile_query, Mfa};
-use smoqe_bench::{batch_workload_queries, medium_document};
-use smoqe_hype::{evaluate, evaluate_batch, evaluate_with_index, BatchQuery, ReachabilityIndex};
+use smoqe_automata::{compile_query, CompiledMfa, Mfa};
+use smoqe_bench::{batch_workload_queries, ir, medium_document, run_solo};
+use smoqe_hype::{evaluate_tree, CompiledBatchQuery, ReachabilityIndex};
 use smoqe_xml::hospital::hospital_document_dtd;
 use smoqe_xml::XmlTree;
 use smoqe_xpath::parse_path;
@@ -40,33 +42,36 @@ fn build_indexes(mfas: &[Mfa], doc: &XmlTree) -> Vec<ReachabilityIndex> {
         .collect()
 }
 
+/// The workload as one batch of shared IRs, each pruned by its index when
+/// `indexes` is given.
+fn batch_of<'a>(
+    irs: &[Arc<CompiledMfa>],
+    indexes: Option<&'a [ReachabilityIndex]>,
+) -> Vec<CompiledBatchQuery<'a>> {
+    irs.iter()
+        .enumerate()
+        .map(|(i, ir)| CompiledBatchQuery {
+            compiled: Arc::clone(ir),
+            index: indexes.map(|ix| &ix[i]),
+        })
+        .collect()
+}
+
 /// Part 1: the visit-count report and the acceptance-criterion assertions.
-fn visit_report(doc: &XmlTree, mfas: &[Mfa], indexes: &[ReachabilityIndex]) {
+fn visit_report(doc: &XmlTree, irs: &[Arc<CompiledMfa>], indexes: &[ReachabilityIndex]) {
     println!(
         "# Batched throughput on a {}-node hospital document, {} queries",
         doc.len(),
-        mfas.len()
+        irs.len()
     );
     for (mode, batch_queries) in [
-        (
-            "HyPE",
-            mfas.iter().map(BatchQuery::new).collect::<Vec<_>>(),
-        ),
-        (
-            "OptHyPE",
-            mfas.iter()
-                .zip(indexes)
-                .map(|(m, i)| BatchQuery::with_index(m, i))
-                .collect::<Vec<_>>(),
-        ),
+        ("HyPE", batch_of(irs, None)),
+        ("OptHyPE", batch_of(irs, Some(indexes))),
     ] {
-        let batch = evaluate_batch(doc, &batch_queries);
+        let batch = evaluate_tree(doc, doc.root(), &batch_queries, 1);
         let sequential: usize = batch_queries
             .iter()
-            .map(|q| match q.index {
-                Some(index) => evaluate_with_index(doc, q.mfa, index).stats.nodes_visited,
-                None => evaluate(doc, q.mfa).stats.nodes_visited,
-            })
+            .map(|q| run_solo(doc, &q.compiled, q.index, 1).stats.nodes_visited)
             .sum();
         assert_eq!(
             batch.stats.sequential_node_visits, sequential,
@@ -91,21 +96,26 @@ fn visit_report(doc: &XmlTree, mfas: &[Mfa], indexes: &[ReachabilityIndex]) {
 }
 
 /// Part 2: wall-clock timing of the three serving strategies.
-fn timing(c: &mut Criterion, doc: &XmlTree, mfas: &[Mfa], indexes: &[ReachabilityIndex]) {
+fn timing(
+    c: &mut Criterion,
+    doc: &XmlTree,
+    irs: &[Arc<CompiledMfa>],
+    indexes: &[ReachabilityIndex],
+) {
     let mut group = c.benchmark_group("batch_throughput");
     group
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
 
-    let doc_label = format!("{}q", mfas.len());
+    let doc_label = format!("{}q", irs.len());
     group.bench_with_input(
         BenchmarkId::new("sequential_HyPE", &doc_label),
         doc,
         |b, doc| {
             b.iter(|| {
-                mfas.iter()
-                    .map(|m| evaluate(doc, m).answers.len())
+                irs.iter()
+                    .map(|ir| run_solo(doc, ir, None, 1).answers.len())
                     .sum::<usize>()
             })
         },
@@ -114,9 +124,9 @@ fn timing(c: &mut Criterion, doc: &XmlTree, mfas: &[Mfa], indexes: &[Reachabilit
         BenchmarkId::new("batched_HyPE", &doc_label),
         doc,
         |b, doc| {
-            let queries: Vec<BatchQuery> = mfas.iter().map(BatchQuery::new).collect();
+            let queries = batch_of(irs, None);
             b.iter(|| {
-                evaluate_batch(doc, &queries)
+                evaluate_tree(doc, doc.root(), &queries, 1)
                     .results
                     .iter()
                     .map(|r| r.answers.len())
@@ -129,9 +139,9 @@ fn timing(c: &mut Criterion, doc: &XmlTree, mfas: &[Mfa], indexes: &[Reachabilit
         doc,
         |b, doc| {
             b.iter(|| {
-                mfas.iter()
+                irs.iter()
                     .zip(indexes)
-                    .map(|(m, i)| evaluate_with_index(doc, m, i).answers.len())
+                    .map(|(ir, i)| run_solo(doc, ir, Some(i), 1).answers.len())
                     .sum::<usize>()
             })
         },
@@ -140,13 +150,9 @@ fn timing(c: &mut Criterion, doc: &XmlTree, mfas: &[Mfa], indexes: &[Reachabilit
         BenchmarkId::new("batched_OptHyPE", &doc_label),
         doc,
         |b, doc| {
-            let queries: Vec<BatchQuery> = mfas
-                .iter()
-                .zip(indexes)
-                .map(|(m, i)| BatchQuery::with_index(m, i))
-                .collect();
+            let queries = batch_of(irs, Some(indexes));
             b.iter(|| {
-                evaluate_batch(doc, &queries)
+                evaluate_tree(doc, doc.root(), &queries, 1)
                     .results
                     .iter()
                     .map(|r| r.answers.len())
@@ -208,8 +214,9 @@ fn batch_throughput(c: &mut Criterion) {
     let doc = medium_document();
     let mfas = compile_workload();
     let indexes = build_indexes(&mfas, &doc);
-    visit_report(&doc, &mfas, &indexes);
-    timing(c, &doc, &mfas, &indexes);
+    let irs: Vec<Arc<CompiledMfa>> = mfas.iter().map(ir).collect();
+    visit_report(&doc, &irs, &indexes);
+    timing(c, &doc, &irs, &indexes);
 }
 
 criterion_group!(benches, batch_throughput);

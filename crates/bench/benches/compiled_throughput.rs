@@ -31,11 +31,9 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use smoqe_automata::{compile_query, CompiledMfa, Mfa};
-use smoqe_bench::{batch_workload_queries, medium_document};
-use smoqe_hype::{
-    evaluate_batch_compiled, evaluate_compiled, evaluate_stream_batch, interpreted, BatchQuery,
-    CompiledBatchQuery, StreamHype,
-};
+use smoqe_bench::{batch_workload_queries, medium_document, run_solo};
+use smoqe_hype::interpreted::{self, BatchQuery};
+use smoqe_hype::{evaluate_tree, CompiledBatchQuery, StreamHype};
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
 use smoqe_xml::{to_xml_string, LabelInterner, XmlTree};
 use smoqe_xpath::parse_path;
@@ -129,7 +127,7 @@ fn correctness_and_allocation_report(tree: &XmlTree, workload: &[Mfa]) {
 
     // Differential gate: answers AND stats equal the interpreted engines.
     let reference = interpreted::evaluate(tree, &solo);
-    let compiled = evaluate_compiled(tree, &solo_ir);
+    let compiled = run_solo(tree, &solo_ir, None, 1);
     assert_eq!(compiled.answers, reference.answers, "solo answers must match");
     assert_eq!(compiled.stats, reference.stats, "solo stats must match");
     let batch_queries: Vec<BatchQuery> = workload.iter().map(BatchQuery::new).collect();
@@ -138,7 +136,7 @@ fn correctness_and_allocation_report(tree: &XmlTree, workload: &[Mfa]) {
         .map(|ir| CompiledBatchQuery::new(Arc::clone(ir)))
         .collect();
     let reference_batch = interpreted::evaluate_batch(tree, &batch_queries);
-    let compiled_batch = evaluate_batch_compiled(tree, &compiled_queries);
+    let compiled_batch = evaluate_tree(tree, tree.root(), &compiled_queries, 1);
     assert_eq!(compiled_batch.stats, reference_batch.stats, "batch stats must match");
     for (i, (c, r)) in compiled_batch
         .results
@@ -152,7 +150,7 @@ fn correctness_and_allocation_report(tree: &XmlTree, workload: &[Mfa]) {
 
     // Allocation discipline, absolute: the compiled run allocates a small
     // fraction of what the interpreted run does on the same input.
-    let compiled_allocs = allocs_during(3, || evaluate_compiled(tree, &solo_ir));
+    let compiled_allocs = allocs_during(3, || run_solo(tree, &solo_ir, None, 1));
     let interpreted_allocs = allocs_during(3, || interpreted::evaluate(tree, &solo));
     let visited = compiled.stats.nodes_visited as u64;
     assert!(
@@ -167,10 +165,10 @@ fn correctness_and_allocation_report(tree: &XmlTree, workload: &[Mfa]) {
     // warmed before counting.
     let small = sized_document(700);
     let large = sized_document(1_400);
-    let small_visits = evaluate_compiled(&small, &solo_ir).stats.nodes_visited as u64;
-    let large_visits = evaluate_compiled(&large, &solo_ir).stats.nodes_visited as u64;
-    let small_allocs = allocs_during(3, || evaluate_compiled(&small, &solo_ir));
-    let large_allocs = allocs_during(3, || evaluate_compiled(&large, &solo_ir));
+    let small_visits = run_solo(&small, &solo_ir, None, 1).stats.nodes_visited as u64;
+    let large_visits = run_solo(&large, &solo_ir, None, 1).stats.nodes_visited as u64;
+    let small_allocs = allocs_during(3, || run_solo(&small, &solo_ir, None, 1));
+    let large_allocs = allocs_during(3, || run_solo(&large, &solo_ir, None, 1));
     let delta_allocs = large_allocs.saturating_sub(small_allocs);
     let delta_visits = large_visits - small_visits;
     let per_node = delta_allocs as f64 / delta_visits as f64;
@@ -200,7 +198,7 @@ fn correctness_and_allocation_report(tree: &XmlTree, workload: &[Mfa]) {
             .sum()
     });
     let (compiled_nps, _) = timed(&mut || {
-        evaluate_batch_compiled(tree, &compiled_queries)
+        evaluate_tree(tree, tree.root(), &compiled_queries, 1)
             .results
             .iter()
             .map(|r| r.stats.nodes_visited as u64)
@@ -252,7 +250,7 @@ fn timing(c: &mut Criterion, tree: &XmlTree, workload: &[Mfa]) {
         b.iter(|| interpreted::evaluate(tree, &solo).answers.len())
     });
     group.bench_with_input(BenchmarkId::new("compiled", "solo"), tree, |b, tree| {
-        b.iter(|| evaluate_compiled(tree, &solo_ir).answers.len())
+        b.iter(|| run_solo(tree, &solo_ir, None, 1).answers.len())
     });
 
     let batch_label = format!("{}q", workload.len());
@@ -279,7 +277,7 @@ fn timing(c: &mut Criterion, tree: &XmlTree, workload: &[Mfa]) {
                 .map(|ir| CompiledBatchQuery::new(Arc::clone(ir)))
                 .collect();
             b.iter(|| {
-                evaluate_batch_compiled(tree, &queries)
+                evaluate_tree(tree, tree.root(), &queries, 1)
                     .results
                     .iter()
                     .map(|r| r.answers.len())
@@ -314,29 +312,6 @@ fn timing(c: &mut Criterion, tree: &XmlTree, workload: &[Mfa]) {
                 .len()
         })
     });
-    group.finish();
-
-    // The public convenience entry points compile per call; keep them
-    // honest in the series too (IR compilation is part of this timing).
-    let mut group = c.benchmark_group("compiled_throughput_convenience");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_secs(1));
-    group.bench_with_input(
-        BenchmarkId::new("compile_and_stream", "solo"),
-        &xml,
-        |b, xml| {
-            b.iter(|| {
-                let mut reader = smoqe_xml::XmlStreamReader::new(xml.as_bytes());
-                evaluate_stream_batch(&mut reader, &[BatchQuery::new(&solo)])
-                    .expect("streams")
-                    .results[0]
-                    .answers
-                    .len()
-            })
-        },
-    );
     group.finish();
 }
 

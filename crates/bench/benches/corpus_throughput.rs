@@ -36,7 +36,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use smoqe::{DocumentStore, EvaluationMode, QueryService};
 use smoqe_automata::{compile_query, CompiledMfa};
-use smoqe_hype::{evaluate_corpus, evaluate_corpus_parallel, CorpusTask};
+use smoqe_hype::{evaluate_corpus, CorpusTask};
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
 use smoqe_xml::{snapshot, to_xml_string, XmlTree};
 use smoqe_xpath::parse_path;
@@ -117,9 +117,9 @@ fn correctness_and_throughput_report(docs: &[XmlTree], irs: &[Arc<CompiledMfa>])
     );
 
     // Differential gate, layer 1 (raw hype tasks): always asserted.
-    let sequential = evaluate_corpus(&tasks);
+    let sequential = evaluate_corpus(&tasks, 1);
     for &threads in BUDGETS {
-        let parallel = evaluate_corpus_parallel(&tasks, threads);
+        let parallel = evaluate_corpus(&tasks, threads);
         assert_eq!(
             parallel, sequential,
             "corpus-parallel must be bit-identical to sequential @{threads}t"
@@ -164,7 +164,7 @@ fn correctness_and_throughput_report(docs: &[XmlTree], irs: &[Arc<CompiledMfa>])
 
     // Node-throughput series over the raw task list.
     let sequential_nps =
-        node_throughput(WINDOW, &mut || visited(&evaluate_corpus(&tasks)));
+        node_throughput(WINDOW, &mut || visited(&evaluate_corpus(&tasks, 1)));
     emit_json(&format!(
         "{{\"id\": \"corpus_throughput/nodes_per_sec/sequential\", \
          \"nodes_per_sec\": {sequential_nps:.0}, \"cores\": {cores}}}"
@@ -174,7 +174,7 @@ fn correctness_and_throughput_report(docs: &[XmlTree], irs: &[Arc<CompiledMfa>])
     let mut speedup_at = Vec::new();
     for &threads in BUDGETS {
         let nps = node_throughput(WINDOW, &mut || {
-            visited(&evaluate_corpus_parallel(&tasks, threads))
+            visited(&evaluate_corpus(&tasks, threads))
         });
         let speedup = nps / sequential_nps;
         speedup_at.push((threads, speedup));
@@ -198,9 +198,9 @@ fn correctness_and_throughput_report(docs: &[XmlTree], irs: &[Arc<CompiledMfa>])
         // Give shared runners a second, longer window before failing.
         let retry_window = Duration::from_millis(2_500);
         let sequential_retry =
-            node_throughput(retry_window, &mut || visited(&evaluate_corpus(&tasks)));
+            node_throughput(retry_window, &mut || visited(&evaluate_corpus(&tasks, 1)));
         let parallel_retry = node_throughput(retry_window, &mut || {
-            visited(&evaluate_corpus_parallel(&tasks, 4))
+            visited(&evaluate_corpus(&tasks, 4))
         });
         let retried = parallel_retry / sequential_retry;
         println!("speedup gate: first pass {speedup_4t:.2}x, retry pass {retried:.2}x");
@@ -239,11 +239,11 @@ fn timing(c: &mut Criterion, docs: &[XmlTree], irs: &[Arc<CompiledMfa>]) {
         .measurement_time(Duration::from_secs(2));
 
     group.bench_function(BenchmarkId::new("sequential", &label), |b| {
-        b.iter(|| visited(&evaluate_corpus(&tasks)))
+        b.iter(|| visited(&evaluate_corpus(&tasks, 1)))
     });
     for &threads in BUDGETS {
         group.bench_function(BenchmarkId::new(format!("parallel_{threads}t"), &label), |b| {
-            b.iter(|| visited(&evaluate_corpus_parallel(&tasks, threads)))
+            b.iter(|| visited(&evaluate_corpus(&tasks, threads)))
         });
     }
 

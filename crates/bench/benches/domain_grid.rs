@@ -28,8 +28,11 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use smoqe::SmoqeEngine;
-use smoqe_automata::{compile_query, Mfa};
-use smoqe_hype::{evaluate, evaluate_with_index, ReachabilityIndex};
+use std::sync::Arc;
+
+use smoqe_automata::{compile_query, CompiledMfa, Mfa};
+use smoqe_bench::{ir, run_solo};
+use smoqe_hype::ReachabilityIndex;
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{all_domains, DocShape, Domain};
 use smoqe_xml::XmlTree;
@@ -46,6 +49,8 @@ struct GridQuery {
     /// `doc:<q>` or `view:<q>` — matches the differential suites' tags.
     tag: String,
     mfa: Mfa,
+    /// `mfa`'s execution IR, compiled once.
+    ir: Arc<CompiledMfa>,
 }
 
 /// The two representative queries of a domain: its first document query
@@ -54,18 +59,22 @@ fn grid_queries(domain: &Domain) -> Vec<GridQuery> {
     let engine = SmoqeEngine::new(domain.view.clone()).expect("registered views check");
     let doc_query = domain.document_queries.first().expect("non-empty corpus");
     let view_query = domain.view_queries.first().expect("non-empty corpus");
+    let doc_mfa = compile_query(&parse_path(doc_query).expect("registry queries parse"));
+    let view_mfa = engine
+        .compile(view_query)
+        .expect("registry view queries rewrite")
+        .mfa()
+        .clone();
     vec![
         GridQuery {
             tag: format!("doc:{doc_query}"),
-            mfa: compile_query(&parse_path(doc_query).expect("registry queries parse")),
+            ir: ir(&doc_mfa),
+            mfa: doc_mfa,
         },
         GridQuery {
             tag: format!("view:{view_query}"),
-            mfa: engine
-                .compile(view_query)
-                .expect("registry view queries rewrite")
-                .mfa()
-                .clone(),
+            ir: ir(&view_mfa),
+            mfa: view_mfa,
         },
     ]
 }
@@ -109,9 +118,9 @@ fn grid_report(domains: &[Domain]) {
                 let index = ReachabilityIndex::new(&q.mfa, &dtd, doc.labels());
                 let cindex = ReachabilityIndex::new_compressed(&q.mfa, &dtd, doc.labels());
 
-                let plain = evaluate(&doc, &q.mfa);
-                let opt = evaluate_with_index(&doc, &q.mfa, &index);
-                let optc = evaluate_with_index(&doc, &q.mfa, &cindex);
+                let plain = run_solo(&doc, &q.ir, None, 1);
+                let opt = run_solo(&doc, &q.ir, Some(&index), 1);
+                let optc = run_solo(&doc, &q.ir, Some(&cindex), 1);
                 assert_eq!(
                     plain.answers, opt.answers,
                     "{}/{} ×{scale}: OptHyPE diverges from HyPE",
@@ -131,20 +140,20 @@ fn grid_report(domains: &[Domain]) {
                 let cells: [(&str, f64, u64); 3] = [
                     (
                         "HyPE",
-                        evals_per_sec(&mut || evaluate(&doc, &q.mfa).answers.len()),
+                        evals_per_sec(&mut || run_solo(&doc, &q.ir, None, 1).answers.len()),
                         plain.stats.nodes_visited as u64,
                     ),
                     (
                         "OptHyPE",
                         evals_per_sec(&mut || {
-                            evaluate_with_index(&doc, &q.mfa, &index).answers.len()
+                            run_solo(&doc, &q.ir, Some(&index), 1).answers.len()
                         }),
                         opt.stats.nodes_visited as u64,
                     ),
                     (
                         "OptHyPE-C",
                         evals_per_sec(&mut || {
-                            evaluate_with_index(&doc, &q.mfa, &cindex).answers.len()
+                            run_solo(&doc, &q.ir, Some(&cindex), 1).answers.len()
                         }),
                         optc.stats.nodes_visited as u64,
                     ),
@@ -194,13 +203,13 @@ fn timing(c: &mut Criterion, domains: &[Domain]) {
         let cindex = ReachabilityIndex::new_compressed(&view.mfa, &dtd, doc.labels());
 
         group.bench_with_input(BenchmarkId::new("HyPE", domain.name), &doc, |b, doc| {
-            b.iter(|| evaluate(doc, &view.mfa).answers.len())
+            b.iter(|| run_solo(doc, &view.ir, None, 1).answers.len())
         });
         group.bench_with_input(BenchmarkId::new("OptHyPE", domain.name), &doc, |b, doc| {
-            b.iter(|| evaluate_with_index(doc, &view.mfa, &index).answers.len())
+            b.iter(|| run_solo(doc, &view.ir, Some(&index), 1).answers.len())
         });
         group.bench_with_input(BenchmarkId::new("OptHyPE-C", domain.name), &doc, |b, doc| {
-            b.iter(|| evaluate_with_index(doc, &view.mfa, &cindex).answers.len())
+            b.iter(|| run_solo(doc, &view.ir, Some(&cindex), 1).answers.len())
         });
     }
     group.finish();

@@ -8,7 +8,7 @@
 //!    smoke test in CI:
 //!    * after **every** edit of a scripted sequence, the incremental
 //!      evaluator's answers, per-query `HypeStats` and aggregate
-//!      `BatchStats` equal a from-scratch `evaluate_batch_parallel_at` of
+//!      `BatchStats` equal a from-scratch `evaluate_tree` of
 //!      the edited tree — this is always asserted, on any hardware;
 //!    * edit throughput (single-subtree edits / second, each followed by a
 //!      full batch answer) is measured for the incremental evaluator and
@@ -35,7 +35,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use smoqe_automata::{compile_query, CompiledMfa};
 use smoqe_hype::incremental::{IncrementalEvaluator, IncrementalQuery};
-use smoqe_hype::{evaluate_batch_parallel_at, CompiledBatchQuery};
+use smoqe_hype::{evaluate_tree, CompiledBatchQuery};
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
 use smoqe_xml::{parse_document, EditOp, NodeId, XmlTree};
 use smoqe_xpath::parse_path;
@@ -167,7 +167,7 @@ fn scratch_eps(window: Duration, irs: &[Arc<CompiledMfa>]) -> f64 {
         let op = source.next_op();
         tree.apply(&op).expect("edit applies");
         source.applied(&tree, &op);
-        evaluate_batch_parallel_at(&tree, tree.root(), &queries, 1);
+        evaluate_tree(&tree, tree.root(), &queries, 1);
     })
 }
 
@@ -205,7 +205,7 @@ fn correctness_and_throughput_report(irs: &[Arc<CompiledMfa>]) {
         let op = source.next_op();
         let got = eval.apply_edits(&mut tree, std::slice::from_ref(&op), 1).expect("edit applies");
         source.applied(&tree, &op);
-        let want = evaluate_batch_parallel_at(&tree, tree.root(), &scratch, 1);
+        let want = evaluate_tree(&tree, tree.root(), &scratch, 1);
         assert_eq!(got.stats, want.stats, "aggregate stats diverged at step {step}");
         assert_eq!(got.results.len(), want.results.len());
         for (g, w) in got.results.iter().zip(&want.results) {
@@ -289,7 +289,7 @@ fn timing(c: &mut Criterion, irs: &[Arc<CompiledMfa>]) {
                 let op = source.next_op();
                 tree.apply(&op).unwrap();
                 source.applied(&tree, &op);
-                evaluate_batch_parallel_at(&tree, tree.root(), &queries, threads)
+                evaluate_tree(&tree, tree.root(), &queries, threads)
                     .stats
                     .nodes_visited
             })

@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use smoqe_automata::compile_query;
 use smoqe_baseline::two_pass::evaluate_two_pass_mfa;
-use smoqe_bench::{document_series, fig8_queries};
-use smoqe_hype::{evaluate, evaluate_with_index, ReachabilityIndex};
+use smoqe_bench::{document_series, fig8_queries, ir, run_solo};
+use smoqe_hype::ReachabilityIndex;
 use smoqe_xml::hospital::hospital_document_dtd;
 use smoqe_xpath::parse_path;
 
@@ -23,6 +23,7 @@ fn fig8(c: &mut Criterion) {
     for (figure, query_text) in fig8_queries() {
         let query = parse_path(query_text).expect("benchmark query parses");
         let mfa = compile_query(&query);
+        let ir = ir(&mfa);
         let mut group = c.benchmark_group(figure);
         group
             .sample_size(10)
@@ -41,17 +42,17 @@ fn fig8(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new("HyPE", &doc.label),
                 &doc.tree,
-                |b, tree| b.iter(|| evaluate(tree, &mfa).answers.len()),
+                |b, tree| b.iter(|| run_solo(tree, &ir, None, 1).answers.len()),
             );
             group.bench_with_input(
                 BenchmarkId::new("OptHyPE", &doc.label),
                 &doc.tree,
-                |b, tree| b.iter(|| evaluate_with_index(tree, &mfa, &index).answers.len()),
+                |b, tree| b.iter(|| run_solo(tree, &ir, Some(&index), 1).answers.len()),
             );
             group.bench_with_input(
                 BenchmarkId::new("OptHyPE-C", &doc.label),
                 &doc.tree,
-                |b, tree| b.iter(|| evaluate_with_index(tree, &mfa, &cindex).answers.len()),
+                |b, tree| b.iter(|| run_solo(tree, &ir, Some(&cindex), 1).answers.len()),
             );
         }
         group.finish();

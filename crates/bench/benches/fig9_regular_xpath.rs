@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use smoqe_automata::compile_query;
 use smoqe_baseline::evaluate_by_translation;
-use smoqe_bench::{document_series, fig9_queries};
-use smoqe_hype::{evaluate, evaluate_with_index, ReachabilityIndex};
+use smoqe_bench::{document_series, fig9_queries, ir, run_solo};
+use smoqe_hype::ReachabilityIndex;
 use smoqe_xml::hospital::hospital_document_dtd;
 use smoqe_xpath::parse_path;
 
@@ -26,6 +26,7 @@ fn fig9(c: &mut Criterion) {
     for (figure, query_text) in fig9_queries() {
         let query = parse_path(query_text).expect("benchmark query parses");
         let mfa = compile_query(&query);
+        let ir = ir(&mfa);
         let mut group = c.benchmark_group(figure);
         group
             .sample_size(10)
@@ -39,17 +40,17 @@ fn fig9(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new("HyPE", &doc.label),
                 &doc.tree,
-                |b, tree| b.iter(|| evaluate(tree, &mfa).answers.len()),
+                |b, tree| b.iter(|| run_solo(tree, &ir, None, 1).answers.len()),
             );
             group.bench_with_input(
                 BenchmarkId::new("OptHyPE", &doc.label),
                 &doc.tree,
-                |b, tree| b.iter(|| evaluate_with_index(tree, &mfa, &index).answers.len()),
+                |b, tree| b.iter(|| run_solo(tree, &ir, Some(&index), 1).answers.len()),
             );
             group.bench_with_input(
                 BenchmarkId::new("OptHyPE-C", &doc.label),
                 &doc.tree,
-                |b, tree| b.iter(|| evaluate_with_index(tree, &mfa, &cindex).answers.len()),
+                |b, tree| b.iter(|| run_solo(tree, &ir, Some(&cindex), 1).answers.len()),
             );
         }
         group.finish();
@@ -61,7 +62,7 @@ fn fig9(c: &mut Criterion) {
     let largest = &documents.last().expect("non-empty series").tree;
     let (_, query_text) = fig9_queries()[0];
     let query = parse_path(query_text).unwrap();
-    let mfa = compile_query(&query);
+    let ir = ir(&compile_query(&query));
     let mut group = c.benchmark_group("galax_gap");
     group
         .sample_size(10)
@@ -71,7 +72,7 @@ fn fig9(c: &mut Criterion) {
         b.iter(|| evaluate_by_translation(smallest, &query).len())
     });
     group.bench_function("HyPE_on_largest", |b| {
-        b.iter(|| evaluate(largest, &mfa).answers.len())
+        b.iter(|| run_solo(largest, &ir, None, 1).answers.len())
     });
     group.finish();
 }

@@ -34,11 +34,8 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use smoqe_automata::{compile_query, CompiledMfa};
-use smoqe_bench::batch_workload_queries;
-use smoqe_hype::{
-    evaluate_batch_compiled, evaluate_batch_parallel, evaluate_compiled, evaluate_parallel,
-    CompiledBatchQuery,
-};
+use smoqe_bench::{batch_workload_queries, run_solo};
+use smoqe_hype::{evaluate_tree, CompiledBatchQuery};
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
 use smoqe_xml::XmlTree;
 use smoqe_xpath::parse_path;
@@ -119,16 +116,16 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
 
     // Differential gate at every measured budget: parallelism must change
     // nothing observable but wall-clock time.
-    let sequential = evaluate_batch_compiled(tree, &queries);
-    let solo_sequential = evaluate_compiled(tree, &solo_ir);
+    let sequential = evaluate_tree(tree, tree.root(), &queries, 1);
+    let solo_sequential = run_solo(tree, &solo_ir, None, 1);
     for &threads in BUDGETS {
-        let parallel = evaluate_batch_parallel(tree, &queries, threads);
+        let parallel = evaluate_tree(tree, tree.root(), &queries, threads);
         assert_eq!(parallel.stats, sequential.stats, "aggregate stats @{threads}t");
         for (i, (p, s)) in parallel.results.iter().zip(&sequential.results).enumerate() {
             assert_eq!(p.answers, s.answers, "answers differ at query {i} @{threads}t");
             assert_eq!(p.stats, s.stats, "stats differ at query {i} @{threads}t");
         }
-        let solo_parallel = evaluate_parallel(tree, &solo_ir, threads);
+        let solo_parallel = run_solo(tree, &solo_ir, None, threads);
         assert_eq!(solo_parallel.answers, solo_sequential.answers, "solo @{threads}t");
         assert_eq!(solo_parallel.stats, solo_sequential.stats, "solo @{threads}t");
     }
@@ -137,7 +134,7 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
     // Node-throughput series: sequential-equivalent visited nodes per
     // second over the batched corpus.
     let sequential_nps = node_throughput(WINDOW, &mut || {
-        evaluate_batch_compiled(tree, &queries).stats.sequential_node_visits as u64
+        evaluate_tree(tree, tree.root(), &queries, 1).stats.sequential_node_visits as u64
     });
     emit_json(&format!(
         "{{\"id\": \"parallel_throughput/nodes_per_sec/sequential\", \
@@ -148,7 +145,7 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
     let mut speedup_at = Vec::new();
     for &threads in BUDGETS {
         let nps = node_throughput(WINDOW, &mut || {
-            evaluate_batch_parallel(tree, &queries, threads)
+            evaluate_tree(tree, tree.root(), &queries, threads)
                 .stats
                 .sequential_node_visits as u64
         });
@@ -176,10 +173,10 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
         // longer window and keep the better ratio before failing the build.
         let retry_window = Duration::from_millis(2_500);
         let sequential_retry = node_throughput(retry_window, &mut || {
-            evaluate_batch_compiled(tree, &queries).stats.sequential_node_visits as u64
+            evaluate_tree(tree, tree.root(), &queries, 1).stats.sequential_node_visits as u64
         });
         let parallel_retry = node_throughput(retry_window, &mut || {
-            evaluate_batch_parallel(tree, &queries, 4)
+            evaluate_tree(tree, tree.root(), &queries, 4)
                 .stats
                 .sequential_node_visits as u64
         });
@@ -231,7 +228,7 @@ fn timing(c: &mut Criterion, tree: &XmlTree, workload: &[Arc<CompiledMfa>]) {
         tree,
         |b, tree| {
             b.iter(|| {
-                evaluate_batch_compiled(tree, &queries)
+                evaluate_tree(tree, tree.root(), &queries, 1)
                     .results
                     .iter()
                     .map(|r| r.answers.len())
@@ -245,7 +242,7 @@ fn timing(c: &mut Criterion, tree: &XmlTree, workload: &[Arc<CompiledMfa>]) {
             tree,
             |b, tree| {
                 b.iter(|| {
-                    evaluate_batch_parallel(tree, &queries, threads)
+                    evaluate_tree(tree, tree.root(), &queries, threads)
                         .results
                         .iter()
                         .map(|r| r.answers.len())
@@ -256,13 +253,13 @@ fn timing(c: &mut Criterion, tree: &XmlTree, workload: &[Arc<CompiledMfa>]) {
     }
 
     group.bench_with_input(BenchmarkId::new("sequential", "solo"), tree, |b, tree| {
-        b.iter(|| evaluate_compiled(tree, &solo_ir).answers.len())
+        b.iter(|| run_solo(tree, &solo_ir, None, 1).answers.len())
     });
     for &threads in [1usize, 4].iter() {
         group.bench_with_input(
             BenchmarkId::new(format!("parallel_{threads}t"), "solo"),
             tree,
-            |b, tree| b.iter(|| evaluate_parallel(tree, &solo_ir, threads).answers.len()),
+            |b, tree| b.iter(|| run_solo(tree, &solo_ir, None, threads).answers.len()),
         );
     }
     group.finish();

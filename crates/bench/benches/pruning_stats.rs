@@ -9,8 +9,8 @@
 //! Run with: `cargo bench -p smoqe-bench --bench pruning_stats`
 
 use smoqe_automata::compile_query;
-use smoqe_bench::{medium_document, pruning_queries};
-use smoqe_hype::{evaluate, evaluate_with_index, ReachabilityIndex};
+use smoqe_bench::{ir, medium_document, pruning_queries, run_solo};
+use smoqe_hype::ReachabilityIndex;
 use smoqe_xml::hospital::hospital_document_dtd;
 use smoqe_xpath::parse_path;
 
@@ -34,11 +34,12 @@ fn main() {
     for query_text in pruning_queries() {
         let query = parse_path(query_text).unwrap();
         let mfa = compile_query(&query);
-        let plain = evaluate(&doc, &mfa);
+        let ir = ir(&mfa);
+        let plain = run_solo(&doc, &ir, None, 1);
         let index = ReachabilityIndex::new(&mfa, &dtd, doc.labels());
-        let opt = evaluate_with_index(&doc, &mfa, &index);
+        let opt = run_solo(&doc, &ir, Some(&index), 1);
         let cindex = ReachabilityIndex::new_compressed(&mfa, &dtd, doc.labels());
-        let optc = evaluate_with_index(&doc, &mfa, &cindex);
+        let optc = run_solo(&doc, &ir, Some(&cindex), 1);
         assert_eq!(plain.answers, opt.answers);
         assert_eq!(plain.answers, optc.answers);
 

@@ -14,7 +14,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
-use smoqe_bench::medium_document;
+use smoqe_bench::{ir, medium_document, run_solo};
 use smoqe_rewrite::rewrite_to_mfa;
 use smoqe_views::{hospital_view, materialize};
 use smoqe_xpath::{evaluate, parse_path};
@@ -49,15 +49,16 @@ fn view_answering(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(500))
         .measurement_time(Duration::from_secs(2));
 
+    // The whole per-query cost: rewrite, IR compilation and the walk.
     group.bench_function("rewrite_plus_hype", |b| {
         b.iter(|| {
-            let mfa = rewrite_to_mfa(&query, &view).unwrap();
-            smoqe_hype::evaluate(&doc, &mfa).answers.len()
+            let ir = ir(&rewrite_to_mfa(&query, &view).unwrap());
+            run_solo(&doc, &ir, None, 1).answers.len()
         })
     });
     group.bench_function("precompiled_hype", |b| {
-        let mfa = rewrite_to_mfa(&query, &view).unwrap();
-        b.iter(|| smoqe_hype::evaluate(&doc, &mfa).answers.len())
+        let ir = ir(&rewrite_to_mfa(&query, &view).unwrap());
+        b.iter(|| run_solo(&doc, &ir, None, 1).answers.len())
     });
     group.bench_function("materialize_then_evaluate", |b| {
         b.iter(|| {

@@ -41,10 +41,8 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use smoqe_automata::{compile_query, CompiledMfa};
-use smoqe_hype::{
-    evaluate_batch_compiled, evaluate_batch_parallel, evaluate_compiled, evaluate_parallel,
-    CompiledBatchQuery,
-};
+use smoqe_bench::run_solo;
+use smoqe_hype::{evaluate_tree, CompiledBatchQuery};
 use smoqe_toxgene::{generate_skewed_hospital, HospitalConfig};
 use smoqe_xml::XmlTree;
 use smoqe_xpath::parse_path;
@@ -143,27 +141,32 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
     // Differential gate at every measured budget: re-splitting must change
     // nothing observable but wall-clock time (and the skew diagnostic,
     // which is excluded from `HypeStats` equality).
-    let sequential = evaluate_batch_compiled(tree, &queries);
-    let solo_sequential = evaluate_compiled(tree, &solo_ir);
+    let sequential = evaluate_tree(tree, tree.root(), &queries, 1);
+    let solo_sequential = run_solo(tree, &solo_ir, None, 1);
     for &threads in BUDGETS {
-        let parallel = evaluate_batch_parallel(tree, &queries, threads);
+        let parallel = evaluate_tree(tree, tree.root(), &queries, threads);
         assert_eq!(parallel.stats, sequential.stats, "aggregate stats @{threads}t");
         for (i, (p, s)) in parallel.results.iter().zip(&sequential.results).enumerate() {
             assert_eq!(p.answers, s.answers, "answers differ at query {i} @{threads}t");
             assert_eq!(p.stats, s.stats, "stats differ at query {i} @{threads}t");
         }
-        let solo_parallel = evaluate_parallel(tree, &solo_ir, threads);
+        let solo_parallel = run_solo(tree, &solo_ir, None, threads);
         assert_eq!(solo_parallel.answers, solo_sequential.answers, "solo @{threads}t");
         assert_eq!(solo_parallel.stats, solo_sequential.stats, "solo @{threads}t");
 
         // The skew diagnostic: with re-splitting no single task may cover
-        // anything close to the dominant subtree's ~85% share.
+        // anything close to the dominant subtree's ~85% share. Budget 1 is
+        // the sequential walk, which forms no shard at all.
         let frac = solo_parallel.stats.max_shard_fraction;
-        assert!(
-            frac > 0.0 && frac < 0.5,
-            "re-splitting bounds the largest task well below the dominant \
-             subtree's share (max_shard_fraction = {frac:.3} @{threads}t)"
-        );
+        if threads == 1 {
+            assert_eq!(frac, 0.0, "budget 1 runs the sequential walk, unsharded");
+        } else {
+            assert!(
+                frac > 0.0 && frac < 0.5,
+                "re-splitting bounds the largest task well below the dominant \
+                 subtree's share (max_shard_fraction = {frac:.3} @{threads}t)"
+            );
+        }
         emit_json(&format!(
             "{{\"id\": \"skewed_throughput/max_shard_fraction/{threads}t\", \
              \"max_shard_fraction\": {frac:.4}, \"cores\": {cores}}}"
@@ -174,7 +177,7 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
 
     // Node-throughput series over the batched workload.
     let sequential_nps = node_throughput(WINDOW, &mut || {
-        evaluate_batch_compiled(tree, &queries).stats.sequential_node_visits as u64
+        evaluate_tree(tree, tree.root(), &queries, 1).stats.sequential_node_visits as u64
     });
     emit_json(&format!(
         "{{\"id\": \"skewed_throughput/nodes_per_sec/sequential\", \
@@ -185,7 +188,7 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
     let mut speedup_at = Vec::new();
     for &threads in BUDGETS {
         let nps = node_throughput(WINDOW, &mut || {
-            evaluate_batch_parallel(tree, &queries, threads)
+            evaluate_tree(tree, tree.root(), &queries, threads)
                 .stats
                 .sequential_node_visits as u64
         });
@@ -215,10 +218,10 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
         // and keep the better ratio before failing the build.
         let retry_window = Duration::from_millis(2_500);
         let sequential_retry = node_throughput(retry_window, &mut || {
-            evaluate_batch_compiled(tree, &queries).stats.sequential_node_visits as u64
+            evaluate_tree(tree, tree.root(), &queries, 1).stats.sequential_node_visits as u64
         });
         let parallel_retry = node_throughput(retry_window, &mut || {
-            evaluate_batch_parallel(tree, &queries, 4)
+            evaluate_tree(tree, tree.root(), &queries, 4)
                 .stats
                 .sequential_node_visits as u64
         });
@@ -270,7 +273,7 @@ fn timing(c: &mut Criterion, tree: &XmlTree, workload: &[Arc<CompiledMfa>]) {
         tree,
         |b, tree| {
             b.iter(|| {
-                evaluate_batch_compiled(tree, &queries)
+                evaluate_tree(tree, tree.root(), &queries, 1)
                     .results
                     .iter()
                     .map(|r| r.answers.len())
@@ -284,7 +287,7 @@ fn timing(c: &mut Criterion, tree: &XmlTree, workload: &[Arc<CompiledMfa>]) {
             tree,
             |b, tree| {
                 b.iter(|| {
-                    evaluate_batch_parallel(tree, &queries, threads)
+                    evaluate_tree(tree, tree.root(), &queries, threads)
                         .results
                         .iter()
                         .map(|r| r.answers.len())
@@ -295,13 +298,13 @@ fn timing(c: &mut Criterion, tree: &XmlTree, workload: &[Arc<CompiledMfa>]) {
     }
 
     group.bench_with_input(BenchmarkId::new("sequential", "solo"), tree, |b, tree| {
-        b.iter(|| evaluate_compiled(tree, &solo_ir).answers.len())
+        b.iter(|| run_solo(tree, &solo_ir, None, 1).answers.len())
     });
     for &threads in [1usize, 4].iter() {
         group.bench_with_input(
             BenchmarkId::new(format!("parallel_{threads}t"), "solo"),
             tree,
-            |b, tree| b.iter(|| evaluate_parallel(tree, &solo_ir, threads).answers.len()),
+            |b, tree| b.iter(|| run_solo(tree, &solo_ir, None, threads).answers.len()),
         );
     }
     group.finish();

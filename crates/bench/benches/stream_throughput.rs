@@ -25,11 +25,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::{Duration, Instant};
 
-use smoqe_automata::{compile_query, Mfa};
-use smoqe_bench::{batch_workload_queries, medium_document};
-use smoqe_hype::{evaluate, evaluate_stream, evaluate_stream_batch, BatchQuery};
+use std::sync::Arc;
+
+use smoqe_automata::{compile_query, CompiledMfa};
+use smoqe_bench::{batch_workload_queries, ir, medium_document, run_solo};
+use smoqe_hype::{evaluate_tree, CompiledBatchQuery, StreamHype, StreamResult};
 use smoqe_xml::stream::EventSource;
-use smoqe_xml::{node_allocations, parse_document, to_xml_string, XmlStreamReader};
+use smoqe_xml::{node_allocations, parse_document, to_xml_string, LabelInterner, XmlStreamReader};
 use smoqe_xpath::parse_path;
 
 /// The solo query the report and the solo timings use: broad enough to keep
@@ -37,15 +39,28 @@ use smoqe_xpath::parse_path;
 /// about pruning luck.
 const SOLO_QUERY: &str = "//diagnosis";
 
-fn compile_workload() -> Vec<Mfa> {
+fn compile_workload() -> Vec<Arc<CompiledMfa>> {
     batch_workload_queries()
         .into_iter()
-        .map(|q| compile_query(&parse_path(q).expect("workload query parses")))
+        .map(|q| ir(&compile_query(&parse_path(q).expect("workload query parses"))))
         .collect()
 }
 
+/// The plain-HyPE batch over shared IRs.
+fn batch_of(irs: &[Arc<CompiledMfa>]) -> Vec<CompiledBatchQuery<'static>> {
+    irs.iter().map(|ir| CompiledBatchQuery::new(Arc::clone(ir))).collect()
+}
+
+/// Streams `xml` through one machine for `queries`.
+fn stream(xml: &str, queries: &[CompiledBatchQuery]) -> StreamResult {
+    let mut reader = XmlStreamReader::new(xml.as_bytes());
+    StreamHype::from_compiled(queries, LabelInterner::new())
+        .run(&mut reader)
+        .expect("document streams")
+}
+
 /// Part 1: acceptance-criteria assertions plus the events/sec report.
-fn constant_memory_report(xml: &str, solo: &Mfa, workload: &[Mfa]) {
+fn constant_memory_report(xml: &str, solo: &Arc<CompiledMfa>, workload: &[Arc<CompiledMfa>]) {
     let tree = parse_document(xml).expect("workload document parses");
     println!(
         "# Streaming throughput on a {}-node ({:.1} MB) hospital document, depth {}",
@@ -66,11 +81,12 @@ fn constant_memory_report(xml: &str, solo: &Mfa, workload: &[Mfa]) {
 
     // Solo streamed evaluation: zero allocations, O(depth) frames, answers
     // equal to the tree engine's.
+    let solo_query = batch_of(std::slice::from_ref(solo));
     let allocations_before = node_allocations();
     let start = Instant::now();
-    let mut reader = XmlStreamReader::new(xml.as_bytes());
-    let (streamed, stats) = evaluate_stream(&mut reader, solo).expect("streamed run succeeds");
+    let mut solo_run = stream(xml, &solo_query);
     let solo_secs = start.elapsed().as_secs_f64();
+    let (streamed, stats) = (solo_run.results.remove(0), solo_run.stats);
     assert_eq!(
         node_allocations(),
         allocations_before,
@@ -82,7 +98,7 @@ fn constant_memory_report(xml: &str, solo: &Mfa, workload: &[Mfa]) {
         stats.peak_frames,
         tree.max_depth()
     );
-    let on_tree = evaluate(&tree, solo);
+    let on_tree = run_solo(&tree, solo, None, 1);
     assert_eq!(
         streamed.answers, on_tree.answers,
         "streamed answers must equal the tree engine's"
@@ -90,11 +106,10 @@ fn constant_memory_report(xml: &str, solo: &Mfa, workload: &[Mfa]) {
     assert_eq!(streamed.stats, on_tree.stats, "streamed stats must equal the tree engine's");
 
     // Batched streamed evaluation: same assertions, N queries in one pass.
-    let batch_queries: Vec<BatchQuery> = workload.iter().map(BatchQuery::new).collect();
+    let batch_queries = batch_of(workload);
     let allocations_before = node_allocations();
     let start = Instant::now();
-    let mut reader = XmlStreamReader::new(xml.as_bytes());
-    let batch = evaluate_stream_batch(&mut reader, &batch_queries).expect("batched run succeeds");
+    let batch = stream(xml, &batch_queries);
     let batch_secs = start.elapsed().as_secs_f64();
     assert_eq!(node_allocations(), allocations_before, "batched streaming allocated nodes");
     assert!(batch.stats.peak_frames <= tree.max_depth());
@@ -117,7 +132,7 @@ fn constant_memory_report(xml: &str, solo: &Mfa, workload: &[Mfa]) {
 }
 
 /// Part 2: wall-clock timing of the two substrates.
-fn timing(c: &mut Criterion, xml: &str, solo: &Mfa, workload: &[Mfa]) {
+fn timing(c: &mut Criterion, xml: &str, solo: &Arc<CompiledMfa>, workload: &[Arc<CompiledMfa>]) {
     let mut group = c.benchmark_group("stream_throughput");
     group
         .sample_size(10)
@@ -127,14 +142,12 @@ fn timing(c: &mut Criterion, xml: &str, solo: &Mfa, workload: &[Mfa]) {
     group.bench_with_input(BenchmarkId::new("parse_then_hype", "solo"), xml, |b, xml| {
         b.iter(|| {
             let tree = parse_document(xml).expect("parses");
-            evaluate(&tree, solo).answers.len()
+            run_solo(&tree, solo, None, 1).answers.len()
         })
     });
     group.bench_with_input(BenchmarkId::new("stream_hype", "solo"), xml, |b, xml| {
-        b.iter(|| {
-            let mut reader = XmlStreamReader::new(xml.as_bytes());
-            evaluate_stream(&mut reader, solo).expect("streams").0.answers.len()
-        })
+        let queries = batch_of(std::slice::from_ref(solo));
+        b.iter(|| stream(xml, &queries).results[0].answers.len())
     });
 
     let batch_label = format!("{}q", workload.len());
@@ -142,10 +155,10 @@ fn timing(c: &mut Criterion, xml: &str, solo: &Mfa, workload: &[Mfa]) {
         BenchmarkId::new("parse_then_hype_batched", &batch_label),
         xml,
         |b, xml| {
-            let queries: Vec<BatchQuery> = workload.iter().map(BatchQuery::new).collect();
+            let queries = batch_of(workload);
             b.iter(|| {
                 let tree = parse_document(xml).expect("parses");
-                smoqe_hype::evaluate_batch(&tree, &queries)
+                evaluate_tree(&tree, tree.root(), &queries, 1)
                     .results
                     .iter()
                     .map(|r| r.answers.len())
@@ -157,11 +170,9 @@ fn timing(c: &mut Criterion, xml: &str, solo: &Mfa, workload: &[Mfa]) {
         BenchmarkId::new("stream_hype_batched", &batch_label),
         xml,
         |b, xml| {
-            let queries: Vec<BatchQuery> = workload.iter().map(BatchQuery::new).collect();
+            let queries = batch_of(workload);
             b.iter(|| {
-                let mut reader = XmlStreamReader::new(xml.as_bytes());
-                evaluate_stream_batch(&mut reader, &queries)
-                    .expect("streams")
+                stream(xml, &queries)
                     .results
                     .iter()
                     .map(|r| r.answers.len())
@@ -174,7 +185,7 @@ fn timing(c: &mut Criterion, xml: &str, solo: &Mfa, workload: &[Mfa]) {
 
 fn stream_throughput(c: &mut Criterion) {
     let xml = to_xml_string(&medium_document());
-    let solo = compile_query(&parse_path(SOLO_QUERY).expect("solo query parses"));
+    let solo = ir(&compile_query(&parse_path(SOLO_QUERY).expect("solo query parses")));
     let workload = compile_workload();
     constant_memory_report(&xml, &solo, &workload);
     timing(c, &xml, &solo, &workload);

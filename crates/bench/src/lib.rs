@@ -19,8 +19,34 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::sync::Arc;
+
+use smoqe_automata::{CompiledMfa, Mfa};
+use smoqe_hype::{evaluate_tree, CompiledBatchQuery, HypeResult, ReachabilityIndex};
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
 use smoqe_xml::XmlTree;
+
+/// Compiles a builder MFA to the shared execution IR — once, outside any
+/// timed closure, so a timing never includes IR compilation.
+pub fn ir(mfa: &Mfa) -> Arc<CompiledMfa> {
+    Arc::new(CompiledMfa::new(mfa))
+}
+
+/// Evaluates the compiled query `ir` alone at the root of `tree`,
+/// optionally pruned by `index`, under the thread budget `threads` (`1` is
+/// the sequential walk).
+pub fn run_solo(
+    tree: &XmlTree,
+    ir: &Arc<CompiledMfa>,
+    index: Option<&ReachabilityIndex>,
+    threads: usize,
+) -> HypeResult {
+    let query = CompiledBatchQuery {
+        compiled: Arc::clone(ir),
+        index,
+    };
+    evaluate_tree(tree, tree.root(), &[query], threads).results.remove(0)
+}
 
 /// One document of the benchmark series.
 pub struct BenchDocument {

@@ -1,4 +1,5 @@
-//! Batched multi-query HyPE evaluation on the compiled execution IR.
+//! The tree engine: HyPE evaluation of a batch of compiled queries over
+//! an [`XmlTree`], through the one entry point [`evaluate_tree`].
 //!
 //! A production SMOQE deployment does not run one query per document
 //! traversal: many concurrent callers pose (often different) queries against
@@ -11,15 +12,15 @@
 //! and, when an index is supplied, its OptHyPE prune both fire).
 //!
 //! Every per-query artefact — the candidate-answer DAG `cans`, the
-//! [`HypeStats`](crate::HypeStats), the answer set — is built exactly as the solo evaluator
-//! would build it: whether a query participates in a child visit depends
-//! only on that query's own state at the node, so its recursion tree, vertex
-//! numbering and statistics are *identical* to a stand-alone run. The solo
-//! entry points in [`crate::engine`] are in fact implemented as the 1-query
-//! special case of this engine, the batched-vs-sequential integration
-//! suite checks the equivalence query-by-query over the whole corpus, and
-//! the `compiled_differential` suite pins answers and statistics to the
-//! interpreted reference engines in [`crate::interpreted`].
+//! [`HypeStats`](crate::HypeStats), the answer set — is built exactly as a
+//! solo run would build it: whether a query participates in a child visit
+//! depends only on that query's own state at the node, so its recursion
+//! tree, vertex numbering and statistics are *identical* to a stand-alone
+//! run. A solo evaluation is simply a batch of one; the batched-vs-solo
+//! integration suite checks the equivalence query-by-query over the whole
+//! corpus, and the `compiled_differential` suite pins answers and
+//! statistics to the interpreted reference engines in
+//! [`crate::interpreted`].
 //!
 //! What batching buys is the traversal itself: a node shared by the pending
 //! sets of k queries is visited once instead of k times, so the *physical*
@@ -27,57 +28,22 @@
 //! ([`BatchStats::nodes_visited`]) rather than their sum
 //! ([`BatchStats::sequential_node_visits`]).
 //!
-//! Callers that evaluate the same query repeatedly should compile once —
-//! [`CompiledMfa::new`], usually via the `smoqe` service layer's cache —
-//! and use [`evaluate_batch_compiled`]; the [`evaluate_batch`] convenience
-//! recompiles the IR on every call.
+//! The IR is compiled once per query — [`CompiledMfa::new`], usually via
+//! the `smoqe` service layer's cache — and shared by `Arc`, so an
+//! evaluation never recompiles it.
 
 use std::sync::Arc;
 
-use smoqe_automata::{CompiledMfa, Mfa};
+use smoqe_automata::CompiledMfa;
 use smoqe_xml::{NodeId, XmlTree};
 
 use crate::engine::HypeResult;
 use crate::index::ReachabilityIndex;
+use crate::parallel::{evaluate_sharded, resolve_threads};
 use crate::runtime::HypeCore;
 
-/// One query of a batch: a builder-representation MFA plus, optionally, its
-/// OptHyPE(-C) reachability index. The execution IR is compiled on entry;
-/// see [`CompiledBatchQuery`] for the compile-once form.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchQuery<'a> {
-    /// The compiled automaton.
-    pub mfa: &'a Mfa,
-    /// The DTD reachability index, when OptHyPE pruning is wanted for this
-    /// query. Queries of one batch may mix indexed and plain evaluation.
-    pub index: Option<&'a ReachabilityIndex>,
-}
-
-impl<'a> BatchQuery<'a> {
-    /// A batch member evaluated with plain HyPE.
-    pub fn new(mfa: &'a Mfa) -> Self {
-        BatchQuery { mfa, index: None }
-    }
-
-    /// A batch member evaluated with OptHyPE(-C) pruning.
-    pub fn with_index(mfa: &'a Mfa, index: &'a ReachabilityIndex) -> Self {
-        BatchQuery {
-            mfa,
-            index: Some(index),
-        }
-    }
-
-    /// Compiles the execution IR for this batch member.
-    pub fn compile(&self) -> CompiledBatchQuery<'a> {
-        CompiledBatchQuery {
-            compiled: Arc::new(CompiledMfa::new(self.mfa)),
-            index: self.index,
-        }
-    }
-}
-
-/// One query of a batch in compile-once form: a shared [`CompiledMfa`]
-/// execution IR plus, optionally, its OptHyPE(-C) reachability index.
+/// One query of a batch: a shared [`CompiledMfa`] execution IR plus,
+/// optionally, its OptHyPE(-C) reachability index.
 ///
 /// The IR is document-independent, so one `Arc<CompiledMfa>` serves any
 /// number of evaluations over any documents (the `smoqe::QueryService`
@@ -87,7 +53,8 @@ impl<'a> BatchQuery<'a> {
 pub struct CompiledBatchQuery<'a> {
     /// The execution IR.
     pub compiled: Arc<CompiledMfa>,
-    /// The DTD reachability index, when OptHyPE pruning is wanted.
+    /// The DTD reachability index, when OptHyPE pruning is wanted. Queries
+    /// of one batch may mix indexed and plain evaluation.
     pub index: Option<&'a ReachabilityIndex>,
 }
 
@@ -151,82 +118,104 @@ pub struct BatchResult {
     pub stats: BatchStats,
 }
 
-/// Evaluates every query of `queries` at the root of `tree` in one pass.
+/// Evaluates every query of `queries` at `context` in one pass over the
+/// context's subtree — the one tree evaluator every front end reduces to.
 ///
-/// Results are index-aligned with `queries`, and each one is exactly what a
-/// solo [`crate::evaluate`] run would have produced — answers *and*
-/// [`HypeStats`](crate::HypeStats) — while the document is traversed only once:
+/// `threads` is the thread budget: `0` means all available cores, `1` runs
+/// the sequential walk on the calling thread, and larger budgets shard the
+/// traversal over up to that many workers ([`crate::parallel`]). Results
+/// are index-aligned with `queries`, each exactly what a solo run would
+/// have produced — answers *and* [`HypeStats`](crate::HypeStats) — and the
+/// aggregate [`BatchStats`] do not depend on the budget either:
 ///
 /// ```
-/// use smoqe_automata::compile_query;
-/// use smoqe_hype::{evaluate_batch, BatchQuery};
+/// use std::sync::Arc;
+/// use smoqe_automata::{compile_query, CompiledMfa};
+/// use smoqe_hype::{evaluate_tree, CompiledBatchQuery};
 /// use smoqe_xml::XmlTreeBuilder;
 /// use smoqe_xpath::parse_path;
 ///
 /// let mut b = XmlTreeBuilder::new();
 /// let root = b.root("hospital");
-/// let patient = b.child(root, "patient");
-/// b.child_with_text(patient, "pname", "Alice");
+/// for name in ["Alice", "Bob"] {
+///     let patient = b.child(root, "patient");
+///     b.child_with_text(patient, "pname", name);
+/// }
 /// let doc = b.finish();
 ///
-/// let patients = compile_query(&parse_path("patient").unwrap());
-/// let names = compile_query(&parse_path("patient/pname").unwrap());
-/// let batch = evaluate_batch(&doc, &[BatchQuery::new(&patients), BatchQuery::new(&names)]);
+/// let ir = |q: &str| Arc::new(CompiledMfa::new(&compile_query(&parse_path(q).unwrap())));
+/// let queries = [
+///     CompiledBatchQuery::new(ir("patient")),
+///     CompiledBatchQuery::new(ir("patient/pname")),
+/// ];
+/// let batch = evaluate_tree(&doc, doc.root(), &queries, 1);
 ///
 /// assert_eq!(batch.results.len(), 2);
-/// assert_eq!(batch.results[0].answers.len(), 1); // the <patient>
-/// assert_eq!(batch.results[1].answers.len(), 1); // its <pname>
+/// assert_eq!(batch.results[0].answers.len(), 2); // the <patient>s
+/// assert_eq!(batch.results[1].answers.len(), 2); // their <pname>s
 /// // The shared pass performs no more visits than N sequential runs would.
 /// assert!(batch.stats.nodes_visited <= batch.stats.sequential_node_visits);
+///
+/// // Sharded over four workers: the same answers and statistics.
+/// let parallel = evaluate_tree(&doc, doc.root(), &queries, 4);
+/// assert_eq!(parallel.stats, batch.stats);
+/// for (p, s) in parallel.results.iter().zip(&batch.results) {
+///     assert_eq!(p.answers, s.answers);
+///     assert_eq!(p.stats, s.stats);
+/// }
 /// ```
-pub fn evaluate_batch(tree: &XmlTree, queries: &[BatchQuery]) -> BatchResult {
-    evaluate_batch_at(tree, tree.root(), queries)
-}
-
-/// Evaluates every query of `queries` at `context` in one pass, compiling
-/// each builder MFA to its execution IR first. Repeated callers should
-/// compile once and use [`evaluate_batch_compiled_at`].
-pub fn evaluate_batch_at(tree: &XmlTree, context: NodeId, queries: &[BatchQuery]) -> BatchResult {
-    let compiled: Vec<CompiledBatchQuery> = queries.iter().map(BatchQuery::compile).collect();
-    evaluate_batch_compiled_at(tree, context, &compiled)
-}
-
-/// Evaluates every pre-compiled query at the root of `tree` in one pass.
-pub fn evaluate_batch_compiled(tree: &XmlTree, queries: &[CompiledBatchQuery]) -> BatchResult {
-    evaluate_batch_compiled_at(tree, tree.root(), queries)
-}
-
-/// Evaluates every pre-compiled query at `context` in one pass — the hot
-/// entry point all front-ends reduce to.
-pub fn evaluate_batch_compiled_at(
+pub fn evaluate_tree(
     tree: &XmlTree,
     context: NodeId,
     queries: &[CompiledBatchQuery],
+    threads: usize,
+) -> BatchResult {
+    let threads = resolve_threads(threads);
+    batch_result(tree, context, queries.len(), |nodes_total| {
+        if threads == 1 {
+            let mut core = HypeCore::for_queries(tree.labels(), queries);
+            walk(&mut core, tree, context);
+            let (results, nodes_visited, _) = core.into_results(nodes_total);
+            (results, nodes_visited)
+        } else {
+            evaluate_sharded(tree, context, queries, threads, nodes_total)
+        }
+    })
+}
+
+/// Evaluates every pre-compiled query at the root of `tree` in one
+/// sequential pass: [`evaluate_tree`] at budget 1. Kept under this name
+/// because the `perfbench` benchmark calls it.
+pub fn evaluate_batch_compiled(tree: &XmlTree, queries: &[CompiledBatchQuery]) -> BatchResult {
+    evaluate_tree(tree, tree.root(), queries, 1)
+}
+
+/// The one place a [`BatchResult`] is put together, for the tree walk and
+/// for incremental re-evaluation alike: counts the context's subtree, runs
+/// `evaluate` on a non-empty batch (an empty one visits nothing), and
+/// derives the aggregate statistics from what it returns — the per-query
+/// results and the physical visit count.
+pub(crate) fn batch_result(
+    tree: &XmlTree,
+    context: NodeId,
+    queries: usize,
+    evaluate: impl FnOnce(usize) -> (Vec<HypeResult>, usize),
 ) -> BatchResult {
     let nodes_total = tree.subtree_size(context);
-    if queries.is_empty() {
-        return BatchResult {
-            results: Vec::new(),
-            stats: BatchStats {
-                queries: 0,
-                nodes_total,
-                nodes_visited: 0,
-                sequential_node_visits: 0,
-            },
-        };
-    }
-
-    let mut core = HypeCore::for_queries(tree.labels(), queries);
-    walk(&mut core, tree, context);
-    let (results, nodes_visited, sequential_node_visits) = core.into_results(nodes_total);
+    let (results, nodes_visited) = if queries == 0 {
+        (Vec::new(), 0)
+    } else {
+        evaluate(nodes_total)
+    };
+    let sequential_node_visits = results.iter().map(|r| r.stats.nodes_visited).sum();
     BatchResult {
-        results,
         stats: BatchStats {
-            queries: queries.len(),
+            queries: results.len(),
             nodes_total,
             nodes_visited,
             sequential_node_visits,
         },
+        results,
     }
 }
 
@@ -263,7 +252,7 @@ pub(crate) fn walk(core: &mut HypeCore, tree: &XmlTree, node: NodeId) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{evaluate, evaluate_with_index};
+    use crate::testing::{ir, solo};
     use smoqe_automata::compile_query;
     use smoqe_xml::hospital::hospital_document_dtd;
     use smoqe_xml::XmlTreeBuilder;
@@ -308,6 +297,10 @@ mod tests {
         "//diagnosis",
     ];
 
+    fn batch(doc: &XmlTree, queries: &[CompiledBatchQuery]) -> BatchResult {
+        evaluate_tree(doc, doc.root(), queries, 1)
+    }
+
     #[test]
     fn batch_matches_solo_runs_exactly() {
         let doc = hospital_doc();
@@ -315,11 +308,12 @@ mod tests {
             .iter()
             .map(|q| compile_query(&parse_path(q).unwrap()))
             .collect();
-        let batch_queries: Vec<BatchQuery> = mfas.iter().map(BatchQuery::new).collect();
-        let batch = evaluate_batch(&doc, &batch_queries);
+        let batch_queries: Vec<CompiledBatchQuery> =
+            QUERIES.iter().map(|q| CompiledBatchQuery::new(ir(q))).collect();
+        let batch = batch(&doc, &batch_queries);
         assert_eq!(batch.results.len(), QUERIES.len());
         for (i, mfa) in mfas.iter().enumerate() {
-            let solo = evaluate(&doc, mfa);
+            let solo = solo(&doc, doc.root(), mfa, None);
             assert_eq!(
                 batch.results[i].answers, solo.answers,
                 "answers differ on `{}`",
@@ -345,14 +339,14 @@ mod tests {
             .iter()
             .map(|m| ReachabilityIndex::new(m, &dtd, doc.labels()))
             .collect();
-        let batch_queries: Vec<BatchQuery> = mfas
+        let batch_queries: Vec<CompiledBatchQuery> = mfas
             .iter()
             .zip(&indexes)
-            .map(|(m, i)| BatchQuery::with_index(m, i))
+            .map(|(m, i)| CompiledBatchQuery::with_index(Arc::new(CompiledMfa::new(m)), i))
             .collect();
-        let batch = evaluate_batch(&doc, &batch_queries);
+        let batch = batch(&doc, &batch_queries);
         for (i, (mfa, index)) in mfas.iter().zip(&indexes).enumerate() {
-            let solo = evaluate_with_index(&doc, mfa, index);
+            let solo = solo(&doc, doc.root(), mfa, Some(index));
             assert_eq!(batch.results[i].answers, solo.answers, "on `{}`", QUERIES[i]);
             assert_eq!(batch.results[i].stats, solo.stats, "on `{}`", QUERIES[i]);
         }
@@ -365,9 +359,11 @@ mod tests {
             .iter()
             .map(|q| compile_query(&parse_path(q).unwrap()))
             .collect();
-        let batch_queries: Vec<BatchQuery> = mfas.iter().map(BatchQuery::new).collect();
-        let batch = evaluate_batch(&doc, &batch_queries);
-        let sequential: usize = mfas.iter().map(|m| evaluate(&doc, m).stats.nodes_visited).sum();
+        let batch_queries: Vec<CompiledBatchQuery> =
+            QUERIES.iter().map(|q| CompiledBatchQuery::new(ir(q))).collect();
+        let batch = batch(&doc, &batch_queries);
+        let visits = |m| solo(&doc, doc.root(), m, None).stats.nodes_visited;
+        let sequential: usize = mfas.iter().map(visits).sum();
         assert_eq!(batch.stats.sequential_node_visits, sequential);
         assert!(
             batch.stats.nodes_visited < sequential,
@@ -376,11 +372,7 @@ mod tests {
             sequential
         );
         // The union of visit sets is at least as large as any single set.
-        let max_single = mfas
-            .iter()
-            .map(|m| evaluate(&doc, m).stats.nodes_visited)
-            .max()
-            .unwrap();
+        let max_single = mfas.iter().map(visits).max().unwrap();
         assert!(batch.stats.nodes_visited >= max_single);
         assert!(batch.stats.nodes_visited <= batch.stats.nodes_total);
         assert!(batch.stats.sharing_factor() > 1.0);
@@ -397,38 +389,52 @@ mod tests {
         let zip = compile_query(&parse_path("//zip").unwrap());
         let diag = compile_query(&parse_path("//diagnosis").unwrap());
         let index = ReachabilityIndex::new(&zip, &dtd, doc.labels());
-        let batch = evaluate_batch(
+        let batch = batch(
             &doc,
-            &[BatchQuery::with_index(&zip, &index), BatchQuery::new(&diag)],
+            &[
+                CompiledBatchQuery::with_index(Arc::new(CompiledMfa::new(&zip)), &index),
+                CompiledBatchQuery::new(Arc::new(CompiledMfa::new(&diag))),
+            ],
         );
-        assert_eq!(batch.results[0].answers, evaluate_with_index(&doc, &zip, &index).answers);
-        assert_eq!(batch.results[1].answers, evaluate(&doc, &diag).answers);
+        let zip_solo = solo(&doc, doc.root(), &zip, Some(&index));
+        assert_eq!(batch.results[0].answers, zip_solo.answers);
+        assert_eq!(batch.results[1].answers, solo(&doc, doc.root(), &diag, None).answers);
         // The indexed query prunes for itself, but the plain //diagnosis
         // query keeps most of the document live, so the shared traversal
         // still visits those nodes.
         assert_eq!(
             batch.results[0].stats.nodes_visited,
-            evaluate_with_index(&doc, &zip, &index).stats.nodes_visited
+            zip_solo.stats.nodes_visited
         );
     }
 
     #[test]
     fn empty_batch_is_a_no_op() {
         let doc = hospital_doc();
-        let batch = evaluate_batch(&doc, &[]);
-        assert!(batch.results.is_empty());
-        assert_eq!(batch.stats.queries, 0);
-        assert_eq!(batch.stats.nodes_visited, 0);
-        assert_eq!(batch.stats.sequential_node_visits, 0);
-        assert_eq!(batch.stats.sharing_factor(), 1.0);
+        for threads in [1, 4] {
+            let batch = evaluate_tree(&doc, doc.root(), &[], threads);
+            assert!(batch.results.is_empty());
+            assert_eq!(batch.stats.queries, 0);
+            assert_eq!(batch.stats.nodes_total, doc.len());
+            assert_eq!(batch.stats.nodes_visited, 0);
+            assert_eq!(batch.stats.sequential_node_visits, 0);
+            assert_eq!(batch.stats.sharing_factor(), 1.0);
+        }
     }
 
     #[test]
     fn duplicate_queries_share_the_whole_traversal() {
         let doc = hospital_doc();
         let mfa = compile_query(&parse_path("department/patient/pname").unwrap());
-        let batch = evaluate_batch(&doc, &[BatchQuery::new(&mfa), BatchQuery::new(&mfa)]);
-        let solo = evaluate(&doc, &mfa);
+        let compiled = Arc::new(CompiledMfa::new(&mfa));
+        let batch = batch(
+            &doc,
+            &[
+                CompiledBatchQuery::new(Arc::clone(&compiled)),
+                CompiledBatchQuery::new(compiled),
+            ],
+        );
+        let solo = solo(&doc, doc.root(), &mfa, None);
         for r in &batch.results {
             assert_eq!(r.answers, solo.answers);
             assert_eq!(r.stats, solo.stats);
@@ -443,8 +449,13 @@ mod tests {
         let doc = hospital_doc();
         let mfa = compile_query(&parse_path("patient/pname").unwrap());
         let dept = doc.children(doc.root())[0];
-        let batch = evaluate_batch_at(&doc, dept, &[BatchQuery::new(&mfa)]);
-        let solo = crate::engine::evaluate_at(&doc, dept, &mfa);
+        let batch = evaluate_tree(
+            &doc,
+            dept,
+            &[CompiledBatchQuery::new(Arc::new(CompiledMfa::new(&mfa)))],
+            1,
+        );
+        let solo = solo(&doc, dept, &mfa, None);
         assert_eq!(batch.results[0].answers, solo.answers);
         assert_eq!(batch.results[0].stats, solo.stats);
         assert_eq!(batch.stats.nodes_total, doc.subtree_size(dept));

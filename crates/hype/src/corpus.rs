@@ -13,25 +13,24 @@
 //!
 //! * [`CorpusTask`] — one work item: a document, a compiled query, and an
 //!   optional OptHyPE(-C) reachability index.
-//! * [`evaluate_corpus`] — the sequential reference loop.
-//! * [`evaluate_corpus_parallel`] — the same items claimed off a shared
-//!   atomic counter by `min(threads, items)` scoped workers; results are
-//!   reordered back to input order, so answers *and* per-pair
-//!   [`HypeStats`](crate::HypeStats) are **bit-identical** to
-//!   [`evaluate_corpus`] at every thread budget (asserted by the
-//!   `corpus_differential` integration suite and the `corpus_throughput`
-//!   bench).
+//! * [`evaluate_corpus`] — the items claimed off a shared atomic counter by
+//!   `min(threads, items)` scoped workers (one inline worker at budget 1:
+//!   the sequential loop); results are reordered back to input order, so
+//!   answers *and* per-pair [`HypeStats`](crate::HypeStats) are
+//!   **bit-identical** at every thread budget (asserted by the `corpus`
+//!   integration suite and the `corpus_throughput` bench).
 //!
-//! The service layer (`smoqe::QueryService::evaluate_corpus_parallel`)
-//! builds the task list from its `DocumentStore` and caches, then dispatches
-//! here.
+//! The service layer (`smoqe::QueryService::evaluate_corpus` and
+//! `evaluate_corpus_parallel`, one body under a thread budget) builds the
+//! task list from its `DocumentStore` and caches, then dispatches here.
 
 use std::sync::Arc;
 
 use smoqe_automata::CompiledMfa;
 use smoqe_xml::XmlTree;
 
-use crate::engine::{evaluate_compiled_at_with, HypeResult};
+use crate::batch::{evaluate_tree, CompiledBatchQuery};
+use crate::engine::HypeResult;
 use crate::index::ReachabilityIndex;
 use crate::parallel::{claim_map, resolve_threads};
 
@@ -74,16 +73,14 @@ impl<'a> CorpusTask<'a> {
         }
     }
 
-    /// Runs this task on the sequential engine.
+    /// Runs this task on the sequential walk.
     fn run(&self) -> HypeResult {
-        evaluate_compiled_at_with(self.tree, self.tree.root(), &self.compiled, self.index)
+        let query = CompiledBatchQuery {
+            compiled: Arc::clone(&self.compiled),
+            index: self.index,
+        };
+        evaluate_tree(self.tree, self.tree.root(), &[query], 1).results.remove(0)
     }
-}
-
-/// Evaluates every task sequentially, in order — the reference loop the
-/// parallel path is differentially tested against.
-pub fn evaluate_corpus(tasks: &[CorpusTask]) -> Vec<HypeResult> {
-    tasks.iter().map(CorpusTask::run).collect()
 }
 
 /// Evaluates every task across up to `threads` scoped workers (0 = all
@@ -91,14 +88,14 @@ pub fn evaluate_corpus(tasks: &[CorpusTask]) -> Vec<HypeResult> {
 ///
 /// Workers claim task indices off a shared atomic counter (natural load
 /// balancing when document sizes are skewed) and run the unchanged
-/// sequential engine per item, so answers and per-item
-/// [`HypeStats`](crate::HypeStats) are bit-identical to
-/// [`evaluate_corpus`] at every thread budget:
+/// sequential walk per item, so answers and per-item
+/// [`HypeStats`](crate::HypeStats) are bit-identical at every thread
+/// budget, budget 1 being the plain sequential loop:
 ///
 /// ```
 /// use std::sync::Arc;
 /// use smoqe_automata::{compile_query, CompiledMfa};
-/// use smoqe_hype::corpus::{evaluate_corpus, evaluate_corpus_parallel, CorpusTask};
+/// use smoqe_hype::corpus::{evaluate_corpus, CorpusTask};
 /// use smoqe_xml::parse_document;
 /// use smoqe_xpath::parse_path;
 ///
@@ -111,9 +108,9 @@ pub fn evaluate_corpus(tasks: &[CorpusTask]) -> Vec<HypeResult> {
 ///     .iter()
 ///     .map(|d| CorpusTask::new(d, Arc::clone(&ir)))
 ///     .collect();
-/// assert_eq!(evaluate_corpus_parallel(&tasks, 4), evaluate_corpus(&tasks));
+/// assert_eq!(evaluate_corpus(&tasks, 4), evaluate_corpus(&tasks, 1));
 /// ```
-pub fn evaluate_corpus_parallel(tasks: &[CorpusTask], threads: usize) -> Vec<HypeResult> {
+pub fn evaluate_corpus(tasks: &[CorpusTask], threads: usize) -> Vec<HypeResult> {
     let run = |_: &mut (), _, task: &CorpusTask| task.run();
     claim_map(tasks, resolve_threads(threads), || (), run).0
 }
@@ -121,14 +118,11 @@ pub fn evaluate_corpus_parallel(tasks: &[CorpusTask], threads: usize) -> Vec<Hyp
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::ir;
     use smoqe_automata::compile_query;
     use smoqe_xml::hospital::hospital_document_dtd;
     use smoqe_xml::{parse_document, XmlTreeBuilder};
     use smoqe_xpath::parse_path;
-
-    fn ir(query: &str) -> Arc<CompiledMfa> {
-        Arc::new(CompiledMfa::new(&compile_query(&parse_path(query).unwrap())))
-    }
 
     fn corpus() -> Vec<XmlTree> {
         let mut docs = vec![
@@ -158,9 +152,9 @@ mod tests {
             .iter()
             .flat_map(|d| queries.iter().map(|q| CorpusTask::new(d, ir(q))))
             .collect();
-        let sequential = evaluate_corpus(&tasks);
+        let sequential = evaluate_corpus(&tasks, 1);
         for threads in [0, 1, 2, 8, 64] {
-            let parallel = evaluate_corpus_parallel(&tasks, threads);
+            let parallel = evaluate_corpus(&tasks, threads);
             assert_eq!(parallel.len(), sequential.len());
             for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
                 assert_eq!(p.answers, s.answers, "task {i} @{threads}");
@@ -184,23 +178,23 @@ mod tests {
             .zip(&indexes)
             .map(|(d, ix)| CorpusTask::with_index(d, Arc::clone(&compiled), ix))
             .collect();
-        let sequential = evaluate_corpus(&tasks);
+        let sequential = evaluate_corpus(&tasks, 1);
         for threads in [1, 3] {
-            assert_eq!(evaluate_corpus_parallel(&tasks, threads), sequential, "@{threads}");
+            assert_eq!(evaluate_corpus(&tasks, threads), sequential, "@{threads}");
         }
     }
 
     #[test]
     fn empty_corpus_is_a_no_op() {
-        assert!(evaluate_corpus_parallel(&[], 8).is_empty());
-        assert!(evaluate_corpus(&[]).is_empty());
+        assert!(evaluate_corpus(&[], 8).is_empty());
+        assert!(evaluate_corpus(&[], 1).is_empty());
     }
 
     #[test]
     fn more_workers_than_tasks_is_fine() {
         let doc = parse_document("<r><a/></r>").unwrap();
         let tasks = vec![CorpusTask::new(&doc, ir("a"))];
-        let results = evaluate_corpus_parallel(&tasks, 16);
+        let results = evaluate_corpus(&tasks, 16);
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].answers.len(), 1);
     }

@@ -1,4 +1,4 @@
-//! The HyPE evaluation engine (Fig. 6 of the paper).
+//! The HyPE evaluation engine (Fig. 6 of the paper): its result types.
 //!
 //! One depth-first pass over the document drives the selecting NFA
 //! (`mstates`), propagates pending filter states downwards (`fstates↓`),
@@ -15,24 +15,23 @@
 //! Correctness of that rule assumes the document conforms to the DTD used
 //! to build the index, which is the same assumption the paper makes.
 //!
-//! Since the batching PR there is a single implementation of the traversal:
-//! [`crate::batch`] drives N queries through one pass, and the solo entry
-//! points below are the 1-query special case of it. Since the execution-IR
-//! PR that single implementation runs on the bitset-based
-//! [`CompiledMfa`] rather than interpreting the builder [`Mfa`] directly;
-//! the pre-IR engines survive in [`crate::interpreted`] as the differential
-//! oracle. This keeps the hot path in one place and makes "batched equals
-//! sequential" true by construction for the solo/batch pair (the
-//! integration suite still checks it end-to-end over the whole query
+//! There is a single implementation of the traversal:
+//! [`crate::evaluate_tree`] drives N queries through one pass, and a solo
+//! evaluation is the 1-query special case of it. That implementation runs
+//! on the bitset-based [`CompiledMfa`] rather than interpreting the builder
+//! [`Mfa`](smoqe_automata::Mfa) directly; the pre-IR engines survive in
+//! [`crate::interpreted`] as the differential oracle. This keeps the hot
+//! path in one place and makes "batched equals solo" true by construction
+//! (the integration suite still checks it end-to-end over the whole query
 //! corpus).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use smoqe_automata::{CompiledMfa, Mfa};
+use smoqe_automata::CompiledMfa;
 use smoqe_xml::{NodeId, XmlTree};
 
-use crate::batch::{evaluate_batch_at, BatchQuery, CompiledBatchQuery};
+use crate::batch::CompiledBatchQuery;
 use crate::index::ReachabilityIndex;
 
 /// Execution statistics of one HyPE run, used to reproduce the paper's
@@ -43,8 +42,8 @@ use crate::index::ReachabilityIndex;
 /// unit tests):
 ///
 /// * `nodes_total` counts the element nodes of the **evaluated subtree** —
-///   the whole document for [`evaluate`], the context's subtree for
-///   [`evaluate_at`] — never the whole arena.
+///   the whole document when [`crate::evaluate_tree`] runs at the root, the
+///   context's subtree otherwise — never the whole arena.
 /// * `nodes_visited` counts every node the traversal actually entered, and a
 ///   subtree skipped by pruning contributes zero, in **every** mode; HyPE
 ///   and OptHyPE therefore share the same denominator and their
@@ -106,45 +105,10 @@ pub struct HypeResult {
     pub stats: HypeStats,
 }
 
-/// Evaluates `mfa` at the root of `tree` with plain HyPE (no index).
-pub fn evaluate(tree: &XmlTree, mfa: &Mfa) -> HypeResult {
-    evaluate_at_with(tree, tree.root(), mfa, None)
-}
-
-/// Evaluates `mfa` at `context` with plain HyPE (no index).
-pub fn evaluate_at(tree: &XmlTree, context: NodeId, mfa: &Mfa) -> HypeResult {
-    evaluate_at_with(tree, context, mfa, None)
-}
-
-/// Evaluates `mfa` at the root of `tree` with an OptHyPE(-C) index.
-pub fn evaluate_with_index(tree: &XmlTree, mfa: &Mfa, index: &ReachabilityIndex) -> HypeResult {
-    evaluate_at_with(tree, tree.root(), mfa, Some(index))
-}
-
-/// Evaluates `mfa` at `context`, optionally with an OptHyPE(-C) index.
-///
-/// The builder MFA is compiled to its [`CompiledMfa`] execution IR on every
-/// call; callers evaluating the same query repeatedly should compile once
-/// and use [`evaluate_compiled_at_with`].
-pub fn evaluate_at_with(
-    tree: &XmlTree,
-    context: NodeId,
-    mfa: &Mfa,
-    index: Option<&ReachabilityIndex>,
-) -> HypeResult {
-    let mut batch = evaluate_batch_at(tree, context, &[BatchQuery { mfa, index }]);
-    batch.results.pop().expect("one result per batched query")
-}
-
-/// Evaluates a pre-compiled execution IR at the root of `tree` with plain
-/// HyPE.
-pub fn evaluate_compiled(tree: &XmlTree, compiled: &Arc<CompiledMfa>) -> HypeResult {
-    evaluate_compiled_at_with(tree, tree.root(), compiled, None)
-}
-
-/// Evaluates a pre-compiled execution IR at `context`, optionally with an
-/// OptHyPE(-C) index — the compile-once counterpart of
-/// [`evaluate_at_with`].
+/// Evaluates one pre-compiled query at `context`, optionally with an
+/// OptHyPE(-C) index, on the sequential walk: the one-query case of
+/// [`crate::evaluate_tree`] at budget 1. Kept under this name because the
+/// `perfbench` benchmark calls it.
 pub fn evaluate_compiled_at_with(
     tree: &XmlTree,
     context: NodeId,
@@ -155,13 +119,13 @@ pub fn evaluate_compiled_at_with(
         compiled: Arc::clone(compiled),
         index,
     };
-    let mut batch = crate::batch::evaluate_batch_compiled_at(tree, context, &[query]);
-    batch.results.pop().expect("one result per batched query")
+    crate::evaluate_tree(tree, context, &[query], 1).results.remove(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::solo;
     use smoqe_automata::{compile_query, evaluate_mfa_at};
     use smoqe_xml::hospital::hospital_document_dtd;
     use smoqe_xml::{XmlTree, XmlTreeBuilder};
@@ -221,7 +185,7 @@ mod tests {
         let q = parse_path(query).unwrap();
         let mfa = compile_query(&q);
         let expected = evaluate_mfa_at(tree, tree.root(), &mfa);
-        let basic = evaluate(tree, &mfa);
+        let basic = solo(tree, tree.root(), &mfa, None);
         assert_eq!(basic.answers, expected, "HyPE differs on `{query}`");
         assert!(basic.stats.nodes_visited <= basic.stats.nodes_total);
     }
@@ -270,7 +234,7 @@ mod tests {
         )
         .unwrap();
         let mfa = compile_query(&q);
-        let result = evaluate(&t, &mfa);
+        let result = solo(&t, t.root(), &mfa, None);
         let labels: Vec<&str> = result
             .answers
             .iter()
@@ -296,13 +260,13 @@ mod tests {
         ] {
             let q = parse_path(query).unwrap();
             let mfa = compile_query(&q);
-            let plain = evaluate(&doc, &mfa);
+            let plain = solo(&doc, doc.root(), &mfa, None);
             let naive = evaluate_mfa_at(&doc, doc.root(), &mfa);
             assert_eq!(plain.answers, naive, "HyPE differs on `{query}`");
             let opt_index = ReachabilityIndex::new(&mfa, &dtd, doc.labels());
-            let opt = evaluate_with_index(&doc, &mfa, &opt_index);
+            let opt = solo(&doc, doc.root(), &mfa, Some(&opt_index));
             let optc_index = ReachabilityIndex::new_compressed(&mfa, &dtd, doc.labels());
-            let optc = evaluate_with_index(&doc, &mfa, &optc_index);
+            let optc = solo(&doc, doc.root(), &mfa, Some(&optc_index));
             assert_eq!(plain.answers, opt.answers, "OptHyPE differs on `{query}`");
             assert_eq!(plain.answers, optc.answers, "OptHyPE-C differs on `{query}`");
             assert!(
@@ -320,10 +284,10 @@ mod tests {
         // are irrelevant and must be skipped even by basic HyPE.
         let q = parse_path("department/patient/pname").unwrap();
         let mfa = compile_query(&q);
-        let basic = evaluate(&doc, &mfa);
+        let basic = solo(&doc, doc.root(), &mfa, None);
         assert!(basic.stats.pruned_fraction() > 0.3, "basic pruning too weak");
         let index = ReachabilityIndex::new(&mfa, &dtd, doc.labels());
-        let opt = evaluate_with_index(&doc, &mfa, &index);
+        let opt = solo(&doc, doc.root(), &mfa, Some(&index));
         assert!(opt.stats.nodes_visited <= basic.stats.nodes_visited);
     }
 
@@ -336,9 +300,9 @@ mod tests {
         // zip can only occur below address and skips everything else.
         let q = parse_path("//zip").unwrap();
         let mfa = compile_query(&q);
-        let basic = evaluate(&doc, &mfa);
+        let basic = solo(&doc, doc.root(), &mfa, None);
         let index = ReachabilityIndex::new(&mfa, &dtd, doc.labels());
-        let opt = evaluate_with_index(&doc, &mfa, &index);
+        let opt = solo(&doc, doc.root(), &mfa, Some(&index));
         assert_eq!(basic.answers, opt.answers);
         assert_eq!(basic.answers.len(), 3);
         assert!(
@@ -357,9 +321,9 @@ mod tests {
         // occur below them; the index must not assume the filter is false.
         let q = parse_path("department/doctor[not(.//diagnosis)]").unwrap();
         let mfa = compile_query(&q);
-        let basic = evaluate(&doc, &mfa);
+        let basic = solo(&doc, doc.root(), &mfa, None);
         let index = ReachabilityIndex::new(&mfa, &dtd, doc.labels());
-        let opt = evaluate_with_index(&doc, &mfa, &index);
+        let opt = solo(&doc, doc.root(), &mfa, Some(&index));
         assert_eq!(basic.answers, opt.answers);
         assert_eq!(basic.answers.len(), 3, "all three doctors qualify");
     }
@@ -371,7 +335,7 @@ mod tests {
         let mfa = compile_query(&q);
         for ctx in t.node_ids() {
             let expected = evaluate_mfa_at(&t, ctx, &mfa);
-            let got = evaluate_at(&t, ctx, &mfa);
+            let got = solo(&t, ctx, &mfa, None);
             assert_eq!(got.answers, expected, "context {ctx:?}");
         }
     }
@@ -381,7 +345,7 @@ mod tests {
         let t = fig4_tree();
         let q = parse_path("(patient/parent)*/patient[record]").unwrap();
         let mfa = compile_query(&q);
-        let r = evaluate(&t, &mfa);
+        let r = solo(&t, t.root(), &mfa, None);
         assert_eq!(r.stats.nodes_total, t.len());
         assert!(r.stats.nodes_visited > 0);
         assert!(r.stats.cans_vertices > 0);
@@ -396,7 +360,7 @@ mod tests {
         assert_hype_matches_naive(&t, "patient[visit]");
         let q = parse_path("doctor").unwrap();
         let mfa = compile_query(&q);
-        let r = evaluate(&t, &mfa);
+        let r = solo(&t, t.root(), &mfa, None);
         assert!(r.answers.is_empty());
         // Nothing matches at the root's children, so only the root is visited.
         assert_eq!(r.stats.nodes_visited, 1);
@@ -416,7 +380,7 @@ mod tests {
         let q = parse_path("parent/patient[record]").unwrap();
         let mfa = compile_query(&q);
         for ctx in t.node_ids() {
-            let r = evaluate_at(&t, ctx, &mfa);
+            let r = solo(&t, ctx, &mfa, None);
             assert_eq!(
                 r.stats.nodes_total,
                 t.subtree_size(ctx),
@@ -447,11 +411,11 @@ mod tests {
         ] {
             let q = parse_path(query).unwrap();
             let mfa = compile_query(&q);
-            let plain = evaluate(&doc, &mfa);
+            let plain = solo(&doc, doc.root(), &mfa, None);
             let index = ReachabilityIndex::new(&mfa, &dtd, doc.labels());
-            let opt = evaluate_with_index(&doc, &mfa, &index);
+            let opt = solo(&doc, doc.root(), &mfa, Some(&index));
             let cindex = ReachabilityIndex::new_compressed(&mfa, &dtd, doc.labels());
-            let optc = evaluate_with_index(&doc, &mfa, &cindex);
+            let optc = solo(&doc, doc.root(), &mfa, Some(&cindex));
             assert_eq!(plain.stats.nodes_total, opt.stats.nodes_total, "on `{query}`");
             assert_eq!(plain.stats.nodes_total, optc.stats.nodes_total, "on `{query}`");
             assert_eq!(plain.stats.nodes_total, doc.len(), "root run counts the whole document");
@@ -477,7 +441,7 @@ mod tests {
             .node_ids()
             .find(|&n| t.children(n).is_empty())
             .expect("tree has leaves");
-        let r = evaluate_at(&t, leaf, &mfa);
+        let r = solo(&t, leaf, &mfa, None);
         assert_eq!(r.stats.nodes_total, 1);
         assert_eq!(r.stats.nodes_visited, 1);
         assert_eq!(r.stats.pruned_fraction(), 0.0);

@@ -13,7 +13,8 @@
 //! outputs into the cached remainder.
 //!
 //! The merge is **bit-identical to from-scratch evaluation**: every
-//! [`HypeStats`](crate::HypeStats)/[`BatchStats`] counter is a sum of per-node contributions
+//! [`HypeStats`](crate::HypeStats)/[`BatchStats`](crate::BatchStats)
+//! counter is a sum of per-node contributions
 //! that depend only on the context seed and the subtree's content, answer
 //! sets are `BTreeSet` unions in pre-order index order, and node ids are
 //! stable under edits (deletion tombstones, insertion appends — see
@@ -58,10 +59,10 @@ use std::sync::Arc;
 use smoqe_automata::CompiledMfa;
 use smoqe_xml::{EditOp, NodeId, XmlError, XmlTree};
 
-use crate::batch::{walk, BatchResult, BatchStats};
+use crate::batch::{batch_result, walk, BatchResult, CompiledBatchQuery};
 use crate::index::ReachabilityIndex;
-use crate::parallel::{claim_map, finalize_queries, resolve_threads};
-use crate::runtime::{HypeCore, QueryRuntime, ShardQueryOutput};
+use crate::parallel::{claim_map, close_context, resolve_threads, Unit};
+use crate::runtime::HypeCore;
 
 /// One query evaluated incrementally: the compiled execution IR plus an
 /// optional reachability index, both owned (`Arc`) so the evaluator can
@@ -93,14 +94,6 @@ impl IncrementalQuery {
     }
 }
 
-/// Cached artefacts of one top-level subtree: the per-query shard outputs
-/// plus the shard's physical visit count, exactly what a parallel worker
-/// would have produced for this subtree alone.
-struct ShardState {
-    outputs: Vec<ShardQueryOutput>,
-    physical_visits: usize,
-}
-
 /// A batch of queries held open over an evolving document, re-evaluated
 /// incrementally after subtree edits.
 ///
@@ -108,7 +101,7 @@ struct ShardState {
 /// use std::sync::Arc;
 /// use smoqe_automata::{compile_query, CompiledMfa};
 /// use smoqe_hype::incremental::{IncrementalEvaluator, IncrementalQuery};
-/// use smoqe_hype::{evaluate_batch_parallel, CompiledBatchQuery};
+/// use smoqe_hype::{evaluate_tree, CompiledBatchQuery};
 /// use smoqe_xml::{parse_document, EditOp};
 /// use smoqe_xpath::parse_path;
 ///
@@ -130,7 +123,7 @@ struct ShardState {
 /// let incremental = eval.apply_edits(&mut doc, &[op], 1).unwrap();
 ///
 /// // Bit-identical to evaluating the edited document from scratch.
-/// let scratch = evaluate_batch_parallel(&doc, &[CompiledBatchQuery::new(ir)], 1);
+/// let scratch = evaluate_tree(&doc, doc.root(), &[CompiledBatchQuery::new(ir)], 1);
 /// assert_eq!(incremental.results[0].answers, scratch.results[0].answers);
 /// assert_eq!(incremental.results[0].stats, scratch.results[0].stats);
 /// assert_eq!(incremental.stats, scratch.stats);
@@ -139,7 +132,9 @@ struct ShardState {
 pub struct IncrementalEvaluator {
     queries: Vec<IncrementalQuery>,
     context: NodeId,
-    shards: HashMap<NodeId, ShardState>,
+    /// Per top-level subtree: its shard unit, exactly what a parallel
+    /// worker would have produced for that subtree alone.
+    shards: HashMap<NodeId, Unit>,
 }
 
 impl IncrementalEvaluator {
@@ -185,8 +180,9 @@ impl IncrementalEvaluator {
     /// subtrees, splicing their fresh outputs into the cached remainder.
     ///
     /// Results — per-query answers and [`HypeStats`](crate::HypeStats),
-    /// and the aggregate [`BatchStats`] — are bit-identical to a from-scratch
-    /// [`crate::evaluate_batch_parallel_at`] of the edited tree.
+    /// and the aggregate [`BatchStats`](crate::BatchStats) — are
+    /// bit-identical to a from-scratch [`crate::evaluate_tree`] of the
+    /// edited tree.
     ///
     /// # Errors
     /// Fails (leaving `tree` with all ops up to the failing one applied,
@@ -258,112 +254,55 @@ impl IncrementalEvaluator {
         threads: usize,
     ) -> BatchResult {
         let context = self.context;
-        let nodes_total = tree.subtree_size(context);
-        if self.queries.is_empty() {
-            return BatchResult {
-                results: Vec::new(),
-                stats: BatchStats {
-                    queries: 0,
-                    nodes_total,
-                    nodes_visited: 0,
-                    sequential_node_visits: 0,
-                },
-            };
-        }
         let threads = resolve_threads(threads);
-        let children: Vec<NodeId> = tree.children(context).to_vec();
-        // Field borrow (not a method call) so `self.shards` stays mutable
-        // while the runtimes hold `self.queries`' index references.
-        let queries = &self.queries;
-
-        // Retire shards for subtrees that are gone or dirty; whatever is
-        // left in the cache is exact for the edited tree.
-        match dirty {
-            None => self.shards.clear(),
-            Some(dirty) => {
-                self.shards
-                    .retain(|child, _| children.contains(child) && !dirty.contains(child));
-            }
-        }
-        let todo: Vec<NodeId> = children
+        let queries: Vec<CompiledBatchQuery> = self
+            .queries
             .iter()
-            .copied()
-            .filter(|c| !self.shards.contains_key(c))
+            .map(|q| CompiledBatchQuery {
+                compiled: Arc::clone(&q.compiled),
+                index: q.index.as_deref(),
+            })
             .collect();
-
-        // Open the context on the calling thread, exactly as the parallel
-        // evaluator does, with runtimes over the *current* interner.
-        let mut core = HypeCore::new(build_runtimes(queries, tree));
-        let opened = core.open(context, tree.label(context));
-        debug_assert!(opened, "the evaluation context is never pruned");
-        let seeds = core.context_seeds();
-
-        // Recompute dirty subtrees, one core per subtree (not per worker) so
-        // each subtree's outputs are individually cacheable.
-        let shard_of = |_: &mut (), _, &child: &NodeId| {
-            let mut shard_core = HypeCore::new(build_runtimes(queries, tree));
-            shard_core.seed_context_frame(context, &seeds);
-            walk(&mut shard_core, tree, child);
-            let (outputs, physical_visits) = shard_core.into_shard_outputs();
-            ShardState {
-                outputs,
-                physical_visits,
+        let shards = &mut self.shards;
+        batch_result(tree, context, queries.len(), |nodes_total| {
+            // Retire shards for subtrees that are gone or dirty; whatever is
+            // left in the cache is exact for the edited tree.
+            let children = tree.children(context);
+            match dirty {
+                None => shards.clear(),
+                Some(dirty) => {
+                    shards.retain(|child, _| children.contains(child) && !dirty.contains(child));
+                }
             }
-        };
-        let (computed, _) = claim_map(&todo, threads, || (), shard_of);
-        self.shards.extend(todo.into_iter().zip(computed));
-
-        // Fold every subtree's value rows — cached and fresh alike — into
-        // the real context frame (OR is order-free) and close it.
-        for child in &children {
-            let state = &self.shards[child];
-            for (query, sq) in state.outputs.iter().enumerate() {
-                core.absorb_child_values(query, &sq.acc_any, &sq.acc);
-            }
-        }
-        core.close(tree.text(context));
-        let (blocks, context_physical) = core.into_context_parts();
-
-        let results = finalize_queries(
-            &blocks,
-            |query| {
-                children
-                    .iter()
-                    .map(|c| &self.shards[c].outputs[query])
-                    .collect()
-            },
-            nodes_total,
-            threads,
-        );
-
-        let nodes_visited = context_physical
-            + children
+            let todo: Vec<NodeId> = children
                 .iter()
-                .map(|c| self.shards[c].physical_visits)
-                .sum::<usize>();
-        let sequential_node_visits = results.iter().map(|r| r.stats.nodes_visited).sum();
-        BatchResult {
-            results,
-            stats: BatchStats {
-                queries: self.queries.len(),
-                nodes_total,
-                nodes_visited,
-                sequential_node_visits,
-            },
-        }
+                .copied()
+                .filter(|c| !shards.contains_key(c))
+                .collect();
+
+            // Open the context on the calling thread, exactly as the sharded
+            // walk does, with runtimes over the *current* interner.
+            let mut core = HypeCore::for_queries(tree.labels(), &queries);
+            let opened = core.open(context, tree.label(context));
+            debug_assert!(opened, "the evaluation context is never pruned");
+            let seeds = core.context_seeds();
+
+            // Recompute dirty subtrees, one core per subtree (not per
+            // worker) so each subtree's outputs are individually cacheable.
+            let shard_of = |_: &mut (), _, &child: &NodeId| {
+                let mut shard_core = HypeCore::for_queries(tree.labels(), &queries);
+                shard_core.seed_context_frame(context, &seeds);
+                walk(&mut shard_core, tree, child);
+                shard_core.into_shard_outputs()
+            };
+            let (computed, _) = claim_map(&todo, threads, || (), shard_of);
+            shards.extend(todo.into_iter().zip(computed));
+
+            // Cached and fresh subtrees alike fold into the context.
+            let units: Vec<&Unit> = children.iter().map(|c| &shards[c]).collect();
+            close_context(core, tree, context, &units, nodes_total, threads)
+        })
     }
-
-}
-
-/// Fresh per-query runtimes over the tree's current interner.
-fn build_runtimes<'a>(
-    queries: &'a [IncrementalQuery],
-    tree: &'a XmlTree,
-) -> Vec<QueryRuntime<'a>> {
-    queries
-        .iter()
-        .map(|q| QueryRuntime::new(tree.labels(), Arc::clone(&q.compiled), q.index.as_deref()))
-        .collect()
 }
 
 /// Returns `true` if `node` is `candidate` or one of its ancestors.
@@ -400,15 +339,9 @@ fn top_level_shard(tree: &XmlTree, context: NodeId, node: NodeId) -> Option<Node
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::CompiledBatchQuery;
-    use crate::parallel::evaluate_batch_parallel_at;
-    use smoqe_automata::compile_query;
+    use crate::evaluate_tree;
+    use crate::testing::ir;
     use smoqe_xml::parse_document;
-    use smoqe_xpath::parse_path;
-
-    fn ir(query: &str) -> Arc<CompiledMfa> {
-        Arc::new(CompiledMfa::new(&compile_query(&parse_path(query).unwrap())))
-    }
 
     fn doc() -> XmlTree {
         parse_document(
@@ -435,7 +368,7 @@ mod tests {
             .into_iter()
             .map(|q| CompiledBatchQuery::new(q.compiled))
             .collect();
-        let want = evaluate_batch_parallel_at(tree, context, &scratch_queries, 1);
+        let want = evaluate_tree(tree, context, &scratch_queries, 1);
         assert_eq!(got.stats, want.stats, "aggregate stats");
         for (g, w) in got.results.iter().zip(&want.results) {
             assert_eq!(g.answers, w.answers);

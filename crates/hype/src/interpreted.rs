@@ -24,10 +24,37 @@ use smoqe_automata::{
 use smoqe_xml::stream::{EventSource, XmlEvent};
 use smoqe_xml::{LabelId, LabelInterner, NodeId, ParseError, XmlTree};
 
-use crate::batch::{BatchQuery, BatchResult, BatchStats};
+use crate::batch::{BatchResult, BatchStats};
 use crate::engine::{HypeResult, HypeStats};
 use crate::index::ReachabilityIndex;
 use crate::stream::{StreamResult, StreamStats};
+
+/// One query of an interpreted batch: a builder-representation MFA plus,
+/// optionally, its OptHyPE(-C) reachability index. The compiled engines
+/// take a [`CompiledBatchQuery`](crate::CompiledBatchQuery) instead.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchQuery<'a> {
+    /// The builder automaton.
+    pub mfa: &'a Mfa,
+    /// The DTD reachability index, when OptHyPE pruning is wanted for this
+    /// query. Queries of one batch may mix indexed and plain evaluation.
+    pub index: Option<&'a ReachabilityIndex>,
+}
+
+impl<'a> BatchQuery<'a> {
+    /// A batch member evaluated with plain HyPE.
+    pub fn new(mfa: &'a Mfa) -> Self {
+        BatchQuery { mfa, index: None }
+    }
+
+    /// A batch member evaluated with OptHyPE(-C) pruning.
+    pub fn with_index(mfa: &'a Mfa, index: &'a ReachabilityIndex) -> Self {
+        BatchQuery {
+            mfa,
+            index: Some(index),
+        }
+    }
+}
 
 /// Boolean filter variables `X(node, state)` computed at one node.
 type AfaValues = HashMap<(AfaId, AfaStateId), bool>;
@@ -547,7 +574,7 @@ impl BatchEngine<'_> {
     }
 }
 
-/// Interpreted equivalent of [`crate::evaluate_batch_at`].
+/// Interpreted equivalent of [`crate::evaluate_tree`].
 pub fn evaluate_batch_at(tree: &XmlTree, context: NodeId, queries: &[BatchQuery]) -> BatchResult {
     let nodes_total = tree.subtree_size(context);
     if queries.is_empty() {
@@ -612,12 +639,12 @@ pub fn evaluate_batch_at(tree: &XmlTree, context: NodeId, queries: &[BatchQuery]
     }
 }
 
-/// Interpreted equivalent of [`crate::evaluate_batch`].
+/// Interpreted equivalent of [`crate::evaluate_tree`] at the root.
 pub fn evaluate_batch(tree: &XmlTree, queries: &[BatchQuery]) -> BatchResult {
     evaluate_batch_at(tree, tree.root(), queries)
 }
 
-/// Interpreted equivalent of [`crate::evaluate_at_with`].
+/// Interpreted equivalent of a one-query [`crate::evaluate_tree`].
 pub fn evaluate_at_with(
     tree: &XmlTree,
     context: NodeId,
@@ -628,7 +655,8 @@ pub fn evaluate_at_with(
     batch.results.pop().expect("one result per batched query")
 }
 
-/// Interpreted equivalent of [`crate::evaluate`].
+/// Interpreted equivalent of a one-query [`crate::evaluate_tree`] at the
+/// root, with plain HyPE.
 pub fn evaluate(tree: &XmlTree, mfa: &Mfa) -> HypeResult {
     evaluate_at_with(tree, tree.root(), mfa, None)
 }
@@ -930,7 +958,7 @@ impl<'a> StreamMachine<'a> {
     }
 }
 
-/// Interpreted equivalent of [`crate::evaluate_stream_batch`] with a
+/// Interpreted equivalent of [`StreamHype`](crate::StreamHype) with a
 /// pre-seeded label interner (required when any query carries an index).
 pub fn evaluate_stream_batch_with_interner(
     source: &mut impl EventSource,
@@ -948,7 +976,8 @@ pub fn evaluate_stream_batch_with_interner(
     Ok(machine.finish())
 }
 
-/// Interpreted equivalent of [`crate::evaluate_stream_batch`].
+/// Interpreted equivalent of [`StreamHype`](crate::StreamHype) over an
+/// empty label interner.
 pub fn evaluate_stream_batch(
     source: &mut impl EventSource,
     queries: &[BatchQuery],
@@ -956,7 +985,8 @@ pub fn evaluate_stream_batch(
     evaluate_stream_batch_with_interner(source, queries, LabelInterner::new())
 }
 
-/// Interpreted equivalent of [`crate::evaluate_stream`].
+/// Interpreted equivalent of a one-query [`StreamHype`](crate::StreamHype)
+/// run with plain HyPE.
 pub fn evaluate_stream(
     source: &mut impl EventSource,
     mfa: &Mfa,

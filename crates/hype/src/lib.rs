@@ -28,32 +28,32 @@
 //! compressed (deduplicated rows), trading a little lookup indirection for
 //! memory.
 //!
-//! For serving many concurrent queries over the same document, the
-//! [`batch`] module drives N compiled MFAs through **one** shared pass
-//! ([`evaluate_batch`]): nodes pending for several queries are visited once,
-//! a subtree is skipped only when every query agrees it is dead, and each
-//! query still receives exactly the answers and [`HypeStats`] a solo run
-//! would produce. The solo entry points are the 1-query special case of the
-//! batched engine.
+//! ## One tree entry point
 //!
-//! When a single document is large and latency matters, the [`parallel`]
-//! module spreads one (or one batch of) compiled evaluation across a pool
-//! of scoped threads: the subtrees under the evaluation context (oversized
-//! ones re-split) are sharded over up to `threads` workers
-//! ([`evaluate_parallel`], [`evaluate_batch_parallel`]), each running the
-//! unchanged sequential per-node logic with private scratch, and the
-//! per-shard artefacts are merged deterministically — answers in pre-order
-//! index order, statistics as exact sums — so the results are
-//! **bit-identical to the sequential engines** at every thread budget (a
-//! guarantee the `parallel_differential` suite enforces).
+//! Every tree evaluation goes through [`evaluate_tree`]`(tree, context,
+//! queries, threads)`:
 //!
-//! When the workload is *many documents* rather than one big one, the
-//! [`corpus`] module routes a batch of (document, query) pairs across the
-//! same scoped worker pool — one pair per work item, each running the
-//! unchanged sequential engine ([`evaluate_corpus_parallel`]) — which
-//! sidesteps the shard-skew cap of within-document sharding entirely while
-//! keeping every answer and per-pair [`HypeStats`] bit-identical to a
-//! sequential loop ([`evaluate_corpus`]).
+//! * **a batch** — N compiled queries are driven through **one** shared
+//!   pass ([`batch`]): nodes pending for several queries are visited once,
+//!   a subtree is skipped only when every query agrees it is dead, and each
+//!   query still receives exactly the answers and [`HypeStats`] a solo run
+//!   would produce. A solo evaluation is a batch of one.
+//! * **a thread budget** — `1` is the sequential walk on the calling
+//!   thread; larger budgets (`0` = all cores) shard the subtrees under the
+//!   context (oversized ones re-split) over scoped workers ([`parallel`]),
+//!   each running the unchanged per-node logic with private scratch, and
+//!   merge the per-shard artefacts deterministically — answers in
+//!   pre-order index order, statistics as exact sums — so the results are
+//!   **bit-identical at every budget** (a guarantee the
+//!   `parallel_differential` suite enforces).
+//!
+//! When the workload is *many documents* rather than one big one,
+//! [`evaluate_corpus`] routes (document, query) pairs ([`CorpusTask`])
+//! across the same worker pool — one pair per work item, each on the
+//! sequential walk — which sidesteps the shard-skew cap of within-document
+//! sharding while keeping every answer and per-pair [`HypeStats`]
+//! bit-identical at every budget. [`IncrementalEvaluator`] keeps a batch
+//! open over an edited document and re-walks only the edited subtrees.
 //!
 //! Finally, the [`stream`] module removes the remaining memory dependency
 //! on the document: [`StreamHype`] is a stack-machine port of the same pass
@@ -61,8 +61,13 @@
 //! evaluating documents that are never materialized as trees — larger than
 //! RAM, network-fed, or filtered on the fly — in `O(depth · |M|)` working
 //! memory, with answers and statistics identical to the tree engine's. The
-//! per-node math all three entry points share lives in one internal
-//! `runtime` module, so the backends cannot drift apart.
+//! per-node math every driver shares lives in one internal `runtime`
+//! module, so the backends cannot drift apart.
+//!
+//! Three more functions survive only under the names the `perfbench`
+//! benchmark calls: [`evaluate_compiled_at_with`],
+//! [`evaluate_parallel_at_with`] and [`evaluate_batch_compiled`], each one
+//! line over [`evaluate_tree`].
 //!
 //! ## Compile once, run hot
 //!
@@ -70,12 +75,11 @@
 //! `smoqe_automata::compiled` rather than interpreting the builder
 //! `Mfa`: pending sets and filter values are `u64`-word bitsets, label
 //! matching is one table column read, and ε-/operator-closures are
-//! precompiled rows. The convenience entry points taking an `&Mfa` compile
-//! the IR per call; the `*_compiled` variants ([`evaluate_compiled`],
-//! [`evaluate_batch_compiled`], [`StreamHype::from_compiled`]) accept a
-//! shared `Arc<CompiledMfa>` so the compile cost is paid once per query —
-//! the `smoqe` service layer caches the IR next to the rewritten query.
-//! The pre-IR engines survive unchanged in [`interpreted`] as the
+//! precompiled rows. Callers compile the IR once per query and share it
+//! by `Arc` ([`CompiledBatchQuery`], [`CorpusTask`],
+//! [`StreamHype::from_compiled`]) — the `smoqe` service layer caches it
+//! next to the rewritten query. The pre-IR engines survive unchanged in
+//! [`interpreted`], the only engine that runs builder MFAs, as the
 //! reference implementation: the differential suites assert that the
 //! compiled engines reproduce their answers and [`HypeStats`] bit for bit,
 //! and the `compiled_throughput` bench measures the speedup against them.
@@ -94,19 +98,44 @@ mod runtime;
 pub mod stream;
 
 pub use batch::{
-    evaluate_batch, evaluate_batch_at, evaluate_batch_compiled, evaluate_batch_compiled_at,
-    BatchQuery, BatchResult, BatchStats, CompiledBatchQuery,
+    evaluate_batch_compiled, evaluate_tree, BatchResult, BatchStats, CompiledBatchQuery,
 };
-pub use corpus::{evaluate_corpus, evaluate_corpus_parallel, CorpusTask};
+pub use corpus::{evaluate_corpus, CorpusTask};
+pub use engine::{evaluate_compiled_at_with, HypeResult, HypeStats};
 pub use incremental::{IncrementalEvaluator, IncrementalQuery};
-pub use parallel::{
-    evaluate_batch_parallel, evaluate_batch_parallel_at, evaluate_parallel,
-    evaluate_parallel_at_with,
-};
-pub use engine::{
-    evaluate, evaluate_at, evaluate_at_with, evaluate_compiled, evaluate_compiled_at_with,
-    evaluate_with_index, HypeResult, HypeStats,
-};
 pub use index::ReachabilityIndex;
+pub use parallel::evaluate_parallel_at_with;
 pub use smoqe_automata::CompiledMfa;
-pub use stream::{evaluate_stream, evaluate_stream_batch, StreamHype, StreamResult, StreamStats};
+pub use stream::{StreamHype, StreamResult, StreamStats};
+
+/// Helpers shared by the unit tests.
+#[cfg(test)]
+mod testing {
+    use std::sync::Arc;
+
+    use smoqe_automata::{compile_query, CompiledMfa, Mfa};
+    use smoqe_xml::{NodeId, XmlTree};
+    use smoqe_xpath::parse_path;
+
+    use crate::{evaluate_tree, CompiledBatchQuery, HypeResult, ReachabilityIndex};
+
+    /// The execution IR of a regular XPath query.
+    pub(crate) fn ir(query: &str) -> Arc<CompiledMfa> {
+        Arc::new(CompiledMfa::new(&compile_query(&parse_path(query).unwrap())))
+    }
+
+    /// Compiles `mfa` and evaluates it alone at `context` on the
+    /// sequential walk.
+    pub(crate) fn solo(
+        tree: &XmlTree,
+        context: NodeId,
+        mfa: &Mfa,
+        index: Option<&ReachabilityIndex>,
+    ) -> HypeResult {
+        let query = CompiledBatchQuery {
+            compiled: Arc::new(CompiledMfa::new(mfa)),
+            index,
+        };
+        evaluate_tree(tree, context, &[query], 1).results.remove(0)
+    }
+}

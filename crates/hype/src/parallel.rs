@@ -1,6 +1,7 @@
-//! Parallel sharded HyPE evaluation: the batched compiled engine spread
-//! across a pool of scoped threads, with answers and statistics
-//! **bit-identical** to the sequential engines.
+//! Parallel sharded HyPE evaluation, the `threads ≥ 2` branch of
+//! [`crate::evaluate_tree`]: the batched compiled engine spread across a
+//! pool of scoped threads, with answers and statistics **bit-identical** to
+//! the sequential walk.
 //!
 //! ## Sharding strategy
 //!
@@ -58,24 +59,25 @@
 //!   asserts equality for answers *and* statistics at several thread
 //!   budgets. The one non-sequential field, `max_shard_fraction`, is a
 //!   skew diagnostic excluded from [`HypeStats`] equality.
-//! * **[`BatchStats`]** — all queries of a batch travel *together* through
-//!   every task (a node is physically visited once however many queries
-//!   are pending there), preserving the shared-traversal semantics of
-//!   [`BatchStats::nodes_visited`]. Batched runs additionally parallelize
-//!   **across queries** in the merge phase: each query's DAG collection is
-//!   independent and is distributed over the same thread budget.
+//! * **[`BatchStats`](crate::BatchStats)** — all queries of a batch
+//!   travel *together* through every task (a node is physically visited
+//!   once however many queries are pending there), preserving the
+//!   shared-traversal semantics of
+//!   [`BatchStats::nodes_visited`](crate::BatchStats::nodes_visited).
+//!   Batched runs additionally parallelize **across queries** in the merge
+//!   phase: each query's DAG collection is independent and is distributed
+//!   over the same thread budget.
 //!
 //! ## Thread budget
 //!
-//! Every entry point takes a `threads` knob: `0` means "all available
-//! cores" ([`std::thread::available_parallelism`]), `1` runs the same
-//! pool with one inline worker *through the planner, spine and merge
-//! machinery* (so a budget of one is a correctness vise for re-splitting
-//! and grafting, not a separate code path), and larger budgets are capped
-//! by the **task count after re-splitting** — a two-subtree document with
-//! one dominant subtree still fans out to every worker. Workers are
-//! spawned per evaluation; for a parsed document the spawn cost is noise
-//! next to the traversal.
+//! [`crate::evaluate_tree`] takes a `threads` knob: `0` means "all
+//! available cores" ([`std::thread::available_parallelism`]), `1` runs the
+//! sequential walk on the calling thread and never reaches this module, and
+//! larger budgets run the plan → claim → merge path above, capped by the
+//! **task count after re-splitting** — a two-subtree document with one
+//! dominant subtree still fans out to every worker. Workers are spawned per
+//! evaluation; for a parsed document the spawn cost is noise next to the
+//! traversal.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -84,7 +86,7 @@ use std::thread;
 use smoqe_automata::CompiledMfa;
 use smoqe_xml::{NodeId, XmlTree};
 
-use crate::batch::{walk, BatchResult, BatchStats, CompiledBatchQuery};
+use crate::batch::{walk, CompiledBatchQuery};
 use crate::engine::{HypeResult, HypeStats};
 use crate::index::ReachabilityIndex;
 use crate::runtime::{
@@ -117,41 +119,10 @@ pub(crate) fn resolve_threads(budget: usize) -> usize {
     }
 }
 
-/// Evaluates a pre-compiled query at the root of `tree` with plain HyPE,
-/// sharding the root's subtrees over up to `threads` worker threads.
-///
-/// The result — answers *and* [`HypeStats`] — is identical to
-/// [`crate::evaluate_compiled`] at every thread budget:
-///
-/// ```
-/// use std::sync::Arc;
-/// use smoqe_automata::{compile_query, CompiledMfa};
-/// use smoqe_hype::{evaluate_compiled, evaluate_parallel};
-/// use smoqe_xml::XmlTreeBuilder;
-/// use smoqe_xpath::parse_path;
-///
-/// let mut b = XmlTreeBuilder::new();
-/// let root = b.root("hospital");
-/// for name in ["Alice", "Bob"] {
-///     let p = b.child(root, "patient");
-///     b.child_with_text(p, "pname", name);
-/// }
-/// let doc = b.finish();
-///
-/// let ir = Arc::new(CompiledMfa::new(&compile_query(&parse_path("patient/pname").unwrap())));
-/// let sequential = evaluate_compiled(&doc, &ir);
-/// let parallel = evaluate_parallel(&doc, &ir, 4);
-/// assert_eq!(parallel.answers, sequential.answers);
-/// assert_eq!(parallel.stats, sequential.stats);
-/// ```
-pub fn evaluate_parallel(tree: &XmlTree, compiled: &Arc<CompiledMfa>, threads: usize) -> HypeResult {
-    evaluate_parallel_at_with(tree, tree.root(), compiled, None, threads)
-}
-
-/// Evaluates a pre-compiled query at `context`, optionally with an
+/// Evaluates one pre-compiled query at `context`, optionally with an
 /// OptHyPE(-C) index, sharding `context`'s subtrees over up to `threads`
-/// workers — the parallel counterpart of
-/// [`crate::evaluate_compiled_at_with`].
+/// workers: the one-query case of [`crate::evaluate_tree`]. Kept under this
+/// name because the `perfbench` benchmark calls it.
 pub fn evaluate_parallel_at_with(
     tree: &XmlTree,
     context: NodeId,
@@ -163,78 +134,34 @@ pub fn evaluate_parallel_at_with(
         compiled: Arc::clone(compiled),
         index,
     };
-    let mut batch = evaluate_batch_parallel_at(tree, context, &[query], threads);
-    batch.results.pop().expect("one result per query")
+    crate::evaluate_tree(tree, context, &[query], threads).results.remove(0)
 }
 
-/// Evaluates every query of `queries` at the root of `tree`, sharding the
-/// traversal over up to `threads` workers — the parallel counterpart of
-/// [`crate::evaluate_batch_compiled`].
-pub fn evaluate_batch_parallel(
-    tree: &XmlTree,
-    queries: &[CompiledBatchQuery],
-    threads: usize,
-) -> BatchResult {
-    evaluate_batch_parallel_at(tree, tree.root(), queries, threads)
-}
-
-/// Evaluates every query of `queries` at `context`, sharding the traversal
-/// over up to `threads` workers. Per-query results *and* the aggregate
-/// [`BatchStats`] are identical to [`crate::evaluate_batch_compiled_at`]
-/// at every thread budget.
-pub fn evaluate_batch_parallel_at(
+/// The `threads ≥ 2` branch of [`crate::evaluate_tree`] for a non-empty
+/// batch: open the context on the calling thread exactly as the sequential
+/// walk would, plan, run the tasks over the pool, merge the spines, and
+/// close the context over the top-level units. Returns the per-query
+/// results, stamped with the run's `max_shard_fraction`, and the physical
+/// visit count.
+pub(crate) fn evaluate_sharded(
     tree: &XmlTree,
     context: NodeId,
     queries: &[CompiledBatchQuery],
     threads: usize,
-) -> BatchResult {
-    let nodes_total = tree.subtree_size(context);
-    if queries.is_empty() {
-        return BatchResult {
-            results: Vec::new(),
-            stats: BatchStats {
-                queries: 0,
-                nodes_total,
-                nodes_visited: 0,
-                sequential_node_visits: 0,
-            },
-        };
-    }
-    let threads = resolve_threads(threads);
-
-    // Open the evaluation context on the calling thread, exactly as the
-    // sequential engine would (vertices, ε edges, λ triggers, statistics).
+    nodes_total: usize,
+) -> (Vec<HypeResult>, usize) {
     let mut core = HypeCore::for_queries(tree.labels(), queries);
     let opened = core.open(context, tree.label(context));
     debug_assert!(opened, "the evaluation context is never pruned");
     let seeds = core.context_seeds();
 
-    // Plan → execute → merge.
     let mut plan = plan_shards(tree, context, queries, seeds, threads, nodes_total);
     let (mut units, max_task_visits) = run_tasks(tree, queries, &plan, threads);
     merge_spines(tree, &mut plan.spines, &mut units);
-    let top_units = units.swap_remove(0);
+    let top_units: Vec<&Unit> = units[0].iter().collect();
+    let (mut results, nodes_visited) =
+        close_context(core, tree, context, &top_units, nodes_total, threads);
 
-    // Fold the top-level units' value rows into the real context frame (OR
-    // is order-free) and close the context bottom-up as usual.
-    for (unit, _) in &top_units {
-        for (query, sq) in unit.iter().enumerate() {
-            core.absorb_child_values(query, &sq.acc_any, &sq.acc);
-        }
-    }
-    core.close(tree.text(context));
-    let (blocks, context_physical) = core.into_context_parts();
-
-    // Per-query merge + answer collection, parallel across queries.
-    let mut results = finalize_queries(
-        &blocks,
-        |query| top_units.iter().map(|(unit, _)| &unit[query]).collect(),
-        nodes_total,
-        threads,
-    );
-
-    let nodes_visited =
-        context_physical + top_units.iter().map(|(_, physical)| physical).sum::<usize>();
     let max_shard_fraction = if nodes_visited > 0 {
         max_task_visits as f64 / nodes_visited as f64
     } else {
@@ -243,16 +170,40 @@ pub fn evaluate_batch_parallel_at(
     for result in &mut results {
         result.stats.max_shard_fraction = max_shard_fraction;
     }
-    let sequential_node_visits = results.iter().map(|r| r.stats.nodes_visited).sum();
-    BatchResult {
-        results,
-        stats: BatchStats {
-            queries: queries.len(),
-            nodes_total,
-            nodes_visited,
-            sequential_node_visits,
-        },
+    (results, nodes_visited)
+}
+
+/// The context tail shared with [`crate::incremental`]: OR every unit's
+/// value rows into the opened context frame (OR is order-free), close the
+/// context bottom-up as usual, and merge every query over the context
+/// block and the units. Returns the per-query results and the physical
+/// visit count (context plus units).
+pub(crate) fn close_context(
+    mut core: HypeCore,
+    tree: &XmlTree,
+    context: NodeId,
+    units: &[&Unit],
+    nodes_total: usize,
+    threads: usize,
+) -> (Vec<HypeResult>, usize) {
+    for (unit, _) in units {
+        for (query, sq) in unit.iter().enumerate() {
+            core.absorb_child_values(query, &sq.acc_any, &sq.acc);
+        }
     }
+    core.close(tree.text(context));
+    let (blocks, context_physical) = core.into_context_parts();
+
+    // Per-query merge + answer collection, parallel across queries.
+    let finalize = |scratch: &mut CollectScratch, query: usize, block: &ContextBlock| {
+        let outputs: Vec<&ShardQueryOutput> =
+            units.iter().map(|(unit, _)| &unit[query]).collect();
+        finalize_one(block, &outputs, nodes_total, scratch)
+    };
+    let (results, _) = claim_map(&blocks, threads, CollectScratch::new, finalize);
+    let nodes_visited =
+        context_physical + units.iter().map(|(_, physical)| physical).sum::<usize>();
+    (results, nodes_visited)
 }
 
 /// One leaf work unit: a subtree walked whole by whichever worker claims
@@ -292,12 +243,13 @@ struct ShardPlan<'a> {
 }
 
 /// Turns the context's children into leaf tasks, recursively re-splitting
-/// oversized children into spines. The split predicate is uniform across
-/// thread budgets (so a budget of one still exercises the spine machinery
-/// on skewed documents), and the spine count is capped at `4 · threads` —
-/// past that there is already enough fan-out to keep every worker busy,
-/// and an unbounded pathological chain of nested spines would otherwise
-/// allocate a core per level.
+/// oversized children into spines. A child is oversized above
+/// `max(256, nodes_total / (2 · threads))` nodes, so the smallest budget
+/// that reaches the planner (2) splits at least everything a budget of 1
+/// would, and the spine count is capped at `4 · threads` — past that there
+/// is already enough fan-out to keep every worker busy, and an unbounded
+/// pathological chain of nested spines would otherwise allocate a core per
+/// level.
 fn plan_shards<'a>(
     tree: &'a XmlTree,
     context: NodeId,
@@ -367,7 +319,7 @@ fn plan_shards<'a>(
 
 /// One merged work unit: per-query shard outputs plus the unit's physical
 /// visit count.
-type Unit = (Vec<ShardQueryOutput>, usize);
+pub(crate) type Unit = (Vec<ShardQueryOutput>, usize);
 
 /// Runs the planned tasks over up to `threads` workers of the crate's pool
 /// and buckets the resulting units by group. Also returns the largest
@@ -466,9 +418,9 @@ fn merge_spines<'a>(
 /// workers that claim item indices, in input order, off one shared atomic
 /// counter. Every worker threads its own state (made by `init`) through the
 /// items it claims. Returns the per-item results in input order plus every
-/// worker's final state. One worker runs inline (budget 1 exercises the
-/// same code path, unspawned); a panic inside a spawned worker is re-raised
-/// on the calling thread after all workers joined.
+/// worker's final state. A lone worker (budget 1, or a single item) runs
+/// inline, unspawned; a panic inside a spawned worker is re-raised on the
+/// calling thread after all workers joined.
 pub(crate) fn claim_map<I: Sync, S: Send, R: Send>(
     items: &[I],
     threads: usize,
@@ -521,8 +473,8 @@ pub(crate) fn claim_map<I: Sync, S: Send, R: Send>(
 /// statistics summed exactly.
 ///
 /// A *shard unit* is whatever arena granularity the caller evaluated with —
-/// one output per worker or merged spine here, one per top-level child in
-/// [`crate::incremental`]. The merge is invariant to the partition: every
+/// one output per worker or merged spine in a sharded run, one per
+/// top-level child in [`crate::incremental`]. The merge is invariant to the partition: every
 /// counter is a sum of per-node contributions and the context placeholders
 /// (the first `context_vertices` ids of every unit) are discounted once per
 /// unit.
@@ -564,34 +516,34 @@ fn finalize_one(
     HypeResult { answers, stats }
 }
 
-/// Finalizes every query, distributing the per-query DAG collections over
-/// up to `threads` workers. `outputs_of` names each query's shard-unit
-/// outputs (see [`finalize_one`]); it is called once per query, from
-/// whichever worker claims that query.
-pub(crate) fn finalize_queries<'a>(
-    blocks: &[ContextBlock],
-    outputs_of: impl Fn(usize) -> Vec<&'a ShardQueryOutput> + Sync,
-    nodes_total: usize,
-    threads: usize,
-) -> Vec<HypeResult> {
-    claim_map(blocks, threads, CollectScratch::new, |scratch, q, block| {
-        finalize_one(block, &outputs_of(q), nodes_total, scratch)
-    })
-    .0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{evaluate_batch_compiled, BatchQuery};
-    use crate::engine::evaluate_compiled_at_with;
+    use crate::batch::BatchResult;
+    use crate::interpreted;
+    use crate::testing::ir;
+    use crate::evaluate_tree;
     use smoqe_automata::compile_query;
     use smoqe_xml::hospital::hospital_document_dtd;
     use smoqe_xml::XmlTreeBuilder;
     use smoqe_xpath::parse_path;
 
-    fn ir(query: &str) -> Arc<CompiledMfa> {
-        Arc::new(CompiledMfa::new(&compile_query(&parse_path(query).unwrap())))
+    /// Solo evaluation at the root through the one tree entry point.
+    fn solo(
+        doc: &XmlTree,
+        compiled: &Arc<CompiledMfa>,
+        index: Option<&ReachabilityIndex>,
+        threads: usize,
+    ) -> HypeResult {
+        let query = CompiledBatchQuery {
+            compiled: Arc::clone(compiled),
+            index,
+        };
+        evaluate_tree(doc, doc.root(), &[query], threads).results.remove(0)
+    }
+
+    fn batch_at_root(doc: &XmlTree, queries: &[CompiledBatchQuery], threads: usize) -> BatchResult {
+        evaluate_tree(doc, doc.root(), queries, threads)
     }
 
     /// A document whose root has several structurally different subtrees.
@@ -658,9 +610,9 @@ mod tests {
         let doc = doc();
         for query in ["//diagnosis", "department/patient/pname", "doctor"] {
             let compiled = ir(query);
-            let sequential = crate::evaluate_compiled(&doc, &compiled);
+            let sequential = solo(&doc, &compiled, None, 1);
             for threads in [0, 1, 2, 5, 64] {
-                let parallel = evaluate_parallel(&doc, &compiled, threads);
+                let parallel = solo(&doc, &compiled, None, threads);
                 assert_eq!(parallel.answers, sequential.answers, "`{query}` @{threads}");
                 assert_eq!(parallel.stats, sequential.stats, "`{query}` @{threads}");
             }
@@ -674,9 +626,9 @@ mod tests {
             .iter()
             .map(|q| CompiledBatchQuery::new(ir(q)))
             .collect();
-        let sequential = evaluate_batch_compiled(&doc, &queries);
+        let sequential = batch_at_root(&doc, &queries, 1);
         for threads in [1, 2, 8] {
-            let parallel = evaluate_batch_parallel(&doc, &queries, threads);
+            let parallel = batch_at_root(&doc, &queries, threads);
             assert_eq!(parallel.stats, sequential.stats, "@{threads}");
             for (p, s) in parallel.results.iter().zip(&sequential.results) {
                 assert_eq!(p.answers, s.answers, "@{threads}");
@@ -690,9 +642,9 @@ mod tests {
         let doc = skewed_doc();
         for query in ["//diagnosis", "department/patient/pname", "//patient[visit]"] {
             let compiled = ir(query);
-            let sequential = crate::evaluate_compiled(&doc, &compiled);
+            let sequential = solo(&doc, &compiled, None, 1);
             for threads in [1, 2, 4, 8] {
-                let parallel = evaluate_parallel(&doc, &compiled, threads);
+                let parallel = solo(&doc, &compiled, None, threads);
                 assert_eq!(parallel.answers, sequential.answers, "`{query}` @{threads}");
                 assert_eq!(parallel.stats, sequential.stats, "`{query}` @{threads}");
             }
@@ -707,19 +659,20 @@ mod tests {
                 .iter()
                 .map(|q| CompiledBatchQuery::new(ir(q)))
                 .collect();
-        let sequential = evaluate_batch_compiled(&doc, &queries);
+        let sequential = batch_at_root(&doc, &queries, 1);
         for threads in [1, 2, 4, 8] {
-            let parallel = evaluate_batch_parallel(&doc, &queries, threads);
+            let parallel = batch_at_root(&doc, &queries, threads);
             assert_eq!(parallel.stats, sequential.stats, "@{threads}");
             for (p, s) in parallel.results.iter().zip(&sequential.results) {
                 assert_eq!(p.answers, s.answers, "@{threads}");
                 assert_eq!(p.stats, s.stats, "@{threads}");
             }
         }
-        // The dominant chain really is split twice: department, then ward.
+        // The dominant chain really is split twice, department then ward,
+        // already at the smallest budget that reaches the planner.
         let compiled = ir("//diagnosis");
         let q = [CompiledBatchQuery::new(compiled)];
-        let (plan, _seeds) = plan_for(&doc, &q, 4);
+        let (plan, _seeds) = plan_for(&doc, &q, 2);
         assert!(plan.spines.len() >= 2, "nested spines expected");
     }
 
@@ -767,14 +720,36 @@ mod tests {
     fn skewed_run_reports_shard_fraction() {
         let doc = skewed_doc();
         let compiled = ir("//diagnosis");
-        let sequential = crate::evaluate_compiled(&doc, &compiled);
+        let sequential = solo(&doc, &compiled, None, 1);
         assert_eq!(sequential.stats.max_shard_fraction, 0.0);
-        let parallel = evaluate_parallel(&doc, &compiled, 4);
+        let parallel = solo(&doc, &compiled, None, 4);
         let frac = parallel.stats.max_shard_fraction;
         assert!(frac > 0.0 && frac <= 1.0, "fraction in (0, 1]: {frac}");
         // Re-splitting bounds every task well below the dominant subtree's
         // ~99% share of the document.
         assert!(frac < 0.5, "no task dominates after re-splitting: {frac}");
+    }
+
+    #[test]
+    fn budget_one_is_the_sequential_walk() {
+        // Budget 1 never reaches the planner: no shard is formed, so no
+        // task holds a share of the visits, and the result is the one the
+        // interpreted reference engine computes.
+        let doc = skewed_doc();
+        for query in ["//diagnosis", "department/patient/pname", "//patient[visit]"] {
+            let mfa = compile_query(&parse_path(query).unwrap());
+            let compiled = Arc::new(CompiledMfa::new(&mfa));
+            let reference = interpreted::evaluate(&doc, &mfa);
+            let walked = solo(&doc, &compiled, None, 1);
+            assert_eq!(walked.answers, reference.answers, "`{query}`");
+            assert_eq!(walked.stats, reference.stats, "`{query}`");
+            assert_eq!(walked.stats.max_shard_fraction, 0.0, "`{query}`");
+        }
+        // The same document does split at budget 2, so spines and grafting
+        // stay under test without a budget-1 split.
+        let queries = [CompiledBatchQuery::new(ir("//diagnosis"))];
+        let (plan, _seeds) = plan_for(&doc, &queries, 2);
+        assert!(!plan.spines.is_empty(), "budget 2 re-splits the dominant subtree");
     }
 
     #[test]
@@ -817,8 +792,9 @@ mod tests {
             .node_ids()
             .find(|&n| doc.children(n).is_empty())
             .expect("tree has leaves");
-        let sequential = evaluate_compiled_at_with(&doc, leaf, &compiled, None);
-        let parallel = evaluate_parallel_at_with(&doc, leaf, &compiled, None, 8);
+        let query = [CompiledBatchQuery::new(compiled)];
+        let sequential = evaluate_tree(&doc, leaf, &query, 1).results.remove(0);
+        let parallel = evaluate_tree(&doc, leaf, &query, 8).results.remove(0);
         assert_eq!(parallel.answers, sequential.answers);
         assert_eq!(parallel.stats, sequential.stats);
     }
@@ -830,10 +806,9 @@ mod tests {
         let mfa = compile_query(&parse_path("//diagnosis").unwrap());
         let compiled = Arc::new(CompiledMfa::new(&mfa));
         let index = ReachabilityIndex::new(&mfa, &dtd, doc.labels());
-        let sequential = evaluate_compiled_at_with(&doc, doc.root(), &compiled, Some(&index));
+        let sequential = solo(&doc, &compiled, Some(&index), 1);
         for threads in [1, 3] {
-            let parallel =
-                evaluate_parallel_at_with(&doc, doc.root(), &compiled, Some(&index), threads);
+            let parallel = solo(&doc, &compiled, Some(&index), threads);
             assert_eq!(parallel.answers, sequential.answers, "@{threads}");
             assert_eq!(parallel.stats, sequential.stats, "@{threads}");
         }
@@ -849,10 +824,9 @@ mod tests {
         let mfa = compile_query(&parse_path("//diagnosis").unwrap());
         let compiled = Arc::new(CompiledMfa::new(&mfa));
         let index = ReachabilityIndex::new(&mfa, &dtd, doc.labels());
-        let sequential = evaluate_compiled_at_with(&doc, doc.root(), &compiled, Some(&index));
+        let sequential = solo(&doc, &compiled, Some(&index), 1);
         for threads in [1, 4] {
-            let parallel =
-                evaluate_parallel_at_with(&doc, doc.root(), &compiled, Some(&index), threads);
+            let parallel = solo(&doc, &compiled, Some(&index), threads);
             assert_eq!(parallel.answers, sequential.answers, "@{threads}");
             assert_eq!(parallel.stats, sequential.stats, "@{threads}");
         }
@@ -861,7 +835,7 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let doc = doc();
-        let batch = evaluate_batch_parallel(&doc, &[], 4);
+        let batch = batch_at_root(&doc, &[], 4);
         assert!(batch.results.is_empty());
         assert_eq!(batch.stats.queries, 0);
         assert_eq!(batch.stats.nodes_visited, 0);
@@ -870,13 +844,13 @@ mod tests {
 
     #[test]
     fn mirrors_sequential_batch_with_builder_queries() {
-        // Cross-check against the builder-MFA convenience path too.
+        // Cross-check against the interpreted engine over the builder MFA too.
         let doc = doc();
         let mfa = compile_query(&parse_path("department/patient[visit]").unwrap());
-        let sequential = crate::evaluate_batch(&doc, &[BatchQuery::new(&mfa)]);
+        let reference = interpreted::evaluate_batch(&doc, &[interpreted::BatchQuery::new(&mfa)]);
         let parallel =
-            evaluate_batch_parallel(&doc, &[CompiledBatchQuery::new(Arc::new(CompiledMfa::new(&mfa)))], 2);
-        assert_eq!(parallel.results[0].answers, sequential.results[0].answers);
-        assert_eq!(parallel.results[0].stats, sequential.results[0].stats);
+            batch_at_root(&doc, &[CompiledBatchQuery::new(Arc::new(CompiledMfa::new(&mfa)))], 2);
+        assert_eq!(parallel.results[0].answers, reference.results[0].answers);
+        assert_eq!(parallel.results[0].stats, reference.results[0].stats);
     }
 }

@@ -732,25 +732,18 @@ pub(crate) struct HypeCore<'a> {
 }
 
 impl<'a> HypeCore<'a> {
-    pub fn new(runtimes: Vec<QueryRuntime<'a>>) -> Self {
-        let queries = runtimes.len();
-        HypeCore {
-            runtimes,
-            frames: Vec::new(),
-            free_frames: Vec::new(),
-            physical_visits: 0,
-            init_of: vec![Vec::new(); queries],
-        }
-    }
-
     /// A core with one runtime per query of a batch, over `labels`.
     pub fn for_queries(labels: &LabelInterner, queries: &[CompiledBatchQuery<'a>]) -> Self {
-        HypeCore::new(
-            queries
+        HypeCore {
+            runtimes: queries
                 .iter()
                 .map(|q| QueryRuntime::new(labels, Arc::clone(&q.compiled), q.index))
                 .collect(),
-        )
+            frames: Vec::new(),
+            free_frames: Vec::new(),
+            physical_visits: 0,
+            init_of: vec![Vec::new(); queries.len()],
+        }
     }
 
     /// Number of live frames (for the streaming engine's observability).

@@ -37,14 +37,14 @@
 //! Labels are interned as they first appear on the stream. OptHyPE(-C)
 //! pruning is supported, but a [`ReachabilityIndex`](crate::ReachabilityIndex)
 //! is keyed by the label ids of the interner it was built against — so
-//! indexed streaming requires seeding the engine with that same interner
-//! via [`StreamHype::with_interner`]. The plain-HyPE path needs no seeding.
+//! indexed streaming requires seeding [`StreamHype::from_compiled`] with
+//! that same interner. The plain-HyPE path starts from an empty
+//! [`LabelInterner`].
 
-use smoqe_automata::Mfa;
 use smoqe_xml::stream::{EventSource, XmlEvent};
 use smoqe_xml::{LabelInterner, NodeId, ParseError};
 
-use crate::batch::{BatchQuery, CompiledBatchQuery};
+use crate::batch::CompiledBatchQuery;
 use crate::engine::HypeResult;
 use crate::runtime::HypeCore;
 
@@ -118,14 +118,15 @@ struct TextEntry {
 /// e.g. an async network decoder), then call [`Self::finish`].
 ///
 /// ```
-/// use smoqe_automata::compile_query;
-/// use smoqe_hype::{BatchQuery, StreamHype};
-/// use smoqe_xml::XmlStreamReader;
+/// use std::sync::Arc;
+/// use smoqe_automata::{compile_query, CompiledMfa};
+/// use smoqe_hype::{CompiledBatchQuery, StreamHype};
+/// use smoqe_xml::{LabelInterner, XmlStreamReader};
 /// use smoqe_xpath::parse_path;
 ///
-/// let mfa = compile_query(&parse_path("patient/pname").unwrap());
+/// let ir = Arc::new(CompiledMfa::new(&compile_query(&parse_path("patient/pname").unwrap())));
 /// let xml = "<hospital><patient><pname>Alice</pname></patient></hospital>";
-/// let engine = StreamHype::new(&[BatchQuery::new(&mfa)]);
+/// let engine = StreamHype::from_compiled(&[CompiledBatchQuery::new(ir)], LabelInterner::new());
 /// let out = engine.run(&mut XmlStreamReader::new(xml.as_bytes())).unwrap();
 /// assert_eq!(out.results[0].answers.len(), 1);
 /// assert_eq!(out.stats.peak_frames, 3); // O(depth), not O(document)
@@ -156,25 +157,11 @@ pub struct StreamHype<'a> {
 }
 
 impl<'a> StreamHype<'a> {
-    /// A machine for `queries` with a fresh label interner (plain HyPE; see
-    /// the module docs for why indexed queries need
-    /// [`Self::with_interner`]). Each query's execution IR is compiled on
-    /// entry; use [`Self::from_compiled`] to reuse cached IRs.
-    pub fn new(queries: &[BatchQuery<'a>]) -> Self {
-        Self::with_interner(queries, LabelInterner::new())
-    }
-
-    /// A machine whose label interner is seeded with `labels` — required
-    /// when any [`BatchQuery::index`] is set, so the stream's label ids
-    /// agree with the ids the [`crate::ReachabilityIndex`] was built over.
-    pub fn with_interner(queries: &[BatchQuery<'a>], labels: LabelInterner) -> Self {
-        let compiled: Vec<CompiledBatchQuery<'a>> =
-            queries.iter().map(BatchQuery::compile).collect();
-        Self::from_compiled(&compiled, labels)
-    }
-
     /// A machine over pre-compiled execution IRs (shared via `Arc`, e.g.
-    /// from the `smoqe` service cache), with a seeded label interner.
+    /// from the `smoqe` service cache). Pass an empty [`LabelInterner`] for
+    /// plain HyPE; when any [`CompiledBatchQuery::index`] is set, pass the
+    /// interner that index was built over, so the stream's label ids agree
+    /// with the index's (see the module docs).
     pub fn from_compiled(queries: &[CompiledBatchQuery<'a>], labels: LabelInterner) -> Self {
         StreamHype {
             core: HypeCore::for_queries(&labels, queries),
@@ -323,32 +310,13 @@ impl<'a> StreamHype<'a> {
     }
 }
 
-/// Evaluates `mfa` over the events of `source` with plain streaming HyPE,
-/// returning the solo result plus the stream statistics.
-pub fn evaluate_stream(
-    source: &mut impl EventSource,
-    mfa: &Mfa,
-) -> Result<(HypeResult, StreamStats), ParseError> {
-    let mut out = StreamHype::new(&[BatchQuery::new(mfa)]).run(source)?;
-    let result = out.results.pop().expect("one result per query");
-    Ok((result, out.stats))
-}
-
-/// Evaluates every query of `queries` over the events of `source` in one
-/// streamed pass (the batched front-end; see [`StreamHype`]).
-pub fn evaluate_stream_batch(
-    source: &mut impl EventSource,
-    queries: &[BatchQuery],
-) -> Result<StreamResult, ParseError> {
-    StreamHype::new(queries).run(source)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{evaluate, evaluate_with_index};
     use crate::index::ReachabilityIndex;
-    use smoqe_automata::compile_query;
+    use crate::testing::solo;
+    use smoqe_automata::{compile_query, CompiledMfa, Mfa};
+    use std::sync::Arc;
     use smoqe_xml::hospital::hospital_document_dtd;
     use smoqe_xml::stream::TreeEvents;
     use smoqe_xml::{to_xml_string, XmlStreamReader, XmlTree, XmlTreeBuilder};
@@ -385,6 +353,24 @@ mod tests {
         b.finish()
     }
 
+    /// Streams `source` through a fresh machine for `queries`.
+    fn stream_batch(
+        source: &mut impl EventSource,
+        queries: &[CompiledBatchQuery],
+    ) -> Result<StreamResult, ParseError> {
+        StreamHype::from_compiled(queries, LabelInterner::new()).run(source)
+    }
+
+    /// Streams `source` for `mfa` alone, with plain HyPE.
+    fn stream_solo(
+        source: &mut impl EventSource,
+        mfa: &Mfa,
+    ) -> Result<(HypeResult, StreamStats), ParseError> {
+        let query = CompiledBatchQuery::new(Arc::new(CompiledMfa::new(mfa)));
+        let mut out = stream_batch(source, &[query])?;
+        Ok((out.results.remove(0), out.stats))
+    }
+
     /// Maps a tree's node ids to the pre-order indices a stream assigns.
     fn preorder_ids(tree: &XmlTree) -> std::collections::HashMap<NodeId, NodeId> {
         tree.descendants_or_self(tree.root())
@@ -410,9 +396,9 @@ mod tests {
         let pre = preorder_ids(&doc);
         for query in QUERIES {
             let mfa = compile_query(&parse_path(query).unwrap());
-            let solo = evaluate(&doc, &mfa);
+            let solo = solo(&doc, doc.root(), &mfa, None);
             let mut events = TreeEvents::new(&doc);
-            let (streamed, _) = evaluate_stream(&mut events, &mfa).unwrap();
+            let (streamed, _) = stream_solo(&mut events, &mfa).unwrap();
             let expected: std::collections::BTreeSet<NodeId> =
                 solo.answers.iter().map(|n| pre[n]).collect();
             assert_eq!(streamed.answers, expected, "answers differ on `{query}`");
@@ -428,9 +414,9 @@ mod tests {
         let reparsed = smoqe_xml::parse_document(&xml).unwrap();
         for query in QUERIES {
             let mfa = compile_query(&parse_path(query).unwrap());
-            let solo = evaluate(&reparsed, &mfa);
+            let solo = solo(&reparsed, reparsed.root(), &mfa, None);
             let mut reader = XmlStreamReader::new(xml.as_bytes());
-            let (streamed, stream_stats) = evaluate_stream(&mut reader, &mfa).unwrap();
+            let (streamed, stream_stats) = stream_solo(&mut reader, &mfa).unwrap();
             assert_eq!(streamed.answers, solo.answers, "answers differ on `{query}`");
             assert_eq!(streamed.stats, solo.stats, "stats differ on `{query}`");
             assert!(stream_stats.peak_frames <= stream_stats.peak_depth);
@@ -446,10 +432,13 @@ mod tests {
             .iter()
             .map(|q| compile_query(&parse_path(q).unwrap()))
             .collect();
-        let batch_queries: Vec<BatchQuery> = mfas.iter().map(BatchQuery::new).collect();
-        let tree_batch = crate::batch::evaluate_batch(&doc, &batch_queries);
+        let batch_queries: Vec<CompiledBatchQuery> = mfas
+            .iter()
+            .map(|m| CompiledBatchQuery::new(Arc::new(CompiledMfa::new(m))))
+            .collect();
+        let tree_batch = crate::evaluate_tree(&doc, doc.root(), &batch_queries, 1);
         let mut events = TreeEvents::new(&doc);
-        let streamed = evaluate_stream_batch(&mut events, &batch_queries).unwrap();
+        let streamed = stream_batch(&mut events, &batch_queries).unwrap();
         assert_eq!(streamed.results.len(), tree_batch.results.len());
         for (i, query) in QUERIES.iter().enumerate() {
             let expected: std::collections::BTreeSet<NodeId> =
@@ -473,9 +462,9 @@ mod tests {
         for query in QUERIES {
             let mfa = compile_query(&parse_path(query).unwrap());
             let index = ReachabilityIndex::new(&mfa, &dtd, doc.labels());
-            let solo = evaluate_with_index(&doc, &mfa, &index);
-            let engine = StreamHype::with_interner(
-                &[BatchQuery::with_index(&mfa, &index)],
+            let solo = solo(&doc, doc.root(), &mfa, Some(&index));
+            let engine = StreamHype::from_compiled(
+                &[CompiledBatchQuery::with_index(Arc::new(CompiledMfa::new(&mfa)), &index)],
                 doc.labels().clone(),
             );
             let mut events = TreeEvents::new(&doc);
@@ -495,7 +484,7 @@ mod tests {
         let doc = hospital_doc();
         let mfa = compile_query(&parse_path("doctor").unwrap());
         let mut events = TreeEvents::new(&doc);
-        let (result, stats) = evaluate_stream(&mut events, &mfa).unwrap();
+        let (result, stats) = stream_solo(&mut events, &mfa).unwrap();
         assert!(result.answers.is_empty());
         assert_eq!(result.stats.nodes_visited, 1, "only the root is visited");
         assert_eq!(stats.nodes_total, doc.len(), "skipped nodes still count");
@@ -506,7 +495,7 @@ mod tests {
     fn empty_query_set_streams_to_empty_results() {
         let doc = hospital_doc();
         let mut events = TreeEvents::new(&doc);
-        let out = evaluate_stream_batch(&mut events, &[]).unwrap();
+        let out = stream_batch(&mut events, &[]).unwrap();
         assert!(out.results.is_empty());
         assert_eq!(out.stats.nodes_total, doc.len());
         assert_eq!(out.stats.nodes_visited, 0);
@@ -515,7 +504,8 @@ mod tests {
     #[test]
     fn push_api_equals_event_source_api() {
         let mfa = compile_query(&parse_path("a/b[text()='x']").unwrap());
-        let mut machine = StreamHype::new(&[BatchQuery::new(&mfa)]);
+        let query = CompiledBatchQuery::new(Arc::new(CompiledMfa::new(&mfa)));
+        let mut machine = StreamHype::from_compiled(&[query], LabelInterner::new());
         machine.open("r");
         machine.open("a");
         machine.open("b");
@@ -531,7 +521,7 @@ mod tests {
 
         let xml = "<r><a><b>x</b><b>y</b></a></r>";
         let mut reader = XmlStreamReader::new(xml.as_bytes());
-        let (via_reader, _) = evaluate_stream(&mut reader, &mfa).unwrap();
+        let (via_reader, _) = stream_solo(&mut reader, &mfa).unwrap();
         assert_eq!(out.results[0].answers, via_reader.answers);
         assert_eq!(out.results[0].stats, via_reader.stats);
     }
@@ -545,9 +535,9 @@ mod tests {
         let tree = smoqe_xml::parse_document(xml).unwrap();
         for query in ["a[text()='x']", "a[text()='y']", "a[b]"] {
             let mfa = compile_query(&parse_path(query).unwrap());
-            let on_tree = evaluate(&tree, &mfa);
+            let on_tree = solo(&tree, tree.root(), &mfa, None);
             let mut reader = XmlStreamReader::new(xml.as_bytes());
-            let (streamed, _) = evaluate_stream(&mut reader, &mfa).unwrap();
+            let (streamed, _) = stream_solo(&mut reader, &mfa).unwrap();
             assert_eq!(streamed.answers, on_tree.answers, "on `{query}`");
             assert_eq!(streamed.stats, on_tree.stats, "on `{query}`");
         }
@@ -557,7 +547,7 @@ mod tests {
     fn parse_errors_propagate_and_abort_the_run() {
         let mfa = compile_query(&parse_path("a").unwrap());
         let mut reader = XmlStreamReader::new("<r><a></r>".as_bytes());
-        let err = evaluate_stream(&mut reader, &mfa).unwrap_err();
+        let err = stream_solo(&mut reader, &mfa).unwrap_err();
         assert!(matches!(err, ParseError::MismatchedTag { .. }));
     }
 
@@ -565,7 +555,8 @@ mod tests {
     #[should_panic(expected = "unbalanced")]
     fn finish_panics_on_truncated_input() {
         let mfa = compile_query(&parse_path("a").unwrap());
-        let mut machine = StreamHype::new(&[BatchQuery::new(&mfa)]);
+        let query = CompiledBatchQuery::new(Arc::new(CompiledMfa::new(&mfa)));
+        let mut machine = StreamHype::from_compiled(&[query], LabelInterner::new());
         machine.open("r");
         let _ = machine.finish();
     }
@@ -577,7 +568,7 @@ mod tests {
         let mfa = compile_query(&parse_path("//diagnosis").unwrap());
         let before = smoqe_xml::node_allocations();
         let mut reader = XmlStreamReader::new(xml.as_bytes());
-        let (result, _) = evaluate_stream(&mut reader, &mfa).unwrap();
+        let (result, _) = stream_solo(&mut reader, &mfa).unwrap();
         assert_eq!(
             smoqe_xml::node_allocations(),
             before,

@@ -125,12 +125,29 @@ impl CompiledQuery {
 
     /// Evaluates the query at the root of `doc` with plain HyPE.
     pub fn evaluate(&self, doc: &XmlTree) -> HypeResult {
-        smoqe_hype::evaluate_compiled(doc, &self.compiled)
+        self.run(doc, doc.root(), None, 1)
     }
 
     /// Evaluates at an arbitrary context node.
     pub fn evaluate_at(&self, doc: &XmlTree, context: NodeId) -> HypeResult {
-        smoqe_hype::evaluate_compiled_at_with(doc, context, &self.compiled, None)
+        self.run(doc, context, None, 1)
+    }
+
+    /// Evaluates at `context`, optionally pruned by `index`, under the
+    /// thread budget `threads` (see [`smoqe_hype::evaluate_tree`]): the one
+    /// call every tree front end of this crate makes.
+    pub(crate) fn run(
+        &self,
+        doc: &XmlTree,
+        context: NodeId,
+        index: Option<&ReachabilityIndex>,
+        threads: usize,
+    ) -> HypeResult {
+        let query = CompiledBatchQuery {
+            compiled: Arc::clone(&self.compiled),
+            index,
+        };
+        smoqe_hype::evaluate_tree(doc, context, &[query], threads).results.remove(0)
     }
 
     /// Evaluates the query over a **streamed** XML document read from
@@ -174,17 +191,12 @@ impl CompiledQuery {
         document_dtd: &Dtd,
         mode: EvaluationMode,
     ) -> HypeResult {
-        match mode {
-            EvaluationMode::HyPE => self.evaluate(doc),
-            EvaluationMode::OptHyPE => {
-                let index = self.build_index(document_dtd, doc, false);
-                smoqe_hype::evaluate_compiled_at_with(doc, doc.root(), &self.compiled, Some(&index))
-            }
-            EvaluationMode::OptHyPEC => {
-                let index = self.build_index(document_dtd, doc, true);
-                smoqe_hype::evaluate_compiled_at_with(doc, doc.root(), &self.compiled, Some(&index))
-            }
-        }
+        let index = match mode {
+            EvaluationMode::HyPE => None,
+            EvaluationMode::OptHyPE => Some(self.build_index(document_dtd, doc, false)),
+            EvaluationMode::OptHyPEC => Some(self.build_index(document_dtd, doc, true)),
+        };
+        self.run(doc, doc.root(), index.as_ref(), 1)
     }
 }
 
@@ -274,8 +286,7 @@ impl SmoqeEngine {
     }
 
     /// Answers several view queries over one streamed document in a single
-    /// pass ([`smoqe_hype::evaluate_stream_batch`]). Results are
-    /// index-aligned with `queries`.
+    /// pass ([`StreamHype`]). Results are index-aligned with `queries`.
     pub fn answer_stream_batch(
         &self,
         queries: &[&str],

@@ -20,7 +20,7 @@
 //! documents — the [`QueryService`] front-end adds an LRU compiled-query
 //! cache (keyed by view fingerprint and normalized query text), a shared
 //! reachability-index cache, and batched evaluation that answers N queries
-//! in a single HyPE pass ([`smoqe_hype::evaluate_batch`]). The service is
+//! in a single HyPE pass ([`smoqe_hype::evaluate_tree`]). The service is
 //! `Send + Sync` — its caches are segmented, independently locked LRUs
 //! ([`lru::ShardedLru`]), so one instance serves many threads — and its
 //! `*_parallel` front-ends ([`QueryService::answer_parallel`],

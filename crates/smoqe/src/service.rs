@@ -18,12 +18,13 @@
 //!   OptHyPE(-C) index for a (query, document family) pair is built once;
 //! * a **batched evaluation front-end** ([`QueryService::evaluate_batch`])
 //!   that pushes N cached queries through a single HyPE pass
-//!   ([`smoqe_hype::evaluate_batch`]) instead of N traversals;
+//!   ([`smoqe_hype::evaluate_tree`]) instead of N traversals;
 //! * **parallel front-ends** ([`QueryService::answer_parallel`],
-//!   [`QueryService::evaluate_batch_parallel`]) that shard the document
-//!   traversal over a configurable thread budget
+//!   [`QueryService::evaluate_batch_parallel`]) that run the same pass
+//!   sharded over a configurable thread budget
 //!   ([`smoqe_hype::parallel`]) with answers and statistics identical to
-//!   the sequential paths.
+//!   the sequential paths — each sequential/parallel pair is one body
+//!   that takes the budget.
 //!
 //! The service is `Send + Sync` by construction: all methods take `&self`,
 //! the caches are [`ShardedLru`]s (independently locked segments, so
@@ -68,7 +69,7 @@ pub struct ServiceConfig {
     /// `1` restores exact global LRU recency.
     pub cache_segments: usize,
     /// Thread budget of the `*_parallel` front-ends: `0` uses all available
-    /// cores, `1` runs the shard machinery on the calling thread.
+    /// cores, `1` runs the sequential walk on the calling thread.
     pub parallel_threads: usize,
 }
 
@@ -385,20 +386,12 @@ impl QueryService {
         doc: &XmlTree,
         mode: EvaluationMode,
     ) -> Result<HypeResult, EngineError> {
-        let compiled = self.compile(query)?;
-        let index = self.index_for_mode(&compiled, doc, mode);
-        Ok(smoqe_hype::evaluate_compiled_at_with(
-            doc,
-            doc.root(),
-            compiled.compiled(),
-            index.as_deref(),
-        ))
+        self.answer_with(query, doc, mode, 1)
     }
 
     /// Answers `query` over `doc` with `mode`, sharding the document
     /// traversal over the service's configured thread budget
-    /// ([`ServiceConfig::parallel_threads`]) via
-    /// [`smoqe_hype::evaluate_parallel_at_with`]. Hits both caches exactly
+    /// ([`ServiceConfig::parallel_threads`]). Hits both caches exactly
     /// like [`Self::evaluate`], and returns the same answers *and*
     /// statistics — parallelism only changes wall-clock time.
     pub fn answer_parallel(
@@ -407,18 +400,23 @@ impl QueryService {
         doc: &XmlTree,
         mode: EvaluationMode,
     ) -> Result<HypeResult, EngineError> {
+        let result = self.answer_with(query, doc, mode, self.parallel_threads)?;
+        self.note_shard_fraction(&result);
+        Ok(result)
+    }
+
+    /// The body of [`Self::evaluate`] and [`Self::answer_parallel`]: both
+    /// caches, then [`smoqe_hype::evaluate_tree`] under `threads`.
+    fn answer_with(
+        &self,
+        query: &str,
+        doc: &XmlTree,
+        mode: EvaluationMode,
+        threads: usize,
+    ) -> Result<HypeResult, EngineError> {
         let compiled = self.compile(query)?;
         let index = self.index_for_mode(&compiled, doc, mode);
-        let result = smoqe_hype::evaluate_parallel_at_with(
-            doc,
-            doc.root(),
-            compiled.compiled(),
-            index.as_deref(),
-            self.parallel_threads,
-        );
-        self.last_max_shard_fraction
-            .store(result.stats.max_shard_fraction.to_bits(), Ordering::Relaxed);
-        Ok(result)
+        Ok(compiled.run(doc, doc.root(), index.as_deref(), threads))
     }
 
     /// Answers all of `queries` over `doc` in **one** document pass.
@@ -442,32 +440,60 @@ impl QueryService {
         doc: &XmlTree,
         mode: EvaluationMode,
     ) -> Result<BatchResult, EngineError> {
-        let (unique, indexes, slot_of) = self.assemble_batch(queries, doc, mode)?;
-        let batch = to_batch_queries(&unique, &indexes);
-        let result = smoqe_hype::evaluate_batch_compiled(doc, &batch);
-        Ok(fan_out(result, &slot_of))
+        self.batch_with(queries, doc, mode, 1)
     }
 
     /// Answers all of `queries` over `doc` in one *sharded, multi-threaded*
-    /// document pass ([`smoqe_hype::evaluate_batch_parallel`]) under the
-    /// service's configured thread budget. Deduplication, result alignment,
-    /// per-query answers and statistics, and the aggregate
-    /// [`BatchStats`](smoqe_hype::BatchStats) are all identical to
-    /// [`Self::evaluate_batch`].
+    /// document pass under the service's configured thread budget.
+    /// Deduplication, result alignment, per-query answers and statistics,
+    /// and the aggregate [`BatchStats`](smoqe_hype::BatchStats) are all
+    /// identical to [`Self::evaluate_batch`].
     pub fn evaluate_batch_parallel(
         &self,
         queries: &[&str],
         doc: &XmlTree,
         mode: EvaluationMode,
     ) -> Result<BatchResult, EngineError> {
-        let (unique, indexes, slot_of) = self.assemble_batch(queries, doc, mode)?;
-        let batch = to_batch_queries(&unique, &indexes);
-        let result = smoqe_hype::evaluate_batch_parallel(doc, &batch, self.parallel_threads);
+        let result = self.batch_with(queries, doc, mode, self.parallel_threads)?;
         if let Some(first) = result.results.first() {
-            self.last_max_shard_fraction
-                .store(first.stats.max_shard_fraction.to_bits(), Ordering::Relaxed);
+            self.note_shard_fraction(first);
         }
+        Ok(result)
+    }
+
+    /// The body of [`Self::evaluate_batch`] and
+    /// [`Self::evaluate_batch_parallel`]: compile and deduplicate through
+    /// the caches, resolve each distinct query's index, run one
+    /// [`smoqe_hype::evaluate_tree`] under `threads`, and fan the results
+    /// back out to the caller's positions.
+    fn batch_with(
+        &self,
+        queries: &[&str],
+        doc: &XmlTree,
+        mode: EvaluationMode,
+        threads: usize,
+    ) -> Result<BatchResult, EngineError> {
+        let (unique, slot_of) = self.compile_deduped(queries)?;
+        let indexes: Vec<Option<Arc<ReachabilityIndex>>> = unique
+            .iter()
+            .map(|c| self.index_for_mode(c, doc, mode))
+            .collect();
+        let batch: Vec<CompiledBatchQuery> = unique
+            .iter()
+            .zip(&indexes)
+            .map(|(c, i)| CompiledBatchQuery {
+                compiled: Arc::clone(c.compiled()),
+                index: i.as_deref(),
+            })
+            .collect();
+        let result = smoqe_hype::evaluate_tree(doc, doc.root(), &batch, threads);
         Ok(fan_out(result, &slot_of))
+    }
+
+    /// Records a parallel call's shard skew for [`ServiceStats`].
+    fn note_shard_fraction(&self, result: &HypeResult) {
+        self.last_max_shard_fraction
+            .store(result.stats.max_shard_fraction.to_bits(), Ordering::Relaxed);
     }
 
     /// Answers a batch of (document, query) requests against `store`, one
@@ -486,8 +512,7 @@ impl QueryService {
         requests: &[(DocId, &str)],
         mode: EvaluationMode,
     ) -> Result<Vec<HypeResult>, EngineError> {
-        let items = self.assemble_corpus(store, requests, mode)?;
-        Ok(smoqe_hype::evaluate_corpus(&corpus_tasks(&items)))
+        self.corpus_with(store, requests, mode, 1)
     }
 
     /// Answers a batch of (document, query) requests against `store`,
@@ -504,23 +529,22 @@ impl QueryService {
         requests: &[(DocId, &str)],
         mode: EvaluationMode,
     ) -> Result<Vec<HypeResult>, EngineError> {
-        let items = self.assemble_corpus(store, requests, mode)?;
-        Ok(smoqe_hype::evaluate_corpus_parallel(
-            &corpus_tasks(&items),
-            self.parallel_threads,
-        ))
+        self.corpus_with(store, requests, mode, self.parallel_threads)
     }
 
-    /// The shared corpus preamble: resolve every document, compile every
-    /// query through the cache, and fetch each pair's index for `mode` —
-    /// keyed on the stored document's precomputed label fingerprint.
-    fn assemble_corpus(
+    /// The body of [`Self::evaluate_corpus`] and
+    /// [`Self::evaluate_corpus_parallel`]: resolve every document, compile
+    /// every query through the cache, fetch each pair's index for `mode` —
+    /// keyed on the stored document's precomputed label fingerprint — and
+    /// run [`smoqe_hype::evaluate_corpus`] under `threads`.
+    fn corpus_with(
         &self,
         store: &DocumentStore,
         requests: &[(DocId, &str)],
         mode: EvaluationMode,
-    ) -> Result<Vec<CorpusItem>, EngineError> {
-        requests
+        threads: usize,
+    ) -> Result<Vec<HypeResult>, EngineError> {
+        let items: Vec<CorpusItem> = requests
             .iter()
             .map(|&(id, query)| {
                 let doc = store.get(id).ok_or(EngineError::UnknownDocument(id))?;
@@ -542,32 +566,16 @@ impl QueryService {
                 };
                 Ok((doc, compiled, index))
             })
-            .collect()
-    }
-
-    /// The shared batch preamble of the sequential and parallel front-ends:
-    /// compile every query through the cache, deduplicate equivalent
-    /// spellings, and resolve each distinct compilation's index for `mode`.
-    #[allow(clippy::type_complexity)]
-    fn assemble_batch(
-        &self,
-        queries: &[&str],
-        doc: &XmlTree,
-        mode: EvaluationMode,
-    ) -> Result<
-        (
-            Vec<Arc<CompiledQuery>>,
-            Vec<Option<Arc<ReachabilityIndex>>>,
-            Vec<usize>,
-        ),
-        EngineError,
-    > {
-        let (unique, slot_of) = self.compile_deduped(queries)?;
-        let indexes = unique
+            .collect::<Result<_, EngineError>>()?;
+        let tasks: Vec<CorpusTask> = items
             .iter()
-            .map(|c| self.index_for_mode(c, doc, mode))
+            .map(|(doc, compiled, index)| CorpusTask {
+                tree: doc.tree(),
+                compiled: Arc::clone(compiled.compiled()),
+                index: index.as_deref(),
+            })
             .collect();
-        Ok((unique, indexes, slot_of))
+        Ok(smoqe_hype::evaluate_corpus(&tasks, threads))
     }
 
     /// Compiles every query through the cache and deduplicates equivalent
@@ -612,8 +620,8 @@ impl QueryService {
     }
 
     /// Answers all of `queries` over one streamed document in a **single
-    /// pass**, combining the compiled-query cache with
-    /// [`smoqe_hype::evaluate_stream_batch`]. Results are index-aligned
+    /// pass**, combining the compiled-query cache with [`StreamHype`].
+    /// Results are index-aligned
     /// with `queries`; equivalent spellings are deduplicated before
     /// evaluation exactly as in [`Self::evaluate_batch`].
     pub fn evaluate_stream_batch(
@@ -778,35 +786,6 @@ type CorpusItem = (
     Arc<CompiledQuery>,
     Option<Arc<ReachabilityIndex>>,
 );
-
-/// Borrows the resolved requests as [`CorpusTask`]s for the hype corpus
-/// engines (the `Arc`s in `items` keep everything alive across the call).
-fn corpus_tasks(items: &[CorpusItem]) -> Vec<CorpusTask<'_>> {
-    items
-        .iter()
-        .map(|(doc, compiled, index)| CorpusTask {
-            tree: doc.tree(),
-            compiled: Arc::clone(compiled.compiled()),
-            index: index.as_deref(),
-        })
-        .collect()
-}
-
-/// Pairs each distinct compilation with its (optional) index as a borrow
-/// for the batch engines.
-fn to_batch_queries<'a>(
-    unique: &[Arc<CompiledQuery>],
-    indexes: &'a [Option<Arc<ReachabilityIndex>>],
-) -> Vec<CompiledBatchQuery<'a>> {
-    unique
-        .iter()
-        .zip(indexes)
-        .map(|(c, i)| CompiledBatchQuery {
-            compiled: Arc::clone(c.compiled()),
-            index: i.as_deref(),
-        })
-        .collect()
-}
 
 /// Fans a deduplicated batch result back out to the caller's query
 /// positions: slot `i` of the output clones the result of the distinct

@@ -37,14 +37,13 @@ use std::sync::Arc;
 
 use smoqe::{CompiledQuery, EvaluationMode, RegularXPathEngine, SmoqeEngine};
 use smoqe_hype::{
-    evaluate_batch_parallel_at, evaluate_parallel, evaluate_stream, interpreted,
-    CompiledBatchQuery, IncrementalEvaluator, IncrementalQuery,
+    evaluate_tree, interpreted, CompiledBatchQuery, IncrementalEvaluator, IncrementalQuery,
 };
 use smoqe_toxgene::{DocShape, Domain};
 use smoqe_xml::stream::TreeEvents;
 use smoqe_xml::{parse_document, EditOp, NodeId, XmlTree};
 
-use crate::oracle_answer;
+use crate::{oracle_answer, run_ir, stream_solo};
 
 /// The parallel thread budgets the campaign sweeps.
 pub const BUDGETS: [usize; 3] = [1, 2, 8];
@@ -303,7 +302,7 @@ pub fn run_case(domain: &Domain, case: &FuzzCase) -> Result<(), Box<Divergence>>
         .iter()
         .map(|c| CompiledBatchQuery::new(Arc::clone(c.compiled())))
         .collect();
-    let scratch_batch = evaluate_batch_parallel_at(&doc, doc.root(), &scratch, 1);
+    let scratch_batch = evaluate_tree(&doc, doc.root(), &scratch, 1);
 
     let pre = preorder_ids(&doc);
 
@@ -336,7 +335,7 @@ pub fn run_case(domain: &Domain, case: &FuzzCase) -> Result<(), Box<Divergence>>
 
         // Streaming over the edited tree's event replay.
         let mut events = TreeEvents::new(&doc);
-        let (streamed, _) = evaluate_stream(&mut events, c.mfa())
+        let (streamed, _) = stream_solo(&mut events, c.mfa())
             .unwrap_or_else(|e| panic!("{name}: stream fails: {e}"));
         if streamed.answers != to_preorder(&oracle, &pre) {
             return Err(diverge(
@@ -355,7 +354,7 @@ pub fn run_case(domain: &Domain, case: &FuzzCase) -> Result<(), Box<Divergence>>
 
         // Parallel at every budget.
         for threads in BUDGETS {
-            let par = evaluate_parallel(&doc, c.compiled(), threads);
+            let par = run_ir(&doc, doc.root(), c.compiled(), None, threads);
             if par.answers != oracle {
                 return Err(diverge(name, "parallel", format!("{threads}t: {}", answer_diff(&par.answers, &oracle))));
             }

@@ -7,10 +7,15 @@ use std::sync::Arc;
 
 use smoqe::SmoqeEngine;
 use smoqe_automata::{compile_query, CompiledMfa, Mfa};
+use smoqe_hype::{
+    evaluate_tree, interpreted, CompiledBatchQuery, HypeResult, ReachabilityIndex, StreamHype,
+    StreamResult, StreamStats,
+};
 use smoqe_toxgene::domains::{HOSPITAL_DOCUMENT_QUERIES, HOSPITAL_VIEW_QUERIES};
 use smoqe_toxgene::{generate_hospital, Domain, HospitalConfig};
 use smoqe_views::{materialize, ViewDefinition};
-use smoqe_xml::{NodeId, XmlTree};
+use smoqe_xml::stream::EventSource;
+use smoqe_xml::{LabelInterner, NodeId, ParseError, XmlTree};
 use smoqe_xpath::{evaluate, parse_path};
 
 /// A deterministic, moderately sized hospital document exercising every
@@ -88,6 +93,66 @@ pub fn oracle_answer(view: &ViewDefinition, doc: &XmlTree, query: &str) -> BTree
     let q = parse_path(query).expect("query parses");
     let on_view = evaluate(&materialized.tree, materialized.tree.root(), &q);
     materialized.origins_of(&on_view)
+}
+
+/// Evaluates the IR `ir` alone at `context`, optionally pruned by `index`,
+/// through [`evaluate_tree`] under the thread budget `threads`.
+pub fn run_ir(
+    tree: &XmlTree,
+    context: NodeId,
+    ir: &Arc<CompiledMfa>,
+    index: Option<&ReachabilityIndex>,
+    threads: usize,
+) -> HypeResult {
+    let query = CompiledBatchQuery {
+        compiled: Arc::clone(ir),
+        index,
+    };
+    evaluate_tree(tree, context, &[query], threads).results.remove(0)
+}
+
+/// Compiles the builder MFA `mfa` and evaluates it alone at `context` on
+/// the sequential walk — the compiled counterpart of
+/// [`interpreted::evaluate_at_with`].
+pub fn hype_at(
+    tree: &XmlTree,
+    context: NodeId,
+    mfa: &Mfa,
+    index: Option<&ReachabilityIndex>,
+) -> HypeResult {
+    run_ir(tree, context, &Arc::new(CompiledMfa::new(mfa)), index, 1)
+}
+
+/// Compiles every member of an interpreted batch to its execution IR,
+/// keeping its index.
+pub fn compile_batch<'a>(queries: &[interpreted::BatchQuery<'a>]) -> Vec<CompiledBatchQuery<'a>> {
+    queries
+        .iter()
+        .map(|q| CompiledBatchQuery {
+            compiled: Arc::new(CompiledMfa::new(q.mfa)),
+            index: q.index,
+        })
+        .collect()
+}
+
+/// Streams `source` through a [`StreamHype`] for `queries`, with a fresh
+/// label interner (plain HyPE).
+pub fn stream_batch(
+    source: &mut impl EventSource,
+    queries: &[CompiledBatchQuery],
+) -> Result<StreamResult, ParseError> {
+    StreamHype::from_compiled(queries, LabelInterner::new()).run(source)
+}
+
+/// Streams `source` for the builder MFA `mfa` alone, with plain HyPE — the
+/// compiled counterpart of [`interpreted::evaluate_stream`].
+pub fn stream_solo(
+    source: &mut impl EventSource,
+    mfa: &Mfa,
+) -> Result<(HypeResult, StreamStats), ParseError> {
+    let query = CompiledBatchQuery::new(Arc::new(CompiledMfa::new(mfa)));
+    let mut out = stream_batch(source, &[query])?;
+    Ok((out.results.remove(0), out.stats))
 }
 
 #[cfg(test)]

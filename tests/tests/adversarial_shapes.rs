@@ -13,12 +13,10 @@
 
 use std::sync::Arc;
 
-use integration_tests::{domain_corpus_irs, oracle_answer};
+use integration_tests::{domain_corpus_irs, oracle_answer, run_ir, stream_batch};
 use smoqe::{EvaluationMode, SmoqeEngine};
-use smoqe_hype::{
-    evaluate_batch_compiled, evaluate_batch_parallel, evaluate_compiled, evaluate_parallel,
-    evaluate_stream_batch, interpreted, BatchQuery, CompiledBatchQuery,
-};
+use smoqe_hype::interpreted;
+use smoqe_hype::{evaluate_tree, CompiledBatchQuery};
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{all_domains, DocShape};
 use smoqe_xml::stream::TreeEvents;
@@ -75,7 +73,7 @@ fn empty_view_documents_answer_nothing_through_every_engine_and_mode() {
 
             // Solo compiled vs interpreted: identical empty result *and*
             // identical stats.
-            let solo = evaluate_compiled(&doc, compiled.compiled());
+            let solo = run_ir(&doc, doc.root(), compiled.compiled(), None, 1);
             let reference = interpreted::evaluate(&doc, compiled.mfa());
             assert!(solo.answers.is_empty());
             assert_eq!(solo.stats, reference.stats, "{}: `{query}`", domain.name);
@@ -84,7 +82,7 @@ fn empty_view_documents_answer_nothing_through_every_engine_and_mode() {
             // Parallel at every budget: the sharded merge of nothing must
             // still reproduce the sequential stats bit for bit.
             for &threads in BUDGETS {
-                let par = evaluate_parallel(&doc, compiled.compiled(), threads);
+                let par = run_ir(&doc, doc.root(), compiled.compiled(), None, threads);
                 assert!(par.answers.is_empty(), "{}: `{query}` ({threads}t)", domain.name);
                 assert_eq!(
                     par.stats, solo.stats,
@@ -105,9 +103,9 @@ fn empty_view_documents_answer_nothing_through_every_engine_and_mode() {
             .iter()
             .map(|c| CompiledBatchQuery::new(Arc::clone(c.compiled())))
             .collect();
-        let tree_batch = evaluate_batch_compiled(&doc, &batch);
+        let tree_batch = evaluate_tree(&doc, doc.root(), &batch, 1);
         for &threads in BUDGETS {
-            let par = evaluate_batch_parallel(&doc, &batch, threads);
+            let par = evaluate_tree(&doc, doc.root(), &batch, threads);
             assert_eq!(
                 par.stats, tree_batch.stats,
                 "{}: batched aggregate stats differ ({threads}t)",
@@ -122,10 +120,8 @@ fn empty_view_documents_answer_nothing_through_every_engine_and_mode() {
                 );
             }
         }
-        let stream_queries: Vec<BatchQuery> =
-            compiled.iter().map(|c| BatchQuery::new(c.mfa())).collect();
         let mut events = TreeEvents::new(&doc);
-        let streamed = evaluate_stream_batch(&mut events, &stream_queries).unwrap();
+        let streamed = stream_batch(&mut events, &batch).unwrap();
         for (i, q) in domain.view_queries.iter().enumerate() {
             assert!(streamed.results[i].answers.is_empty(), "{}: `{q}` streamed", domain.name);
             assert_eq!(
@@ -153,7 +149,7 @@ fn alias_explosions_stay_bit_identical_through_every_engine() {
             .iter()
             .map(|(_, ir)| CompiledBatchQuery::new(Arc::clone(ir)))
             .collect();
-        let tree_batch = evaluate_batch_compiled(&doc, &batch);
+        let tree_batch = evaluate_tree(&doc, doc.root(), &batch, 1);
 
         // Some query of the corpus must actually see the dense labels,
         // otherwise the shape is not exercising anything.
@@ -164,18 +160,18 @@ fn alias_explosions_stay_bit_identical_through_every_engine() {
         );
 
         for (i, (name, ir)) in irs.iter().enumerate() {
-            let solo = evaluate_compiled(&doc, ir);
+            let solo = run_ir(&doc, doc.root(), ir, None, 1);
             assert_eq!(solo.answers, tree_batch.results[i].answers, "`{name}` solo vs batched");
             assert_eq!(solo.stats, tree_batch.results[i].stats, "`{name}` solo vs batched stats");
             for &threads in BUDGETS {
-                let par = evaluate_parallel(&doc, ir, threads);
+                let par = run_ir(&doc, doc.root(), ir, None, threads);
                 assert_eq!(par.answers, solo.answers, "`{name}` ({threads}t)");
                 assert_eq!(par.stats, solo.stats, "`{name}` stats ({threads}t)");
             }
         }
 
         for &threads in BUDGETS {
-            let par = evaluate_batch_parallel(&doc, &batch, threads);
+            let par = evaluate_tree(&doc, doc.root(), &batch, threads);
             assert_eq!(par.stats, tree_batch.stats, "{}: aggregate ({threads}t)", domain.name);
             for (i, (name, _)) in irs.iter().enumerate() {
                 assert_eq!(par.results[i].answers, tree_batch.results[i].answers, "`{name}`");

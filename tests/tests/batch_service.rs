@@ -2,19 +2,21 @@
 //! end over the shared corpora (PR 2).
 //!
 //! The contract under test: for every query of the corpus, answering it as
-//! part of a [`smoqe_hype::evaluate_batch`] batch must produce **byte-
+//! part of a [`smoqe_hype::evaluate_tree`] batch must produce **byte-
 //! identical answer sets and identical per-query statistics** to a solo
-//! [`smoqe_hype::evaluate`] run, in both pruning modes — while the shared
+//! run, in both pruning modes — while the shared
 //! traversal performs no more physical node visits than the sequential sum.
 //! On top of that sits the [`smoqe::QueryService`], whose caches must be
 //! semantically invisible.
 
 use integration_tests::{oracle_answer, standard_hospital_document, view_query_corpus,
-    document_query_corpus};
+    document_query_corpus, compile_batch, hype_at};
 use smoqe::{EvaluationMode, QueryService, ServiceConfig, SmoqeEngine};
 use smoqe_automata::compile_query;
-use smoqe_hype::{evaluate_batch, BatchQuery, ReachabilityIndex};
+use smoqe_hype::interpreted::BatchQuery;
+use smoqe_hype::{evaluate_tree, BatchResult, ReachabilityIndex};
 use smoqe_xml::hospital::hospital_document_dtd;
+use smoqe_xml::XmlTree;
 use smoqe_xpath::parse_path;
 
 /// Compiles the whole view-query corpus against the σ₀ view.
@@ -25,6 +27,11 @@ fn compiled_view_corpus(engine: &SmoqeEngine) -> Vec<(String, smoqe::CompiledQue
         .collect()
 }
 
+/// The builder-MFA batch `queries`, compiled and walked in one pass.
+fn walk_batch(doc: &XmlTree, queries: &[BatchQuery]) -> BatchResult {
+    evaluate_tree(doc, doc.root(), &compile_batch(queries), 1)
+}
+
 #[test]
 fn batched_equals_sequential_on_the_view_corpus_hype_mode() {
     let doc = standard_hospital_document();
@@ -33,7 +40,7 @@ fn batched_equals_sequential_on_the_view_corpus_hype_mode() {
 
     let batch_queries: Vec<BatchQuery> =
         compiled.iter().map(|(_, c)| BatchQuery::new(c.mfa())).collect();
-    let batch = evaluate_batch(&doc, &batch_queries);
+    let batch = walk_batch(&doc, &batch_queries);
 
     let mut sequential_visits = 0;
     for (i, (query, c)) in compiled.iter().enumerate() {
@@ -79,9 +86,9 @@ fn batched_equals_sequential_on_the_view_corpus_opthype_mode() {
             .zip(&indexes)
             .map(|((_, c), i)| BatchQuery::with_index(c.mfa(), i))
             .collect();
-        let batch = evaluate_batch(&doc, &batch_queries);
+        let batch = walk_batch(&doc, &batch_queries);
         for (i, ((query, c), index)) in compiled.iter().zip(&indexes).enumerate() {
-            let solo = smoqe_hype::evaluate_with_index(&doc, c.mfa(), index);
+            let solo = hype_at(&doc, doc.root(), c.mfa(), Some(index));
             assert_eq!(
                 batch.results[i].answers, solo.answers,
                 "answers differ on `{query}` (compressed={compressed})"
@@ -110,8 +117,8 @@ fn batched_equals_sequential_on_the_document_corpus() {
         .collect();
 
     let plain_batch =
-        evaluate_batch(&doc, &mfas.iter().map(|(_, m)| BatchQuery::new(m)).collect::<Vec<_>>());
-    let indexed_batch = evaluate_batch(
+        walk_batch(&doc, &mfas.iter().map(|(_, m)| BatchQuery::new(m)).collect::<Vec<_>>());
+    let indexed_batch = walk_batch(
         &doc,
         &mfas
             .iter()
@@ -120,10 +127,10 @@ fn batched_equals_sequential_on_the_document_corpus() {
             .collect::<Vec<_>>(),
     );
     for (i, (query, mfa)) in mfas.iter().enumerate() {
-        let solo = smoqe_hype::evaluate(&doc, mfa);
+        let solo = hype_at(&doc, doc.root(), mfa, None);
         assert_eq!(plain_batch.results[i].answers, solo.answers, "on `{query}`");
         assert_eq!(plain_batch.results[i].stats, solo.stats, "on `{query}`");
-        let solo_opt = smoqe_hype::evaluate_with_index(&doc, mfa, &indexes[i]);
+        let solo_opt = hype_at(&doc, doc.root(), mfa, Some(&indexes[i]));
         assert_eq!(indexed_batch.results[i].answers, solo_opt.answers, "on `{query}` (opt)");
         assert_eq!(indexed_batch.results[i].stats, solo_opt.stats, "on `{query}` (opt)");
         // Batched answers are mode-independent too.
@@ -203,7 +210,7 @@ fn batch_sharing_factor_grows_with_overlapping_queries() {
         .iter()
         .map(|q| compile_query(&parse_path(q).unwrap()))
         .collect();
-    let batch = evaluate_batch(&doc, &mfas.iter().map(BatchQuery::new).collect::<Vec<_>>());
+    let batch = walk_batch(&doc, &mfas.iter().map(BatchQuery::new).collect::<Vec<_>>());
     let factor = batch.stats.sharing_factor();
     assert!(factor > 1.0, "overlapping queries must share visits (factor {factor})");
     assert!(factor <= queries.len() as f64 + 1e-9);

@@ -17,6 +17,7 @@ use smoqe_rewrite::{rewrite_to_mfa, rewrite_to_xreg};
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
 use smoqe_views::{hospital_view, materialize, ViewDefinition};
 use smoqe_xml::{Child, ContentModel, Dtd};
+use integration_tests::hype_at;
 use smoqe_xpath::{evaluate, parse_path};
 
 /// The incorrect translation the paper warns about: rewriting Example 1.1's
@@ -57,7 +58,7 @@ fn naive_descendant_translation_leaks_hidden_data() {
 
     // The MFA rewriting gives the correct (empty) answer.
     let mfa = rewrite_to_mfa(&q, &view).unwrap();
-    assert!(smoqe_hype::evaluate(&doc, &mfa).answers.is_empty());
+    assert!(hype_at(&doc, doc.root(), &mfa, None).answers.is_empty());
 }
 
 /// Theorem 3.2: the direct `Xreg` rewriting is equivalent to the query on

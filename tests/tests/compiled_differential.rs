@@ -6,13 +6,14 @@
 //! property test over randomly generated toxgene documents.
 
 use integration_tests::{
-    document_query_corpus, domain_corpus_mfas, standard_hospital_document, view_query_corpus,
+    compile_batch, document_query_corpus, domain_corpus_mfas, hype_at, standard_hospital_document,
+    stream_batch, view_query_corpus,
 };
 use proptest::prelude::*;
 use smoqe::SmoqeEngine;
 use smoqe_automata::{compile_query, Mfa};
-use smoqe_hype::{evaluate, evaluate_batch, evaluate_stream_batch, evaluate_with_index};
-use smoqe_hype::{interpreted, BatchQuery, ReachabilityIndex};
+use smoqe_hype::interpreted::{self, BatchQuery};
+use smoqe_hype::{evaluate_tree, ReachabilityIndex};
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{all_domains, generate_hospital, HospitalConfig};
 use smoqe_xml::hospital::hospital_document_dtd;
@@ -44,7 +45,7 @@ fn solo_compiled_matches_interpreted_on_both_corpora() {
     let dtd = hospital_document_dtd();
     for (name, mfa) in corpus_mfas() {
         let reference = interpreted::evaluate(&doc, &mfa);
-        let compiled = evaluate(&doc, &mfa);
+        let compiled = hype_at(&doc, doc.root(), &mfa, None);
         assert_eq!(compiled.answers, reference.answers, "answers differ on `{name}`");
         assert_eq!(compiled.stats, reference.stats, "stats differ on `{name}`");
 
@@ -56,7 +57,7 @@ fn solo_compiled_matches_interpreted_on_both_corpora() {
             };
             let reference =
                 interpreted::evaluate_at_with(&doc, doc.root(), &mfa, Some(&index));
-            let compiled = evaluate_with_index(&doc, &mfa, &index);
+            let compiled = hype_at(&doc, doc.root(), &mfa, Some(&index));
             assert_eq!(
                 compiled.answers, reference.answers,
                 "indexed answers differ on `{name}` (compressed={compressed})"
@@ -78,7 +79,7 @@ fn batched_compiled_matches_interpreted_per_query_and_in_aggregate() {
     // Plain batch over the full corpus in one pass.
     let queries: Vec<BatchQuery> = mfas.iter().map(|(_, m)| BatchQuery::new(m)).collect();
     let reference = interpreted::evaluate_batch(&doc, &queries);
-    let compiled = evaluate_batch(&doc, &queries);
+    let compiled = evaluate_tree(&doc, doc.root(), &compile_batch(&queries), 1);
     assert_eq!(compiled.stats, reference.stats, "aggregate batch stats differ");
     for (i, (name, _)) in mfas.iter().enumerate() {
         assert_eq!(
@@ -108,7 +109,7 @@ fn batched_compiled_matches_interpreted_per_query_and_in_aggregate() {
         })
         .collect();
     let reference = interpreted::evaluate_batch(&doc, &queries);
-    let compiled = evaluate_batch(&doc, &queries);
+    let compiled = evaluate_tree(&doc, doc.root(), &compile_batch(&queries), 1);
     assert_eq!(compiled.stats, reference.stats, "mixed batch stats differ");
     for (i, (name, _)) in mfas.iter().enumerate() {
         assert_eq!(
@@ -132,7 +133,7 @@ fn streamed_compiled_matches_interpreted_solo_and_batched() {
         let mut events = TreeEvents::new(&doc);
         let reference = interpreted::evaluate_stream_batch(&mut events, &queries).unwrap();
         let mut events = TreeEvents::new(&doc);
-        let compiled = evaluate_stream_batch(&mut events, &queries).unwrap();
+        let compiled = stream_batch(&mut events, &compile_batch(&queries)).unwrap();
         assert_eq!(compiled.stats, reference.stats, "stream stats differ on `{name}`");
         assert_eq!(
             compiled.results[0].answers, reference.results[0].answers,
@@ -148,7 +149,7 @@ fn streamed_compiled_matches_interpreted_solo_and_batched() {
     let mut events = TreeEvents::new(&doc);
     let reference = interpreted::evaluate_stream_batch(&mut events, &queries).unwrap();
     let mut events = TreeEvents::new(&doc);
-    let compiled = evaluate_stream_batch(&mut events, &queries).unwrap();
+    let compiled = stream_batch(&mut events, &compile_batch(&queries)).unwrap();
     assert_eq!(compiled.stats, reference.stats, "batched stream stats differ");
     for (i, (name, _)) in mfas.iter().enumerate() {
         assert_eq!(
@@ -175,7 +176,7 @@ fn every_domain_and_shape_compiled_matches_interpreted() {
             let doc = domain.generate(shape, 1, STANDARD_SEED);
             for (name, mfa) in &mfas {
                 let reference = interpreted::evaluate(&doc, mfa);
-                let compiled = evaluate(&doc, mfa);
+                let compiled = hype_at(&doc, doc.root(), mfa, None);
                 assert_eq!(
                     compiled.answers, reference.answers,
                     "answers differ on `{name}` ({shape:?})"
@@ -187,7 +188,7 @@ fn every_domain_and_shape_compiled_matches_interpreted() {
                         ReachabilityIndex::from_labels(mfa.labels(), &dtd, doc.labels(), compressed);
                     let reference =
                         interpreted::evaluate_at_with(&doc, doc.root(), mfa, Some(&index));
-                    let compiled = evaluate_with_index(&doc, mfa, &index);
+                    let compiled = hype_at(&doc, doc.root(), mfa, Some(&index));
                     assert_eq!(
                         compiled.answers, reference.answers,
                         "indexed answers differ on `{name}` ({shape:?}, compressed={compressed})"
@@ -201,7 +202,7 @@ fn every_domain_and_shape_compiled_matches_interpreted() {
 
             let queries: Vec<BatchQuery> = mfas.iter().map(|(_, m)| BatchQuery::new(m)).collect();
             let reference = interpreted::evaluate_batch(&doc, &queries);
-            let compiled = evaluate_batch(&doc, &queries);
+            let compiled = evaluate_tree(&doc, doc.root(), &compile_batch(&queries), 1);
             assert_eq!(
                 compiled.stats, reference.stats,
                 "{}/{shape:?}: aggregate batch stats differ",
@@ -232,7 +233,7 @@ fn compiled_matches_interpreted_from_every_context_node() {
     let mfa = compile_query(&parse_path("patient[visit]/pname | //diagnosis").unwrap());
     for ctx in doc.node_ids() {
         let reference = interpreted::evaluate_at_with(&doc, ctx, &mfa, None);
-        let compiled = smoqe_hype::evaluate_at(&doc, ctx, &mfa);
+        let compiled = hype_at(&doc, ctx, &mfa, None);
         assert_eq!(compiled.answers, reference.answers, "answers differ at {ctx:?}");
         assert_eq!(compiled.stats, reference.stats, "stats differ at {ctx:?}");
     }
@@ -287,7 +288,7 @@ proptest! {
             .collect();
         for (query, mfa) in PROBE_QUERIES.iter().zip(&mfas) {
             let reference = interpreted::evaluate(&doc, mfa);
-            let compiled = evaluate(&doc, mfa);
+            let compiled = hype_at(&doc, doc.root(), mfa, None);
             prop_assert!(
                 compiled.answers == reference.answers,
                 "answers differ on `{}`",
@@ -303,7 +304,7 @@ proptest! {
         }
         let queries: Vec<BatchQuery> = mfas.iter().map(BatchQuery::new).collect();
         let reference = interpreted::evaluate_batch(&doc, &queries);
-        let compiled = evaluate_batch(&doc, &queries);
+        let compiled = evaluate_tree(&doc, doc.root(), &compile_batch(&queries), 1);
         prop_assert_eq!(compiled.stats, reference.stats);
         for (i, query) in PROBE_QUERIES.iter().enumerate() {
             prop_assert!(

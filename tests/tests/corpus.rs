@@ -1,7 +1,7 @@
 //! Differential suite for the across-documents corpus axis (PR 6).
 //!
-//! The acceptance bar: [`evaluate_corpus_parallel`] must be
-//! **bit-identical** to the sequential loop — same answer sets, same
+//! The acceptance bar: [`evaluate_corpus`] must be **bit-identical** to a
+//! loop of solo tree evaluations — same answer sets, same
 //! per-pair [`HypeStats`](smoqe_hype::HypeStats) — at thread budgets
 //! {1, 2, 8}, at both layers (raw `smoqe_hype` engines over compiled MFAs,
 //! and the `QueryService` front-ends over a [`DocumentStore`]), in all
@@ -12,12 +12,12 @@
 use std::sync::Arc;
 
 use integration_tests::{
-    document_query_corpus, domain_corpus_irs, oracle_answer, standard_hospital_document,
+    document_query_corpus, domain_corpus_irs, oracle_answer, run_ir, standard_hospital_document,
 };
 
 use smoqe::{DocumentStore, EvaluationMode, QueryService, ServiceConfig, SmoqeEngine};
 use smoqe_automata::compile_query;
-use smoqe_hype::{evaluate_corpus, evaluate_corpus_parallel, CompiledMfa, CorpusTask, ReachabilityIndex};
+use smoqe_hype::{evaluate_corpus, CompiledMfa, CorpusTask, HypeResult, ReachabilityIndex};
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{all_domains, generate_hospital, DocShape, HospitalConfig};
 use smoqe_xml::hospital::hospital_document_dtd;
@@ -40,6 +40,14 @@ fn corpus_documents() -> Vec<XmlTree> {
     docs
 }
 
+/// The reference loop: every task evaluated alone, in order.
+fn one_by_one(tasks: &[CorpusTask]) -> Vec<HypeResult> {
+    tasks
+        .iter()
+        .map(|t| run_ir(t.tree, t.tree.root(), &t.compiled, t.index, 1))
+        .collect()
+}
+
 #[test]
 fn hype_corpus_parallel_is_bit_identical_to_sequential() {
     let docs = corpus_documents();
@@ -58,10 +66,10 @@ fn hype_corpus_parallel_is_bit_identical_to_sequential() {
                 .map(move |c| CorpusTask::new(doc, Arc::clone(c)))
         })
         .collect();
-    let sequential = evaluate_corpus(&tasks);
+    let sequential = one_by_one(&tasks);
     assert_eq!(sequential.len(), docs.len() * queries.len());
     for threads in THREAD_BUDGETS {
-        let parallel = evaluate_corpus_parallel(&tasks, threads);
+        let parallel = evaluate_corpus(&tasks, threads);
         assert_eq!(parallel, sequential, "unindexed corpus at {threads} threads");
     }
 }
@@ -96,9 +104,9 @@ fn hype_corpus_parallel_is_bit_identical_with_reachability_indexes() {
         }
     }
 
-    let sequential = evaluate_corpus(&tasks);
+    let sequential = one_by_one(&tasks);
     for threads in THREAD_BUDGETS {
-        let parallel = evaluate_corpus_parallel(&tasks, threads);
+        let parallel = evaluate_corpus(&tasks, threads);
         assert_eq!(parallel, sequential, "indexed corpus at {threads} threads");
     }
 }
@@ -163,10 +171,10 @@ fn corpus_parallel_is_bit_identical_across_all_domains() {
             .iter()
             .flat_map(|doc| irs.iter().map(move |(_, c)| CorpusTask::new(doc, Arc::clone(c))))
             .collect();
-        let sequential = evaluate_corpus(&tasks);
+        let sequential = one_by_one(&tasks);
         assert_eq!(sequential.len(), docs.len() * irs.len());
         for threads in THREAD_BUDGETS {
-            let parallel = evaluate_corpus_parallel(&tasks, threads);
+            let parallel = evaluate_corpus(&tasks, threads);
             assert_eq!(
                 parallel, sequential,
                 "{}: corpus at {threads} threads",

@@ -11,7 +11,8 @@
 use std::sync::Arc;
 
 use smoqe_automata::compile_query;
-use smoqe_hype::{evaluate, evaluate_parallel, evaluate_stream, interpreted};
+use integration_tests::{hype_at, run_ir, stream_solo};
+use smoqe_hype::interpreted;
 use smoqe_toxgene::{generate_deep_bom, generate_deep_hospital};
 use smoqe_xml::stream::TreeEvents;
 use smoqe_xml::{parse_document, to_xml_string};
@@ -38,7 +39,7 @@ fn deep_hospital_chain_survives_every_engine() {
 
         let mfa = compile_query(&path);
         // Compiled tree walk (iterative `walk`).
-        let compiled = evaluate(&doc, &mfa);
+        let compiled = hype_at(&doc, doc.root(), &mfa, None);
         assert_eq!(compiled.answers, oracle, "compiled differs on `{query}`");
 
         // Interpreted oracle (iterative `BatchEngine::visit`).
@@ -48,14 +49,14 @@ fn deep_hospital_chain_survives_every_engine() {
 
         // Streaming evaluator (explicit frame stack, O(depth) frames).
         let mut events = TreeEvents::new(&doc);
-        let (streamed, stream_stats) = evaluate_stream(&mut events, &mfa).unwrap();
+        let (streamed, stream_stats) = stream_solo(&mut events, &mfa).unwrap();
         assert_eq!(streamed.answers, oracle, "streamed differs on `{query}`");
         assert!(stream_stats.peak_frames <= doc.max_depth() + 1);
 
         // Parallel scheduler at every budget the acceptance bar names.
         let shared = Arc::new(smoqe_automata::CompiledMfa::new(&mfa));
         for threads in [1usize, 2, 8] {
-            let par = evaluate_parallel(&doc, &shared, threads);
+            let par = run_ir(&doc, doc.root(), &shared, None, threads);
             assert_eq!(par.answers, oracle, "parallel({threads}) differs on `{query}`");
         }
     }
@@ -86,11 +87,11 @@ fn deep_bom_chain_agrees_across_engines() {
     assert!(!oracle.is_empty(), "deep BoM has domestic parts");
 
     let mfa = compile_query(&path);
-    let compiled = evaluate(&doc, &mfa);
+    let compiled = hype_at(&doc, doc.root(), &mfa, None);
     assert_eq!(compiled.answers, oracle);
 
     let mut events = TreeEvents::new(&doc);
-    let (streamed, _) = evaluate_stream(&mut events, &mfa).unwrap();
+    let (streamed, _) = stream_solo(&mut events, &mfa).unwrap();
     assert_eq!(streamed.answers, oracle);
 }
 

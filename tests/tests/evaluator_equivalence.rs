@@ -3,10 +3,10 @@
 //! OptHyPE, OptHyPE-C and the two-pass baseline must all return the same
 //! answer for every query in the corpus.
 
-use integration_tests::{document_query_corpus, standard_hospital_document};
+use integration_tests::{document_query_corpus, hype_at, standard_hospital_document};
 use smoqe_automata::{compile_query, evaluate_mfa};
 use smoqe_baseline::{evaluate_by_translation, evaluate_two_pass};
-use smoqe_hype::{evaluate, evaluate_with_index, ReachabilityIndex};
+use smoqe_hype::ReachabilityIndex;
 use smoqe_xml::hospital::hospital_document_dtd;
 use smoqe_xpath::parse_path;
 
@@ -22,15 +22,15 @@ fn all_evaluators_agree_on_the_document_corpus() {
         let naive = evaluate_mfa(&doc, &mfa);
         assert_eq!(naive, reference, "naive MFA differs on `{query}`");
 
-        let hype = evaluate(&doc, &mfa);
+        let hype = hype_at(&doc, doc.root(), &mfa, None);
         assert_eq!(hype.answers, reference, "HyPE differs on `{query}`");
 
         let index = ReachabilityIndex::new(&mfa, &dtd, doc.labels());
-        let opt = evaluate_with_index(&doc, &mfa, &index);
+        let opt = hype_at(&doc, doc.root(), &mfa, Some(&index));
         assert_eq!(opt.answers, reference, "OptHyPE differs on `{query}`");
 
         let cindex = ReachabilityIndex::new_compressed(&mfa, &dtd, doc.labels());
-        let optc = evaluate_with_index(&doc, &mfa, &cindex);
+        let optc = hype_at(&doc, doc.root(), &mfa, Some(&cindex));
         assert_eq!(optc.answers, reference, "OptHyPE-C differs on `{query}`");
 
         let (two_pass, stats) = evaluate_two_pass(&doc, &q);
@@ -55,9 +55,9 @@ fn hype_prunes_substantially_on_the_document_corpus() {
     for query in document_query_corpus() {
         let q = parse_path(query).unwrap();
         let mfa = compile_query(&q);
-        let hype = evaluate(&doc, &mfa);
+        let hype = hype_at(&doc, doc.root(), &mfa, None);
         let index = ReachabilityIndex::new(&mfa, &dtd, doc.labels());
-        let opt = evaluate_with_index(&doc, &mfa, &index);
+        let opt = hype_at(&doc, doc.root(), &mfa, Some(&index));
         assert!(
             opt.stats.nodes_visited <= hype.stats.nodes_visited,
             "OptHyPE visited more nodes on `{query}`"
@@ -86,7 +86,7 @@ fn evaluators_agree_from_arbitrary_context_nodes() {
         let mfa = compile_query(&q);
         for ctx in doc.node_ids().step_by(step) {
             let reference = smoqe_xpath::evaluate(&doc, ctx, &q);
-            let hype = smoqe_hype::evaluate_at(&doc, ctx, &mfa);
+            let hype = hype_at(&doc, ctx, &mfa, None);
             assert_eq!(hype.answers, reference, "context {ctx:?} on `{query}`");
         }
     }

@@ -18,8 +18,7 @@ use integration_tests::domain_corpus_irs;
 use proptest::prelude::*;
 use smoqe_automata::{compile_query, CompiledMfa};
 use smoqe_hype::{
-    evaluate_batch_parallel_at, BatchResult, CompiledBatchQuery, IncrementalEvaluator,
-    IncrementalQuery,
+    evaluate_tree, BatchResult, CompiledBatchQuery, IncrementalEvaluator, IncrementalQuery,
 };
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{
@@ -80,7 +79,7 @@ fn assert_matches_scratch(
         .iter()
         .map(|q| CompiledBatchQuery::new(Arc::clone(&q.compiled)))
         .collect();
-    let want = evaluate_batch_parallel_at(tree, context, &scratch, 1);
+    let want = evaluate_tree(tree, context, &scratch, 1);
     assert_eq!(got.stats, want.stats, "aggregate BatchStats ({label})");
     for (i, (g, w)) in got.results.iter().zip(&want.results).enumerate() {
         assert_eq!(
@@ -282,7 +281,7 @@ fn random_scripts_on_every_domain_stay_bit_identical() {
                     .apply_edits(&mut tree, &ops, threads)
                     .expect("generated scripts never touch the root-context invariants");
                 tree.check_consistency().unwrap();
-                let want = evaluate_batch_parallel_at(&tree, eval.context(), &scratch, 1);
+                let want = evaluate_tree(&tree, eval.context(), &scratch, 1);
                 assert_eq!(
                     result.stats, want.stats,
                     "{}: aggregate stats differ at step {step} ({threads}t)",
@@ -378,7 +377,7 @@ fn replacing_the_entire_context_subtree_reroots_the_evaluator() {
             .iter()
             .map(|q| CompiledBatchQuery::new(Arc::clone(&q.compiled)))
             .collect();
-        let want = evaluate_batch_parallel_at(&tree, eval.context(), &scratch, 1);
+        let want = evaluate_tree(&tree, eval.context(), &scratch, 1);
         assert_eq!(result.stats, want.stats, "@{threads}t");
         for (g, w) in result.results.iter().zip(&want.results) {
             assert_eq!(g.answers, w.answers);
@@ -514,7 +513,7 @@ proptest! {
                     .iter()
                     .map(|q| CompiledBatchQuery::new(Arc::clone(&q.compiled)))
                     .collect();
-                let want = evaluate_batch_parallel_at(&tree, eval.context(), &scratch, 1);
+                let want = evaluate_tree(&tree, eval.context(), &scratch, 1);
                 prop_assert!(
                     result.stats == want.stats,
                     "aggregate stats differ at step {} ({} threads)",

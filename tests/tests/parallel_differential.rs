@@ -12,25 +12,22 @@
 use std::sync::Arc;
 
 use integration_tests::{
-    document_query_corpus, domain_corpus_irs, standard_hospital_document, view_query_corpus,
+    document_query_corpus, domain_corpus_irs, run_ir, standard_hospital_document,
+    view_query_corpus,
 };
 use proptest::prelude::*;
 use smoqe::SmoqeEngine;
 use smoqe_automata::{compile_query, CompiledMfa};
-use smoqe_hype::{
-    evaluate_batch_compiled, evaluate_batch_parallel, evaluate_batch_parallel_at,
-    evaluate_compiled, evaluate_compiled_at_with, evaluate_parallel, evaluate_parallel_at_with,
-    CompiledBatchQuery, ReachabilityIndex,
-};
+use smoqe_hype::{evaluate_tree, CompiledBatchQuery, ReachabilityIndex};
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{all_domains, generate_hospital, HospitalConfig};
 use smoqe_xml::hospital::hospital_document_dtd;
 use smoqe_xml::{XmlTree, XmlTreeBuilder};
 use smoqe_xpath::parse_path;
 
-/// The thread budgets under test: the degenerate budget (sequential
-/// execution *through* the shard split/merge machinery), a small pool, and
-/// a pool larger than most documents' top-level subtree counts.
+/// The thread budgets under test: the sequential walk, the smallest pool
+/// (which already runs the planner, spines and grafting), and a pool larger
+/// than most documents' top-level subtree counts.
 const BUDGETS: &[usize] = &[1, 2, 8];
 
 /// Both corpora as compiled execution IRs over the hospital *document*: the
@@ -54,9 +51,9 @@ fn corpus_irs() -> Vec<(String, Arc<CompiledMfa>)> {
 fn solo_parallel_matches_sequential_on_both_corpora() {
     let doc = standard_hospital_document();
     for (name, ir) in corpus_irs() {
-        let sequential = evaluate_compiled(&doc, &ir);
+        let sequential = run_ir(&doc, doc.root(), &ir, None, 1);
         for &threads in BUDGETS {
-            let parallel = evaluate_parallel(&doc, &ir, threads);
+            let parallel = run_ir(&doc, doc.root(), &ir, None, threads);
             assert_eq!(
                 parallel.answers, sequential.answers,
                 "answers differ on `{name}` at {threads} thread(s)"
@@ -76,10 +73,10 @@ fn solo_parallel_matches_sequential_with_indexes() {
     for (name, ir) in corpus_irs() {
         for compressed in [false, true] {
             let index = ReachabilityIndex::for_compiled(&ir, &dtd, doc.labels(), compressed);
-            let sequential = evaluate_compiled_at_with(&doc, doc.root(), &ir, Some(&index));
+            let sequential = run_ir(&doc, doc.root(), &ir, Some(&index), 1);
             for &threads in BUDGETS {
                 let parallel =
-                    evaluate_parallel_at_with(&doc, doc.root(), &ir, Some(&index), threads);
+                    run_ir(&doc, doc.root(), &ir, Some(&index), threads);
                 assert_eq!(
                     parallel.answers, sequential.answers,
                     "indexed answers differ on `{name}` (compressed={compressed}, {threads}t)"
@@ -104,9 +101,9 @@ fn batched_parallel_matches_sequential_per_query_and_in_aggregate() {
         .iter()
         .map(|(_, ir)| CompiledBatchQuery::new(Arc::clone(ir)))
         .collect();
-    let sequential = evaluate_batch_compiled(&doc, &queries);
+    let sequential = evaluate_tree(&doc, doc.root(), &queries, 1);
     for &threads in BUDGETS {
-        let parallel = evaluate_batch_parallel(&doc, &queries, threads);
+        let parallel = evaluate_tree(&doc, doc.root(), &queries, threads);
         assert_eq!(
             parallel.stats, sequential.stats,
             "aggregate batch stats differ at {threads} thread(s)"
@@ -140,9 +137,9 @@ fn batched_parallel_matches_sequential_per_query_and_in_aggregate() {
             None => CompiledBatchQuery::new(Arc::clone(ir)),
         })
         .collect();
-    let sequential = evaluate_batch_compiled(&doc, &queries);
+    let sequential = evaluate_tree(&doc, doc.root(), &queries, 1);
     for &threads in BUDGETS {
-        let parallel = evaluate_batch_parallel(&doc, &queries, threads);
+        let parallel = evaluate_tree(&doc, doc.root(), &queries, threads);
         assert_eq!(parallel.stats, sequential.stats, "mixed @{threads}t");
         for (i, (name, _)) in irs.iter().enumerate() {
             assert_eq!(
@@ -169,9 +166,9 @@ fn every_domain_and_shape_parallel_matches_sequential() {
         for &shape in domain.shapes {
             let doc = domain.generate(shape, 1, STANDARD_SEED);
             for (name, ir) in &irs {
-                let sequential = evaluate_compiled(&doc, ir);
+                let sequential = run_ir(&doc, doc.root(), ir, None, 1);
                 for &threads in BUDGETS {
-                    let parallel = evaluate_parallel(&doc, ir, threads);
+                    let parallel = run_ir(&doc, doc.root(), ir, None, threads);
                     assert_eq!(
                         parallel.answers, sequential.answers,
                         "answers differ on `{name}` ({shape:?}, {threads}t)"
@@ -187,9 +184,9 @@ fn every_domain_and_shape_parallel_matches_sequential() {
                 .iter()
                 .map(|(_, ir)| CompiledBatchQuery::new(Arc::clone(ir)))
                 .collect();
-            let sequential = evaluate_batch_compiled(&doc, &queries);
+            let sequential = evaluate_tree(&doc, doc.root(), &queries, 1);
             for &threads in BUDGETS {
-                let parallel = evaluate_batch_parallel(&doc, &queries, threads);
+                let parallel = evaluate_tree(&doc, doc.root(), &queries, threads);
                 assert_eq!(
                     parallel.stats, sequential.stats,
                     "{}/{shape:?}: aggregate batch stats differ at {threads}t",
@@ -227,9 +224,9 @@ fn parallel_matches_sequential_from_every_context_node() {
     for query in probes {
         let ir = Arc::new(CompiledMfa::new(&compile_query(&parse_path(query).unwrap())));
         for ctx in doc.node_ids() {
-            let sequential = evaluate_compiled_at_with(&doc, ctx, &ir, None);
+            let sequential = run_ir(&doc, ctx, &ir, None, 1);
             for &threads in BUDGETS {
-                let parallel = evaluate_parallel_at_with(&doc, ctx, &ir, None, threads);
+                let parallel = run_ir(&doc, ctx, &ir, None, threads);
                 assert_eq!(
                     parallel.answers, sequential.answers,
                     "answers differ on `{query}` at {ctx:?} ({threads}t)"
@@ -254,9 +251,9 @@ fn single_node_document_has_nothing_to_shard() {
     let doc = b.finish();
     for query in ["hospital", "patient", "//diagnosis", "."] {
         let ir = Arc::new(CompiledMfa::new(&compile_query(&parse_path(query).unwrap())));
-        let sequential = evaluate_compiled(&doc, &ir);
+        let sequential = run_ir(&doc, doc.root(), &ir, None, 1);
         for &threads in BUDGETS {
-            let parallel = evaluate_parallel(&doc, &ir, threads);
+            let parallel = run_ir(&doc, doc.root(), &ir, None, threads);
             assert_eq!(parallel.answers, sequential.answers, "`{query}` ({threads}t)");
             assert_eq!(parallel.stats, sequential.stats, "`{query}` ({threads}t)");
         }
@@ -273,9 +270,9 @@ fn depth_one_document_shards_into_leaf_subtrees() {
     let doc = b.finish();
     for query in ["patient", "patient[text()='p7']", "doctor"] {
         let ir = Arc::new(CompiledMfa::new(&compile_query(&parse_path(query).unwrap())));
-        let sequential = evaluate_compiled(&doc, &ir);
+        let sequential = run_ir(&doc, doc.root(), &ir, None, 1);
         for &threads in BUDGETS {
-            let parallel = evaluate_parallel(&doc, &ir, threads);
+            let parallel = run_ir(&doc, doc.root(), &ir, None, threads);
             assert_eq!(parallel.answers, sequential.answers, "`{query}` ({threads}t)");
             assert_eq!(parallel.stats, sequential.stats, "`{query}` ({threads}t)");
         }
@@ -299,9 +296,9 @@ fn fewer_subtrees_than_threads_caps_the_worker_pool() {
     let ir = Arc::new(CompiledMfa::new(
         &compile_query(&parse_path("department/patient/pname").unwrap()),
     ));
-    let sequential = evaluate_compiled(&doc, &ir);
+    let sequential = run_ir(&doc, doc.root(), &ir, None, 1);
     for threads in [3, 8, 64] {
-        let parallel = evaluate_parallel(&doc, &ir, threads);
+        let parallel = run_ir(&doc, doc.root(), &ir, None, threads);
         assert_eq!(parallel.answers, sequential.answers, "@{threads}t");
         assert_eq!(parallel.stats, sequential.stats, "@{threads}t");
     }
@@ -313,7 +310,7 @@ fn answers_come_back_in_preorder_index_order() {
     // though shards finish in arbitrary order.
     let doc = standard_hospital_document();
     let ir = Arc::new(CompiledMfa::new(&compile_query(&parse_path("//diagnosis").unwrap())));
-    let parallel = evaluate_parallel(&doc, &ir, 8);
+    let parallel = run_ir(&doc, doc.root(), &ir, None, 8);
     assert!(!parallel.answers.is_empty());
     let ids: Vec<_> = parallel.answers.iter().copied().collect();
     let mut sorted = ids.clone();
@@ -370,9 +367,9 @@ proptest! {
             .map(|q| Arc::new(CompiledMfa::new(&compile_query(&parse_path(q).unwrap()))))
             .collect();
         for (query, ir) in PROBE_QUERIES.iter().zip(&irs) {
-            let sequential = evaluate_compiled(&doc, ir);
+            let sequential = run_ir(&doc, doc.root(), ir, None, 1);
             for &threads in BUDGETS {
-                let parallel = evaluate_parallel(&doc, ir, threads);
+                let parallel = run_ir(&doc, doc.root(), ir, None, threads);
                 prop_assert!(
                     parallel.answers == sequential.answers,
                     "answers differ on `{}` at {} thread(s)",
@@ -393,9 +390,9 @@ proptest! {
             .iter()
             .map(|ir| CompiledBatchQuery::new(Arc::clone(ir)))
             .collect();
-        let sequential = evaluate_batch_compiled(&doc, &queries);
+        let sequential = evaluate_tree(&doc, doc.root(), &queries, 1);
         for &threads in BUDGETS {
-            let parallel = evaluate_batch_parallel_at(&doc, doc.root(), &queries, threads);
+            let parallel = evaluate_tree(&doc, doc.root(), &queries, threads);
             prop_assert_eq!(&parallel.stats, &sequential.stats);
             for (i, query) in PROBE_QUERIES.iter().enumerate() {
                 prop_assert!(

@@ -7,10 +7,9 @@
 
 use std::sync::Arc;
 
-use integration_tests::{standard_hospital_document, view_query_corpus};
+use integration_tests::{hype_at, run_ir, standard_hospital_document, view_query_corpus};
 use smoqe::{CompiledQuery, RegularXPathEngine, SmoqeEngine};
 use smoqe_automata::{compile_query, optimize_mfa, CompiledMfa, Mfa};
-use smoqe_hype::{evaluate, evaluate_compiled};
 use smoqe_rewrite::rewrite_to_mfa;
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{all_domains, domain, Domain};
@@ -58,8 +57,12 @@ fn normalisation_does_not_change_view_query_answers() {
         let parsed = parse_path(query).unwrap();
         let normalised = normalize(&parsed);
         assert!(normalised.size() <= parsed.size());
-        let original = evaluate(&doc, &rewrite_to_mfa(&parsed, &view).unwrap()).answers;
-        let simplified = evaluate(&doc, &rewrite_to_mfa(&normalised, &view).unwrap()).answers;
+        let answers = |query| {
+            let mfa = rewrite_to_mfa(query, &view).unwrap();
+            hype_at(&doc, doc.root(), &mfa, None).answers
+        };
+        let original = answers(&parsed);
+        let simplified = answers(&normalised);
         assert_eq!(original, simplified, "normalisation changed `{query}`");
     }
 }
@@ -90,8 +93,8 @@ fn optimizer_preserves_rewritten_mfa_answers_and_shrinks_them() {
             let trimmed = Arc::new(CompiledMfa::new(&optimized));
             for (shape, doc) in &docs {
                 assert_eq!(
-                    evaluate_compiled(doc, &raw).answers,
-                    evaluate_compiled(doc, &trimmed).answers,
+                    run_ir(doc, doc.root(), &raw, None, 1).answers,
+                    run_ir(doc, doc.root(), &trimmed, None, 1).answers,
                     "optimization changed `{name}` on the {shape:?} document"
                 );
             }
@@ -166,7 +169,7 @@ fn optimizer_preserves_direct_query_answers() {
         let reference = reference_evaluate(&doc, doc.root(), &parsed);
         let mfa = compile_query(&parsed);
         let (optimized, _) = optimize_mfa(&mfa);
-        assert_eq!(evaluate(&doc, &optimized).answers, reference, "`{query}`");
+        assert_eq!(hype_at(&doc, doc.root(), &optimized, None).answers, reference, "`{query}`");
     }
 }
 
@@ -180,12 +183,13 @@ fn combined_passes_compose() {
         "((patient/parent)*)*/patient[record and record]",
     ] {
         let parsed = parse_path(query).unwrap();
-        let baseline = evaluate(&doc, &rewrite_to_mfa(&parsed, &view).unwrap()).answers;
+        let mfa = rewrite_to_mfa(&parsed, &view).unwrap();
+        let baseline = hype_at(&doc, doc.root(), &mfa, None).answers;
         let tuned = {
             let normalised = normalize(&parsed);
             let mfa = rewrite_to_mfa(&normalised, &view).unwrap();
             let (optimized, _) = optimize_mfa(&mfa);
-            evaluate(&doc, &optimized).answers
+            hype_at(&doc, doc.root(), &optimized, None).answers
         };
         assert_eq!(baseline, tuned, "pipeline passes changed `{query}`");
     }

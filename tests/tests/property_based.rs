@@ -19,6 +19,7 @@ use smoqe_rewrite::rewrite_to_mfa;
 use smoqe_toxgene::{generate_from_dtd, generate_hospital, DtdGenConfig, HospitalConfig};
 use smoqe_views::{hospital_view, materialize};
 use smoqe_xml::hospital::{hospital_document_dtd, hospital_view_dtd};
+use integration_tests::hype_at;
 use smoqe_xpath::{evaluate, parse_path, Path, Pred};
 
 // ---------------------------------------------------------------------------
@@ -90,10 +91,10 @@ proptest! {
         let reference = evaluate(&doc, doc.root(), &query);
         let mfa = compile_query(&query);
         prop_assert_eq!(&evaluate_mfa(&doc, &mfa), &reference);
-        let hype = smoqe_hype::evaluate(&doc, &mfa);
+        let hype = hype_at(&doc, doc.root(), &mfa, None);
         prop_assert_eq!(&hype.answers, &reference);
         let index = smoqe_hype::ReachabilityIndex::new(&mfa, &dtd, doc.labels());
-        let opt = smoqe_hype::evaluate_with_index(&doc, &mfa, &index);
+        let opt = hype_at(&doc, doc.root(), &mfa, Some(&index));
         prop_assert_eq!(&opt.answers, &reference);
     }
 
@@ -120,7 +121,7 @@ proptest! {
         let expected = materialized.origins_of(&on_view);
 
         let mfa = rewrite_to_mfa(&query, &view).unwrap();
-        let got = smoqe_hype::evaluate(&doc, &mfa);
+        let got = hype_at(&doc, doc.root(), &mfa, None);
         prop_assert_eq!(got.answers, expected);
     }
 

@@ -9,11 +9,10 @@
 //! single byte, wrong magic, unknown versions — must come back as a typed
 //! [`SnapshotError`], never a panic and never a silently wrong tree.
 
-use integration_tests::{document_query_corpus, standard_hospital_document};
+use integration_tests::{document_query_corpus, hype_at, standard_hospital_document};
 use proptest::prelude::*;
 
 use smoqe_automata::compile_query;
-use smoqe_hype::evaluate;
 use smoqe_toxgene::{generate_from_dtd, generate_hospital, DtdGenConfig, HospitalConfig};
 use smoqe_xml::hospital::hospital_view_dtd;
 use smoqe_xml::snapshot::{self, SnapshotError, FORMAT_VERSION, HEADER_LEN, MAGIC};
@@ -67,8 +66,8 @@ fn the_standard_document_round_trips_with_identical_answers_and_stats() {
     // answer sets and HypeStats on the loaded arena — no re-mapping.
     for query in document_query_corpus() {
         let mfa = compile_query(&parse_path(query).unwrap());
-        let original = evaluate(&doc, &mfa);
-        let reloaded = evaluate(&loaded, &mfa);
+        let original = hype_at(&doc, doc.root(), &mfa, None);
+        let reloaded = hype_at(&loaded, loaded.root(), &mfa, None);
         assert_eq!(original.answers, reloaded.answers, "answers differ on `{query}`");
         assert_eq!(original.stats, reloaded.stats, "stats differ on `{query}`");
     }

@@ -11,16 +11,18 @@
 //! for arbitrary generated documents (parser/serializer/stream agreement),
 //! and evaluation uses O(depth) frames and **zero** arena-node allocations.
 
+use std::sync::Arc;
+
 use integration_tests::{
-    document_query_corpus, domain_corpus_mfas, standard_hospital_document, view_query_corpus,
+    compile_batch, document_query_corpus, domain_corpus_mfas, hype_at, standard_hospital_document,
+    stream_batch, stream_solo, view_query_corpus,
 };
 use proptest::prelude::*;
 
 use smoqe::SmoqeEngine;
 use smoqe_automata::compile_query;
-use smoqe_hype::{
-    evaluate, evaluate_batch, evaluate_stream, evaluate_stream_batch, BatchQuery, StreamHype,
-};
+use smoqe_hype::interpreted::BatchQuery;
+use smoqe_hype::{evaluate_tree, CompiledBatchQuery, StreamHype};
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{all_domains, generate_from_dtd, generate_hospital, DtdGenConfig, HospitalConfig};
 use smoqe_xml::hospital::{hospital_document_dtd, hospital_view_dtd};
@@ -57,21 +59,21 @@ fn streaming_matches_the_tree_engine_on_the_document_corpus_solo() {
     let xml = to_xml_string(&doc);
     for query in document_query_corpus() {
         let mfa = compile_query(&parse_path(query).unwrap());
-        let on_tree = evaluate(&doc, &mfa);
+        let on_tree = hype_at(&doc, doc.root(), &mfa, None);
         let expected = to_preorder(&on_tree.answers, &pre);
 
         // Source 1: replaying the tree as events.
         let mut events = TreeEvents::new(&doc);
-        let (replayed, _) = evaluate_stream(&mut events, &mfa).unwrap();
+        let (replayed, _) = stream_solo(&mut events, &mfa).unwrap();
         assert_eq!(replayed.answers, expected, "replay answers differ on `{query}`");
         assert_eq!(replayed.stats, on_tree.stats, "replay stats differ on `{query}`");
 
         // Source 2: incrementally parsing the serialized document. The
         // parser assigns pre-order ids, so they line up with the stream's.
         let reparsed = parse_document(&xml).unwrap();
-        let on_reparsed = evaluate(&reparsed, &mfa);
+        let on_reparsed = hype_at(&reparsed, reparsed.root(), &mfa, None);
         let mut reader = XmlStreamReader::new(xml.as_bytes());
-        let (streamed, stream_stats) = evaluate_stream(&mut reader, &mfa).unwrap();
+        let (streamed, stream_stats) = stream_solo(&mut reader, &mfa).unwrap();
         assert_eq!(streamed.answers, on_reparsed.answers, "stream answers differ on `{query}`");
         assert_eq!(streamed.stats, on_reparsed.stats, "stream stats differ on `{query}`");
         assert_eq!(stream_stats.nodes_total, doc.len());
@@ -88,11 +90,11 @@ fn streaming_matches_the_tree_engine_on_the_document_corpus_batched() {
         .iter()
         .map(|q| compile_query(&parse_path(q).unwrap()))
         .collect();
-    let batch_queries: Vec<BatchQuery> = mfas.iter().map(BatchQuery::new).collect();
-    let tree_batch = evaluate_batch(&doc, &batch_queries);
+    let batch_queries = compile_batch(&mfas.iter().map(BatchQuery::new).collect::<Vec<_>>());
+    let tree_batch = evaluate_tree(&doc, doc.root(), &batch_queries, 1);
 
     let mut events = TreeEvents::new(&doc);
-    let streamed = evaluate_stream_batch(&mut events, &batch_queries).unwrap();
+    let streamed = stream_batch(&mut events, &batch_queries).unwrap();
     assert_eq!(streamed.results.len(), queries.len());
     for (i, query) in queries.iter().enumerate() {
         let expected = to_preorder(&tree_batch.results[i].answers, &pre);
@@ -126,7 +128,7 @@ fn streaming_matches_the_rewritten_view_corpus_solo_and_batched() {
     for (query, c) in queries.iter().zip(&compiled) {
         let on_tree = c.evaluate(&doc);
         let mut events = TreeEvents::new(&doc);
-        let (streamed, _) = evaluate_stream(&mut events, c.mfa()).unwrap();
+        let (streamed, _) = stream_solo(&mut events, c.mfa()).unwrap();
         assert_eq!(
             streamed.answers,
             to_preorder(&on_tree.answers, &pre),
@@ -136,10 +138,13 @@ fn streaming_matches_the_rewritten_view_corpus_solo_and_batched() {
     }
 
     // The whole corpus as one batch.
-    let batch_queries: Vec<BatchQuery> = compiled.iter().map(|c| BatchQuery::new(c.mfa())).collect();
-    let tree_batch = evaluate_batch(&doc, &batch_queries);
+    let batch_queries: Vec<CompiledBatchQuery> = compiled
+        .iter()
+        .map(|c| CompiledBatchQuery::new(Arc::clone(c.compiled())))
+        .collect();
+    let tree_batch = evaluate_tree(&doc, doc.root(), &batch_queries, 1);
     let mut events = TreeEvents::new(&doc);
-    let streamed = evaluate_stream_batch(&mut events, &batch_queries).unwrap();
+    let streamed = stream_batch(&mut events, &batch_queries).unwrap();
     for (i, query) in queries.iter().enumerate() {
         assert_eq!(
             streamed.results[i].answers,
@@ -162,18 +167,19 @@ fn every_domain_and_shape_streams_identically_to_the_tree_engine() {
     // and the two sources must agree with each other bit for bit.
     for domain in all_domains() {
         let mfas = domain_corpus_mfas(&domain);
-        let batch_queries: Vec<BatchQuery> = mfas.iter().map(|(_, m)| BatchQuery::new(m)).collect();
+        let batch_queries =
+            compile_batch(&mfas.iter().map(|(_, m)| BatchQuery::new(m)).collect::<Vec<_>>());
         for &shape in domain.shapes {
             let doc = domain.generate(shape, 1, STANDARD_SEED);
             let pre = preorder_ids(&doc);
-            let tree_batch = evaluate_batch(&doc, &batch_queries);
+            let tree_batch = evaluate_tree(&doc, doc.root(), &batch_queries, 1);
 
             let mut events = TreeEvents::new(&doc);
-            let replayed = evaluate_stream_batch(&mut events, &batch_queries).unwrap();
+            let replayed = stream_batch(&mut events, &batch_queries).unwrap();
 
             let xml = to_xml_string(&doc);
             let mut reader = XmlStreamReader::new(xml.as_bytes());
-            let streamed = evaluate_stream_batch(&mut reader, &batch_queries).unwrap();
+            let streamed = stream_batch(&mut reader, &batch_queries).unwrap();
 
             assert_eq!(
                 replayed.stats, streamed.stats,
@@ -215,10 +221,10 @@ fn indexed_streaming_matches_opthype_on_the_document_corpus() {
     for query in document_query_corpus() {
         let mfa = compile_query(&parse_path(query).unwrap());
         let index = smoqe_hype::ReachabilityIndex::new(&mfa, &dtd, doc.labels());
-        let on_tree = smoqe_hype::evaluate_with_index(&doc, &mfa, &index);
+        let on_tree = hype_at(&doc, doc.root(), &mfa, Some(&index));
         // Indexed streaming needs the interner the index was built over.
-        let engine = StreamHype::with_interner(
-            &[BatchQuery::with_index(&mfa, &index)],
+        let engine = StreamHype::from_compiled(
+            &compile_batch(&[BatchQuery::with_index(&mfa, &index)]),
             doc.labels().clone(),
         );
         let mut events = TreeEvents::new(&doc);
@@ -246,11 +252,11 @@ fn streaming_never_allocates_arena_nodes_and_stays_within_depth() {
         .iter()
         .map(|q| compile_query(&parse_path(q).unwrap()))
         .collect();
-    let batch_queries: Vec<BatchQuery> = mfas.iter().map(BatchQuery::new).collect();
+    let batch_queries = compile_batch(&mfas.iter().map(BatchQuery::new).collect::<Vec<_>>());
 
     let before = node_allocations();
     let mut reader = XmlStreamReader::new(xml.as_bytes());
-    let streamed = evaluate_stream_batch(&mut reader, &batch_queries).unwrap();
+    let streamed = stream_batch(&mut reader, &batch_queries).unwrap();
     assert_eq!(
         node_allocations(),
         before,
@@ -413,10 +419,10 @@ proptest! {
         });
         let query = document_query_corpus()[query_idx];
         let mfa = compile_query(&parse_path(query).unwrap());
-        let on_tree = evaluate(&doc, &mfa);
+        let on_tree = hype_at(&doc, doc.root(), &mfa, None);
         let pre = preorder_ids(&doc);
         let mut events = TreeEvents::new(&doc);
-        let (streamed, _) = evaluate_stream(&mut events, &mfa).unwrap();
+        let (streamed, _) = stream_solo(&mut events, &mfa).unwrap();
         prop_assert_eq!(&streamed.answers, &to_preorder(&on_tree.answers, &pre));
         prop_assert_eq!(&streamed.stats, &on_tree.stats);
     }
