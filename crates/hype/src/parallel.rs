@@ -123,6 +123,31 @@ pub(crate) fn resolve_threads(budget: usize) -> usize {
 /// OptHyPE(-C) index, sharding `context`'s subtrees over up to `threads`
 /// workers: the one-query case of [`crate::evaluate_tree`]. Kept under this
 /// name because the `perfbench` benchmark calls it.
+///
+/// The result — answers *and* [`HypeStats`](crate::HypeStats) — is
+/// identical to the sequential walk (budget 1) at every thread budget:
+///
+/// ```
+/// use std::sync::Arc;
+/// use smoqe_automata::{compile_query, CompiledMfa};
+/// use smoqe_hype::evaluate_parallel_at_with;
+/// use smoqe_xml::XmlTreeBuilder;
+/// use smoqe_xpath::parse_path;
+///
+/// let mut b = XmlTreeBuilder::new();
+/// let root = b.root("hospital");
+/// for name in ["Alice", "Bob"] {
+///     let p = b.child(root, "patient");
+///     b.child_with_text(p, "pname", name);
+/// }
+/// let doc = b.finish();
+///
+/// let ir = Arc::new(CompiledMfa::new(&compile_query(&parse_path("patient/pname").unwrap())));
+/// let sequential = evaluate_parallel_at_with(&doc, doc.root(), &ir, None, 1);
+/// let parallel = evaluate_parallel_at_with(&doc, doc.root(), &ir, None, 4);
+/// assert_eq!(parallel.answers, sequential.answers);
+/// assert_eq!(parallel.stats, sequential.stats);
+/// ```
 pub fn evaluate_parallel_at_with(
     tree: &XmlTree,
     context: NodeId,
