@@ -21,11 +21,12 @@
 //!    * `max_shard_fraction` (the skew diagnostic new in this PR) is
 //!      reported per budget and must stay well below the dominant
 //!      subtree's ~99% share once re-splitting kicks in;
-//!    * on hardware with **≥ 4 cores** the report *asserts* a ≥ 1.4×
-//!      node-throughput win at 4 threads — impossible without
-//!      re-splitting, since the dominant subtree alone is > 80% of the
-//!      work. On fewer cores the gate is reported as skipped with the
-//!      core count recorded in the JSON (`"enforced": false`).
+//!    * on hardware with **≥ 2 cores** the report *asserts* a ≥ 1.25×
+//!      node-throughput win at 2 threads, and on **≥ 4 cores** a ≥ 1.4×
+//!      win at 4 threads — impossible without re-splitting, since the
+//!      dominant subtree alone is > 80% of the work. With fewer cores than
+//!      threads a gate is reported as skipped with the core count
+//!      recorded in the JSON (`"enforced": false`).
 //!
 //! 2. **Timing series** (Criterion): sequential vs parallel at each
 //!    budget on the identical skewed document.
@@ -106,7 +107,7 @@ fn node_throughput(window: Duration, f: &mut dyn FnMut() -> u64) -> f64 {
 const WINDOW: Duration = Duration::from_millis(700);
 
 /// Part 1: shape pin, differential gates, skew diagnostics, and (hardware
-/// permitting) the 4-thread speedup assertion.
+/// permitting) the 2- and 4-thread speedup assertions.
 fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa>]) {
     let cores = thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
 
@@ -204,51 +205,76 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
         );
     }
 
-    // The 4-thread speedup gate, where the hardware can express one. A
-    // non-split evaluator cannot pass it here: the dominant subtree alone
-    // is > 80% of the work, capping any per-child scheduler at ~1.2x.
-    let (_, mut speedup_4t) = *speedup_at
-        .iter()
-        .find(|&&(t, _)| t == 4)
-        .expect("4 threads is a measured budget");
-    let gate_enforced = cores >= 4;
-    if gate_enforced && speedup_4t < 1.4 {
-        // Shared CI runners can have a noisy neighbor land inside one
-        // 700 ms window; re-measure both sides once over a longer window
-        // and keep the better ratio before failing the build.
+    // The speed-up gates, where the hardware can express one: ≥1.25x at 2
+    // threads from 2 cores on, ≥1.4x at 4 threads from 4 cores on.
+    // A non-split evaluator cannot pass the 4-thread gate here: the
+    // dominant subtree alone is > 80% of the work, capping any per-child
+    // scheduler at ~1.2x.
+    let speedup = |threads: usize| {
+        speedup_at
+            .iter()
+            .find(|&&(t, _)| t == threads)
+            .expect("a measured budget")
+            .1
+    };
+    speedup_gate(tree, &queries, cores, 2, speedup(2), 1.25);
+    speedup_gate(tree, &queries, cores, 4, speedup(4), 1.4);
+    println!();
+}
+
+/// One node-throughput speed-up gate: `threads` workers against the
+/// sequential walk, enforced on hardware with at least `threads` cores
+/// (on fewer, scoped threads time-slice and no wall-clock win is
+/// physically possible, so the gate is reported as skipped with the core
+/// count recorded in the JSON). Shared runners can have a noisy neighbor
+/// land inside one 700 ms window, so a first pass below `threshold` is
+/// re-measured once over a longer window on both sides and the better
+/// ratio kept before failing the build.
+fn speedup_gate(
+    tree: &XmlTree,
+    queries: &[CompiledBatchQuery],
+    cores: usize,
+    threads: usize,
+    first_pass: f64,
+    threshold: f64,
+) {
+    let mut speedup = first_pass;
+    let enforced = cores >= threads;
+    if enforced && speedup < threshold {
         let retry_window = Duration::from_millis(2_500);
         let sequential_retry = node_throughput(retry_window, &mut || {
-            evaluate_tree(tree, tree.root(), &queries, 1).stats.sequential_node_visits as u64
+            evaluate_tree(tree, tree.root(), queries, 1)
+                .stats
+                .sequential_node_visits as u64
         });
         let parallel_retry = node_throughput(retry_window, &mut || {
-            evaluate_tree(tree, tree.root(), &queries, 4)
+            evaluate_tree(tree, tree.root(), queries, threads)
                 .stats
                 .sequential_node_visits as u64
         });
         let retried = parallel_retry / sequential_retry;
-        println!("speedup gate: first pass {speedup_4t:.2}x, retry pass {retried:.2}x");
-        speedup_4t = speedup_4t.max(retried);
+        println!("speedup gate @{threads}t: first pass {speedup:.2}x, retry pass {retried:.2}x");
+        speedup = speedup.max(retried);
     }
     emit_json(&format!(
-        "{{\"id\": \"skewed_throughput/speedup_gate_4t\", \"speedup\": {speedup_4t:.3}, \
-         \"threshold\": 1.4, \"cores\": {cores}, \"enforced\": {gate_enforced}}}"
+        "{{\"id\": \"skewed_throughput/speedup_gate_{threads}t\", \"speedup\": {speedup:.3}, \
+         \"threshold\": {threshold}, \"cores\": {cores}, \"enforced\": {enforced}}}"
     ));
-    if gate_enforced {
+    if enforced {
         assert!(
-            speedup_4t >= 1.4,
-            "4-thread node throughput on the skewed document must be ≥1.4x sequential \
-             on ≥4 cores (measured {speedup_4t:.2}x on {cores} cores, best of two passes)"
+            speedup >= threshold,
+            "{threads}-thread node throughput must be ≥{threshold}x sequential on \
+             ≥{threads} cores (measured {speedup:.2}x on {cores} cores, best of two passes)"
         );
-        println!("speedup gate: {speedup_4t:.2}x at 4 threads (≥1.4x required) — PASS");
-    } else {
-        // One core cannot express a wall-clock win; the equivalence gates
-        // above already ran. CI hardware (≥4 cores) enforces the 1.4x.
         println!(
-            "speedup gate: SKIPPED ({cores} core(s) available; measured {speedup_4t:.2}x). \
-             Enforced on ≥4-core hardware."
+            "speedup gate: {speedup:.2}x at {threads} threads (≥{threshold}x required) — PASS"
+        );
+    } else {
+        println!(
+            "speedup gate @{threads}t: SKIPPED ({cores} core(s) available; measured \
+             {speedup:.2}x). Enforced on ≥{threads}-core hardware."
         );
     }
-    println!();
 }
 
 /// Part 2: wall-clock timing series on identical inputs.

@@ -123,7 +123,8 @@ pub struct BatchResult {
 ///
 /// `threads` is the thread budget: `0` means all available cores, `1` runs
 /// the sequential walk on the calling thread, and larger budgets shard the
-/// traversal over up to that many workers ([`crate::parallel`]). Results
+/// traversal over up to that many workers ([`crate::parallel`]) unless the
+/// shard plan cannot balance, in which case they walk too. Results
 /// are index-aligned with `queries`, each exactly what a solo run would
 /// have produced — answers *and* [`HypeStats`](crate::HypeStats) — and the
 /// aggregate [`BatchStats`] do not depend on the budget either:
@@ -230,9 +231,16 @@ pub(crate) fn batch_result(
 /// `part` chains) and must not overflow the call stack. Open/close order is
 /// identical to the natural recursion, so statistics are unchanged.
 pub(crate) fn walk(core: &mut HypeCore, tree: &XmlTree, node: NodeId) {
-    if !core.open(node, tree.label(node)) {
-        return; // every query pruned the subtree: the moral "do not recurse"
+    // A `false` open means every query pruned the subtree: the moral "do
+    // not recurse".
+    if core.open(node, tree.label(node)) {
+        walk_opened(core, tree, node);
     }
+}
+
+/// The rest of [`walk`] once `core` has opened `node`: its descendants,
+/// then its close.
+pub(crate) fn walk_opened(core: &mut HypeCore, tree: &XmlTree, node: NodeId) {
     let mut stack: Vec<(NodeId, usize)> = vec![(node, 0)];
     while let Some(&mut (open_node, ref mut next)) = stack.last_mut() {
         let children = tree.children(open_node);

@@ -63,7 +63,8 @@ pub struct HypeStats {
     pub afa_values_computed: usize,
     /// Largest single work unit's share of the physically visited nodes in
     /// the parallel pass that produced this result, in `[0, 1]` — `0.0` for
-    /// sequential, streamed and incremental runs. Pure scheduling
+    /// sequential, streamed and incremental runs, and for a parallel call
+    /// whose plan could not balance and fell back to the walk. Pure scheduling
     /// observability (shard skew), dependent on the thread budget:
     /// **excluded from equality**, so parallel results still compare equal
     /// to sequential ones under the bit-identity contract.

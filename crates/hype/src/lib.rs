@@ -40,8 +40,10 @@
 //!   would produce. A solo evaluation is a batch of one.
 //! * **a thread budget** — `1` is the sequential walk on the calling
 //!   thread; larger budgets (`0` = all cores) shard the subtrees under the
-//!   context (oversized ones re-split) over scoped workers ([`parallel`]),
-//!   each running the unchanged per-node logic with private scratch, and
+//!   context (oversized ones re-split; a plan whose largest task would
+//!   hold most of the context falls back to the walk) over scoped workers
+//!   ([`parallel`]), each running the unchanged per-node logic with
+//!   private scratch, and
 //!   merge the per-shard artefacts deterministically — answers in
 //!   pre-order index order, statistics as exact sums — so the results are
 //!   **bit-identical at every budget** (a guarantee the

@@ -21,8 +21,18 @@
 //!    nodes) into a *spine*: the oversized node is opened once on the
 //!    calling thread under its parent's replayed frame, its own frame is
 //!    snapshotted, and its children re-enter the planner — so a single
-//!    dominant subtree no longer pins the whole document to one worker;
-//! 3. every task exists before any worker starts, so `min(threads, tasks)`
+//!    dominant subtree no longer pins the whole document to one worker.
+//!    Subtree sizes are *read* off the tree's size column
+//!    ([`XmlTree::subtree_size`] is O(1)), never walked, so planning costs
+//!    O(tasks + spines), not a pass over the document;
+//! 3. a plan that **cannot balance** is dropped: when its largest task
+//!    holds at least `MAX_TASK_SHARE` (80 %) of the context's nodes, no
+//!    budget can beat the walk by more than 1.25×, and spawn, seeding and
+//!    merge eat that margin. The calling thread then walks the context's
+//!    children on the core that opened the context — exactly the
+//!    sequential walk, which forms no shard. A single deep chain (the
+//!    `bom` domain's `Deep` shape) is the case this catches;
+//! 4. every task exists before any worker starts, so `min(threads, tasks)`
 //!    scoped workers simply claim them in plan order off **one atomic
 //!    counter** — the crate's single worker pool, shared with the finalize
 //!    phase, [`crate::corpus`] and [`crate::incremental`]. Each worker
@@ -32,7 +42,7 @@
 //!    per node) and runs the **unchanged** sequential `open`/`close`
 //!    logic over every subtree it claims — including per-query basic and
 //!    OptHyPE(-C) pruning;
-//! 4. the main thread merges spines bottom-up — absorbing their units'
+//! 5. the main thread merges spines bottom-up — absorbing their units'
 //!    accumulator rows, closing the spine node, and grafting the unit
 //!    arenas (`ShardQueryOutput::graft_child_unit`) so each spine
 //!    collapses into one ordinary shard unit of its parent group — then
@@ -75,9 +85,9 @@
 //! sequential walk on the calling thread and never reaches this module, and
 //! larger budgets run the plan → claim → merge path above, capped by the
 //! **task count after re-splitting** — a two-subtree document with one
-//! dominant subtree still fans out to every worker. Workers are spawned per
-//! evaluation; for a parsed document the spawn cost is noise next to the
-//! traversal.
+//! dominant subtree still fans out to every worker — unless the plan falls
+//! through to the walk. Workers are spawned per evaluation; for a parsed
+//! document the spawn cost is noise next to the traversal.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -86,7 +96,7 @@ use std::thread;
 use smoqe_automata::CompiledMfa;
 use smoqe_xml::{NodeId, XmlTree};
 
-use crate::batch::{walk, CompiledBatchQuery};
+use crate::batch::{walk, walk_opened, CompiledBatchQuery};
 use crate::engine::{HypeResult, HypeStats};
 use crate::index::ReachabilityIndex;
 use crate::runtime::{
@@ -110,6 +120,19 @@ const _: () = {
 /// pays for itself on subtrees big enough to dominate a worker.
 const MIN_SPLIT_NODES: usize = 256;
 
+/// A plan whose largest task holds at least this share of the context's
+/// nodes is dropped for the sequential walk. Whatever the budget, such a
+/// plan cannot run faster than `1 / share` of the walk (1.25× here), and
+/// spawning, seeding and merging eat that margin. Measured on a 2-vCPU
+/// host, budget 2 against budget 1 over 2·10⁵-node documents whose root
+/// holds one unsplittable subtree of the given share (median of 63
+/// alternated pairs, three queries): 1.16× at 0.5, 1.09× at 0.7, 1.07× at
+/// 0.75, 1.02× at 0.8 and 1.00× at 0.9. On the `bom` domain's 2·10⁵-node
+/// `Deep` document, one chain planned as 2 tasks and 1 spine, the shards
+/// read 0.88× (median of 132 pairs over its four recursive view queries
+/// in all three modes); falling through reads 1.00×.
+const MAX_TASK_SHARE: f64 = 0.8;
+
 /// Resolves a thread-budget knob: `0` means all available cores.
 pub(crate) fn resolve_threads(budget: usize) -> usize {
     if budget == 0 {
@@ -124,7 +147,7 @@ pub(crate) fn resolve_threads(budget: usize) -> usize {
 /// workers: the one-query case of [`crate::evaluate_tree`]. Kept under this
 /// name because the `perfbench` benchmark calls it.
 ///
-/// The result — answers *and* [`HypeStats`](crate::HypeStats) — is
+/// The result — answers *and* [`HypeStats`] — is
 /// identical to the sequential walk (budget 1) at every thread budget:
 ///
 /// ```
@@ -168,6 +191,12 @@ pub fn evaluate_parallel_at_with(
 /// close the context over the top-level units. Returns the per-query
 /// results, stamped with the run's `max_shard_fraction`, and the physical
 /// visit count.
+///
+/// A plan that cannot balance — its largest task holds
+/// [`MAX_TASK_SHARE`] of the context's nodes or more, read off the size
+/// column in O(tasks) — is dropped, and the calling thread walks the
+/// context's children on the core that already opened the context: the
+/// sequential walk, which forms no shard (`max_shard_fraction == 0.0`).
 pub(crate) fn evaluate_sharded(
     tree: &XmlTree,
     context: NodeId,
@@ -181,6 +210,13 @@ pub(crate) fn evaluate_sharded(
     let seeds = core.context_seeds();
 
     let mut plan = plan_shards(tree, context, queries, seeds, threads, nodes_total);
+    let largest = plan.tasks.iter().map(|t| tree.subtree_size(t.node)).max();
+    if largest.is_some_and(|n| n as f64 >= MAX_TASK_SHARE * nodes_total as f64) {
+        drop(plan);
+        walk_opened(&mut core, tree, context);
+        let (results, nodes_visited, _) = core.into_results(nodes_total);
+        return (results, nodes_visited);
+    }
     let (mut units, max_task_visits) = run_tasks(tree, queries, &plan, threads);
     merge_spines(tree, &mut plan.spines, &mut units);
     let top_units: Vec<&Unit> = units[0].iter().collect();
@@ -628,6 +664,55 @@ mod tests {
             b.child_with_text(p, "pname", "Carol");
         }
         b.finish()
+    }
+
+    /// A single `patient/parent` chain beside one small department: its
+    /// plan has two tasks, the chain holding all but a handful of nodes.
+    fn chain_doc() -> XmlTree {
+        let mut b = XmlTreeBuilder::new();
+        let root = b.root("hospital");
+        let dept = b.child(root, "department");
+        let mut at = b.child(dept, "patient");
+        for i in 0..600 {
+            b.child_with_text(at, "pname", if i % 2 == 0 { "Alice" } else { "Bob" });
+            let parent = b.child(at, "parent");
+            at = b.child(parent, "patient");
+        }
+        let small = b.child(root, "department");
+        let p = b.child(small, "patient");
+        b.child_with_text(p, "pname", "Carol");
+        b.finish()
+    }
+
+    #[test]
+    fn unbalanced_plan_falls_through_to_the_walk() {
+        let doc = chain_doc();
+        let queries = [CompiledBatchQuery::new(ir("//pname"))];
+        let (plan, _seeds) = plan_for(&doc, &queries, 2);
+        let largest = plan
+            .tasks
+            .iter()
+            .map(|t| doc.subtree_size(t.node))
+            .max()
+            .unwrap();
+        assert!(largest as f64 >= MAX_TASK_SHARE * doc.live_len() as f64);
+        for query in [
+            "//pname",
+            "department/patient/(parent/patient)*/pname",
+            "//patient[pname]",
+        ] {
+            let compiled = ir(query);
+            let sequential = solo(&doc, &compiled, None, 1);
+            for threads in [2, 8] {
+                let parallel = solo(&doc, &compiled, None, threads);
+                assert_eq!(parallel.answers, sequential.answers, "`{query}` @{threads}");
+                assert_eq!(parallel.stats, sequential.stats, "`{query}` @{threads}");
+                assert_eq!(
+                    parallel.stats.max_shard_fraction, 0.0,
+                    "`{query}` @{threads}"
+                );
+            }
+        }
     }
 
     #[test]

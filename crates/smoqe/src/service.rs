@@ -24,7 +24,10 @@
 //!   sharded over a configurable thread budget
 //!   ([`smoqe_hype::parallel`]) with answers and statistics identical to
 //!   the sequential paths — each sequential/parallel pair is one body
-//!   that takes the budget.
+//!   that takes the budget. [`QueryService::evaluate`] and
+//!   [`QueryService::evaluate_batch`] pick the budget themselves: the
+//!   configured one on documents of at least [`SHARD_FLOOR_NODES`] live
+//!   nodes, the sequential walk below.
 //!
 //! The service is `Send + Sync` by construction: all methods take `&self`,
 //! the caches are [`ShardedLru`]s (independently locked segments, so
@@ -68,8 +71,15 @@ pub struct ServiceConfig {
     /// segments reduce lock contention between concurrent callers;
     /// `1` restores exact global LRU recency.
     pub cache_segments: usize,
-    /// Thread budget of the `*_parallel` front-ends: `0` uses all available
-    /// cores, `1` runs the sequential walk on the calling thread.
+    /// Thread budget of the `*_parallel` front-ends, and of
+    /// [`QueryService::evaluate`] / [`QueryService::evaluate_batch`] on
+    /// documents of at least [`SHARD_FLOOR_NODES`] live nodes: `0` uses all
+    /// available cores, `1` runs the sequential walk on the calling thread.
+    /// Answers and statistics are the same at every budget.
+    ///
+    /// A `smoqed` `BatchQuery` on a large document therefore shards over
+    /// this budget; a daemon that already keeps every core busy with
+    /// request workers may set it to `1`.
     pub parallel_threads: usize,
 }
 
@@ -132,6 +142,23 @@ impl PartialEq for ServiceStats {
 }
 
 impl Eq for ServiceStats {}
+
+/// Live-node count from which [`QueryService::evaluate`] and
+/// [`QueryService::evaluate_batch`] shard the document over
+/// [`ServiceConfig::parallel_threads`]; smaller documents take the
+/// sequential walk. Measured on a 2-vCPU host, budget 2 against budget 1
+/// (`answer_parallel` / `evaluate_batch_parallel` over the hospital
+/// domain's standard documents, the Fig. 8/9 queries through the identity
+/// view and the recursive research-view queries, all three modes; medians
+/// of alternated pairs, three runs): solo queries read 0.84–0.93× at
+/// 4.5·10³ nodes, 0.99–1.08× at 9.4·10³, 1.03–1.24× at 1.4·10⁴,
+/// 1.07–1.16× at 1.9·10⁴, 1.20–1.29× at 2.8·10⁴ and 1.55–1.62× at
+/// 3.2·10⁵; batches read 1.05–1.13× already at 4.5·10³. The solo
+/// crossover lies between 4.5·10³ and 9.4·10³ nodes, but the gain stays
+/// inside the noise up to 9.4·10³ while the CPU spent doubles, so the
+/// floor is the first power of two above 1.4·10⁴, the smallest size
+/// that gained in every run.
+pub const SHARD_FLOOR_NODES: usize = 16_384;
 
 /// Key of the compiled-query cache.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -380,13 +407,18 @@ impl QueryService {
     /// Answers `query` over `doc` with `mode`, hitting both caches. A
     /// cache hit skips the rewrite **and** the execution-IR compilation:
     /// the cached [`CompiledQuery`] carries its `Arc<CompiledMfa>`.
+    ///
+    /// A document of at least [`SHARD_FLOOR_NODES`] live nodes is sharded
+    /// over [`ServiceConfig::parallel_threads`], exactly like
+    /// [`Self::answer_parallel`]; a smaller one takes the sequential walk.
+    /// Answers and statistics are the same either way.
     pub fn evaluate(
         &self,
         query: &str,
         doc: &XmlTree,
         mode: EvaluationMode,
     ) -> Result<HypeResult, EngineError> {
-        self.answer_with(query, doc, mode, 1)
+        self.answer_with(query, doc, mode, self.auto_threads(doc))
     }
 
     /// Answers `query` over `doc` with `mode`, sharding the document
@@ -434,13 +466,29 @@ impl QueryService {
     /// broad query (e.g. `//diagnosis`) keeps nodes live that a narrow
     /// query alone would have skipped — the per-query stats still report
     /// each query's own pending-work visits.
+    ///
+    /// Like [`Self::evaluate`], the pass is sharded over
+    /// [`ServiceConfig::parallel_threads`] on a document of at least
+    /// [`SHARD_FLOOR_NODES`] live nodes, with the same answers and
+    /// statistics as the sequential walk it takes below that.
     pub fn evaluate_batch(
         &self,
         queries: &[&str],
         doc: &XmlTree,
         mode: EvaluationMode,
     ) -> Result<BatchResult, EngineError> {
-        self.batch_with(queries, doc, mode, 1)
+        self.batch_with(queries, doc, mode, self.auto_threads(doc))
+    }
+
+    /// The thread budget [`Self::evaluate`] and [`Self::evaluate_batch`]
+    /// run `doc` at: the service's budget from [`SHARD_FLOOR_NODES`] live
+    /// nodes on, the sequential walk below.
+    fn auto_threads(&self, doc: &XmlTree) -> usize {
+        if doc.live_len() >= SHARD_FLOOR_NODES {
+            self.parallel_threads
+        } else {
+            1
+        }
     }
 
     /// Answers all of `queries` over `doc` in one *sharded, multi-threaded*
@@ -1060,6 +1108,67 @@ mod tests {
         for (p, s) in parallel.results.iter().zip(&sequential.results) {
             assert_eq!(p.answers, s.answers);
             assert_eq!(p.stats, s.stats);
+        }
+    }
+
+    #[test]
+    fn evaluate_shards_from_the_floor_on_with_the_same_results() {
+        let config = |parallel_threads| ServiceConfig {
+            parallel_threads,
+            ..ServiceConfig::default()
+        };
+        let view = SmoqeEngine::hospital_demo().view().clone();
+        let walking = QueryService::with_config(view.clone(), config(1)).unwrap();
+        let sharding = QueryService::with_config(view, config(2)).unwrap();
+        let small = doc(5);
+        let large = generate_hospital(&HospitalConfig {
+            patients: 1_000,
+            departments: 8,
+            max_ancestor_depth: 2,
+            seed: 5,
+            ..Default::default()
+        });
+        assert!(small.live_len() < SHARD_FLOOR_NODES);
+        assert!(
+            large.live_len() >= SHARD_FLOOR_NODES,
+            "{} nodes",
+            large.live_len()
+        );
+        let queries = [
+            "patient/record",
+            "(patient/parent)*/patient[record]",
+            "//diagnosis",
+        ];
+        for mode in [
+            EvaluationMode::HyPE,
+            EvaluationMode::OptHyPE,
+            EvaluationMode::OptHyPEC,
+        ] {
+            // Below the floor: the sequential walk, which forms no shard.
+            let solo = sharding.evaluate(queries[0], &small, mode).unwrap();
+            let batch = sharding.evaluate_batch(&queries, &small, mode).unwrap();
+            for r in std::iter::once(&solo).chain(&batch.results) {
+                assert_eq!(r.stats.max_shard_fraction, 0.0, "{mode:?}");
+            }
+            // From the floor on: sharded, with budget 1's answers and stats.
+            for query in queries {
+                let sharded = sharding.evaluate(query, &large, mode).unwrap();
+                let walked = walking.evaluate(query, &large, mode).unwrap();
+                assert!(
+                    sharded.stats.max_shard_fraction > 0.0,
+                    "`{query}` ({mode:?})"
+                );
+                assert_eq!(sharded.answers, walked.answers, "`{query}` ({mode:?})");
+                assert_eq!(sharded.stats, walked.stats, "`{query}` ({mode:?})");
+            }
+            let sharded = sharding.evaluate_batch(&queries, &large, mode).unwrap();
+            let walked = walking.evaluate_batch(&queries, &large, mode).unwrap();
+            assert_eq!(sharded.stats, walked.stats, "{mode:?}");
+            for (s, w) in sharded.results.iter().zip(&walked.results) {
+                assert!(s.stats.max_shard_fraction > 0.0, "{mode:?}");
+                assert_eq!(s.answers, w.answers, "{mode:?}");
+                assert_eq!(s.stats, w.stats, "{mode:?}");
+            }
         }
     }
 

@@ -49,20 +49,40 @@ impl NodeId {
     }
 }
 
-/// One element node of the document.
+/// One element node of the document. Crate-private: `size` is an
+/// invariant over the whole subtree, so only the tree's own methods write
+/// these fields.
 #[derive(Debug, Clone)]
-pub struct Node {
+pub(crate) struct Node {
     /// Interned element label (tag name).
-    pub label: LabelId,
+    pub(crate) label: LabelId,
+    /// Number of nodes in this node's subtree, itself included.
+    pub(crate) size: u32,
     /// Parent node, `None` for the root.
-    pub parent: Option<NodeId>,
+    pub(crate) parent: Option<NodeId>,
     /// Ordered child elements.
-    pub children: Vec<NodeId>,
+    pub(crate) children: Vec<NodeId>,
     /// PCDATA content of this element, if any.
     ///
     /// The paper's DTD normal form only allows `P(A) = str` elements to carry
     /// text; we collapse that single text child onto the element itself.
-    pub text: Option<Box<str>>,
+    pub(crate) text: Option<Box<str>>,
+}
+
+// The size column lives in what was padding: 4 + 4 + 8 + 24 + 16 bytes.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<Node>() == 56);
+
+impl Node {
+    fn new(label: LabelId, parent: Option<NodeId>) -> Self {
+        Node {
+            label,
+            size: 1,
+            parent,
+            children: Vec::new(),
+            text: None,
+        }
+    }
 }
 
 /// An XML document: an arena of element nodes plus the label interner used
@@ -77,13 +97,20 @@ pub struct Node {
 /// therefore counts tombstones too; [`XmlTree::live_len`] counts only the
 /// nodes reachable from the root, and [`XmlTree::compacted`] rebuilds a
 /// dense tombstone-free arena when the slack is worth reclaiming.
+///
+/// Every node also keeps the size of its subtree (the *pre/size* encoding
+/// of Grust's XPath Accelerator), so [`XmlTree::subtree_size`] and
+/// [`XmlTree::live_len`] are reads. The builder fills the column in one
+/// reverse pass, and each edit adjusts the sizes along the edited node's
+/// ancestor path, O(depth). A tombstone keeps the size its detached
+/// subtree had when it was cut off; no edit reaches under a tombstone, so
+/// that count stays exact for the detached subtree but says nothing about
+/// the live document.
 #[derive(Debug, Clone)]
 pub struct XmlTree {
     nodes: Vec<Node>,
     root: NodeId,
     labels: LabelInterner,
-    /// Number of nodes reachable from `root` (arena length minus tombstones).
-    live: usize,
 }
 
 impl XmlTree {
@@ -95,7 +122,7 @@ impl XmlTree {
 
     /// Returns the node stored at `id`.
     #[inline]
-    pub fn node(&self, id: NodeId) -> &Node {
+    pub(crate) fn node(&self, id: NodeId) -> &Node {
         &self.nodes[id.index()]
     }
 
@@ -139,16 +166,17 @@ impl XmlTree {
         self.nodes.len()
     }
 
-    /// Number of nodes reachable from the root (excludes tombstones).
+    /// Number of nodes reachable from the root (excludes tombstones): the
+    /// root's subtree size.
     #[inline]
     pub fn live_len(&self) -> usize {
-        self.live
+        self.subtree_size(self.root)
     }
 
     /// Returns `true` if the arena carries tombstoned (detached) nodes.
     #[inline]
     pub fn has_tombstones(&self) -> bool {
-        self.live != self.nodes.len()
+        self.live_len() != self.nodes.len()
     }
 
     /// Returns `true` if `id` is reachable from the root.
@@ -228,14 +256,12 @@ impl XmlTree {
 
     /// Counts the nodes in the subtree rooted at `id` (including `id`).
     ///
-    /// O(1) at the root, where the live-node counter the edit methods keep
-    /// (and [`XmlTree::check_consistency`] audits) is the answer; a walk of
-    /// the subtree anywhere else.
+    /// O(1): a read of the size column the builder fills and the edit
+    /// methods keep (and [`XmlTree::check_consistency`] audits). For a
+    /// tombstone it counts the detached subtree.
+    #[inline]
     pub fn subtree_size(&self, id: NodeId) -> usize {
-        if id == self.root {
-            return self.live;
-        }
-        self.preorder(id).count()
+        self.nodes[id.index()].size as usize
     }
 
     /// Walks `id`'s subtree in pre-order, which is also arena order for a
@@ -249,15 +275,16 @@ impl XmlTree {
         })
     }
 
-    /// Checks structural invariants (parent/child consistency), covering
-    /// edited trees with tombstones.
+    /// Checks structural invariants (parent/child consistency and the size
+    /// column), covering edited trees with tombstones.
     ///
     /// The live region is discovered by traversal from the root: every
     /// reachable node must have in-range children that point back to it, no
     /// node may be reached twice (no sharing, no cycles), and the reachable
     /// count must match [`XmlTree::live_len`]. Tombstoned nodes are held to
     /// the same local invariants (their detached subtrees stay well-formed)
-    /// but must be unreachable from the root.
+    /// but must be unreachable from the root. Every node's size must be one
+    /// more than the sum of its children's sizes.
     ///
     /// Primarily used by tests and by the property-based test-suite.
     pub fn check_consistency(&self) -> Result<(), XmlError> {
@@ -278,6 +305,7 @@ impl XmlTree {
         // dump) can still walk them.
         for id in self.node_ids() {
             let node = self.node(id);
+            let mut size = 1u64;
             for &c in &node.children {
                 if c.index() >= self.nodes.len() {
                     return Err(XmlError::InvalidNode(c.0));
@@ -288,6 +316,16 @@ impl XmlTree {
                         reason: format!("child {:?} does not point back to its parent", c),
                     });
                 }
+                size += u64::from(self.node(c).size);
+            }
+            if size != u64::from(node.size) {
+                return Err(XmlError::InvalidContent {
+                    element: self.label_name(id).to_owned(),
+                    reason: format!(
+                        "node {:?} records subtree size {} but its children sum to {}",
+                        id, node.size, size
+                    ),
+                });
             }
             if let Some(p) = node.parent {
                 if p.index() >= self.nodes.len() {
@@ -316,12 +354,13 @@ impl XmlTree {
             reached += 1;
             stack.extend_from_slice(self.children(n));
         }
-        if reached != self.live {
+        if reached != self.live_len() {
             return Err(XmlError::InvalidContent {
                 element: self.label_name(self.root).to_owned(),
                 reason: format!(
                     "live-node counter is {} but {} nodes are reachable from the root",
-                    self.live, reached
+                    self.live_len(),
+                    reached
                 ),
             });
         }
@@ -374,7 +413,7 @@ impl XmlTree {
     /// labels into this tree's interner and remapping ids by a uniform
     /// offset. The grafted root's parent is set to `attach`; **no child list
     /// is touched** — callers splice the returned root in (or make it the
-    /// document root) and maintain the live counter.
+    /// document root) and grow the ancestors' sizes.
     ///
     /// Because existing ids never move and the payload's internal ids are
     /// remapped by `old + base`, parent-before-child ordering is preserved
@@ -396,6 +435,7 @@ impl XmlTree {
             let node = subtree.node(id);
             self.nodes.push(Node {
                 label: label_map[node.label.index()],
+                size: node.size,
                 parent: match node.parent {
                     Some(p) => Some(NodeId(base + p.0)),
                     None => attach,
@@ -437,7 +477,7 @@ impl XmlTree {
         }
         let new_root = self.graft(subtree, Some(parent));
         self.nodes[parent.index()].children.insert(position, new_root);
-        self.live += subtree.len();
+        self.resize_path(parent, 0, subtree.len());
         Ok(new_root)
     }
 
@@ -474,8 +514,19 @@ impl XmlTree {
             .expect("live node is listed among its parent's children");
         self.nodes[parent.index()].children.remove(position);
         self.nodes[node.index()].parent = None;
-        self.live -= detached;
+        self.resize_path(parent, detached, 0);
         (position, detached)
+    }
+
+    /// Takes `removed` nodes from, and adds `added` nodes to, the size of
+    /// `node` and of every ancestor: O(depth).
+    fn resize_path(&mut self, node: NodeId, removed: usize, added: usize) {
+        let mut at = Some(node);
+        while let Some(n) = at {
+            let node = &mut self.nodes[n.index()];
+            node.size = (node.size as usize - removed + added) as u32;
+            at = node.parent;
+        }
     }
 
     /// Replaces the subtree rooted at `node` with a copy of `subtree`,
@@ -499,7 +550,7 @@ impl XmlTree {
                 let (position, _) = self.detach(node, parent);
                 let new_root = self.graft(subtree, Some(parent));
                 self.nodes[parent.index()].children.insert(position, new_root);
-                self.live += subtree.len();
+                self.resize_path(parent, 0, subtree.len());
                 Ok(new_root)
             }
             None => {
@@ -508,7 +559,6 @@ impl XmlTree {
                 // which is no longer `self.root`).
                 let new_root = self.graft(subtree, None);
                 self.root = new_root;
-                self.live = subtree.len();
                 Ok(new_root)
             }
         }
@@ -593,12 +643,7 @@ impl XmlTreeBuilder {
         NODE_ALLOCATIONS.with(|n| n.set(n.get() + 1));
         let label = self.labels.intern(label);
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            label,
-            parent: None,
-            children: Vec::new(),
-            text: None,
-        });
+        self.nodes.push(Node::new(label, None));
         self.root = Some(id);
         id
     }
@@ -613,12 +658,7 @@ impl XmlTreeBuilder {
     pub fn child_interned(&mut self, parent: NodeId, label: LabelId) -> NodeId {
         NODE_ALLOCATIONS.with(|n| n.set(n.get() + 1));
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node {
-            label,
-            parent: Some(parent),
-            children: Vec::new(),
-            text: None,
-        });
+        self.nodes.push(Node::new(label, Some(parent)));
         self.nodes[parent.index()].children.push(id);
         id
     }
@@ -650,18 +690,25 @@ impl XmlTreeBuilder {
         self.nodes.is_empty()
     }
 
-    /// Finalizes the builder into an immutable [`XmlTree`].
+    /// Finalizes the builder into an immutable [`XmlTree`], filling the
+    /// size column in one reverse pass: parents precede their children in
+    /// the arena, so each node's size is complete before it is added to its
+    /// parent's.
     ///
     /// # Panics
     /// Panics if `root()` was never called.
     pub fn finish(self) -> XmlTree {
         let root = self.root.expect("finish() called before root()");
-        let live = self.nodes.len();
+        let mut nodes = self.nodes;
+        for i in (0..nodes.len()).rev() {
+            if let Some(p) = nodes[i].parent {
+                nodes[p.index()].size += nodes[i].size;
+            }
+        }
         XmlTree {
-            nodes: self.nodes,
+            nodes,
             root,
             labels: self.labels,
-            live,
         }
     }
 }
@@ -730,6 +777,15 @@ mod tests {
         assert_eq!(t.max_depth(), 4);
     }
 
+    /// Every node's size equals a walk of its subtree, tombstones included
+    /// (a detached subtree keeps its exact size), and the audit agrees.
+    fn assert_sizes_match_walks(tree: &XmlTree) {
+        for n in tree.node_ids() {
+            assert_eq!(tree.subtree_size(n), tree.preorder(n).count(), "{n:?}");
+        }
+        tree.check_consistency().unwrap();
+    }
+
     #[test]
     fn subtree_size_counts_self_and_descendants() {
         let t = small_tree();
@@ -771,6 +827,54 @@ mod tests {
             replaced.descendants_or_self(new_root).len()
         );
         assert_eq!(replaced.subtree_size(old_root), 7);
+        // Replacing a non-root subtree shrinks and grows the same ancestor
+        // path: the root loses the department's 3 nodes, gains 2.
+        let mut swapped = small_tree();
+        swapped.replace_subtree(dept, &payload).unwrap();
+        assert_eq!(swapped.live_len(), 6);
+        for tree in [&t, &edited, &inserted, &replaced, &swapped] {
+            assert_sizes_match_walks(tree);
+            assert_sizes_match_walks(&tree.compacted());
+            let reloaded =
+                crate::snapshot::load(&crate::snapshot::save(&tree.compacted())).unwrap();
+            assert_sizes_match_walks(&reloaded);
+        }
+        // A delta log replays every kind of edit through the same methods,
+        // and its replay carries the sizes the edited tree carries.
+        let base = small_tree();
+        let dept2 = base.children(base.root())[1];
+        let ops = [
+            crate::EditOp::Insert {
+                parent: dept2,
+                position: 1,
+                subtree: payload.clone(),
+            },
+            crate::EditOp::Delete {
+                node: base.children(dept)[0],
+            },
+            crate::EditOp::Replace {
+                node: dept2,
+                subtree: payload.clone(),
+            },
+            crate::EditOp::Replace {
+                node: base.root(),
+                subtree: payload.clone(),
+            },
+        ];
+        for end in 1..=ops.len() {
+            let mut applied = base.clone();
+            for op in &ops[..end] {
+                applied.apply(op).unwrap();
+            }
+            let saved = crate::snapshot::save(&base);
+            let replayed =
+                crate::snapshot::load(&crate::snapshot::save_delta(&saved, &ops[..end]).unwrap())
+                    .unwrap();
+            assert_sizes_match_walks(&replayed);
+            for n in replayed.node_ids() {
+                assert_eq!(replayed.subtree_size(n), applied.subtree_size(n), "{n:?}");
+            }
+        }
     }
 
     #[test]
@@ -963,8 +1067,18 @@ mod tests {
         let d1 = t.children(t.root())[0];
         t.delete_subtree(d1).unwrap();
         t.check_consistency().unwrap();
-        // Manually corrupting the counter is caught.
-        t.live += 1;
+        // Manually corrupting the counter (the root's size) is caught.
+        let root = t.root();
+        t.nodes[root.index()].size += 1;
         assert!(t.check_consistency().is_err());
+    }
+
+    #[test]
+    fn check_consistency_detects_size_column_drift() {
+        let mut t = small_tree();
+        let patient = t.children(t.children(t.root())[1])[0];
+        t.nodes[patient.index()].size -= 1;
+        let err = t.check_consistency().unwrap_err().to_string();
+        assert!(err.contains("subtree size"), "{err}");
     }
 }

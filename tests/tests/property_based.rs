@@ -10,7 +10,8 @@
 //! 3. **Parser/pretty-printer round trip** — printing any generated query
 //!    and re-parsing it yields the same AST.
 //! 4. **Structural invariants** — generated documents conform to their DTD
-//!    and have consistent parent/child links.
+//!    and have consistent parent/child links, and random edit sequences
+//!    keep those links, the live counter and every subtree size consistent.
 
 use proptest::prelude::*;
 
@@ -19,6 +20,7 @@ use smoqe_rewrite::rewrite_to_mfa;
 use smoqe_toxgene::{generate_from_dtd, generate_hospital, DtdGenConfig, HospitalConfig};
 use smoqe_views::{hospital_view, materialize};
 use smoqe_xml::hospital::{hospital_document_dtd, hospital_view_dtd};
+use smoqe_xml::NodeId;
 use integration_tests::hype_at;
 use smoqe_xpath::{evaluate, parse_path, Path, Pred};
 
@@ -178,6 +180,38 @@ proptest! {
         hospital_document_dtd().validate(&doc).unwrap();
     }
 
+    /// Random insert / delete / replace sequences — the root included —
+    /// keep the arena consistent after every step: parent/child links, the
+    /// live counter and every node's subtree size.
+    #[test]
+    fn random_edit_sequences_keep_the_tree_consistent(seed in 0u64..1000, steps in 1usize..30) {
+        let mut doc = generate_hospital(&HospitalConfig { patients: 4, seed, ..Default::default() });
+        let mut rng = seed;
+        for _ in 0..steps {
+            let live: Vec<NodeId> = doc.descendants_or_self(doc.root());
+            let target = live[pick(&mut rng, live.len())];
+            let payload = generate_hospital(&HospitalConfig {
+                patients: 1,
+                seed: pick(&mut rng, 1000) as u64,
+                ..Default::default()
+            });
+            match pick(&mut rng, 3) {
+                0 => {
+                    let position = pick(&mut rng, doc.children(target).len() + 1);
+                    doc.insert_subtree(target, position, &payload).unwrap();
+                }
+                1 if target != doc.root() => {
+                    doc.delete_subtree(target).unwrap();
+                }
+                _ => {
+                    doc.replace_subtree(target, &payload).unwrap();
+                }
+            }
+            doc.check_consistency().unwrap();
+        }
+        doc.compacted().check_consistency().unwrap();
+    }
+
     /// XML serialisation round-trips through the parser.
     #[test]
     fn xml_serialisation_round_trips(patients in 1usize..15, seed in 0u64..200) {
@@ -201,4 +235,12 @@ proptest! {
             "MFA size {} exceeds bound {} for query {}", mfa.size(), bound, query
         );
     }
+}
+
+/// A draw in `0..n` from a 64-bit LCG: the edit proptest's op choices.
+fn pick(state: &mut u64, n: usize) -> usize {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    ((*state >> 33) as usize) % n
 }
