@@ -899,6 +899,74 @@ impl CompiledMfa {
         self.slots
     }
 
+    // ---- The per-node set function ----
+
+    /// One child step of a HyPE configuration: steps every pending state of
+    /// `mstates` on `col` and ε-closes them (one precompiled row OR per
+    /// state) into `out_mstates`, and propagates the closed filter requests
+    /// `closure` through the transition states matching `col` into
+    /// `out_closure` — the child's requests *before* its λ triggers
+    /// ([`Self::add_triggers`]). Both outputs must start all-zero.
+    ///
+    /// `fused` runs the request pass over the [`Self::req_closure_rows`]
+    /// table; `false` runs the original per-entry [`Self::req_transitions`]
+    /// scan, kept as the differential oracle. Both produce the same rows.
+    #[inline]
+    pub fn step_config(
+        &self,
+        mstates: &[u64],
+        closure: &[u64],
+        col: u32,
+        fused: bool,
+        out_mstates: &mut [u64],
+        out_closure: &mut [u64],
+    ) {
+        for s in bits::ones(mstates) {
+            bits::or_into(out_mstates, self.step_closure(s, col));
+        }
+        let mask = self.req_mask(col);
+        if !bits::intersects(mask, closure) {
+            return;
+        }
+        if fused {
+            // AND the column mask against the parent closure, and for every
+            // hit OR the precomputed `req_closure` row found by popcount
+            // rank — one contiguous table walk, no per-entry bit probing or
+            // `op_closure` indirection.
+            let aw = self.afa_words();
+            let rows = self.req_closure_rows(col);
+            let mut base = 0u32;
+            for (wi, &mw) in mask.iter().enumerate() {
+                let mut hits = mw & closure[wi];
+                while hits != 0 {
+                    let b = hits.trailing_zeros();
+                    hits &= hits - 1;
+                    let idx = (base + (mw & ((1u64 << b) - 1)).count_ones()) as usize;
+                    bits::or_into(out_closure, &rows[idx * aw..(idx + 1) * aw]);
+                }
+                base += mw.count_ones();
+            }
+        } else {
+            for &(g, tgt) in self.req_transitions(col) {
+                if bits::test(closure, g) {
+                    bits::or_into(out_closure, self.op_closure(tgt));
+                }
+            }
+        }
+    }
+
+    /// ORs the closed trigger rows of every λ-annotated state of `mstates`
+    /// into `closure`: the filters started at a node that assumes those
+    /// states.
+    #[inline]
+    pub fn add_triggers(&self, mstates: &[u64], closure: &mut [u64]) {
+        for s in bits::ones(mstates) {
+            if self.afa_start_of(s).is_some() {
+                bits::or_into(closure, self.trigger_row(s));
+            }
+        }
+    }
+
     /// Size statistics.
     pub fn stats(&self) -> CompiledMfaStats {
         CompiledMfaStats {

@@ -30,7 +30,11 @@
 //!   representation that the compiler and the view rewriter grow state by
 //!   state; [`CompiledMfa::new`] flattens it once — global AFA-state
 //!   numbering, per-label transition columns, precomputed ε-/operator
-//!   closures — into the form every `smoqe-hype` engine actually runs on.
+//!   closures — into the form every `smoqe-hype` engine actually runs on,
+//! * a bounded, lazily built DFA over that IR's per-node transition
+//!   function ([`LazyDfa`], module [`lazy`]), which memoizes the node
+//!   configurations an evaluation reaches together with the `cans` vertex
+//!   and edge templates HyPE replays at each node.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +43,7 @@ pub mod afa;
 pub mod compile;
 pub mod compiled;
 pub mod label_map;
+pub mod lazy;
 pub mod mfa;
 pub mod naive;
 pub mod nfa;
@@ -48,6 +53,7 @@ pub use afa::{Afa, AfaId, AfaState, AfaStateId, FinalPredicate};
 pub use compile::{compile_filter, compile_path_afa, compile_path_into, compile_pred_states, compile_query};
 pub use compiled::{ColumnMap, CompiledAfaState, CompiledMfa, CompiledMfaStats, ANY_LABEL};
 pub use label_map::LabelMap;
+pub use lazy::{LazyDfa, LAZY_DFA_BYTES};
 pub use mfa::{AfaBuilder, Mfa, MfaBuilder, MfaStats};
 pub use naive::{evaluate_mfa, evaluate_mfa_at};
 pub use optimize::{optimize_mfa, wildcard_transition_count, OptimizeStats};

@@ -61,7 +61,7 @@ use smoqe_xml::{EditOp, NodeId, XmlError, XmlTree};
 
 use crate::batch::{batch_result, walk, BatchResult, CompiledBatchQuery};
 use crate::index::ReachabilityIndex;
-use crate::parallel::{claim_map, close_context, resolve_threads, Unit};
+use crate::parallel::{claim_map, close_context, resolve_threads, Unit, UnitForest};
 use crate::runtime::HypeCore;
 
 /// One query evaluated incrementally: the compiled execution IR plus an
@@ -299,8 +299,11 @@ impl IncrementalEvaluator {
             shards.extend(todo.into_iter().zip(computed));
 
             // Cached and fresh subtrees alike fold into the context.
-            let units: Vec<&Unit> = children.iter().map(|c| &shards[c]).collect();
-            close_context(core, tree, context, &units, nodes_total, threads)
+            let forest = UnitForest {
+                leaves: vec![children.iter().map(|c| &shards[c]).collect()],
+                spines: Vec::new(),
+            };
+            close_context(core, tree, context, &forest, nodes_total, threads)
         })
     }
 }

@@ -157,6 +157,13 @@ impl ReachabilityIndex {
         Some(&self.rows[start..start + self.words_per_row])
     }
 
+    /// The row `allowed_below(doc_label)` reads, as an index below
+    /// [`Self::stored_rows`], or `None` when the label is unknown to the
+    /// DTD. Labels with equal row ids have equal rows.
+    pub fn row_of(&self, doc_label: LabelId) -> Option<u32> {
+        *self.row_of_label.get(doc_label.index())?
+    }
+
     /// `true` if this is the compressed (OptHyPE-C) flavour.
     pub fn is_compressed(&self) -> bool {
         self.compressed

@@ -42,12 +42,13 @@
 //!    per node) and runs the **unchanged** sequential `open`/`close`
 //!    logic over every subtree it claims — including per-query basic and
 //!    OptHyPE(-C) pruning;
-//! 5. the main thread merges spines bottom-up — absorbing their units'
-//!    accumulator rows, closing the spine node, and grafting the unit
-//!    arenas (`ShardQueryOutput::graft_child_unit`) so each spine
-//!    collapses into one ordinary shard unit of its parent group — then
-//!    ORs every top-level unit's accumulator rows back into the real
-//!    context frame, closes the context, and merges.
+//! 5. the main thread closes spines bottom-up — absorbing the accumulator
+//!    rows of the units below each spine and closing the spine node, whose
+//!    core becomes the spine's own small unit — then ORs every top-level
+//!    unit's accumulator rows back into the real context frame, closes the
+//!    context, and collects: the context block and the spine units first,
+//!    on the calling thread, then every `(query, leaf unit)` pair over the
+//!    worker pool. No unit arena is copied.
 //!
 //! ## Determinism guarantee
 //!
@@ -55,13 +56,13 @@
 //!
 //! * **Answers** — every unit's arena keeps its group frame's vertices as
 //!   its first `k` ids, so the sequential DAG is the disjoint union of the
-//!   context block and the unit arenas glued at those shared ids (spine
-//!   units are grafted into the same shape before they reach the context
-//!   merge). Answer collection runs the context block first, then seeds
-//!   every unit arena with the reached context vertices; the union (a
-//!   `BTreeSet` over pre-order [`NodeId`]s) is the sequential answer set
-//!   in pre-order index order, whatever order tasks were claimed or
-//!   finished in.
+//!   context block and the unit arenas glued at those shared ids: a spine
+//!   unit's own vertices are the shared ids of the units below it. Answer
+//!   collection runs the context block first, then each spine unit seeded
+//!   with its parent group's reached vertices, then every leaf unit seeded
+//!   with its group's; the union (a `BTreeSet` over pre-order
+//!   [`NodeId`]s) is the sequential answer set in pre-order index order,
+//!   whatever order tasks were claimed or finished in.
 //! * **[`HypeStats`]** — every counter is a sum of per-node contributions
 //!   that depend only on that query's own state at the node, so summing
 //!   context + spines + tasks reproduces the sequential numbers exactly;
@@ -74,9 +75,10 @@
 //!   once however many queries are pending there), preserving the
 //!   shared-traversal semantics of
 //!   [`BatchStats::nodes_visited`](crate::BatchStats::nodes_visited).
-//!   Batched runs additionally parallelize **across queries** in the merge
-//!   phase: each query's DAG collection is independent and is distributed
-//!   over the same thread budget.
+//!   The collection phase runs over the same thread budget: once the
+//!   context and spine blocks are collected, each `(query, leaf unit)`
+//!   collection is independent, so a solo query's collection spreads over
+//!   the workers as well as a batch's.
 //!
 //! ## Thread budget
 //!
@@ -100,8 +102,8 @@ use crate::batch::{walk, walk_opened, CompiledBatchQuery};
 use crate::engine::{HypeResult, HypeStats};
 use crate::index::ReachabilityIndex;
 use crate::runtime::{
-    collect_answers, collect_answers_and_reached, CollectScratch, ContextBlock, ContextSeed,
-    HypeCore, ShardQueryOutput,
+    collect_answers, collect_answers_and_reached, config_memo_off, set_config_memo_off,
+    CollectScratch, ContextBlock, ContextSeed, HypeCore, ShardQueryOutput,
 };
 
 // The parallel evaluator shares these across worker threads by reference;
@@ -209,7 +211,7 @@ pub(crate) fn evaluate_sharded(
     debug_assert!(opened, "the evaluation context is never pruned");
     let seeds = core.context_seeds();
 
-    let mut plan = plan_shards(tree, context, queries, seeds, threads, nodes_total);
+    let plan = plan_shards(tree, context, queries, seeds, threads, nodes_total);
     let largest = plan.tasks.iter().map(|t| tree.subtree_size(t.node)).max();
     if largest.is_some_and(|n| n as f64 >= MAX_TASK_SHARE * nodes_total as f64) {
         drop(plan);
@@ -217,11 +219,17 @@ pub(crate) fn evaluate_sharded(
         let (results, nodes_visited, _) = core.into_results(nodes_total);
         return (results, nodes_visited);
     }
-    let (mut units, max_task_visits) = run_tasks(tree, queries, &plan, threads);
-    merge_spines(tree, &mut plan.spines, &mut units);
-    let top_units: Vec<&Unit> = units[0].iter().collect();
+    let (leaves, max_task_visits) = run_tasks(tree, queries, &plan, threads);
+    let spines = close_spines(tree, plan.spines, &leaves);
+    let forest = UnitForest {
+        leaves: leaves.iter().map(|group| group.iter().collect()).collect(),
+        spines: spines
+            .iter()
+            .map(|(parent, unit)| (*parent, unit))
+            .collect(),
+    };
     let (mut results, nodes_visited) =
-        close_context(core, tree, context, &top_units, nodes_total, threads);
+        close_context(core, tree, context, &forest, nodes_total, threads);
 
     let max_shard_fraction = if nodes_visited > 0 {
         max_task_visits as f64 / nodes_visited as f64
@@ -234,20 +242,33 @@ pub(crate) fn evaluate_sharded(
     (results, nodes_visited)
 }
 
-/// The context tail shared with [`crate::incremental`]: OR every unit's
-/// value rows into the opened context frame (OR is order-free), close the
-/// context bottom-up as usual, and merge every query over the context
-/// block and the units. Returns the per-query results and the physical
-/// visit count (context plus units).
+/// The context tail shared with [`crate::incremental`]: OR the value rows
+/// of every unit hanging below the context into the opened context frame
+/// (OR is order-free), close the context bottom-up as usual, and collect
+/// every query's answers over the context block and the units. Returns
+/// the per-query results and the physical visit count (context plus
+/// units).
+///
+/// Collection runs in two steps. The context block and the spine units
+/// are small (a spine unit holds its parent group's placeholders and the
+/// spine node's own vertices), so each query's pass over them runs first,
+/// on the calling thread, and yields the reached vertex set of every
+/// group's frame. Every `(query, leaf unit)` pair is then independent and
+/// is spread over the worker pool.
 pub(crate) fn close_context(
     mut core: HypeCore,
     tree: &XmlTree,
     context: NodeId,
-    units: &[&Unit],
+    forest: &UnitForest,
     nodes_total: usize,
     threads: usize,
 ) -> (Vec<HypeResult>, usize) {
-    for (unit, _) in units {
+    let top_spines = forest
+        .spines
+        .iter()
+        .filter(|(parent, _)| *parent == 0)
+        .map(|(_, unit)| *unit);
+    for (unit, _) in forest.leaves[0].iter().copied().chain(top_spines) {
         for (query, sq) in unit.iter().enumerate() {
             core.absorb_child_values(query, &sq.acc_any, &sq.acc);
         }
@@ -255,16 +276,157 @@ pub(crate) fn close_context(
     core.close(tree.text(context));
     let (blocks, context_physical) = core.into_context_parts();
 
-    // Per-query merge + answer collection, parallel across queries.
-    let finalize = |scratch: &mut CollectScratch, query: usize, block: &ContextBlock| {
-        let outputs: Vec<&ShardQueryOutput> =
-            units.iter().map(|(unit, _)| &unit[query]).collect();
-        finalize_one(block, &outputs, nodes_total, scratch)
-    };
-    let (results, _) = claim_map(&blocks, threads, CollectScratch::new, finalize);
-    let nodes_visited =
-        context_physical + units.iter().map(|(_, physical)| physical).sum::<usize>();
+    let mut scratch = CollectScratch::new();
+    let heads: Vec<Head> = blocks
+        .iter()
+        .enumerate()
+        .map(|(query, block)| collect_head(block, query, &forest.spines, nodes_total, &mut scratch))
+        .collect();
+    let items: Vec<(usize, usize, usize)> = (0..blocks.len())
+        .flat_map(|query| {
+            forest
+                .leaves
+                .iter()
+                .enumerate()
+                .flat_map(move |(group, units)| {
+                    (0..units.len()).map(move |unit| (query, group, unit))
+                })
+        })
+        .collect();
+    let (found, _) = claim_map(
+        &items,
+        threads,
+        CollectScratch::new,
+        |scratch, _, &(query, group, unit)| {
+            let sq = &forest.leaves[group][unit].0[query];
+            let mut found = Vec::new();
+            collect_answers(
+                &sq.cans,
+                &sq.edges,
+                &heads[query].reached[group],
+                scratch,
+                &mut found,
+            );
+            found
+        },
+    );
+
+    // One bulk build per query sorts and dedups every unit's answers.
+    let mut merged: Vec<(Vec<NodeId>, HypeStats)> = heads
+        .into_iter()
+        .map(|head| (head.answers, head.stats))
+        .collect();
+    for (&(query, group, unit), found) in items.iter().zip(found) {
+        let (answers, stats) = &mut merged[query];
+        add_unit(stats, &forest.leaves[group][unit].0[query]);
+        answers.extend(found);
+    }
+    let results = merged
+        .into_iter()
+        .map(|(answers, stats)| HypeResult {
+            answers: answers.into_iter().collect(),
+            stats,
+        })
+        .collect();
+    let units = forest.leaves.iter().flatten().copied();
+    let nodes_visited = context_physical
+        + units
+            .chain(forest.spines.iter().map(|(_, unit)| *unit))
+            .map(|(_, physical)| physical)
+            .sum::<usize>();
     (results, nodes_visited)
+}
+
+/// Every shard unit of one run, placed by *group* — the frame the unit was
+/// seeded from. `leaves[0]` hang below the evaluation context and
+/// `leaves[g]` below spine `g - 1`'s node; `spines[g - 1]` is that spine's
+/// own unit — its parent group's placeholders, then the spine node's
+/// vertices — with the group it hangs in. Spines are listed parents first.
+pub(crate) struct UnitForest<'u> {
+    pub leaves: Vec<Vec<&'u Unit>>,
+    pub spines: Vec<(u32, &'u Unit)>,
+}
+
+/// One query's collection over the context block and the spine units.
+struct Head {
+    /// Answers found there (the context and spine nodes).
+    answers: Vec<NodeId>,
+    /// Counters of the context block and the spine units.
+    stats: HypeStats,
+    /// Per group: the reached vertices of its frame, as placeholder ids of
+    /// the units seeded from it.
+    reached: Vec<Vec<u32>>,
+}
+
+/// Collects `query` over the context block, then over each spine unit
+/// seeded with its parent group's reached set. A spine unit's first
+/// `context_vertices` ids are its parent group's placeholders; its
+/// remaining ids are the spine node's vertices, which the units of the
+/// spine's own group see as their placeholders `0..`.
+fn collect_head(
+    block: &ContextBlock,
+    query: usize,
+    spines: &[(u32, &Unit)],
+    nodes_total: usize,
+    scratch: &mut CollectScratch,
+) -> Head {
+    let mut answers = Vec::new();
+    let context_reached = collect_answers_and_reached(
+        &block.cans,
+        &block.edges,
+        &block.init,
+        scratch,
+        &mut answers,
+    );
+    let mut stats = block.stats;
+    stats.nodes_total = nodes_total;
+    stats.cans_vertices = block.cans.len();
+    stats.cans_edges = block.edges.len();
+    let mut reached = vec![context_reached];
+    for &(parent, (unit, _)) in spines {
+        let sq = &unit[query];
+        add_unit(&mut stats, sq);
+        let seeds = &reached[parent as usize];
+        let spine_reached =
+            collect_answers_and_reached(&sq.cans, &sq.edges, seeds, scratch, &mut answers);
+        let k = sq.context_vertices;
+        reached.push(
+            spine_reached
+                .into_iter()
+                .filter(|&v| v >= k)
+                .map(|v| v - k)
+                .collect(),
+        );
+    }
+    Head {
+        answers,
+        stats,
+        reached,
+    }
+}
+
+/// Adds one unit's counters for one query to `stats`: every counter is a
+/// sum of per-node contributions, and a unit's context placeholders (its
+/// first `context_vertices` ids) are not its own vertices.
+fn add_unit(stats: &mut HypeStats, sq: &ShardQueryOutput) {
+    // Destructured so adding a counter to `HypeStats` fails to compile
+    // here instead of being silently dropped from parallel results. The
+    // two DAG-size counters are derived from the arenas (the shard core
+    // never finalises them); `nodes_total` is context-wide, and
+    // `max_shard_fraction` is a whole-run diagnostic the parallel entry
+    // points stamp after the merge.
+    let HypeStats {
+        nodes_total: _,
+        nodes_visited,
+        cans_vertices: _,
+        cans_edges: _,
+        afa_values_computed,
+        max_shard_fraction: _,
+    } = sq.stats;
+    stats.nodes_visited += nodes_visited;
+    stats.afa_values_computed += afa_values_computed;
+    stats.cans_vertices += sq.cans.len() - sq.context_vertices as usize;
+    stats.cans_edges += sq.edges.len();
 }
 
 /// One leaf work unit: a subtree walked whole by whichever worker claims
@@ -387,15 +549,16 @@ pub(crate) type Unit = (Vec<ShardQueryOutput>, usize);
 /// single task in physical visits (the `max_shard_fraction` numerator).
 ///
 /// Cores are created lazily, one per *group* a worker actually touches — a
-/// single `QueryRuntime` set (ColumnMap, scratch pools, pruning tables) per
-/// worker and group, seeded once and fed every task of that group the
-/// worker claims. Walking several children under one seeded frame is
+/// single `QueryRuntime` set (ColumnMap, scratch pools, pruning tables,
+/// configuration memo) per worker and group, seeded once and fed every
+/// task of that group the worker claims. Walking several children under
+/// one seeded frame is
 /// exactly what the sequential walk does, so per-query artefacts stay
 /// bit-exact while setup cost scales with the worker count, not the
 /// (possibly huge) child count. Which task lands on which worker depends on
-/// scheduling, but the merge only ever sums counters, ORs bitset rows,
-/// grafts arenas and unions ordered sets — all commutative — so the result
-/// is deterministic regardless.
+/// scheduling, but the merge only ever sums counters, ORs bitset rows and
+/// unions ordered sets — all commutative — so the result is deterministic
+/// regardless.
 fn run_tasks(
     tree: &XmlTree,
     queries: &[CompiledBatchQuery],
@@ -434,20 +597,17 @@ fn run_tasks(
     (units, task_visits.into_iter().max().unwrap_or(0))
 }
 
-/// Collapses every spine into one ordinary unit of its parent group,
-/// bottom-up (spines are created parents-first, so popping runs nested
-/// spines before the spines they feed): absorb each unit's accumulator
-/// rows at the spine-frame positions, close the spine node exactly as the
-/// sequential walk would, extract the spine's own shard outputs, and graft
-/// the unit arenas in. After the loop `units[0]` holds only context-level
-/// units and the context merge proceeds as if no re-splitting happened.
-fn merge_spines<'a>(
-    tree: &XmlTree,
-    spines: &mut Vec<SpinePlan<'a>>,
-    units: &mut [Vec<Unit>],
-) {
-    while let Some(spine) = spines.pop() {
-        let group = spines.len() + 1;
+/// Closes every spine bottom-up (spines are created parents-first, so the
+/// reverse order closes nested spines before the spines they feed): OR
+/// the value rows of every unit hanging below the spine — its group's
+/// leaves and its closed nested spines — into the spine frame at the
+/// spine-frame positions, close the spine node exactly as the sequential
+/// walk would, and keep the spine core's shard outputs as the spine's own
+/// unit. Returns `(parent group, unit)` per spine, in creation order.
+fn close_spines(tree: &XmlTree, spines: Vec<SpinePlan>, leaves: &[Vec<Unit>]) -> Vec<(u32, Unit)> {
+    let mut closed: Vec<Option<(u32, Unit)>> = spines.iter().map(|_| None).collect();
+    for (i, spine) in spines.into_iter().enumerate().rev() {
+        let group = i as u32 + 1;
         let SpinePlan {
             mut core,
             node,
@@ -455,24 +615,24 @@ fn merge_spines<'a>(
             frame_queries,
             seeds: _,
         } = spine;
-        let my_units = std::mem::take(&mut units[group]);
-        for (unit, _) in &my_units {
+        let nested = closed[i + 1..]
+            .iter()
+            .flatten()
+            .filter(|(parent, _)| *parent == group)
+            .map(|(_, unit)| unit);
+        for (unit, _) in leaves[group as usize].iter().chain(nested) {
             for (position, &query) in frame_queries.iter().enumerate() {
                 let sq = &unit[query as usize];
                 core.absorb_child_values(position, &sq.acc_any, &sq.acc);
             }
         }
         core.close(tree.text(node));
-        let (mut outputs, spine_physical) = core.into_shard_outputs();
-        let mut physical = spine_physical;
-        for (unit, unit_physical) in &my_units {
-            physical += unit_physical;
-            for (query, sq) in unit.iter().enumerate() {
-                outputs[query].graft_child_unit(sq);
-            }
-        }
-        units[parent_group as usize].push((outputs, physical));
+        closed[i] = Some((parent_group, core.into_shard_outputs()));
     }
+    closed
+        .into_iter()
+        .map(|spine| spine.expect("every spine is closed"))
+        .collect()
 }
 
 /// The crate's one worker pool: maps `items` over up to `threads` scoped
@@ -505,8 +665,17 @@ pub(crate) fn claim_map<I: Sync, S: Send, R: Send>(
     let finished: Vec<(Vec<(usize, R)>, S)> = if workers == 1 {
         vec![worker()]
     } else {
+        // Workers inherit the caller's configuration-memo setting.
+        let memo_off = config_memo_off();
         thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(move || {
+                        set_config_memo_off(memo_off);
+                        worker()
+                    })
+                })
+                .collect();
             handles
                 .into_iter()
                 .map(|handle| {
@@ -526,55 +695,6 @@ pub(crate) fn claim_map<I: Sync, S: Send, R: Send>(
     indexed.sort_unstable_by_key(|&(i, _)| i);
     let results = indexed.into_iter().map(|(_, result)| result).collect();
     (results, states)
-}
-
-/// Merges one query from its per-shard-unit outputs: answers collected
-/// over the context block first (also yielding the reached context
-/// vertices), then over every shard unit seeded with that reached set;
-/// statistics summed exactly.
-///
-/// A *shard unit* is whatever arena granularity the caller evaluated with —
-/// one output per worker or merged spine in a sharded run, one per
-/// top-level child in [`crate::incremental`]. The merge is invariant to the partition: every
-/// counter is a sum of per-node contributions and the context placeholders
-/// (the first `context_vertices` ids of every unit) are discounted once per
-/// unit.
-fn finalize_one(
-    block: &ContextBlock,
-    shard_outputs: &[&ShardQueryOutput],
-    nodes_total: usize,
-    scratch: &mut CollectScratch,
-) -> HypeResult {
-    let context_vertices = block.cans.len();
-    let (mut answers, reached) =
-        collect_answers_and_reached(&block.cans, &block.edges, &block.init, scratch);
-    let mut stats = block.stats;
-    stats.nodes_total = nodes_total;
-    stats.cans_vertices = context_vertices;
-    stats.cans_edges = block.edges.len();
-    for sq in shard_outputs {
-        debug_assert_eq!(sq.context_vertices as usize, context_vertices);
-        // Destructured so adding a counter to `HypeStats` fails to compile
-        // here instead of being silently dropped from parallel results.
-        // The two DAG-size counters are derived from the arenas (the shard
-        // core never finalises them); `nodes_total` is context-wide, and
-        // `max_shard_fraction` is a whole-run diagnostic the parallel
-        // entry points stamp after the merge.
-        let HypeStats {
-            nodes_total: _,
-            nodes_visited,
-            cans_vertices: _,
-            cans_edges: _,
-            afa_values_computed,
-            max_shard_fraction: _,
-        } = sq.stats;
-        stats.nodes_visited += nodes_visited;
-        stats.afa_values_computed += afa_values_computed;
-        stats.cans_vertices += sq.cans.len() - context_vertices;
-        stats.cans_edges += sq.edges.len();
-        answers.append(&mut collect_answers(&sq.cans, &sq.edges, &reached, scratch));
-    }
-    HypeResult { answers, stats }
 }
 
 #[cfg(test)]
@@ -855,8 +975,8 @@ mod tests {
             assert_eq!(walked.stats, reference.stats, "`{query}`");
             assert_eq!(walked.stats.max_shard_fraction, 0.0, "`{query}`");
         }
-        // The same document does split at budget 2, so spines and grafting
-        // stay under test without a budget-1 split.
+        // The same document does split at budget 2, so spines and their
+        // collection stay under test without a budget-1 split.
         let queries = [CompiledBatchQuery::new(ir("//diagnosis"))];
         let (plan, _seeds) = plan_for(&doc, &queries, 2);
         assert!(!plan.spines.is_empty(), "budget 2 re-splits the dominant subtree");

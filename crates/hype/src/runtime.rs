@@ -30,11 +30,37 @@
 //! call the exact same code, they produce identical answers *and*
 //! identical [`HypeStats`] — and the differential suites additionally pin
 //! both to the interpreted reference engines.
+//!
+//! ## The configuration memo
+//!
+//! What `open` does for a query at a child depends only on the parent's
+//! *configuration* — its ε-closed pending NFA states and its closed filter
+//! requests before λ triggers — and the child's label column (plus, for
+//! the OptHyPE prune, the label's index row). Each [`QueryRuntime`]
+//! therefore owns a [`LazyDfa`] that interns every configuration it meets
+//! and memoizes, per `(configuration, column)`, either *dead* (the basic
+//! prune) or the child's configuration with a **parent-edge template**.
+//! Each configuration carries a **vertex template**: per state rank,
+//! whether it is final, and its ε edges as `(rank, rank)` pairs. An open
+//! that hits the memo replays the templates with [`push_edge`] — the same
+//! vertices and edges, in the same order, as the per-state loops — and
+//! reads the index prune from a memo keyed by (configuration, index row),
+//! so [`IndexPruning::can_skip`] runs only on a miss. A miss is filled by
+//! the one set function ([`CompiledMfa::step_config`],
+//! [`CompiledMfa::add_triggers`]); the memo is keyed by column, so labels
+//! interned mid-stream need nothing. Its stored bytes are bounded by
+//! [`smoqe_automata::LAZY_DFA_BYTES`]; once it is full, new transitions
+//! take the row-OR path uncached. `SMOQE_KERNEL=scalar` switches the memo
+//! off — every node then runs the per-state loops, the differential
+//! oracle — as does [`without_config_memo`] for one scope. Answers and
+//! every [`HypeStats`] counter are the same either way by construction.
 
-use std::collections::{BTreeSet, HashMap};
+use std::cell::Cell;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use smoqe_automata::compiled::{bits, ColumnMap, CompiledMfa};
+use smoqe_automata::lazy::{LazyDfa, Step};
 use smoqe_automata::{CompiledAfaState, FinalPredicate, ANY_LABEL};
 use smoqe_xml::{LabelId, LabelInterner, NodeId};
 
@@ -101,14 +127,18 @@ impl CollectScratch {
 }
 
 /// Phase 2 of HyPE: traverse `cans` from the initial vertices through valid
-/// vertices only, collecting the nodes attached to final states.
+/// vertices only, pushing the nodes attached to final states onto
+/// `answers` in traversal order (a node with several final vertices
+/// repeats). Collecting the vector into a `BTreeSet` sorts and dedups it
+/// in one bulk build, which is cheaper than inserting node by node.
 pub(crate) fn collect_answers(
     cans: &[CansVertex],
     edges: &[(u32, u32)],
     init_vertices: &[u32],
     scratch: &mut CollectScratch,
-) -> BTreeSet<NodeId> {
-    collect_answers_impl(cans, edges, init_vertices, scratch, None)
+    answers: &mut Vec<NodeId>,
+) {
+    collect_answers_impl(cans, edges, init_vertices, scratch, answers, None);
 }
 
 /// [`collect_answers`] that also reports *which* vertices were reached.
@@ -124,10 +154,18 @@ pub(crate) fn collect_answers_and_reached(
     edges: &[(u32, u32)],
     init_vertices: &[u32],
     scratch: &mut CollectScratch,
-) -> (BTreeSet<NodeId>, Vec<u32>) {
+    answers: &mut Vec<NodeId>,
+) -> Vec<u32> {
     let mut reached = Vec::new();
-    let answers = collect_answers_impl(cans, edges, init_vertices, scratch, Some(&mut reached));
-    (answers, reached)
+    collect_answers_impl(
+        cans,
+        edges,
+        init_vertices,
+        scratch,
+        answers,
+        Some(&mut reached),
+    );
+    reached
 }
 
 /// The one traversal behind both collectors. `reached`, when supplied,
@@ -138,9 +176,9 @@ fn collect_answers_impl(
     edges: &[(u32, u32)],
     init_vertices: &[u32],
     scratch: &mut CollectScratch,
+    answers: &mut Vec<NodeId>,
     mut reached: Option<&mut Vec<u32>>,
-) -> BTreeSet<NodeId> {
-    let mut answers = BTreeSet::new();
+) {
     scratch.begin(cans.len());
     for &v in init_vertices {
         if cans[v as usize].valid && !scratch.seen(v) {
@@ -154,7 +192,7 @@ fn collect_answers_impl(
         }
         let vertex = &cans[v as usize];
         if vertex.is_final {
-            answers.insert(vertex.node);
+            answers.push(vertex.node);
         }
         let mut e = vertex.edge_head;
         while e != NO_EDGE {
@@ -166,7 +204,6 @@ fn collect_answers_impl(
             e = next;
         }
     }
-    answers
 }
 
 /// Pooled per-node, per-query working state: every bitset row one node
@@ -233,8 +270,9 @@ impl LocalScratch {
         &mut self.buf[self.nw..self.nw + self.aw]
     }
 
-    /// `mstates` and `closure` borrowed mutably at once (for the λ-trigger
-    /// pass, which reads one while OR-ing into the other).
+    /// `mstates` and `closure` borrowed mutably at once (for the child step,
+    /// which writes both, and the λ-trigger pass, which reads one while
+    /// OR-ing into the other).
     #[inline]
     fn mstates_closure_mut(&mut self) -> (&mut [u64], &mut [u64]) {
         let (mstates, rest) = self.buf.split_at_mut(self.nw);
@@ -288,19 +326,55 @@ impl LocalScratch {
     }
 }
 
+/// Configuration id of a node opened without the memo (memo off or full,
+/// or its parent opened without it): its children take the row-OR path.
+const NO_CONFIG: u32 = u32::MAX;
+
+thread_local! {
+    /// Set on this thread inside [`without_config_memo`], and on the
+    /// workers [`crate::parallel::claim_map`] starts from such a thread.
+    static MEMO_OFF: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with the configuration memo switched off for every evaluation
+/// that starts inside it — on this thread and on the workers its sharded,
+/// corpus and incremental evaluations start. Every node then takes the
+/// per-state row-OR path, exactly as under `SMOQE_KERNEL=scalar` (which
+/// also switches the memo off), but with the wide kernels. The memo is a
+/// cache over the same set function, so answers and [`HypeStats`] do not
+/// change; this exists so differential tests can show that in one process.
+pub fn without_config_memo<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            MEMO_OFF.with(|off| off.set(self.0));
+        }
+    }
+    let _restore = Restore(MEMO_OFF.with(|off| off.replace(true)));
+    f()
+}
+
+/// Whether evaluations started on this thread run without the memo.
+pub(crate) fn config_memo_off() -> bool {
+    MEMO_OFF.with(Cell::get)
+}
+
+/// Hands a caller's [`config_memo_off`] setting to a worker thread.
+pub(crate) fn set_config_memo_off(off: bool) {
+    MEMO_OFF.with(|cell| cell.set(off));
+}
+
 /// Everything one query carries through a compiled traversal: its IR, label
 /// translation, optional index with lazily-built bitset pruning tables, its
-/// `cans` arena (vertices + edge pool), statistics and scratch pools.
+/// configuration memo, its `cans` arena (vertices + edge pool), statistics
+/// and scratch pools.
 pub(crate) struct QueryRuntime<'a> {
     cm: Arc<CompiledMfa>,
     cols: ColumnMap,
-    index: Option<&'a ReachabilityIndex>,
-    /// Per document label: bitset of NFA states from which a final state is
-    /// reachable using only transitions the DTD allows below that label.
-    nfa_accept_below: HashMap<LabelId, Box<[u64]>>,
-    /// Per document label: bitset (global AFA numbering) of filter states
-    /// whose value could possibly be true inside such a subtree.
-    afa_true_below: HashMap<LabelId, Box<[u64]>>,
+    pruning: Option<IndexPruning<'a>>,
+    /// The configuration memo; `None` under `SMOQE_KERNEL=scalar` and
+    /// inside [`without_config_memo`].
+    dfa: Option<LazyDfa>,
     pub cans: Vec<CansVertex>,
     /// `(target, next)` edge pool; its length is the `cans_edges` statistic.
     pub edges: Vec<(u32, u32)>,
@@ -320,14 +394,18 @@ impl<'a> QueryRuntime<'a> {
         doc_labels: &LabelInterner,
         compiled: Arc<CompiledMfa>,
         index: Option<&'a ReachabilityIndex>,
+        memo: bool,
     ) -> Self {
         let cols = ColumnMap::new(&compiled, doc_labels);
         let aw = compiled.afa_words();
         QueryRuntime {
             cols,
-            index,
-            nfa_accept_below: HashMap::new(),
-            afa_true_below: HashMap::new(),
+            pruning: index.map(|index| IndexPruning {
+                index,
+                nfa_accept_below: HashMap::new(),
+                afa_true_below: HashMap::new(),
+            }),
+            dfa: memo.then(|| LazyDfa::new(&compiled, index.map_or(0, |i| i.stored_rows()))),
             cans: Vec::new(),
             edges: Vec::new(),
             stats: HypeStats::default(),
@@ -360,29 +438,194 @@ impl<'a> QueryRuntime<'a> {
     }
 
     // -----------------------------------------------------------------------
+    // Opening a node.
+    // -----------------------------------------------------------------------
+
+    /// Interns the configuration held in `sc` (its `closure` region read as
+    /// the pre-trigger requests), or [`NO_CONFIG`] without a memo or room.
+    fn intern(&mut self, sc: &LocalScratch) -> u32 {
+        self.dfa
+            .as_mut()
+            .and_then(|dfa| dfa.intern(&self.cm, sc.mstates(), sc.closure()))
+            .unwrap_or(NO_CONFIG)
+    }
+
+    /// The memoized step from configuration `parent` on `col`; `Uncached`
+    /// without a memo, when it is full, or when `parent` has no id.
+    #[inline]
+    fn memo_step(&mut self, parent: u32, col: u32) -> Step {
+        match &mut self.dfa {
+            Some(dfa) if parent != NO_CONFIG => dfa.step(&self.cm, parent, col),
+            _ => Step::Uncached,
+        }
+    }
+
+    /// Opens the evaluation context: the NFA start state, no pending
+    /// filter requests — never pruned.
+    fn open_context(&mut self, node: NodeId) -> (LocalScratch, u32) {
+        let mut sc = self.alloc_local();
+        bits::or_into(sc.mstates_mut(), self.cm.state_closure(self.cm.start()));
+        let config = self.intern(&sc);
+        self.stats.nodes_visited += 1;
+        let (mstates, closure) = sc.mstates_closure_mut();
+        self.cm.add_triggers(mstates, closure);
+        build_vertices(&mut self.cans, &mut self.edges, &self.cm, node, &mut sc);
+        (sc, config)
+    }
+
+    /// Opens a child of the node `parent` with the per-state row-OR path:
+    /// step and request rows, the basic and the index prune, λ triggers,
+    /// one vertex per state with its ε edges, and the parent edges. `None`
+    /// when the query prunes the child.
+    fn open_fresh(
+        &mut self,
+        node: NodeId,
+        label: LabelId,
+        col: u32,
+        parent: &LocalScratch,
+    ) -> Option<(LocalScratch, u32)> {
+        let mut sc = self.alloc_local();
+        let (mstates, closure) = sc.mstates_closure_mut();
+        self.cm.step_config(
+            parent.mstates(),
+            parent.closure(),
+            col,
+            self.fused,
+            mstates,
+            closure,
+        );
+        if !bits::any(sc.mstates()) && !bits::any(sc.closure()) {
+            self.free_local(sc); // basic pruning: nothing can happen below
+            return None;
+        }
+        let cm = &self.cm;
+        if let Some(pruning) = &mut self.pruning {
+            if pruning.can_skip(cm, label, sc.mstates(), sc.closure()) {
+                self.free_local(sc); // index pruning: pending work is dead
+                return None;
+            }
+        }
+        self.stats.nodes_visited += 1;
+
+        // λ triggers: filters started by states assumed here.
+        let (mstates, closure) = sc.mstates_closure_mut();
+        self.cm.add_triggers(mstates, closure);
+        // Vertices and within-node ε edges.
+        build_vertices(&mut self.cans, &mut self.edges, &self.cm, node, &mut sc);
+        // Edges from the parent's vertices into this node's states.
+        for (kp, sp) in bits::ones(parent.mstates()).enumerate() {
+            let vp = parent.vertex_base + kp as u32;
+            for &tgt in self.cm.step_targets(sp, col) {
+                if bits::test(sc.mstates(), tgt) {
+                    let to = sc.vertex_base + bits::rank(sc.mstates(), tgt);
+                    push_edge(&mut self.cans, &mut self.edges, vp, to);
+                }
+            }
+        }
+        Some((sc, NO_CONFIG))
+    }
+
+    /// Opens a child whose step the memo holds: the child's configuration
+    /// `config`, reached by `transition`. Replays the vertex and
+    /// parent-edge templates, which push exactly what
+    /// [`Self::open_fresh`] would, in the same order.
+    fn open_replayed(
+        &mut self,
+        node: NodeId,
+        label: LabelId,
+        parent: &LocalScratch,
+        config: u32,
+        transition: u32,
+    ) -> Option<(LocalScratch, u32)> {
+        if self.memo_prunes(label, config) {
+            return None;
+        }
+        self.stats.nodes_visited += 1;
+        let mut sc = self.alloc_local();
+        let dfa = self.dfa.as_ref().expect("a memoized step has a memo");
+        let (mstates, closure) = sc.mstates_closure_mut();
+        mstates.copy_from_slice(dfa.mstates(config));
+        closure.copy_from_slice(dfa.closure(config));
+        sc.vertex_base = self.cans.len() as u32;
+        for &is_final in dfa.finals(config) {
+            self.cans.push(CansVertex {
+                node,
+                is_final,
+                valid: true,
+                edge_head: NO_EDGE,
+            });
+        }
+        let base = sc.vertex_base;
+        for &(from, to) in dfa.eps_edges(config) {
+            push_edge(&mut self.cans, &mut self.edges, base + from, base + to);
+        }
+        for &(from, to) in dfa.parent_edges(transition) {
+            push_edge(
+                &mut self.cans,
+                &mut self.edges,
+                parent.vertex_base + from,
+                base + to,
+            );
+        }
+        Some((sc, config))
+    }
+
+    // -----------------------------------------------------------------------
     // OptHyPE pruning (bitset tables).
     // -----------------------------------------------------------------------
 
-    /// `true` if this query can skip the subtree rooted at a child labelled
+    /// The index prune for a child labelled `label` in configuration
+    /// `config`: it depends only on the configuration and the label's
+    /// index row, so it is memoized under that pair and computed by
+    /// [`IndexPruning::can_skip`] on a miss.
+    fn memo_prunes(&mut self, label: LabelId, config: u32) -> bool {
+        let Some(pruning) = &mut self.pruning else {
+            return false;
+        };
+        let Some(row) = pruning.index.row_of(label) else {
+            return false; // label unknown to the DTD: no pruning information
+        };
+        let dfa = self.dfa.as_mut().expect("a memoized step has a memo");
+        if let Some(skip) = dfa.side(config, row as usize) {
+            return skip;
+        }
+        let skip = pruning.can_skip(&self.cm, label, dfa.mstates(config), dfa.requests(config));
+        dfa.set_side(config, row as usize, skip);
+        skip
+    }
+}
+
+/// One query's OptHyPE(-C) index with its lazily built bitset tables.
+struct IndexPruning<'a> {
+    index: &'a ReachabilityIndex,
+    /// Per document label: bitset of NFA states from which a final state is
+    /// reachable using only transitions the DTD allows below that label.
+    nfa_accept_below: HashMap<LabelId, Box<[u64]>>,
+    /// Per document label: bitset (global AFA numbering) of filter states
+    /// whose value could possibly be true inside such a subtree.
+    afa_true_below: HashMap<LabelId, Box<[u64]>>,
+}
+
+impl IndexPruning<'_> {
+    /// `true` if the query can skip the subtree rooted at a child labelled
     /// `child_label`, given the child's ε-closed pending NFA states and its
-    /// *closed* pending filter states. Closing the requests first is
-    /// equivalent to the interpreted engine's unclosed check: operator
-    /// states propagate "maybe true" from their successors, so a request is
-    /// all-false exactly when its whole operator closure is.
-    pub fn can_skip(
+    /// *closed* pending filter requests (before λ triggers). Closing the
+    /// requests first is equivalent to the interpreted engine's unclosed
+    /// check: operator states propagate "maybe true" from their
+    /// successors, so a request is all-false exactly when its whole
+    /// operator closure is.
+    fn can_skip(
         &mut self,
+        cm: &CompiledMfa,
         child_label: LabelId,
         child_mstates: &[u64],
         closed_requests: &[u64],
     ) -> bool {
-        let Some(index) = self.index else {
-            return false;
-        };
-        if index.allowed_below(child_label).is_none() {
+        if self.index.allowed_below(child_label).is_none() {
             return false; // label unknown to the DTD: no pruning information
         }
         if !self.nfa_accept_below.contains_key(&child_label) {
-            let table = self.compute_nfa_accept_below(child_label);
+            let table = self.compute_nfa_accept_below(cm, child_label);
             self.nfa_accept_below.insert(child_label, table);
         }
         if bits::intersects(child_mstates, &self.nfa_accept_below[&child_label]) {
@@ -392,19 +635,17 @@ impl<'a> QueryRuntime<'a> {
             return true;
         }
         if !self.afa_true_below.contains_key(&child_label) {
-            let table = self.compute_afa_true_below(child_label);
+            let table = self.compute_afa_true_below(cm, child_label);
             self.afa_true_below.insert(child_label, table);
         }
         !bits::intersects(closed_requests, &self.afa_true_below[&child_label])
     }
 
-    fn compute_nfa_accept_below(&self, label: LabelId) -> Box<[u64]> {
-        let index = self.index.expect("called only with an index");
-        let allowed = index
+    fn compute_nfa_accept_below(&self, cm: &CompiledMfa, label: LabelId) -> Box<[u64]> {
+        let allowed = self
+            .index
             .allowed_below(label)
-            .expect("caller checked the label is known")
-            .to_vec();
-        let cm = &self.cm;
+            .expect("caller checked the label is known");
         let n = cm.nfa_state_count();
         let mut can = vec![0u64; cm.nfa_words()];
         for s in 0..n {
@@ -419,9 +660,10 @@ impl<'a> QueryRuntime<'a> {
                     continue;
                 }
                 let reach = cm.eps_targets(s).iter().any(|&t| bits::test(&can, t))
-                    || cm.raw_transitions(s).iter().any(|&(l, tgt)| {
-                        label_allowed_below(l, &allowed) && bits::test(&can, tgt)
-                    });
+                    || cm
+                        .raw_transitions(s)
+                        .iter()
+                        .any(|&(l, tgt)| label_allowed_below(l, allowed) && bits::test(&can, tgt));
                 if reach {
                     bits::set(&mut can, s);
                     changed = true;
@@ -434,13 +676,11 @@ impl<'a> QueryRuntime<'a> {
         can.into_boxed_slice()
     }
 
-    fn compute_afa_true_below(&self, label: LabelId) -> Box<[u64]> {
-        let index = self.index.expect("called only with an index");
-        let allowed = index
+    fn compute_afa_true_below(&self, cm: &CompiledMfa, label: LabelId) -> Box<[u64]> {
+        let allowed = self
+            .index
             .allowed_below(label)
-            .expect("caller checked the label is known")
-            .to_vec();
-        let cm = &self.cm;
+            .expect("caller checked the label is known");
         let total = cm.afa_state_count();
         let mut maybe = vec![0u64; cm.afa_words()];
         for g in 0..total {
@@ -464,7 +704,7 @@ impl<'a> QueryRuntime<'a> {
                         .any(|&s| bits::test(&maybe, s)),
                     CompiledAfaState::Not(_) | CompiledAfaState::Final(_) => true,
                     CompiledAfaState::Trans { label: l, tgt } => {
-                        label_allowed_below(*l, &allowed) && bits::test(&maybe, *tgt)
+                        label_allowed_below(*l, allowed) && bits::test(&maybe, *tgt)
                     }
                 };
                 if reach {
@@ -478,7 +718,9 @@ impl<'a> QueryRuntime<'a> {
         }
         maybe.into_boxed_slice()
     }
+}
 
+impl QueryRuntime<'_> {
     // -----------------------------------------------------------------------
     // Bottom-up filter evaluation.
     // -----------------------------------------------------------------------
@@ -596,6 +838,8 @@ struct CoreLocal {
     /// Accumulator slot of this node's label column for this query
     /// (`u32::MAX` when no filter transition mentions the label).
     slot: u32,
+    /// The node's configuration in this query's memo, or [`NO_CONFIG`].
+    config: u32,
     scratch: LocalScratch,
 }
 
@@ -634,76 +878,6 @@ pub(crate) struct ShardQueryOutput {
     pub acc: Vec<u64>,
 }
 
-impl ShardQueryOutput {
-    /// Grafts a re-split child unit's arena into this *spine* unit, making
-    /// the combined output indistinguishable from one worker having walked
-    /// the whole spine subtree alone.
-    ///
-    /// `self` is a spine unit fresh out of [`HypeCore::into_shard_outputs`]:
-    /// `context_vertices` parent-seed placeholders, then exactly
-    /// `sub.context_vertices` vertices for the spine node itself (the spine
-    /// core opened only that node before its children were farmed out). The
-    /// child unit `sub` was seeded from the spine's frame, so its first
-    /// `sub.context_vertices` vertices are placeholders for those same spine
-    /// vertices. Grafting appends `sub`'s subtree vertices and edges with
-    /// their ids shifted, and splices each placeholder's edge list onto the
-    /// corresponding spine vertex. Edge-list order within a vertex is
-    /// irrelevant to collection (reachability over a set), so arrival order
-    /// of child units does not affect answers or any counter.
-    pub fn graft_child_unit(&mut self, sub: &ShardQueryOutput) {
-        let k = sub.context_vertices as usize;
-        let base = self.context_vertices as usize;
-        debug_assert!(self.cans.len() >= base + k, "spine vertices are present");
-        // Ids `< k` in `sub` are spine placeholders → spine vertices at
-        // `base..base + k`; ids `>= k` are subtree vertices → appended after
-        // the current arena end.
-        let dv = (self.cans.len() - k) as u32;
-        let de = self.edges.len() as u32;
-        for &(target, next) in &sub.edges {
-            let target = if (target as usize) < k {
-                base as u32 + target
-            } else {
-                target + dv
-            };
-            let next = if next == NO_EDGE { NO_EDGE } else { next + de };
-            self.edges.push((target, next));
-        }
-        for v in &sub.cans[k..] {
-            self.cans.push(CansVertex {
-                node: v.node,
-                is_final: v.is_final,
-                valid: v.valid,
-                edge_head: if v.edge_head == NO_EDGE {
-                    NO_EDGE
-                } else {
-                    v.edge_head + de
-                },
-            });
-        }
-        // Splice each placeholder's (copied) edge list onto its spine
-        // vertex: walk the copied list to its tail and chain the spine
-        // vertex's existing list behind it.
-        for j in 0..k {
-            let head = sub.cans[j].edge_head;
-            if head == NO_EDGE {
-                continue;
-            }
-            let mut e = head + de;
-            loop {
-                let next = self.edges[e as usize].1;
-                if next == NO_EDGE {
-                    break;
-                }
-                e = next;
-            }
-            self.edges[e as usize].1 = self.cans[base + j].edge_head;
-            self.cans[base + j].edge_head = head + de;
-        }
-        self.stats.nodes_visited += sub.stats.nodes_visited;
-        self.stats.afa_values_computed += sub.stats.afa_values_computed;
-    }
-}
-
 /// One query's context block from the main core of a parallel run (see
 /// [`HypeCore::into_context_parts`]).
 #[derive(Debug)]
@@ -733,11 +907,20 @@ pub(crate) struct HypeCore<'a> {
 
 impl<'a> HypeCore<'a> {
     /// A core with one runtime per query of a batch, over `labels`.
+    /// The configuration memo is on unless `SMOQE_KERNEL=scalar` selects
+    /// the oracle path or the core is built inside
+    /// [`without_config_memo`].
     pub fn for_queries(labels: &LabelInterner, queries: &[CompiledBatchQuery<'a>]) -> Self {
+        let memo = bits::kernel() == bits::Kernel::Wide && !config_memo_off();
+        Self::with_memo(labels, queries, memo)
+    }
+
+    /// [`Self::for_queries`] with the memo on or off as `memo` says.
+    fn with_memo(labels: &LabelInterner, queries: &[CompiledBatchQuery<'a>], memo: bool) -> Self {
         HypeCore {
             runtimes: queries
                 .iter()
-                .map(|q| QueryRuntime::new(labels, Arc::clone(&q.compiled), q.index))
+                .map(|q| QueryRuntime::new(labels, Arc::clone(&q.compiled), q.index, memo))
                 .collect(),
             frames: Vec::new(),
             free_frames: Vec::new(),
@@ -764,6 +947,14 @@ impl<'a> HypeCore<'a> {
     /// `false` when **every** query prunes the subtree, in which case no
     /// frame exists and the driver must skip the subtree without calling
     /// [`Self::close`].
+    ///
+    /// Per query, the step from the parent's configuration on the label's
+    /// column comes from the query's configuration memo (see the module
+    /// docs): a dead step prunes without touching scratch, a memoized one
+    /// replays the child's vertex template and the transition's
+    /// parent-edge template, and only an uncached one — memo off or full —
+    /// runs the per-state row-OR loops. All three push the same vertices
+    /// and edges in the same order.
     pub fn open(&mut self, node: NodeId, label: LabelId) -> bool {
         let mut frame = self.free_frames.pop().unwrap_or_default();
         debug_assert!(frame.locals.is_empty());
@@ -772,94 +963,32 @@ impl<'a> HypeCore<'a> {
             for (pi, pl) in parent.locals.iter().enumerate() {
                 let rt = &mut self.runtimes[pl.query as usize];
                 let col = rt.cols.col(label);
-                let mut sc = rt.alloc_local();
-
-                // Child mstates: step every pending state on the column and
-                // ε-close, all via precompiled rows.
-                for s in bits::ones(pl.scratch.mstates()) {
-                    bits::or_into(sc.mstates_mut(), rt.cm.step_closure(s, col));
-                }
-                // Closed filter requests propagated through matching
-                // transition states.
-                let mask = rt.cm.req_mask(col);
-                let p_closure = pl.scratch.closure();
-                if bits::intersects(mask, p_closure) {
-                    if rt.fused {
-                        // Fused row pass: AND the column mask against the
-                        // parent closure, and for every hit OR the
-                        // precomputed `req_closure` row found by popcount
-                        // rank — one contiguous table walk, no per-entry
-                        // bit probing or `op_closure` indirection.
-                        let aw = rt.cm.afa_words();
-                        let rows = rt.cm.req_closure_rows(col);
-                        let dst = sc.closure_mut();
-                        let mut base = 0u32;
-                        for (wi, &mw) in mask.iter().enumerate() {
-                            let mut hits = mw & p_closure[wi];
-                            while hits != 0 {
-                                let b = hits.trailing_zeros();
-                                hits &= hits - 1;
-                                let idx =
-                                    (base + (mw & ((1u64 << b) - 1)).count_ones()) as usize;
-                                bits::or_into(dst, &rows[idx * aw..(idx + 1) * aw]);
-                            }
-                            base += mw.count_ones();
-                        }
-                    } else {
-                        // Scalar oracle: the original per-entry scan.
-                        for &(g, tgt) in rt.cm.req_transitions(col) {
-                            if bits::test(p_closure, g) {
-                                bits::or_into(sc.closure_mut(), rt.cm.op_closure(tgt));
-                            }
-                        }
+                let opened = match rt.memo_step(pl.config, col) {
+                    Step::Dead => None, // basic pruning, memoized
+                    Step::Child { config, transition } => {
+                        rt.open_replayed(node, label, &pl.scratch, config, transition)
                     }
+                    Step::Uncached => rt.open_fresh(node, label, col, &pl.scratch),
+                };
+                if let Some((scratch, config)) = opened {
+                    frame.locals.push(CoreLocal {
+                        query: pl.query,
+                        parent_slot: pi as u32,
+                        slot: rt.cm.slot_of_label(col).unwrap_or(u32::MAX),
+                        config,
+                        scratch,
+                    });
                 }
-                if !bits::any(sc.mstates()) && !bits::any(sc.closure()) {
-                    rt.free_local(sc); // basic pruning: nothing can happen below
-                    continue;
-                }
-                if rt.can_skip(label, sc.mstates(), sc.closure()) {
-                    rt.free_local(sc); // index pruning: pending work is dead
-                    continue;
-                }
-                rt.stats.nodes_visited += 1;
-
-                // λ triggers: filters started by states assumed here.
-                add_triggers(&rt.cm, &mut sc);
-                // Vertices and within-node ε edges.
-                build_vertices(&mut rt.cans, &mut rt.edges, &rt.cm, node, &mut sc);
-                // Edges from the parent's vertices into this node's states.
-                for (kp, sp) in bits::ones(pl.scratch.mstates()).enumerate() {
-                    let vp = pl.scratch.vertex_base + kp as u32;
-                    for &tgt in rt.cm.step_targets(sp, col) {
-                        if bits::test(sc.mstates(), tgt) {
-                            let to = sc.vertex_base + bits::rank(sc.mstates(), tgt);
-                            push_edge(&mut rt.cans, &mut rt.edges, vp, to);
-                        }
-                    }
-                }
-
-                frame.locals.push(CoreLocal {
-                    query: pl.query,
-                    parent_slot: pi as u32,
-                    slot: rt.cm.slot_of_label(col).unwrap_or(u32::MAX),
-                    scratch: sc,
-                });
             }
         } else {
-            // The evaluation context: every query starts here with its NFA
-            // start state and no pending filter requests — never pruned.
             for (query, rt) in self.runtimes.iter_mut().enumerate() {
-                let mut sc = rt.alloc_local();
-                bits::or_into(sc.mstates_mut(), rt.cm.state_closure(rt.cm.start()));
-                rt.stats.nodes_visited += 1;
-                add_triggers(&rt.cm, &mut sc);
-                build_vertices(&mut rt.cans, &mut rt.edges, &rt.cm, node, &mut sc);
+                let (scratch, config) = rt.open_context(node);
                 frame.locals.push(CoreLocal {
                     query: query as u32,
                     parent_slot: u32::MAX,
                     slot: u32::MAX,
-                    scratch: sc,
+                    config,
+                    scratch,
                 });
             }
         }
@@ -984,6 +1113,9 @@ impl<'a> HypeCore<'a> {
             let mut sc = rt.alloc_local();
             sc.mstates_mut().copy_from_slice(&seed.mstates);
             sc.closure_mut().copy_from_slice(&seed.closure);
+            // The seed's closure already holds its λ triggers, so interning
+            // it as the requests derives the same closure again.
+            let config = rt.intern(&sc);
             sc.vertex_base = rt.cans.len() as u32;
             for _ in 0..bits::count(sc.mstates()) {
                 rt.cans.push(CansVertex {
@@ -997,6 +1129,7 @@ impl<'a> HypeCore<'a> {
                 query: seed.query,
                 parent_slot: u32::MAX,
                 slot: u32::MAX,
+                config,
                 scratch: sc,
             });
         }
@@ -1088,7 +1221,15 @@ impl<'a> HypeCore<'a> {
         let mut results = Vec::with_capacity(self.runtimes.len());
         let mut sequential_node_visits = 0;
         for (query, rt) in self.runtimes.into_iter().enumerate() {
-            let answers = collect_answers(&rt.cans, &rt.edges, &self.init_of[query], &mut scratch);
+            let mut found = Vec::new();
+            collect_answers(
+                &rt.cans,
+                &rt.edges,
+                &self.init_of[query],
+                &mut scratch,
+                &mut found,
+            );
+            let answers = found.into_iter().collect();
             let mut stats = rt.stats;
             stats.nodes_total = nodes_total;
             stats.cans_vertices = rt.cans.len();
@@ -1108,17 +1249,6 @@ fn push_edge(cans: &mut [CansVertex], edges: &mut Vec<(u32, u32)>, from_vertex: 
     let head = cans[from_vertex as usize].edge_head;
     edges.push((target, head));
     cans[from_vertex as usize].edge_head = (edges.len() - 1) as u32;
-}
-
-/// ORs the closed trigger rows of every λ-annotated pending state into the
-/// node's filter closure.
-fn add_triggers(cm: &CompiledMfa, sc: &mut LocalScratch) {
-    let (mstates, closure) = sc.mstates_closure_mut();
-    for s in bits::ones(mstates) {
-        if cm.afa_start_of(s).is_some() {
-            bits::or_into(closure, cm.trigger_row(s));
-        }
-    }
 }
 
 /// Pushes one `cans` vertex per pending state (ascending, so vertex ids are
@@ -1147,5 +1277,137 @@ fn build_vertices(
                 push_edge(cans, edges, from, to);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use smoqe_automata::LAZY_DFA_BYTES;
+    use smoqe_xml::{XmlTree, XmlTreeBuilder};
+
+    use super::*;
+    use crate::batch::walk;
+    use crate::engine::HypeResult;
+    use crate::testing::ir;
+
+    /// A random tree of `n` nodes below an `r` root: each node hangs below
+    /// one of the 32 most recent nodes (so depth grows with `n`), labelled
+    /// `a` with probability ½ and otherwise by `other(i)`.
+    fn random_tree(n: usize, seed: u64, other: impl Fn(usize) -> String) -> XmlTree {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut b = XmlTreeBuilder::new();
+        let mut nodes = vec![b.root("r")];
+        for i in 0..n {
+            let recent = nodes.len().min(32);
+            let parent = nodes[nodes.len() - 1 - (next() as usize % recent)];
+            let label = if next() % 2 == 0 {
+                "a".to_owned()
+            } else {
+                other(i)
+            };
+            nodes.push(b.child(parent, &label));
+        }
+        b.finish()
+    }
+
+    /// Walks `tree` for `query` with the memo on or off; returns the result
+    /// and the memo's (configurations, bytes, full) when it was on.
+    fn run(
+        tree: &XmlTree,
+        query: &Arc<CompiledMfa>,
+        memo: bool,
+    ) -> (HypeResult, Option<(usize, usize, bool)>) {
+        let queries = [CompiledBatchQuery::new(Arc::clone(query))];
+        let mut core = HypeCore::with_memo(tree.labels(), &queries, memo);
+        walk(&mut core, tree, tree.root());
+        let dfa = core.runtimes[0]
+            .dfa
+            .as_ref()
+            .map(|d| (d.configs(), d.bytes(), d.is_full()));
+        let (mut results, _, _) = core.into_results(tree.len());
+        (results.remove(0), dfa)
+    }
+
+    #[test]
+    fn exploding_pending_sets_fill_the_memo_to_its_bound_and_no_further() {
+        // Each node's configuration is the pattern of `a`s among its last 16
+        // ancestors: far more patterns than the memo has room for.
+        let query = ir("//a/*/*/*/*/*/*/*/*/*/*/*/*/*/*/*/*");
+        let tree = random_tree(30_000, 7, |_| "b".to_owned());
+        let (on, dfa) = run(&tree, &query, true);
+        let (off, none) = run(&tree, &query, false);
+        assert!(none.is_none());
+        let (configs, bytes, full) = dfa.expect("memo on");
+        assert!(
+            full,
+            "the memo must hit its bound ({configs} configurations, {bytes} B)"
+        );
+        assert!(bytes <= LAZY_DFA_BYTES, "{bytes} B over the bound");
+        assert!(configs > 64, "{configs} configurations");
+        assert!(!on.answers.is_empty());
+        assert_eq!(on.answers, off.answers);
+        assert_eq!(on.stats, off.stats);
+
+        // The same shape with a thousand distinct non-`a` labels: they all
+        // share the unknown column, so the memo holds the same bytes.
+        let many = random_tree(30_000, 7, |i| format!("b{}", i % 1000));
+        assert!(many.labels().len() > 1000);
+        let (on_many, dfa_many) = run(&many, &query, true);
+        assert_eq!(dfa_many, Some((configs, bytes, full)));
+        assert_eq!(on_many.stats, on.stats);
+        assert_eq!(on_many.answers, on.answers);
+    }
+
+    #[test]
+    fn memo_bytes_do_not_depend_on_the_label_count_below_the_bound() {
+        // Two documents of one shape, labelled `a`, `b` and either one
+        // further label or thousands: the further labels all map to the
+        // unknown column, so the memo reaches the same configurations.
+        let query = ir("//a[b]/*/*");
+        let other = |many: bool| {
+            move |i: usize| match (i % 3, many) {
+                (0, _) => "b".to_owned(),
+                (_, false) => "c".to_owned(),
+                (_, true) => format!("c{i}"),
+            }
+        };
+        let few = random_tree(5_000, 11, other(false));
+        let many = random_tree(5_000, 11, other(true));
+        assert!(many.labels().len() > 1_000);
+        let mut memos = Vec::new();
+        for tree in [&few, &many] {
+            let (on, dfa) = run(tree, &query, true);
+            let (off, _) = run(tree, &query, false);
+            assert_eq!(on.answers, off.answers);
+            assert_eq!(on.stats, off.stats);
+            let (configs, bytes, full) = dfa.unwrap();
+            assert!(!full && configs > 0 && bytes > 0);
+            memos.push((configs, bytes));
+        }
+        assert_eq!(memos[0], memos[1]);
+    }
+
+    #[test]
+    fn without_config_memo_reaches_spawned_workers_and_restores() {
+        assert!(!config_memo_off());
+        without_config_memo(|| {
+            assert!(config_memo_off());
+            let (_, states) = crate::parallel::claim_map(
+                &[0, 1, 2, 3],
+                2,
+                || (),
+                |_, _, _| {
+                    assert!(config_memo_off(), "workers inherit the setting");
+                },
+            );
+            assert!(!states.is_empty());
+        });
+        assert!(!config_memo_off());
     }
 }

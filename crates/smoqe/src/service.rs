@@ -117,10 +117,13 @@ pub struct ServiceStats {
     pub index_invalidations: u64,
     /// Indexes currently cached.
     pub index_cached: usize,
-    /// Shard skew of the most recent `answer_parallel` /
-    /// `evaluate_batch_parallel` call: the largest work unit's share of the
-    /// physically visited nodes, in `[0, 1]` (`0.0` before any parallel
-    /// call). Scheduling observability — excluded from equality, like
+    /// Shard skew of the most recent call that ran under a thread budget
+    /// other than 1: `answer_parallel` / `evaluate_batch_parallel`, and
+    /// `evaluate` / `evaluate_batch` on a document of at least
+    /// [`SHARD_FLOOR_NODES`] live nodes. The largest work unit's share of
+    /// the physically visited nodes, in `[0, 1]` (`0.0` before any such
+    /// call, and after one whose plan fell back to the walk). Scheduling
+    /// observability — excluded from equality, like
     /// `HypeStats::max_shard_fraction`.
     pub last_max_shard_fraction: f64,
 }
@@ -418,7 +421,12 @@ impl QueryService {
         doc: &XmlTree,
         mode: EvaluationMode,
     ) -> Result<HypeResult, EngineError> {
-        self.answer_with(query, doc, mode, self.auto_threads(doc))
+        let threads = self.auto_threads(doc);
+        let result = self.answer_with(query, doc, mode, threads)?;
+        if threads != 1 {
+            self.note_shard_fraction(&result);
+        }
+        Ok(result)
     }
 
     /// Answers `query` over `doc` with `mode`, sharding the document
@@ -477,7 +485,12 @@ impl QueryService {
         doc: &XmlTree,
         mode: EvaluationMode,
     ) -> Result<BatchResult, EngineError> {
-        self.batch_with(queries, doc, mode, self.auto_threads(doc))
+        let threads = self.auto_threads(doc);
+        let result = self.batch_with(queries, doc, mode, threads)?;
+        if threads != 1 {
+            self.note_batch_shard_fraction(&result);
+        }
+        Ok(result)
     }
 
     /// The thread budget [`Self::evaluate`] and [`Self::evaluate_batch`]
@@ -503,9 +516,7 @@ impl QueryService {
         mode: EvaluationMode,
     ) -> Result<BatchResult, EngineError> {
         let result = self.batch_with(queries, doc, mode, self.parallel_threads)?;
-        if let Some(first) = result.results.first() {
-            self.note_shard_fraction(first);
-        }
+        self.note_batch_shard_fraction(&result);
         Ok(result)
     }
 
@@ -538,10 +549,18 @@ impl QueryService {
         Ok(fan_out(result, &slot_of))
     }
 
-    /// Records a parallel call's shard skew for [`ServiceStats`].
+    /// Records a sharded call's shard skew for [`ServiceStats`].
     fn note_shard_fraction(&self, result: &HypeResult) {
         self.last_max_shard_fraction
             .store(result.stats.max_shard_fraction.to_bits(), Ordering::Relaxed);
+    }
+
+    /// [`Self::note_shard_fraction`] for a batch, whose queries share one
+    /// pass and so one skew (an empty batch records nothing).
+    fn note_batch_shard_fraction(&self, result: &BatchResult) {
+        if let Some(first) = result.results.first() {
+            self.note_shard_fraction(first);
+        }
     }
 
     /// Answers a batch of (document, query) requests against `store`, one
@@ -1170,6 +1189,67 @@ mod tests {
                 assert_eq!(s.stats, w.stats, "{mode:?}");
             }
         }
+    }
+
+    #[test]
+    fn evaluate_records_shard_fraction_from_the_floor_on() {
+        let config = |parallel_threads| ServiceConfig {
+            parallel_threads,
+            ..ServiceConfig::default()
+        };
+        let view = SmoqeEngine::hospital_demo().view().clone();
+        let walking = QueryService::with_config(view.clone(), config(1)).unwrap();
+        let sharding = QueryService::with_config(view, config(2)).unwrap();
+        let small = doc(5);
+        let large = generate_hospital(&HospitalConfig {
+            patients: 1_000,
+            departments: 8,
+            max_ancestor_depth: 2,
+            seed: 5,
+            ..Default::default()
+        });
+        assert!(small.live_len() < SHARD_FLOOR_NODES);
+        assert!(large.live_len() >= SHARD_FLOOR_NODES);
+        let fraction = |service: &QueryService| service.stats().last_max_shard_fraction;
+        let mode = EvaluationMode::HyPE;
+
+        // Below the floor: the walk, nothing recorded.
+        sharding.evaluate("//diagnosis", &small, mode).unwrap();
+        sharding
+            .evaluate_batch(&["patient", "//diagnosis"], &small, mode)
+            .unwrap();
+        assert_eq!(fraction(&sharding), 0.0);
+
+        // From the floor on: each sharded call records its skew.
+        let solo = sharding.evaluate("//diagnosis", &large, mode).unwrap();
+        assert!(solo.stats.max_shard_fraction > 0.0);
+        assert_eq!(fraction(&sharding), solo.stats.max_shard_fraction);
+        let batch = sharding
+            .evaluate_batch(
+                &["patient/record", "(patient/parent)*/patient"],
+                &large,
+                mode,
+            )
+            .unwrap();
+        assert!(batch.results[0].stats.max_shard_fraction > 0.0);
+        assert_eq!(
+            fraction(&sharding),
+            batch.results[0].stats.max_shard_fraction
+        );
+
+        // A later call below the floor leaves the last sharded reading.
+        sharding.evaluate("//diagnosis", &small, mode).unwrap();
+        assert_eq!(
+            fraction(&sharding),
+            batch.results[0].stats.max_shard_fraction
+        );
+
+        // A budget of 1 never shards, above the floor too.
+        walking.evaluate("//diagnosis", &large, mode).unwrap();
+        walking
+            .evaluate_batch(&["patient", "//diagnosis"], &large, mode)
+            .unwrap();
+        assert_eq!(fraction(&walking), 0.0);
     }
 
     #[test]
