@@ -47,7 +47,17 @@ use crate::compiled::{bits, CompiledMfa};
 /// templates, the transition table and the side bytes. It bounds the
 /// configuration count as well, since every configuration costs at least
 /// its rows and its table row.
-pub const LAZY_DFA_BYTES: usize = 256 * 1024;
+///
+/// Sized from measurement: over the differential and fuzz suites and the
+/// `perfbench` workloads, no DFA grew past 14 configurations or 3,082
+/// bytes, and no configuration cost more than 731 bytes with its table
+/// row. 64 KiB is 21× the largest DFA seen and holds at least 89
+/// configurations of the costliest kind seen. One DFA belongs to each query
+/// of each evaluation core, and a sharded run builds a core per worker and
+/// shard group, so a batch can hold at most queries × cores × 64 KiB — a
+/// bound only a query whose configurations explode approaches, since a DFA
+/// grows with the configurations it meets.
+pub const LAZY_DFA_BYTES: usize = 64 * 1024;
 
 /// Per-configuration overhead charged for the interning map's slot and the
 /// boxed key's header, on top of the key words themselves.
@@ -111,8 +121,6 @@ pub struct LazyDfa {
     cols: usize,
     /// Side bytes per configuration.
     side_width: usize,
-    /// `true` runs the fused request pass (see [`CompiledMfa::step_config`]).
-    fused: bool,
     /// Interning map: `mstates ++ requests` → configuration id.
     ids: HashMap<Box<[u64]>, u32>,
     /// Per configuration: `[mstates (nw) | requests (aw) | closure (aw)]`.
@@ -146,7 +154,6 @@ impl LazyDfa {
             aw,
             cols: cm.columns() as usize,
             side_width,
-            fused: bits::kernel() == bits::Kernel::Wide,
             ids: HashMap::new(),
             rows: Vec::new(),
             configs: Vec::new(),
@@ -342,11 +349,13 @@ impl LazyDfa {
         let at = parent as usize * stride;
         self.key.fill(0);
         let (out_mstates, out_requests) = self.key.split_at_mut(nw);
+        // The fused request pass: the per-entry one is the scalar oracle,
+        // which runs without a memo.
         cm.step_config(
             &self.rows[at..at + nw],
             &self.rows[at + nw + self.aw..at + stride],
             col,
-            self.fused,
+            true,
             out_mstates,
             out_requests,
         );

@@ -107,7 +107,6 @@ pub use engine::{evaluate_compiled_at_with, HypeResult, HypeStats};
 pub use incremental::{IncrementalEvaluator, IncrementalQuery};
 pub use index::ReachabilityIndex;
 pub use parallel::evaluate_parallel_at_with;
-pub use runtime::without_config_memo;
 pub use smoqe_automata::CompiledMfa;
 pub use stream::{StreamHype, StreamResult, StreamStats};
 

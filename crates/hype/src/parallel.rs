@@ -102,8 +102,8 @@ use crate::batch::{walk, walk_opened, CompiledBatchQuery};
 use crate::engine::{HypeResult, HypeStats};
 use crate::index::ReachabilityIndex;
 use crate::runtime::{
-    collect_answers, collect_answers_and_reached, config_memo_off, set_config_memo_off,
-    CollectScratch, ContextBlock, ContextSeed, HypeCore, ShardQueryOutput,
+    collect_answers, collect_answers_and_reached, CollectScratch, ContextBlock, ContextSeed,
+    HypeCore, ShardQueryOutput,
 };
 
 // The parallel evaluator shares these across worker threads by reference;
@@ -665,17 +665,8 @@ pub(crate) fn claim_map<I: Sync, S: Send, R: Send>(
     let finished: Vec<(Vec<(usize, R)>, S)> = if workers == 1 {
         vec![worker()]
     } else {
-        // Workers inherit the caller's configuration-memo setting.
-        let memo_off = config_memo_off();
         thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(move || {
-                        set_config_memo_off(memo_off);
-                        worker()
-                    })
-                })
-                .collect();
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
             handles
                 .into_iter()
                 .map(|handle| {

@@ -50,12 +50,12 @@
 //! [`CompiledMfa::add_triggers`]); the memo is keyed by column, so labels
 //! interned mid-stream need nothing. Its stored bytes are bounded by
 //! [`smoqe_automata::LAZY_DFA_BYTES`]; once it is full, new transitions
-//! take the row-OR path uncached. `SMOQE_KERNEL=scalar` switches the memo
-//! off — every node then runs the per-state loops, the differential
-//! oracle — as does [`without_config_memo`] for one scope. Answers and
-//! every [`HypeStats`] counter are the same either way by construction.
+//! take the row-OR path uncached, but a node they reach whose configuration
+//! the memo already holds gets its id back, so its subtree replays again.
+//! `SMOQE_KERNEL=scalar` switches the memo off — every node then runs the
+//! per-state loops, the differential oracle. Answers and every
+//! [`HypeStats`] counter are the same either way by construction.
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -326,43 +326,10 @@ impl LocalScratch {
     }
 }
 
-/// Configuration id of a node opened without the memo (memo off or full,
-/// or its parent opened without it): its children take the row-OR path.
+/// Configuration id of a node opened without the memo (memo off, or full
+/// before its configuration was interned): its children take the row-OR
+/// path.
 const NO_CONFIG: u32 = u32::MAX;
-
-thread_local! {
-    /// Set on this thread inside [`without_config_memo`], and on the
-    /// workers [`crate::parallel::claim_map`] starts from such a thread.
-    static MEMO_OFF: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Runs `f` with the configuration memo switched off for every evaluation
-/// that starts inside it — on this thread and on the workers its sharded,
-/// corpus and incremental evaluations start. Every node then takes the
-/// per-state row-OR path, exactly as under `SMOQE_KERNEL=scalar` (which
-/// also switches the memo off), but with the wide kernels. The memo is a
-/// cache over the same set function, so answers and [`HypeStats`] do not
-/// change; this exists so differential tests can show that in one process.
-pub fn without_config_memo<R>(f: impl FnOnce() -> R) -> R {
-    struct Restore(bool);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            MEMO_OFF.with(|off| off.set(self.0));
-        }
-    }
-    let _restore = Restore(MEMO_OFF.with(|off| off.replace(true)));
-    f()
-}
-
-/// Whether evaluations started on this thread run without the memo.
-pub(crate) fn config_memo_off() -> bool {
-    MEMO_OFF.with(Cell::get)
-}
-
-/// Hands a caller's [`config_memo_off`] setting to a worker thread.
-pub(crate) fn set_config_memo_off(off: bool) {
-    MEMO_OFF.with(|cell| cell.set(off));
-}
 
 /// Everything one query carries through a compiled traversal: its IR, label
 /// translation, optional index with lazily-built bitset pruning tables, its
@@ -372,8 +339,7 @@ pub(crate) struct QueryRuntime<'a> {
     cm: Arc<CompiledMfa>,
     cols: ColumnMap,
     pruning: Option<IndexPruning<'a>>,
-    /// The configuration memo; `None` under `SMOQE_KERNEL=scalar` and
-    /// inside [`without_config_memo`].
+    /// The configuration memo; `None` under `SMOQE_KERNEL=scalar`.
     dfa: Option<LazyDfa>,
     pub cans: Vec<CansVertex>,
     /// `(target, next)` edge pool; its length is the `cans_edges` statistic.
@@ -476,7 +442,8 @@ impl<'a> QueryRuntime<'a> {
     /// Opens a child of the node `parent` with the per-state row-OR path:
     /// step and request rows, the basic and the index prune, λ triggers,
     /// one vertex per state with its ε edges, and the parent edges. `None`
-    /// when the query prunes the child.
+    /// when the query prunes the child; otherwise the child's scratch and
+    /// its configuration id, [`NO_CONFIG`] unless the memo holds it.
     fn open_fresh(
         &mut self,
         node: NodeId,
@@ -506,6 +473,9 @@ impl<'a> QueryRuntime<'a> {
             }
         }
         self.stats.nodes_visited += 1;
+        // A configuration the memo already holds (it may be full) lets this
+        // node's children replay again.
+        let config = self.intern(&sc);
 
         // λ triggers: filters started by states assumed here.
         let (mstates, closure) = sc.mstates_closure_mut();
@@ -522,7 +492,7 @@ impl<'a> QueryRuntime<'a> {
                 }
             }
         }
-        Some((sc, NO_CONFIG))
+        Some((sc, config))
     }
 
     /// Opens a child whose step the memo holds: the child's configuration
@@ -908,11 +878,9 @@ pub(crate) struct HypeCore<'a> {
 impl<'a> HypeCore<'a> {
     /// A core with one runtime per query of a batch, over `labels`.
     /// The configuration memo is on unless `SMOQE_KERNEL=scalar` selects
-    /// the oracle path or the core is built inside
-    /// [`without_config_memo`].
+    /// the oracle path.
     pub fn for_queries(labels: &LabelInterner, queries: &[CompiledBatchQuery<'a>]) -> Self {
-        let memo = bits::kernel() == bits::Kernel::Wide && !config_memo_off();
-        Self::with_memo(labels, queries, memo)
+        Self::with_memo(labels, queries, bits::kernel() == bits::Kernel::Wide)
     }
 
     /// [`Self::for_queries`] with the memo on or off as `memo` says.
@@ -1365,6 +1333,32 @@ mod tests {
     }
 
     #[test]
+    fn a_full_memo_still_hands_out_the_configurations_it_holds() {
+        // Fill the memo, then open a child on the per-state path: its
+        // configuration is one the memo holds, so the child gets that id
+        // back and its own children can replay.
+        let query = ir("//a/*/*/*/*/*/*/*/*/*/*/*/*/*/*/*/*");
+        let tree = random_tree(30_000, 7, |_| "b".to_owned());
+        let queries = [CompiledBatchQuery::new(Arc::clone(&query))];
+        let mut core = HypeCore::with_memo(tree.labels(), &queries, true);
+        walk(&mut core, &tree, tree.root());
+        let rt = &mut core.runtimes[0];
+        assert!(rt.dfa.as_ref().unwrap().is_full());
+
+        let (context, root) = rt.open_context(tree.root());
+        assert_ne!(root, NO_CONFIG, "the context's configuration came first");
+        let a = tree.labels().get("a").unwrap();
+        let col = rt.cols.col(a);
+        let Step::Child { config, .. } = rt.memo_step(root, col) else {
+            panic!("the walk memoized the step to `a`");
+        };
+        let (_, fresh) = rt
+            .open_fresh(tree.children(tree.root())[0], a, col, &context)
+            .unwrap();
+        assert_eq!(fresh, config);
+    }
+
+    #[test]
     fn memo_bytes_do_not_depend_on_the_label_count_below_the_bound() {
         // Two documents of one shape, labelled `a`, `b` and either one
         // further label or thousands: the further labels all map to the
@@ -1391,23 +1385,5 @@ mod tests {
             memos.push((configs, bytes));
         }
         assert_eq!(memos[0], memos[1]);
-    }
-
-    #[test]
-    fn without_config_memo_reaches_spawned_workers_and_restores() {
-        assert!(!config_memo_off());
-        without_config_memo(|| {
-            assert!(config_memo_off());
-            let (_, states) = crate::parallel::claim_map(
-                &[0, 1, 2, 3],
-                2,
-                || (),
-                |_, _, _| {
-                    assert!(config_memo_off(), "workers inherit the setting");
-                },
-            );
-            assert!(!states.is_empty());
-        });
-        assert!(!config_memo_off());
     }
 }

@@ -168,7 +168,8 @@ fn every_domain_and_shape_compiled_matches_interpreted() {
     // The registry sweep: the same differential contract the hospital pair
     // is pinned to above, across every registered domain and every
     // adversarial document shape it supports — solo, with and without
-    // OptHyPE(-C) indexes, and as one whole-corpus batch per document.
+    // OptHyPE(-C) indexes, and as one whole-corpus batch per document and
+    // index mode at budgets 1 and 2.
     for domain in all_domains() {
         let mfas = domain_corpus_mfas(&domain);
         let dtd = domain.document_dtd().clone();
@@ -200,23 +201,47 @@ fn every_domain_and_shape_compiled_matches_interpreted() {
                 }
             }
 
-            let queries: Vec<BatchQuery> = mfas.iter().map(|(_, m)| BatchQuery::new(m)).collect();
-            let reference = interpreted::evaluate_batch(&doc, &queries);
-            let compiled = evaluate_tree(&doc, doc.root(), &compile_batch(&queries), 1);
-            assert_eq!(
-                compiled.stats, reference.stats,
-                "{}/{shape:?}: aggregate batch stats differ",
-                domain.name
-            );
-            for (i, (name, _)) in mfas.iter().enumerate() {
-                assert_eq!(
-                    compiled.results[i].answers, reference.results[i].answers,
-                    "batched answers differ on `{name}` ({shape:?})"
-                );
-                assert_eq!(
-                    compiled.results[i].stats, reference.results[i].stats,
-                    "batched stats differ on `{name}` ({shape:?})"
-                );
+            // The whole corpus as one batch: plain, then with an OptHyPE
+            // and an OptHyPE-C index per query, walked sequentially and at
+            // a budget of two threads (where large enough shapes shard).
+            for compressed in [None, Some(false), Some(true)] {
+                let indexes: Vec<Option<ReachabilityIndex>> = mfas
+                    .iter()
+                    .map(|(_, m)| {
+                        compressed.map(|c| {
+                            ReachabilityIndex::from_labels(m.labels(), &dtd, doc.labels(), c)
+                        })
+                    })
+                    .collect();
+                let queries: Vec<BatchQuery> = mfas
+                    .iter()
+                    .zip(&indexes)
+                    .map(|((_, m), index)| match index {
+                        Some(index) => BatchQuery::with_index(m, index),
+                        None => BatchQuery::new(m),
+                    })
+                    .collect();
+                let reference = interpreted::evaluate_batch(&doc, &queries);
+                let compiled_queries = compile_batch(&queries);
+                for threads in [1, 2] {
+                    let compiled = evaluate_tree(&doc, doc.root(), &compiled_queries, threads);
+                    let what = format!("{shape:?}, compressed={compressed:?}, {threads}t");
+                    assert_eq!(
+                        compiled.stats, reference.stats,
+                        "{}/{what}: aggregate batch stats differ",
+                        domain.name
+                    );
+                    for (i, (name, _)) in mfas.iter().enumerate() {
+                        assert_eq!(
+                            compiled.results[i].answers, reference.results[i].answers,
+                            "batched answers differ on `{name}` ({what})"
+                        );
+                        assert_eq!(
+                            compiled.results[i].stats, reference.results[i].stats,
+                            "batched stats differ on `{name}` ({what})"
+                        );
+                    }
+                }
             }
         }
     }

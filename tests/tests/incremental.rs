@@ -22,7 +22,7 @@ use smoqe_hype::{
 };
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{
-    all_domains, generate_from_dtd, generate_hospital, DocShape, DtdGenConfig, HospitalConfig,
+    all_domains, generate_from_dtd, generate_hospital, DtdGenConfig, HospitalConfig,
 };
 use smoqe_xml::hospital::hospital_document_dtd;
 use smoqe_xml::{labels_fingerprint, parse_document, EditOp, NodeId, XmlTree};
@@ -252,8 +252,9 @@ fn random_scripts_on_dtd_random_documents_stay_bit_identical() {
 }
 
 // ---------------------------------------------------------------------------
-// Registry sweep: every domain, domain-vocabulary edit scripts, the whole
-// per-domain corpus (rewritten view queries included) as the probe set.
+// Registry sweep: every domain and document shape, domain-vocabulary edit
+// scripts, the whole per-domain corpus (rewritten view queries included) as
+// the probe set.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -269,35 +270,38 @@ fn random_scripts_on_every_domain_stay_bit_identical() {
             .iter()
             .map(|q| CompiledBatchQuery::new(Arc::clone(&q.compiled)))
             .collect();
-        for &threads in BUDGETS {
-            let mut tree = domain.generate(DocShape::Standard, 1, STANDARD_SEED);
-            let (mut eval, _) =
-                IncrementalEvaluator::new(&tree, tree.root(), queries.clone(), threads);
-            let mut rng = Rng(0xD0_17_F0_0D ^ ((d as u64 + 1) << 8) ^ threads as u64);
-            for step in 0..4 {
-                let len = 1 + rng.below(3);
-                let ops = random_script(&mut rng, &tree, &payloads, len);
-                let result = eval
-                    .apply_edits(&mut tree, &ops, threads)
-                    .expect("generated scripts never touch the root-context invariants");
-                tree.check_consistency().unwrap();
-                let want = evaluate_tree(&tree, eval.context(), &scratch, 1);
-                assert_eq!(
-                    result.stats, want.stats,
-                    "{}: aggregate stats differ at step {step} ({threads}t)",
-                    domain.name
-                );
-                for (i, (g, w)) in result.results.iter().zip(&want.results).enumerate() {
+        for (k, &shape) in domain.shapes.iter().enumerate() {
+            for &threads in BUDGETS {
+                let mut tree = domain.generate(shape, 1, STANDARD_SEED);
+                let (mut eval, _) =
+                    IncrementalEvaluator::new(&tree, tree.root(), queries.clone(), threads);
+                let seed = 0xD0_17_F0_0D ^ ((d as u64 + 1) << 8) ^ ((k as u64) << 16);
+                let mut rng = Rng(seed ^ threads as u64);
+                for step in 0..4 {
+                    let len = 1 + rng.below(3);
+                    let ops = random_script(&mut rng, &tree, &payloads, len);
+                    let result = eval
+                        .apply_edits(&mut tree, &ops, threads)
+                        .expect("generated scripts never touch the root-context invariants");
+                    tree.check_consistency().unwrap();
+                    let want = evaluate_tree(&tree, eval.context(), &scratch, 1);
                     assert_eq!(
-                        g.answers, w.answers,
-                        "answers differ on `{}` at step {step} ({threads}t)",
-                        irs[i].0
+                        result.stats, want.stats,
+                        "{}: aggregate stats differ at step {step} ({shape:?}, {threads}t)",
+                        domain.name
                     );
-                    assert_eq!(
-                        g.stats, w.stats,
-                        "stats differ on `{}` at step {step} ({threads}t)",
-                        irs[i].0
-                    );
+                    for (i, (g, w)) in result.results.iter().zip(&want.results).enumerate() {
+                        assert_eq!(
+                            g.answers, w.answers,
+                            "answers differ on `{}` at step {step} ({shape:?}, {threads}t)",
+                            irs[i].0
+                        );
+                        assert_eq!(
+                            g.stats, w.stats,
+                            "stats differ on `{}` at step {step} ({shape:?}, {threads}t)",
+                            irs[i].0
+                        );
+                    }
                 }
             }
         }
