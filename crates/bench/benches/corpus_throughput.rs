@@ -139,21 +139,22 @@ fn correctness_and_throughput_report(docs: &[XmlTree], irs: &[Arc<CompiledMfa>])
             QUERIES.iter().map(move |&q| (id, q))
         })
         .collect();
-    let service = QueryService::hospital_demo();
-    let service_sequential = service
-        .evaluate_corpus(&store, &requests, EvaluationMode::HyPE)
-        .unwrap();
-    for &threads in BUDGETS {
-        let service = QueryService::with_config(
+    let service_at = |threads| {
+        QueryService::with_config(
             smoqe::SmoqeEngine::hospital_demo().view().clone(),
             smoqe::ServiceConfig {
                 parallel_threads: threads,
                 ..smoqe::ServiceConfig::default()
             },
         )
-        .expect("demo view compiles");
-        let parallel = service
-            .evaluate_corpus_parallel(&store, &requests, EvaluationMode::HyPE)
+        .expect("demo view compiles")
+    };
+    let service_sequential = service_at(1)
+        .evaluate_corpus(&store, &requests, EvaluationMode::HyPE)
+        .unwrap();
+    for &threads in BUDGETS {
+        let parallel = service_at(threads)
+            .evaluate_corpus(&store, &requests, EvaluationMode::HyPE)
             .unwrap();
         assert_eq!(
             parallel, service_sequential,

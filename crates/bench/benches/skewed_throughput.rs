@@ -37,12 +37,12 @@
 use std::io::Write as _;
 use std::sync::Arc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use smoqe_automata::{compile_query, CompiledMfa};
-use smoqe_bench::run_solo;
+use smoqe_bench::{paired_node_throughput, run_solo};
 use smoqe_hype::{evaluate_tree, CompiledBatchQuery};
 use smoqe_toxgene::{generate_skewed_hospital, HospitalConfig};
 use smoqe_xml::XmlTree;
@@ -92,18 +92,8 @@ fn emit_json(line: &str) {
     }
 }
 
-/// Nodes-per-second of `f` over a `window`, where `f` returns the
-/// sequential-equivalent node-visit count of one full pass.
-fn node_throughput(window: Duration, f: &mut dyn FnMut() -> u64) -> f64 {
-    let start = Instant::now();
-    let mut nodes = 0u64;
-    while start.elapsed() < window {
-        nodes += f();
-    }
-    nodes as f64 / start.elapsed().as_secs_f64()
-}
-
-/// The measurement window of the first throughput pass.
+/// Half the measured time of the first throughput pass at each budget (see
+/// [`paired_node_throughput`]).
 const WINDOW: Duration = Duration::from_millis(700);
 
 /// Part 1: shape pin, differential gates, skew diagnostics, and (hardware
@@ -176,23 +166,14 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
     }
     println!("differential gate: parallel ≡ sequential (answers + stats) at {BUDGETS:?} threads");
 
-    // Node-throughput series over the batched workload.
-    let sequential_nps = node_throughput(WINDOW, &mut || {
-        evaluate_tree(tree, tree.root(), &queries, 1).stats.sequential_node_visits as u64
-    });
-    emit_json(&format!(
-        "{{\"id\": \"skewed_throughput/nodes_per_sec/sequential\", \
-         \"nodes_per_sec\": {sequential_nps:.0}, \"cores\": {cores}}}"
-    ));
-    println!("node throughput (batch): sequential {:.2} Mnodes/s", sequential_nps / 1e6);
-
+    // Node-throughput series: sequential-equivalent visited nodes per
+    // second over the batched workload, each budget's passes alternating
+    // with the sequential walk's.
     let mut speedup_at = Vec::new();
+    let mut sequential_rates = Vec::new();
     for &threads in BUDGETS {
-        let nps = node_throughput(WINDOW, &mut || {
-            evaluate_tree(tree, tree.root(), &queries, threads)
-                .stats
-                .sequential_node_visits as u64
-        });
+        let (sequential_nps, nps) = paired_node_throughput(tree, &queries, threads, WINDOW);
+        sequential_rates.push(sequential_nps);
         let speedup = nps / sequential_nps;
         speedup_at.push((threads, speedup));
         emit_json(&format!(
@@ -200,10 +181,21 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
              \"nodes_per_sec\": {nps:.0}, \"speedup\": {speedup:.3}, \"cores\": {cores}}}"
         ));
         println!(
-            "node throughput (batch): parallel @{threads}t {:.2} Mnodes/s ({speedup:.2}x)",
-            nps / 1e6
+            "node throughput (batch): parallel @{threads}t {:.2} Mnodes/s ({speedup:.2}x \
+             the alternating sequential passes' {:.2} Mnodes/s)",
+            nps / 1e6,
+            sequential_nps / 1e6
         );
     }
+    let sequential_nps = sequential_rates.iter().sum::<f64>() / sequential_rates.len() as f64;
+    emit_json(&format!(
+        "{{\"id\": \"skewed_throughput/nodes_per_sec/sequential\", \
+         \"nodes_per_sec\": {sequential_nps:.0}, \"cores\": {cores}}}"
+    ));
+    println!(
+        "node throughput (batch): sequential {:.2} Mnodes/s (mean)",
+        sequential_nps / 1e6
+    );
 
     // The speed-up gates, where the hardware can express one: ≥1.25x at 2
     // threads from 2 cores on, ≥1.4x at 4 threads from 4 cores on.
@@ -226,10 +218,11 @@ fn correctness_and_throughput_report(tree: &XmlTree, workload: &[Arc<CompiledMfa
 /// sequential walk, enforced on hardware with at least `threads` cores
 /// (on fewer, scoped threads time-slice and no wall-clock win is
 /// physically possible, so the gate is reported as skipped with the core
-/// count recorded in the JSON). Shared runners can have a noisy neighbor
-/// land inside one 700 ms window, so a first pass below `threshold` is
-/// re-measured once over a longer window on both sides and the better
-/// ratio kept before failing the build.
+/// count recorded in the JSON). Both measurements alternate sequential and
+/// parallel passes after a warm-up ([`paired_node_throughput`]). Shared
+/// runners can still have a noisy neighbor land inside the first one, so a
+/// first reading below `threshold` is re-measured once over a longer
+/// window and the better ratio kept before failing the build.
 fn speedup_gate(
     tree: &XmlTree,
     queries: &[CompiledBatchQuery],
@@ -242,16 +235,8 @@ fn speedup_gate(
     let enforced = cores >= threads;
     if enforced && speedup < threshold {
         let retry_window = Duration::from_millis(2_500);
-        let sequential_retry = node_throughput(retry_window, &mut || {
-            evaluate_tree(tree, tree.root(), queries, 1)
-                .stats
-                .sequential_node_visits as u64
-        });
-        let parallel_retry = node_throughput(retry_window, &mut || {
-            evaluate_tree(tree, tree.root(), queries, threads)
-                .stats
-                .sequential_node_visits as u64
-        });
+        let (sequential_retry, parallel_retry) =
+            paired_node_throughput(tree, queries, threads, retry_window);
         let retried = parallel_retry / sequential_retry;
         println!("speedup gate @{threads}t: first pass {speedup:.2}x, retry pass {retried:.2}x");
         speedup = speedup.max(retried);

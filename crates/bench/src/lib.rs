@@ -20,6 +20,7 @@
 #![warn(missing_docs)]
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use smoqe_automata::{CompiledMfa, Mfa};
 use smoqe_hype::{evaluate_tree, CompiledBatchQuery, HypeResult, ReachabilityIndex};
@@ -46,6 +47,42 @@ pub fn run_solo(
         index,
     };
     evaluate_tree(tree, tree.root(), &[query], threads).results.remove(0)
+}
+
+/// Batch node throughput of the sequential walk and of `threads` workers
+/// over `queries` on `tree`, as `(sequential, parallel)` rates in
+/// sequential-equivalent visited nodes per second.
+///
+/// After one untimed pass of each, single passes of the two budgets
+/// alternate until together they have run for twice `window`, so both
+/// sides run on warm caches and share the host's drift; each side's rate is
+/// its nodes over its own time. (Timing the sequential side once, cold,
+/// before every parallel window let a speed-up gate read the noise of that
+/// one window.)
+pub fn paired_node_throughput(
+    tree: &XmlTree,
+    queries: &[CompiledBatchQuery],
+    threads: usize,
+    window: Duration,
+) -> (f64, f64) {
+    let pass = |budget| {
+        evaluate_tree(tree, tree.root(), queries, budget)
+            .stats
+            .sequential_node_visits as u64
+    };
+    pass(1);
+    pass(threads);
+    // (nodes, seconds) per side: [sequential, parallel].
+    let mut totals = [(0u64, 0f64); 2];
+    while totals[0].1 + totals[1].1 < 2.0 * window.as_secs_f64() {
+        for (side, budget) in [1, threads].into_iter().enumerate() {
+            let start = Instant::now();
+            totals[side].0 += pass(budget);
+            totals[side].1 += start.elapsed().as_secs_f64();
+        }
+    }
+    let [sequential, parallel] = totals.map(|(nodes, secs)| nodes as f64 / secs);
+    (sequential, parallel)
 }
 
 /// One document of the benchmark series.

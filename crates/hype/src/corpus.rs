@@ -20,9 +20,9 @@
 //!   **bit-identical** at every thread budget (asserted by the `corpus`
 //!   integration suite and the `corpus_throughput` bench).
 //!
-//! The service layer (`smoqe::QueryService::evaluate_corpus` and
-//! `evaluate_corpus_parallel`, one body under a thread budget) builds the
-//! task list from its `DocumentStore` and caches, then dispatches here.
+//! The service layer (`smoqe::QueryService::evaluate_corpus`, at the
+//! service's thread budget) builds the task list from its `DocumentStore`
+//! and caches, then dispatches here.
 
 use std::sync::Arc;
 

@@ -1,7 +1,6 @@
 //! The SMOQE engine: view-based query answering and the stand-alone
 //! regular XPath engine.
 
-use std::collections::BTreeSet;
 use std::fmt;
 use std::io::Read;
 use std::sync::Arc;
@@ -78,6 +77,19 @@ pub enum EvaluationMode {
     OptHyPEC,
 }
 
+impl EvaluationMode {
+    /// The reachability index this mode prunes with: `None` for plain HyPE,
+    /// otherwise `Some(compressed)` — the flag [`CompiledQuery::build_index`]
+    /// takes. The one place a mode is mapped to an index.
+    pub fn compressed_index(self) -> Option<bool> {
+        match self {
+            EvaluationMode::HyPE => None,
+            EvaluationMode::OptHyPE => Some(false),
+            EvaluationMode::OptHyPEC => Some(true),
+        }
+    }
+}
+
 /// A query compiled (and, for view queries, rewritten) into an MFA — plus
 /// its [`CompiledMfa`] execution IR, built once here so every later
 /// evaluation runs on the dense bitset representation — ready to be
@@ -123,20 +135,14 @@ impl CompiledQuery {
         &self.compiled
     }
 
-    /// Evaluates the query at the root of `doc` with plain HyPE.
-    pub fn evaluate(&self, doc: &XmlTree) -> HypeResult {
-        self.run(doc, doc.root(), None, 1)
-    }
-
-    /// Evaluates at an arbitrary context node.
-    pub fn evaluate_at(&self, doc: &XmlTree, context: NodeId) -> HypeResult {
-        self.run(doc, context, None, 1)
-    }
-
-    /// Evaluates at `context`, optionally pruned by `index`, under the
-    /// thread budget `threads` (see [`smoqe_hype::evaluate_tree`]): the one
-    /// call every tree front end of this crate makes.
-    pub(crate) fn run(
+    /// Evaluates the query at `context` in `doc`, pruned by `index` when
+    /// one is given (OptHyPE(-C); see [`Self::build_index`] and
+    /// [`EvaluationMode::compressed_index`]), under the thread budget
+    /// `threads` (see [`smoqe_hype::evaluate_tree`]: `1` is the sequential
+    /// walk, `0` all cores). Answers and statistics are the same at every
+    /// budget. The one tree evaluator of a compiled query; every front end
+    /// of this crate ends here or in [`smoqe_hype::evaluate_tree`].
+    pub fn evaluate(
         &self,
         doc: &XmlTree,
         context: NodeId,
@@ -181,22 +187,6 @@ impl CompiledQuery {
             return ReachabilityIndex::no_prune(self.compiled.labels(), doc.labels(), compressed);
         }
         ReachabilityIndex::for_compiled(&self.compiled, document_dtd, doc.labels(), compressed)
-    }
-
-    /// Evaluates with the requested HyPE variant, building the index on the
-    /// fly for the Opt variants.
-    pub fn evaluate_with_mode(
-        &self,
-        doc: &XmlTree,
-        document_dtd: &Dtd,
-        mode: EvaluationMode,
-    ) -> HypeResult {
-        let index = match mode {
-            EvaluationMode::HyPE => None,
-            EvaluationMode::OptHyPE => Some(self.build_index(document_dtd, doc, false)),
-            EvaluationMode::OptHyPEC => Some(self.build_index(document_dtd, doc, true)),
-        };
-        self.run(doc, doc.root(), index.as_ref(), 1)
     }
 }
 
@@ -243,65 +233,26 @@ impl SmoqeEngine {
         Ok(CompiledQuery::from_mfa(query.clone(), mfa))
     }
 
-    /// One-shot convenience: parse, rewrite and evaluate `query` over `doc`,
-    /// returning the origin nodes (in the source document) of the view nodes
-    /// the query selects.
-    pub fn answer(&self, query: &str, doc: &XmlTree) -> Result<BTreeSet<NodeId>, EngineError> {
-        Ok(self.compile(query)?.evaluate(doc).answers)
-    }
-
-    /// Like [`Self::answer`] but also returns HyPE's execution statistics.
-    pub fn answer_with_stats(
+    /// One-shot: parse, rewrite and evaluate `query` over `doc` with `mode`
+    /// (building the OptHyPE(-C) index for this call), on the sequential
+    /// walk. The answers are the origin nodes (in the source document) of
+    /// the view nodes the query selects; the statistics are HyPE's.
+    ///
+    /// To evaluate one query many times, over many documents, at another
+    /// context or thread budget, or over a streamed document, [`Self::compile`]
+    /// it once and call [`CompiledQuery::evaluate`] or
+    /// [`CompiledQuery::evaluate_stream`].
+    pub fn answer(
         &self,
         query: &str,
         doc: &XmlTree,
         mode: EvaluationMode,
     ) -> Result<HypeResult, EngineError> {
         let compiled = self.compile(query)?;
-        Ok(compiled.evaluate_with_mode(doc, self.view.document_dtd(), mode))
-    }
-
-    /// Like [`Self::answer`], but over a **streamed** document read from
-    /// `input` — a file, socket, or stdin — which is never materialized as
-    /// a tree (constant memory in the document size; see
-    /// [`smoqe_hype::stream`]). Answer nodes are identified by pre-order
-    /// index, matching the ids [`smoqe_xml::parse_document`] assigns.
-    pub fn answer_stream(
-        &self,
-        query: &str,
-        input: impl Read,
-    ) -> Result<BTreeSet<NodeId>, EngineError> {
-        Ok(self.compile(query)?.evaluate_stream(input)?.0.answers)
-    }
-
-    /// Like [`Self::answer_stream`] but also returns HyPE's execution
-    /// statistics and the stream-level counters (events consumed, peak
-    /// frame depth).
-    pub fn answer_stream_with_stats(
-        &self,
-        query: &str,
-        input: impl Read,
-    ) -> Result<(HypeResult, StreamStats), EngineError> {
-        self.compile(query)?.evaluate_stream(input)
-    }
-
-    /// Answers several view queries over one streamed document in a single
-    /// pass ([`StreamHype`]). Results are index-aligned with `queries`.
-    pub fn answer_stream_batch(
-        &self,
-        queries: &[&str],
-        input: impl Read,
-    ) -> Result<smoqe_hype::StreamResult, EngineError> {
-        let compiled: Vec<CompiledQuery> = queries
-            .iter()
-            .map(|q| self.compile(q))
-            .collect::<Result<_, _>>()?;
-        let batch: Vec<CompiledBatchQuery> = compiled
-            .iter()
-            .map(|c| CompiledBatchQuery::new(Arc::clone(c.compiled())))
-            .collect();
-        let mut reader = XmlStreamReader::new(input);
-        Ok(StreamHype::from_compiled(&batch, LabelInterner::new()).run(&mut reader)?)
+        let index = mode
+            .compressed_index()
+            .map(|compressed| compiled.build_index(self.view.document_dtd(), doc, compressed));
+        Ok(compiled.evaluate(doc, doc.root(), index.as_ref(), 1))
     }
 }
 
@@ -353,7 +304,10 @@ mod tests {
             "(patient/parent)*/patient[record]",
             "patient[not(parent)]",
         ] {
-            let by_engine = engine.answer(query, &doc).unwrap();
+            let by_engine = engine
+                .answer(query, &doc, EvaluationMode::HyPE)
+                .unwrap()
+                .answers;
             let q = parse_path(query).unwrap();
             let on_view = evaluate(&materialized.tree, materialized.tree.root(), &q);
             let expected = materialized.origins_of(&on_view);
@@ -366,14 +320,12 @@ mod tests {
         let doc = small_doc();
         let engine = SmoqeEngine::hospital_demo();
         let query = format!("patient[*//record/diagnosis/text()='{HEART_DISEASE}']");
-        let base = engine
-            .answer_with_stats(&query, &doc, EvaluationMode::HyPE)
-            .unwrap();
+        let base = engine.answer(&query, &doc, EvaluationMode::HyPE).unwrap();
         let opt = engine
-            .answer_with_stats(&query, &doc, EvaluationMode::OptHyPE)
+            .answer(&query, &doc, EvaluationMode::OptHyPE)
             .unwrap();
         let optc = engine
-            .answer_with_stats(&query, &doc, EvaluationMode::OptHyPEC)
+            .answer(&query, &doc, EvaluationMode::OptHyPEC)
             .unwrap();
         assert_eq!(base.answers, opt.answers);
         assert_eq!(base.answers, optc.answers);
@@ -390,8 +342,11 @@ mod tests {
                 seed,
                 ..Default::default()
             });
-            let direct = engine.answer("patient/record/diagnosis", &doc).unwrap();
-            assert_eq!(compiled.evaluate(&doc).answers, direct);
+            let direct = engine
+                .answer("patient/record/diagnosis", &doc, EvaluationMode::HyPE)
+                .unwrap();
+            let reused = compiled.evaluate(&doc, doc.root(), None, 1);
+            assert_eq!(reused, direct);
         }
     }
 
@@ -402,13 +357,13 @@ mod tests {
             "department/patient[visit/treatment/medication/diagnosis/text()='heart disease']/pname",
         )
         .unwrap();
-        let result = compiled.evaluate(&doc);
+        let result = compiled.evaluate(&doc, doc.root(), None, 1);
         let q = compiled.query().clone();
         let expected = evaluate(&doc, doc.root(), &q);
         assert_eq!(result.answers, expected);
         // The index variants agree too.
-        let dtd = hospital_document_dtd();
-        let opt = compiled.evaluate_with_mode(&doc, &dtd, EvaluationMode::OptHyPE);
+        let index = compiled.build_index(&hospital_document_dtd(), &doc, false);
+        let opt = compiled.evaluate(&doc, doc.root(), Some(&index), 1);
         assert_eq!(opt.answers, expected);
     }
 
@@ -425,33 +380,24 @@ mod tests {
             "patient[*//record/diagnosis/text()='heart disease']",
             "patient[not(parent)]",
         ] {
-            let on_tree = engine.answer(query, &reparsed).unwrap();
-            let streamed = engine.answer_stream(query, xml.as_bytes()).unwrap();
+            let on_tree = engine
+                .answer(query, &reparsed, EvaluationMode::HyPE)
+                .unwrap();
+            let (streamed, _) = engine
+                .compile(query)
+                .unwrap()
+                .evaluate_stream(xml.as_bytes())
+                .unwrap();
             assert_eq!(streamed, on_tree, "stream differs on `{query}`");
         }
     }
 
     #[test]
-    fn answer_stream_batch_aligns_with_solo_streams() {
-        let doc = small_doc();
-        let xml = smoqe_xml::to_xml_string(&doc);
-        let engine = SmoqeEngine::hospital_demo();
-        let queries = ["patient", "patient/record/diagnosis", "(patient/parent)*/patient[record]"];
-        let batch = engine.answer_stream_batch(&queries, xml.as_bytes()).unwrap();
-        assert_eq!(batch.results.len(), queries.len());
-        for (i, query) in queries.iter().enumerate() {
-            let (solo, _) = engine.answer_stream_with_stats(query, xml.as_bytes()).unwrap();
-            assert_eq!(batch.results[i].answers, solo.answers, "on `{query}`");
-            assert_eq!(batch.results[i].stats, solo.stats, "on `{query}`");
-        }
-        assert!(batch.stats.nodes_visited <= batch.stats.sequential_node_visits);
-    }
-
-    #[test]
     fn stream_parse_errors_surface_as_xml_errors() {
         let engine = SmoqeEngine::hospital_demo();
+        let compiled = engine.compile("patient").unwrap();
         assert!(matches!(
-            engine.answer_stream("patient", "<a><b></a></b>".as_bytes()),
+            compiled.evaluate_stream("<a><b></a></b>".as_bytes()),
             Err(EngineError::Xml(_))
         ));
     }
@@ -461,7 +407,7 @@ mod tests {
         let engine = SmoqeEngine::hospital_demo();
         let doc = small_doc();
         assert!(matches!(
-            engine.answer("patient[", &doc),
+            engine.answer("patient[", &doc, EvaluationMode::HyPE),
             Err(EngineError::Query(_))
         ));
     }
@@ -472,8 +418,18 @@ mod tests {
         // never sees sibling-only patients, whatever query it poses on the view.
         let doc = small_doc();
         let engine = SmoqeEngine::hospital_demo();
-        for query in ["pname", "patient/pname", "//pname", "//doctor", "//sibling", "//address"] {
-            let answers = engine.answer(query, &doc).unwrap();
+        for query in [
+            "pname",
+            "patient/pname",
+            "//pname",
+            "//doctor",
+            "//sibling",
+            "//address",
+        ] {
+            let answers = engine
+                .answer(query, &doc, EvaluationMode::HyPE)
+                .unwrap()
+                .answers;
             assert!(answers.is_empty(), "`{query}` must be empty on the view");
         }
     }

@@ -23,20 +23,20 @@
 //! in a single HyPE pass ([`smoqe_hype::evaluate_tree`]). The service is
 //! `Send + Sync` — its caches are segmented, independently locked LRUs
 //! ([`lru::ShardedLru`]), so one instance serves many threads — and its
-//! `*_parallel` front-ends ([`QueryService::answer_parallel`],
-//! [`QueryService::evaluate_batch_parallel`]) additionally shard a single
-//! document traversal across a configurable thread budget
-//! ([`smoqe_hype::parallel`]) with bit-identical answers and statistics.
+//! tree front end ([`QueryService::evaluate_batch`];
+//! [`QueryService::evaluate`] is a batch of one) shards a large document's
+//! traversal across a configurable thread budget ([`smoqe_hype::parallel`])
+//! with bit-identical answers and statistics.
 //!
 //! When the workload is many *documents* rather than many queries, the
 //! [`DocumentStore`] holds a corpus of documents as parsed arenas plus
 //! their binary snapshots (`smoqe_xml::snapshot`), content-addressed by
 //! [`DocId`] with the reachability-cache fingerprint precomputed per
-//! document. [`QueryService::evaluate_corpus_parallel`] then routes a
-//! batch of (document, query) requests **across documents** over the same
-//! thread budget — each pair on the unchanged sequential engine, so
-//! answers and statistics stay bit-identical to the sequential
-//! [`QueryService::evaluate_corpus`] loop.
+//! document. [`QueryService::evaluate_corpus`] then routes a batch of
+//! (document, query) requests **across documents** over the same thread
+//! budget — each pair on the unchanged sequential engine, so answers and
+//! statistics stay bit-identical to one [`QueryService::evaluate`] call
+//! per request.
 //!
 //! Stored documents are **versioned-mutable**: [`DocumentStore::apply_edit`]
 //! applies subtree edits (`smoqe_xml::edit`) to produce a new
@@ -50,8 +50,8 @@
 //! skip the unchanged parts of the document entirely via
 //! [`smoqe_hype::incremental`].
 //!
-//! Documents need not fit in memory at all: `answer_stream` on both
-//! [`SmoqeEngine`] and [`QueryService`] evaluates queries over a **streamed**
+//! Documents need not fit in memory at all: [`CompiledQuery::evaluate_stream`]
+//! and [`QueryService::answer_stream`] evaluate queries over a **streamed**
 //! document read from any `std::io::Read` — the single-pass promise of the
 //! paper taken literally, in `O(depth)` working memory, via
 //! [`smoqe_hype::stream`] and [`smoqe_xml::stream`].
@@ -59,7 +59,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use smoqe::SmoqeEngine;
+//! use smoqe::{EvaluationMode, SmoqeEngine};
 //! use smoqe_toxgene::{generate_hospital, HospitalConfig};
 //!
 //! // A synthetic hospital document (the underlying, confidential data).
@@ -70,10 +70,14 @@
 //!
 //! // A query over the *view*: heart-disease patients one of whose ancestors
 //! // also had heart disease. Answered on the source, without materializing.
-//! let answers = engine
-//!     .answer("patient[*//record/diagnosis/text()='heart disease']", &doc)
+//! let result = engine
+//!     .answer(
+//!         "patient[*//record/diagnosis/text()='heart disease']",
+//!         &doc,
+//!         EvaluationMode::HyPE,
+//!     )
 //!     .unwrap();
-//! assert!(answers.iter().all(|&n| doc.label_name(n) == "patient"));
+//! assert!(result.answers.iter().all(|&n| doc.label_name(n) == "patient"));
 //! ```
 
 #![forbid(unsafe_code)]

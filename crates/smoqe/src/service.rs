@@ -16,18 +16,18 @@
 //! * a bounded **reachability-index cache** keyed by
 //!   `(normalized query, document-label fingerprint, compressed?)`, so the
 //!   OptHyPE(-C) index for a (query, document family) pair is built once;
-//! * a **batched evaluation front-end** ([`QueryService::evaluate_batch`])
-//!   that pushes N cached queries through a single HyPE pass
-//!   ([`smoqe_hype::evaluate_tree`]) instead of N traversals;
-//! * **parallel front-ends** ([`QueryService::answer_parallel`],
-//!   [`QueryService::evaluate_batch_parallel`]) that run the same pass
-//!   sharded over a configurable thread budget
-//!   ([`smoqe_hype::parallel`]) with answers and statistics identical to
-//!   the sequential paths — each sequential/parallel pair is one body
-//!   that takes the budget. [`QueryService::evaluate`] and
-//!   [`QueryService::evaluate_batch`] pick the budget themselves: the
-//!   configured one on documents of at least [`SHARD_FLOOR_NODES`] live
-//!   nodes, the sequential walk below.
+//! * one **tree front end** ([`QueryService::evaluate_batch`]) that pushes
+//!   N cached queries through a single HyPE pass
+//!   ([`smoqe_hype::evaluate_tree`]) instead of N traversals
+//!   ([`QueryService::evaluate`] is a batch of one). A document of at least
+//!   [`SHARD_FLOOR_NODES`] live nodes is sharded over the configured thread
+//!   budget ([`smoqe_hype::parallel`]), a smaller one takes the sequential
+//!   walk, with answers and statistics identical either way;
+//! * one **corpus front end** ([`QueryService::evaluate_corpus`]) that
+//!   routes (document, query) requests against a [`DocumentStore`] across
+//!   documents over the same budget;
+//! * one **stream front end** ([`QueryService::answer_stream`]) for
+//!   documents that are never materialized.
 //!
 //! The service is `Send + Sync` by construction: all methods take `&self`,
 //! the caches are [`ShardedLru`]s (independently locked segments, so
@@ -46,14 +46,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use smoqe_hype::{
-    BatchResult, CompiledBatchQuery, CorpusTask, HypeResult, ReachabilityIndex, StreamHype,
-    StreamResult, StreamStats,
+    BatchResult, CompiledBatchQuery, CorpusTask, HypeResult, ReachabilityIndex, StreamStats,
 };
 use smoqe_views::ViewDefinition;
-use smoqe_xml::{LabelInterner, XmlStreamReader, XmlTree};
+use smoqe_xml::{labels_fingerprint, EditOp, XmlTree};
 use smoqe_xpath::{normalize, parse_path, Path};
-
-use smoqe_xml::EditOp;
 
 use crate::engine::{CompiledQuery, EngineError, EvaluationMode, SmoqeEngine};
 use crate::lru::ShardedLru;
@@ -71,15 +68,16 @@ pub struct ServiceConfig {
     /// segments reduce lock contention between concurrent callers;
     /// `1` restores exact global LRU recency.
     pub cache_segments: usize,
-    /// Thread budget of the `*_parallel` front-ends, and of
-    /// [`QueryService::evaluate`] / [`QueryService::evaluate_batch`] on
-    /// documents of at least [`SHARD_FLOOR_NODES`] live nodes: `0` uses all
+    /// Thread budget of the tree front end ([`QueryService::evaluate`] /
+    /// [`QueryService::evaluate_batch`]) on documents of at least
+    /// [`SHARD_FLOOR_NODES`] live nodes, and of
+    /// [`QueryService::evaluate_corpus`] on any corpus: `0` uses all
     /// available cores, `1` runs the sequential walk on the calling thread.
     /// Answers and statistics are the same at every budget.
     ///
-    /// A `smoqed` `BatchQuery` on a large document therefore shards over
-    /// this budget; a daemon that already keeps every core busy with
-    /// request workers may set it to `1`.
+    /// A `smoqed` `Query` or `BatchQuery` on a large document therefore
+    /// shards over this budget; a daemon that already keeps every core busy
+    /// with request workers may set it to `1`.
     pub parallel_threads: usize,
 }
 
@@ -117,14 +115,13 @@ pub struct ServiceStats {
     pub index_invalidations: u64,
     /// Indexes currently cached.
     pub index_cached: usize,
-    /// Shard skew of the most recent call that ran under a thread budget
-    /// other than 1: `answer_parallel` / `evaluate_batch_parallel`, and
-    /// `evaluate` / `evaluate_batch` on a document of at least
-    /// [`SHARD_FLOOR_NODES`] live nodes. The largest work unit's share of
-    /// the physically visited nodes, in `[0, 1]` (`0.0` before any such
-    /// call, and after one whose plan fell back to the walk). Scheduling
-    /// observability — excluded from equality, like
-    /// `HypeStats::max_shard_fraction`.
+    /// Shard skew of the most recent tree pass that ran under a thread
+    /// budget other than 1: `evaluate` / `evaluate_batch` on a document of
+    /// at least [`SHARD_FLOOR_NODES`] live nodes, and `answer_parallel`.
+    /// The largest work unit's share of the physically visited nodes, in
+    /// `[0, 1]` (`0.0` before any such call, and after one whose plan fell
+    /// back to the walk). Scheduling observability — excluded from
+    /// equality, like `HypeStats::max_shard_fraction`.
     pub last_max_shard_fraction: f64,
 }
 
@@ -150,7 +147,7 @@ impl Eq for ServiceStats {}
 /// [`QueryService::evaluate_batch`] shard the document over
 /// [`ServiceConfig::parallel_threads`]; smaller documents take the
 /// sequential walk. Measured on a 2-vCPU host, budget 2 against budget 1
-/// (`answer_parallel` / `evaluate_batch_parallel` over the hospital
+/// (solo and batched passes at a forced budget over the hospital
 /// domain's standard documents, the Fig. 8/9 queries through the identity
 /// view and the recursive research-view queries, all three modes; medians
 /// of alternated pairs, three runs): solo queries read 0.84–0.93× at
@@ -205,7 +202,7 @@ struct IndexKey {
 pub struct QueryService {
     engine: SmoqeEngine,
     fingerprint: u64,
-    /// Thread budget of the `*_parallel` front-ends (0 = all cores).
+    /// Thread budget of sharded and corpus passes (0 = all cores).
     parallel_threads: usize,
     /// Raw query text → normalized key text, so warm-path lookups skip the
     /// parse + normalize + re-print entirely. Sized at a multiple of the
@@ -225,7 +222,7 @@ pub struct QueryService {
     index_hits: AtomicU64,
     index_misses: AtomicU64,
     index_invalidations: AtomicU64,
-    /// `f64::to_bits` of the most recent parallel call's largest work-unit
+    /// `f64::to_bits` of the most recent sharded pass's largest work-unit
     /// visit share (shard skew); see `ServiceStats::last_max_shard_fraction`.
     last_max_shard_fraction: AtomicU64,
 }
@@ -340,28 +337,22 @@ impl QueryService {
         Ok(compiled)
     }
 
-    /// Returns the cached OptHyPE(-C) index for (`compiled`, `doc`),
-    /// building and caching it on first use.
+    /// The index `mode` prunes `compiled` with over `doc`, from cache
+    /// (built and cached on first use): `None` for plain HyPE.
+    /// `doc_labels` yields `doc`'s label fingerprint, the document half of
+    /// the cache key; it is called only in the Opt modes, so plain HyPE
+    /// never hashes the label table. The corpus path passes the stored
+    /// document's precomputed fingerprint
+    /// ([`StoredDocument::labels_fingerprint`]).
     fn index_for(
         &self,
         compiled: &CompiledQuery,
         doc: &XmlTree,
-        compressed: bool,
-    ) -> Arc<ReachabilityIndex> {
-        self.index_for_fingerprinted(compiled, doc, labels_fingerprint(doc.labels()), compressed)
-    }
-
-    /// [`Self::index_for`] with the document-label fingerprint supplied by
-    /// the caller — the corpus path precomputes it once per stored document
-    /// ([`StoredDocument::labels_fingerprint`]) instead of rehashing the
-    /// label table on every (doc, query) request.
-    fn index_for_fingerprinted(
-        &self,
-        compiled: &CompiledQuery,
-        doc: &XmlTree,
-        doc_labels: u64,
-        compressed: bool,
-    ) -> Arc<ReachabilityIndex> {
+        doc_labels: impl FnOnce() -> u64,
+        mode: EvaluationMode,
+    ) -> Option<Arc<ReachabilityIndex>> {
+        let compressed = mode.compressed_index()?;
+        let doc_labels = doc_labels();
         debug_assert_eq!(doc_labels, labels_fingerprint(doc.labels()));
         let key = IndexKey {
             query: compiled.query().to_string(),
@@ -370,7 +361,7 @@ impl QueryService {
         };
         if let Some(cached) = self.indexes.get(&key) {
             self.index_hits.fetch_add(1, Ordering::Relaxed);
-            return cached;
+            return Some(cached);
         }
         self.index_misses.fetch_add(1, Ordering::Relaxed);
         // A tainted fingerprint means *some* resident version with this
@@ -390,76 +381,43 @@ impl QueryService {
             Arc::new(compiled.build_index(self.view().document_dtd(), doc, compressed))
         };
         self.indexes.insert(key, Arc::clone(&index));
-        index
+        Some(index)
     }
 
-    /// The index for `mode`, from cache: `None` for plain HyPE.
-    fn index_for_mode(
-        &self,
-        compiled: &CompiledQuery,
-        doc: &XmlTree,
-        mode: EvaluationMode,
-    ) -> Option<Arc<ReachabilityIndex>> {
-        match mode {
-            EvaluationMode::HyPE => None,
-            EvaluationMode::OptHyPE => Some(self.index_for(compiled, doc, false)),
-            EvaluationMode::OptHyPEC => Some(self.index_for(compiled, doc, true)),
-        }
-    }
-
-    /// Answers `query` over `doc` with `mode`, hitting both caches. A
-    /// cache hit skips the rewrite **and** the execution-IR compilation:
-    /// the cached [`CompiledQuery`] carries its `Arc<CompiledMfa>`.
-    ///
-    /// A document of at least [`SHARD_FLOOR_NODES`] live nodes is sharded
-    /// over [`ServiceConfig::parallel_threads`], exactly like
-    /// [`Self::answer_parallel`]; a smaller one takes the sequential walk.
-    /// Answers and statistics are the same either way.
+    /// Answers `query` over `doc` with `mode`: [`Self::evaluate_batch`] on
+    /// a batch of one, so it hits both caches, and a document of at least
+    /// [`SHARD_FLOOR_NODES`] live nodes is sharded over
+    /// [`ServiceConfig::parallel_threads`] while a smaller one takes the
+    /// sequential walk. A cache hit skips the rewrite **and** the
+    /// execution-IR compilation: the cached [`CompiledQuery`] carries its
+    /// `Arc<CompiledMfa>`. Answers and statistics are the same at every
+    /// thread budget.
     pub fn evaluate(
         &self,
         query: &str,
         doc: &XmlTree,
         mode: EvaluationMode,
     ) -> Result<HypeResult, EngineError> {
-        let threads = self.auto_threads(doc);
-        let result = self.answer_with(query, doc, mode, threads)?;
-        if threads != 1 {
-            self.note_shard_fraction(&result);
-        }
-        Ok(result)
+        Ok(self.evaluate_batch(&[query], doc, mode)?.results.remove(0))
     }
 
-    /// Answers `query` over `doc` with `mode`, sharding the document
-    /// traversal over the service's configured thread budget
-    /// ([`ServiceConfig::parallel_threads`]). Hits both caches exactly
-    /// like [`Self::evaluate`], and returns the same answers *and*
-    /// statistics — parallelism only changes wall-clock time.
+    /// [`Self::evaluate`] at [`ServiceConfig::parallel_threads`] whatever
+    /// the document's size (no [`SHARD_FLOOR_NODES`] rule). Kept under
+    /// this name because the `perfbench` benchmark calls it.
     pub fn answer_parallel(
         &self,
         query: &str,
         doc: &XmlTree,
         mode: EvaluationMode,
     ) -> Result<HypeResult, EngineError> {
-        let result = self.answer_with(query, doc, mode, self.parallel_threads)?;
-        self.note_shard_fraction(&result);
-        Ok(result)
+        Ok(self
+            .batch_at(&[query], doc, mode, self.parallel_threads)?
+            .results
+            .remove(0))
     }
 
-    /// The body of [`Self::evaluate`] and [`Self::answer_parallel`]: both
-    /// caches, then [`smoqe_hype::evaluate_tree`] under `threads`.
-    fn answer_with(
-        &self,
-        query: &str,
-        doc: &XmlTree,
-        mode: EvaluationMode,
-        threads: usize,
-    ) -> Result<HypeResult, EngineError> {
-        let compiled = self.compile(query)?;
-        let index = self.index_for_mode(&compiled, doc, mode);
-        Ok(compiled.run(doc, doc.root(), index.as_deref(), threads))
-    }
-
-    /// Answers all of `queries` over `doc` in **one** document pass.
+    /// Answers all of `queries` over `doc` in **one** document pass: the
+    /// service's tree front end.
     ///
     /// Results are index-aligned with `queries`; each is identical (answers
     /// *and* statistics) to what [`Self::evaluate`] would return for that
@@ -475,57 +433,29 @@ impl QueryService {
     /// query alone would have skipped — the per-query stats still report
     /// each query's own pending-work visits.
     ///
-    /// Like [`Self::evaluate`], the pass is sharded over
-    /// [`ServiceConfig::parallel_threads`] on a document of at least
-    /// [`SHARD_FLOOR_NODES`] live nodes, with the same answers and
-    /// statistics as the sequential walk it takes below that.
+    /// The pass is sharded over [`ServiceConfig::parallel_threads`] on a
+    /// document of at least [`SHARD_FLOOR_NODES`] live nodes, with the same
+    /// answers and statistics as the sequential walk it takes below that.
     pub fn evaluate_batch(
         &self,
         queries: &[&str],
         doc: &XmlTree,
         mode: EvaluationMode,
     ) -> Result<BatchResult, EngineError> {
-        let threads = self.auto_threads(doc);
-        let result = self.batch_with(queries, doc, mode, threads)?;
-        if threads != 1 {
-            self.note_batch_shard_fraction(&result);
-        }
-        Ok(result)
-    }
-
-    /// The thread budget [`Self::evaluate`] and [`Self::evaluate_batch`]
-    /// run `doc` at: the service's budget from [`SHARD_FLOOR_NODES`] live
-    /// nodes on, the sequential walk below.
-    fn auto_threads(&self, doc: &XmlTree) -> usize {
-        if doc.live_len() >= SHARD_FLOOR_NODES {
+        let threads = if doc.live_len() >= SHARD_FLOOR_NODES {
             self.parallel_threads
         } else {
             1
-        }
+        };
+        self.batch_at(queries, doc, mode, threads)
     }
 
-    /// Answers all of `queries` over `doc` in one *sharded, multi-threaded*
-    /// document pass under the service's configured thread budget.
-    /// Deduplication, result alignment, per-query answers and statistics,
-    /// and the aggregate [`BatchStats`](smoqe_hype::BatchStats) are all
-    /// identical to [`Self::evaluate_batch`].
-    pub fn evaluate_batch_parallel(
-        &self,
-        queries: &[&str],
-        doc: &XmlTree,
-        mode: EvaluationMode,
-    ) -> Result<BatchResult, EngineError> {
-        let result = self.batch_with(queries, doc, mode, self.parallel_threads)?;
-        self.note_batch_shard_fraction(&result);
-        Ok(result)
-    }
-
-    /// The body of [`Self::evaluate_batch`] and
-    /// [`Self::evaluate_batch_parallel`]: compile and deduplicate through
-    /// the caches, resolve each distinct query's index, run one
-    /// [`smoqe_hype::evaluate_tree`] under `threads`, and fan the results
-    /// back out to the caller's positions.
-    fn batch_with(
+    /// The body of [`Self::evaluate_batch`] under the thread budget
+    /// `threads`: compile and deduplicate through the caches, resolve each
+    /// distinct query's index, run one [`smoqe_hype::evaluate_tree`], record
+    /// the shard skew of a sharded pass, and fan the results back out to
+    /// the caller's positions.
+    fn batch_at(
         &self,
         queries: &[&str],
         doc: &XmlTree,
@@ -535,7 +465,7 @@ impl QueryService {
         let (unique, slot_of) = self.compile_deduped(queries)?;
         let indexes: Vec<Option<Arc<ReachabilityIndex>>> = unique
             .iter()
-            .map(|c| self.index_for_mode(c, doc, mode))
+            .map(|c| self.index_for(c, doc, || labels_fingerprint(doc.labels()), mode))
             .collect();
         let batch: Vec<CompiledBatchQuery> = unique
             .iter()
@@ -546,26 +476,25 @@ impl QueryService {
             })
             .collect();
         let result = smoqe_hype::evaluate_tree(doc, doc.root(), &batch, threads);
+        if threads != 1 {
+            // The queries of a pass share one skew (an empty batch records
+            // nothing).
+            if let Some(first) = result.results.first() {
+                self.last_max_shard_fraction
+                    .store(first.stats.max_shard_fraction.to_bits(), Ordering::Relaxed);
+            }
+        }
         Ok(fan_out(result, &slot_of))
     }
 
-    /// Records a sharded call's shard skew for [`ServiceStats`].
-    fn note_shard_fraction(&self, result: &HypeResult) {
-        self.last_max_shard_fraction
-            .store(result.stats.max_shard_fraction.to_bits(), Ordering::Relaxed);
-    }
-
-    /// [`Self::note_shard_fraction`] for a batch, whose queries share one
-    /// pass and so one skew (an empty batch records nothing).
-    fn note_batch_shard_fraction(&self, result: &BatchResult) {
-        if let Some(first) = result.results.first() {
-            self.note_shard_fraction(first);
-        }
-    }
-
-    /// Answers a batch of (document, query) requests against `store`, one
-    /// sequential evaluation per request, in order — the reference loop
-    /// [`Self::evaluate_corpus_parallel`] is differentially tested against.
+    /// Answers a batch of (document, query) requests against `store`,
+    /// routing them **across documents** over the service's thread budget
+    /// ([`ServiceConfig::parallel_threads`]) — one request per work item on
+    /// the worker pool of [`smoqe_hype::corpus`]; a budget of 1, or a single
+    /// request, runs on the calling thread. Results are in request order,
+    /// with answers and per-request [`HypeStats`](smoqe_hype::HypeStats)
+    /// **bit-identical** to sequential [`Self::evaluate`] calls at every
+    /// thread budget; parallelism only changes wall-clock time.
     ///
     /// Every request hits both caches: queries compile once per distinct
     /// normalized spelling, and OptHyPE(-C) indexes are shared across all
@@ -579,58 +508,13 @@ impl QueryService {
         requests: &[(DocId, &str)],
         mode: EvaluationMode,
     ) -> Result<Vec<HypeResult>, EngineError> {
-        self.corpus_with(store, requests, mode, 1)
-    }
-
-    /// Answers a batch of (document, query) requests against `store`,
-    /// routing them **across documents** over the service's thread budget
-    /// ([`ServiceConfig::parallel_threads`]) — one document per work item
-    /// on the scoped worker pool of [`smoqe_hype::corpus`]. Results are in
-    /// request order, with answers and per-request
-    /// [`HypeStats`](smoqe_hype::HypeStats) **bit-identical** to
-    /// [`Self::evaluate_corpus`] at every thread budget; parallelism only
-    /// changes wall-clock time.
-    pub fn evaluate_corpus_parallel(
-        &self,
-        store: &DocumentStore,
-        requests: &[(DocId, &str)],
-        mode: EvaluationMode,
-    ) -> Result<Vec<HypeResult>, EngineError> {
-        self.corpus_with(store, requests, mode, self.parallel_threads)
-    }
-
-    /// The body of [`Self::evaluate_corpus`] and
-    /// [`Self::evaluate_corpus_parallel`]: resolve every document, compile
-    /// every query through the cache, fetch each pair's index for `mode` —
-    /// keyed on the stored document's precomputed label fingerprint — and
-    /// run [`smoqe_hype::evaluate_corpus`] under `threads`.
-    fn corpus_with(
-        &self,
-        store: &DocumentStore,
-        requests: &[(DocId, &str)],
-        mode: EvaluationMode,
-        threads: usize,
-    ) -> Result<Vec<HypeResult>, EngineError> {
         let items: Vec<CorpusItem> = requests
             .iter()
             .map(|&(id, query)| {
                 let doc = store.get(id).ok_or(EngineError::UnknownDocument(id))?;
                 let compiled = self.compile(query)?;
-                let index = match mode {
-                    EvaluationMode::HyPE => None,
-                    EvaluationMode::OptHyPE => Some(self.index_for_fingerprinted(
-                        &compiled,
-                        doc.tree(),
-                        doc.labels_fingerprint(),
-                        false,
-                    )),
-                    EvaluationMode::OptHyPEC => Some(self.index_for_fingerprinted(
-                        &compiled,
-                        doc.tree(),
-                        doc.labels_fingerprint(),
-                        true,
-                    )),
-                };
+                let index =
+                    self.index_for(&compiled, doc.tree(), || doc.labels_fingerprint(), mode);
                 Ok((doc, compiled, index))
             })
             .collect::<Result<_, EngineError>>()?;
@@ -642,7 +526,7 @@ impl QueryService {
                 index: index.as_deref(),
             })
             .collect();
-        Ok(smoqe_hype::evaluate_corpus(&tasks, threads))
+        Ok(smoqe_hype::evaluate_corpus(&tasks, self.parallel_threads))
     }
 
     /// Compiles every query through the cache and deduplicates equivalent
@@ -686,35 +570,8 @@ impl QueryService {
         compiled.evaluate_stream(input)
     }
 
-    /// Answers all of `queries` over one streamed document in a **single
-    /// pass**, combining the compiled-query cache with [`StreamHype`].
-    /// Results are index-aligned
-    /// with `queries`; equivalent spellings are deduplicated before
-    /// evaluation exactly as in [`Self::evaluate_batch`].
-    pub fn evaluate_stream_batch(
-        &self,
-        queries: &[&str],
-        input: impl Read,
-    ) -> Result<StreamResult, EngineError> {
-        let (unique, slot_of) = self.compile_deduped(queries)?;
-        let batch: Vec<CompiledBatchQuery> = unique
-            .iter()
-            .map(|c| CompiledBatchQuery::new(Arc::clone(c.compiled())))
-            .collect();
-        let mut reader = XmlStreamReader::new(input);
-        let result = StreamHype::from_compiled(&batch, LabelInterner::new()).run(&mut reader)?;
-        let results = slot_of
-            .iter()
-            .map(|&slot| result.results[slot].clone())
-            .collect();
-        Ok(StreamResult {
-            results,
-            stats: result.stats,
-        })
-    }
-
-    /// The thread budget the `*_parallel` front-ends run under (0 = all
-    /// available cores).
+    /// The thread budget of the service's sharded and corpus passes
+    /// (0 = all available cores); see [`ServiceConfig::parallel_threads`].
     pub fn parallel_threads(&self) -> usize {
         self.parallel_threads
     }
@@ -855,30 +712,31 @@ type CorpusItem = (
 );
 
 /// Fans a deduplicated batch result back out to the caller's query
-/// positions: slot `i` of the output clones the result of the distinct
-/// compilation that input `i` mapped to.
+/// positions: slot `i` of the output gets the result of the distinct
+/// compilation that input `i` mapped to. Each result moves into the last
+/// slot that names it; only the earlier slots of a repeated spelling clone.
 fn fan_out(result: BatchResult, slot_of: &[usize]) -> BatchResult {
+    let mut uses_left = vec![0usize; result.results.len()];
+    for &slot in slot_of {
+        uses_left[slot] += 1;
+    }
+    let mut distinct: Vec<Option<HypeResult>> = result.results.into_iter().map(Some).collect();
     let results = slot_of
         .iter()
-        .map(|&slot| result.results[slot].clone())
+        .map(|&slot| {
+            uses_left[slot] -= 1;
+            let moved = if uses_left[slot] == 0 {
+                distinct[slot].take()
+            } else {
+                distinct[slot].clone()
+            };
+            moved.expect("a distinct result is taken only by its last slot")
+        })
         .collect();
     BatchResult {
         results,
         stats: result.stats,
     }
-}
-
-/// A stable fingerprint of a document's label interner. The reachability
-/// index maps `LabelId → row`, so documents sharing an interner layout (same
-/// names in the same id order — e.g. every document from one generator or
-/// parser run over one DTD) can share indexes. Uses the same FNV-1a folding
-/// as [`ViewDefinition::fingerprint`].
-fn labels_fingerprint(labels: &LabelInterner) -> u64 {
-    let mut h = smoqe_views::FINGERPRINT_SEED;
-    for (_, name) in labels.iter() {
-        h = smoqe_views::fingerprint_field(h, name.as_bytes());
-    }
-    h
 }
 
 #[cfg(test)]
@@ -894,6 +752,24 @@ mod tests {
             seed,
             ..Default::default()
         })
+    }
+
+    /// A hospital document of at least [`SHARD_FLOOR_NODES`] live nodes,
+    /// which the tree front end shards.
+    fn large_doc() -> XmlTree {
+        let large = generate_hospital(&HospitalConfig {
+            patients: 1_000,
+            departments: 8,
+            max_ancestor_depth: 2,
+            seed: 5,
+            ..Default::default()
+        });
+        assert!(
+            large.live_len() >= SHARD_FLOOR_NODES,
+            "{} nodes",
+            large.live_len()
+        );
+        large
     }
 
     #[test]
@@ -945,7 +821,7 @@ mod tests {
                 EvaluationMode::OptHyPEC,
             ] {
                 let by_service = service.evaluate(query, &d, mode).unwrap();
-                let by_engine = engine.answer_with_stats(query, &d, mode).unwrap();
+                let by_engine = engine.answer(query, &d, mode).unwrap();
                 assert_eq!(by_service.answers, by_engine.answers, "on `{query}` ({mode:?})");
                 assert_eq!(by_service.stats, by_engine.stats, "on `{query}` ({mode:?})");
             }
@@ -1025,17 +901,24 @@ mod tests {
     fn batch_dedupes_equivalent_spellings() {
         let service = QueryService::hospital_demo();
         let d = doc(3);
-        let queries = ["patient/record", "./patient/./record", "patient"];
+        let queries = [
+            "patient/record",
+            "patient",
+            "./patient/./record",
+            "./patient",
+            "//diagnosis",
+            "patient/./record",
+        ];
         let batch = service
             .evaluate_batch(&queries, &d, EvaluationMode::HyPE)
             .unwrap();
-        // Three slots come back, but only two distinct queries were run.
-        assert_eq!(batch.results.len(), 3);
-        assert_eq!(batch.stats.queries, 2);
-        assert_eq!(batch.results[0].answers, batch.results[1].answers);
-        assert_eq!(batch.results[0].stats, batch.results[1].stats);
-        let solo = service.evaluate("patient/record", &d, EvaluationMode::HyPE).unwrap();
-        assert_eq!(batch.results[1].answers, solo.answers);
+        // Six slots come back, but only three distinct queries were run.
+        assert_eq!(batch.results.len(), queries.len());
+        assert_eq!(batch.stats.queries, 3);
+        for (slot, query) in batch.results.iter().zip(queries) {
+            let solo = service.evaluate(query, &d, EvaluationMode::HyPE).unwrap();
+            assert_eq!(slot, &solo, "on `{query}`");
+        }
     }
 
     #[test]
@@ -1073,21 +956,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_batch_dedupes_equivalent_spellings() {
-        let service = QueryService::hospital_demo();
-        let d = doc(4);
-        let xml = smoqe_xml::to_xml_string(&d);
-        let queries = ["patient/record", "./patient/./record", "patient"];
-        let batch = service.evaluate_stream_batch(&queries, xml.as_bytes()).unwrap();
-        assert_eq!(batch.results.len(), 3);
-        assert_eq!(batch.stats.queries, 2, "two distinct compilations after dedup");
-        assert_eq!(batch.results[0].answers, batch.results[1].answers);
-        assert_eq!(batch.results[0].stats, batch.results[1].stats);
-        let (solo, _) = service.answer_stream("patient/record", xml.as_bytes()).unwrap();
-        assert_eq!(batch.results[1].answers, solo.answers);
-    }
-
-    #[test]
     fn answer_parallel_matches_evaluate_in_every_mode() {
         let service = QueryService::with_config(
             SmoqeEngine::hospital_demo().view().clone(),
@@ -1113,20 +981,39 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_batch_parallel_matches_batch_and_dedupes() {
+    fn sharded_batch_matches_the_walk_and_dedupes() {
         let service = QueryService::hospital_demo();
         assert_eq!(service.parallel_threads(), 0, "default budget is all cores");
-        let d = doc(3);
-        let queries = ["patient/record", "./patient/./record", "patient", "//diagnosis"];
-        let sequential = service.evaluate_batch(&queries, &d, EvaluationMode::HyPE).unwrap();
-        let parallel = service
-            .evaluate_batch_parallel(&queries, &d, EvaluationMode::HyPE)
+        let walking = QueryService::with_config(
+            SmoqeEngine::hospital_demo().view().clone(),
+            ServiceConfig {
+                parallel_threads: 1,
+                ..ServiceConfig::default()
+            },
+        )
+        .unwrap();
+        let d = large_doc();
+        let queries = [
+            "patient/record",
+            "./patient/./record",
+            "patient",
+            "//diagnosis",
+        ];
+        let walked = walking
+            .evaluate_batch(&queries, &d, EvaluationMode::HyPE)
             .unwrap();
-        assert_eq!(parallel.results.len(), queries.len());
-        assert_eq!(parallel.stats, sequential.stats, "aggregate stats incl. dedup");
-        for (p, s) in parallel.results.iter().zip(&sequential.results) {
-            assert_eq!(p.answers, s.answers);
-            assert_eq!(p.stats, s.stats);
+        let sharded = service
+            .evaluate_batch(&queries, &d, EvaluationMode::HyPE)
+            .unwrap();
+        assert_eq!(sharded.results.len(), queries.len());
+        assert_eq!(
+            sharded.stats.queries, 3,
+            "two spellings share one compilation"
+        );
+        assert_eq!(sharded.stats, walked.stats, "aggregate stats incl. dedup");
+        for (s, w) in sharded.results.iter().zip(&walked.results) {
+            assert_eq!(s.answers, w.answers);
+            assert_eq!(s.stats, w.stats);
         }
     }
 
@@ -1140,19 +1027,8 @@ mod tests {
         let walking = QueryService::with_config(view.clone(), config(1)).unwrap();
         let sharding = QueryService::with_config(view, config(2)).unwrap();
         let small = doc(5);
-        let large = generate_hospital(&HospitalConfig {
-            patients: 1_000,
-            departments: 8,
-            max_ancestor_depth: 2,
-            seed: 5,
-            ..Default::default()
-        });
+        let large = large_doc();
         assert!(small.live_len() < SHARD_FLOOR_NODES);
-        assert!(
-            large.live_len() >= SHARD_FLOOR_NODES,
-            "{} nodes",
-            large.live_len()
-        );
         let queries = [
             "patient/record",
             "(patient/parent)*/patient[record]",
@@ -1201,15 +1077,8 @@ mod tests {
         let walking = QueryService::with_config(view.clone(), config(1)).unwrap();
         let sharding = QueryService::with_config(view, config(2)).unwrap();
         let small = doc(5);
-        let large = generate_hospital(&HospitalConfig {
-            patients: 1_000,
-            departments: 8,
-            max_ancestor_depth: 2,
-            seed: 5,
-            ..Default::default()
-        });
+        let large = large_doc();
         assert!(small.live_len() < SHARD_FLOOR_NODES);
-        assert!(large.live_len() >= SHARD_FLOOR_NODES);
         let fraction = |service: &QueryService| service.stats().last_max_shard_fraction;
         let mode = EvaluationMode::HyPE;
 
@@ -1309,12 +1178,22 @@ mod tests {
             .iter()
             .flat_map(|&id| queries.iter().map(move |&q| (id, q)))
             .collect();
+        let service = |parallel_threads| {
+            QueryService::with_config(
+                SmoqeEngine::hospital_demo().view().clone(),
+                ServiceConfig {
+                    parallel_threads,
+                    ..ServiceConfig::default()
+                },
+            )
+            .unwrap()
+        };
         for mode in [
             EvaluationMode::HyPE,
             EvaluationMode::OptHyPE,
             EvaluationMode::OptHyPEC,
         ] {
-            let reference = QueryService::hospital_demo();
+            let reference = service(1);
             let sequential = reference.evaluate_corpus(&store, &requests, mode).unwrap();
             assert_eq!(sequential.len(), requests.len());
             for (result, &(id, query)) in sequential.iter().zip(&requests) {
@@ -1324,17 +1203,9 @@ mod tests {
                 assert_eq!(result.answers, solo.answers, "on `{query}` ({mode:?})");
                 assert_eq!(result.stats, solo.stats, "on `{query}` ({mode:?})");
             }
-            for threads in [1usize, 2, 8] {
-                let service = QueryService::with_config(
-                    SmoqeEngine::hospital_demo().view().clone(),
-                    ServiceConfig {
-                        parallel_threads: threads,
-                        ..ServiceConfig::default()
-                    },
-                )
-                .unwrap();
-                let parallel = service
-                    .evaluate_corpus_parallel(&store, &requests, mode)
+            for threads in [2usize, 8] {
+                let parallel = service(threads)
+                    .evaluate_corpus(&store, &requests, mode)
                     .unwrap();
                 assert_eq!(parallel, sequential, "thread budget {threads} ({mode:?})");
             }
@@ -1642,7 +1513,7 @@ mod tests {
                 "lost the smuggled diagnosis under {mode:?}"
             );
             // The engine path (fresh index per call) must agree too.
-            let by_engine = engine.answer_with_stats("diagnosis", new_tree, mode).unwrap();
+            let by_engine = engine.answer("diagnosis", new_tree, mode).unwrap();
             assert_eq!(by_engine.answers, oracle.answers);
         }
     }

@@ -19,14 +19,18 @@
 //! [`handle_request`] is the pure dispatch function the server loop calls:
 //! registry + counters + decoded request in, response out. Keeping it free
 //! of any socket state lets the integration suite drive exactly the code
-//! path the server runs, without a socket.
+//! path the server runs, without a socket. `Query` and `BatchQuery` resolve
+//! the document in the tenant's store and call the service's one tree front
+//! end ([`QueryService::evaluate`] is a batch of one), so both shard a
+//! document of at least [`SHARD_FLOOR_NODES`](smoqe::service::SHARD_FLOOR_NODES)
+//! live nodes over the tenant's [`ServiceConfig::parallel_threads`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use smoqe::{
-    DocId, DocumentStore, EngineError, QueryService, ServiceConfig, StoreError,
+    DocId, DocumentStore, EngineError, QueryService, ServiceConfig, StoreError, StoredDocument,
 };
 use smoqe_views::ViewDefinition;
 use smoqe_xml::edit::EditOp;
@@ -196,6 +200,13 @@ fn unknown_tenant(tenant: &str) -> Response {
     )
 }
 
+/// Document `doc` of `tenant`'s store; a miss is the typed
+/// [`EngineError::UnknownDocument`].
+fn stored(tenant: &Tenant, doc: u64) -> Result<Arc<StoredDocument>, EngineError> {
+    let id = DocId(doc);
+    tenant.store.get(id).ok_or(EngineError::UnknownDocument(id))
+}
+
 /// Converts wire edit ops (subtrees as snapshot bytes) into arena
 /// [`EditOp`]s, validating each payload.
 fn decode_ops(ops: &[WireEditOp]) -> Result<Vec<EditOp>, Box<Response>> {
@@ -268,19 +279,10 @@ pub fn handle_request(
             let Some(entry) = registry.get(tenant) else {
                 return unknown_tenant(tenant);
             };
-            // Route through the corpus path: it resolves the DocId in the
-            // tenant's store (typed UnknownDocument on a miss) and reuses
-            // the store's precomputed label fingerprint for the index
-            // cache key.
-            match entry.service.evaluate_corpus(
-                &entry.store,
-                &[(DocId(*doc), query.as_str())],
-                *mode,
-            ) {
-                Ok(mut results) => {
-                    let result = results.pop().expect("one task in, one result out");
-                    Response::Answer(WireResult::from_result(&result))
-                }
+            let result =
+                stored(&entry, *doc).and_then(|d| entry.service.evaluate(query, d.tree(), *mode));
+            match result {
+                Ok(result) => Response::Answer(WireResult::from_result(&result)),
                 Err(e) => engine_error(e),
             }
         }
@@ -288,14 +290,10 @@ pub fn handle_request(
             let Some(entry) = registry.get(tenant) else {
                 return unknown_tenant(tenant);
             };
-            let Some(stored) = entry.store.get(DocId(*doc)) else {
-                return err(
-                    ErrorCode::UnknownDocument,
-                    format!("{} is not in tenant {tenant:?}'s store", DocId(*doc)),
-                );
-            };
             let refs: Vec<&str> = queries.iter().map(String::as_str).collect();
-            match entry.service.evaluate_batch(&refs, stored.tree(), *mode) {
+            let batch = stored(&entry, *doc)
+                .and_then(|d| entry.service.evaluate_batch(&refs, d.tree(), *mode));
+            match batch {
                 Ok(batch) => Response::BatchAnswer {
                     results: batch.results.iter().map(WireResult::from_result).collect(),
                     stats: WireBatchStats::from_stats(&batch.stats),
@@ -419,6 +417,95 @@ mod tests {
             registry.get("nurse").expect("registered").service.fingerprint(),
             hospital_view().fingerprint()
         );
+    }
+
+    /// `Query` and `BatchQuery` go through the same tree front end, so a
+    /// `Query` on a document above the shard floor shards over the tenant's
+    /// budget, with the answers and statistics of the walk.
+    #[test]
+    fn query_shards_large_documents_like_batch_query() {
+        let config = |parallel_threads| ServiceConfig {
+            parallel_threads,
+            ..ServiceConfig::default()
+        };
+        let sharding = TenantRegistry::new(config(2));
+        let walking = TenantRegistry::new(config(1));
+        let counters = ServerCounters::default();
+        let large = generate_hospital(&HospitalConfig {
+            patients: 1_000,
+            departments: 8,
+            max_ancestor_depth: 2,
+            seed: 5,
+            ..Default::default()
+        });
+        assert!(large.live_len() >= smoqe::service::SHARD_FLOOR_NODES);
+        let bytes = snapshot::save(&large);
+        let mut doc = 0;
+        for registry in [&sharding, &walking] {
+            registry.register_view("nurse", hospital_view()).unwrap();
+            let request = Request::RegisterDocument {
+                tenant: "nurse".into(),
+                snapshot: bytes.clone(),
+            };
+            let Response::DocumentRegistered { doc: id } =
+                handle_request(registry, &counters, &request)
+            else {
+                panic!("the snapshot registers");
+            };
+            doc = id;
+        }
+        let answer = |registry: &TenantRegistry, mode, query: &str| {
+            let request = Request::Query {
+                tenant: "nurse".into(),
+                doc,
+                mode,
+                query: query.into(),
+            };
+            match handle_request(registry, &counters, &request) {
+                Response::Answer(result) => result.to_result(),
+                other => panic!("expected Answer, got {other:?}"),
+            }
+        };
+        let shard_fraction = |registry: &TenantRegistry| {
+            let request = Request::Stats {
+                tenant: Some("nurse".into()),
+            };
+            let Response::Stats(stats) = handle_request(registry, &counters, &request) else {
+                panic!("expected Stats");
+            };
+            f64::from_bits(
+                stats
+                    .service
+                    .expect("a tenant was named")
+                    .last_max_shard_fraction_bits,
+            )
+        };
+        let queries = ["patient/record", "(patient/parent)*/patient[record]"];
+        for mode in [
+            EvaluationMode::HyPE,
+            EvaluationMode::OptHyPE,
+            EvaluationMode::OptHyPEC,
+        ] {
+            for q in queries {
+                let sharded = answer(&sharding, mode, q);
+                assert!(sharded.stats.max_shard_fraction > 0.0, "`{q}` ({mode:?})");
+                assert_eq!(shard_fraction(&sharding), sharded.stats.max_shard_fraction);
+                assert_eq!(sharded, answer(&walking, mode, q), "`{q}` ({mode:?})");
+                let request = Request::BatchQuery {
+                    tenant: "nurse".into(),
+                    doc,
+                    mode,
+                    queries: vec![q.into()],
+                };
+                let Response::BatchAnswer { results, .. } =
+                    handle_request(&sharding, &counters, &request)
+                else {
+                    panic!("expected BatchAnswer");
+                };
+                assert_eq!(results[0].to_result(), sharded, "`{q}` ({mode:?})");
+            }
+        }
+        assert_eq!(shard_fraction(&walking), 0.0, "budget 1 never shards");
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //!    snapshot body checksum, so duplicates deduplicate on insert by any
 //!    route, and every stored document carries its precomputed
 //!    label-interner fingerprint for the service's index cache.
-//! 3. **Corpus serving** — `QueryService::evaluate_corpus(_parallel)`
-//!    answers a batch of (document, query) requests, routed *across
-//!    documents* over the thread budget, bit-identical to the sequential
-//!    loop (checked live below).
+//! 3. **Corpus serving** — `QueryService::evaluate_corpus` answers a
+//!    batch of (document, query) requests, routed *across documents* over
+//!    the service's thread budget, bit-identical at every budget (a
+//!    budget-1 service runs the sequential loop; checked live below).
 //!
 //! Run with: `cargo run --example corpus_store`
 
@@ -83,15 +83,18 @@ fn main() {
         .iter()
         .flat_map(|&id| queries.iter().map(move |&q| (id, q)))
         .collect();
-    let sequential_service = QueryService::hospital_demo();
-    let parallel_service = QueryService::with_config(
-        SmoqeEngine::hospital_demo().view().clone(),
-        ServiceConfig {
-            parallel_threads: 4,
-            ..ServiceConfig::default()
-        },
-    )
-    .expect("σ₀ is a valid view");
+    let service_at = |parallel_threads| {
+        QueryService::with_config(
+            SmoqeEngine::hospital_demo().view().clone(),
+            ServiceConfig {
+                parallel_threads,
+                ..ServiceConfig::default()
+            },
+        )
+        .expect("σ₀ is a valid view")
+    };
+    let sequential_service = service_at(1);
+    let parallel_service = service_at(4);
 
     let (sequential, seq_ms) = timed(|| {
         sequential_service
@@ -100,7 +103,7 @@ fn main() {
     });
     let (parallel, par_ms) = timed(|| {
         parallel_service
-            .evaluate_corpus_parallel(&store, &requests, EvaluationMode::OptHyPE)
+            .evaluate_corpus(&store, &requests, EvaluationMode::OptHyPE)
             .unwrap()
     });
     assert_eq!(parallel, sequential, "corpus-parallel must be bit-identical");

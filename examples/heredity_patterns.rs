@@ -50,7 +50,12 @@ fn main() {
         ("OptHyPE", EvaluationMode::OptHyPE),
         ("OptHyPE-C", EvaluationMode::OptHyPEC),
     ] {
-        let (result, ms) = timed(|| compiled.evaluate_with_mode(&doc, &dtd, mode));
+        let (result, ms) = timed(|| {
+            let index = mode
+                .compressed_index()
+                .map(|compressed| compiled.build_index(&dtd, &doc, compressed));
+            compiled.evaluate(&doc, doc.root(), index.as_ref(), 1)
+        });
         println!(
             "  {:<10} {:>5} matches  {:>9.2} ms  visited {:>7}/{} nodes ({:.1}% pruned)",
             name,
@@ -68,7 +73,7 @@ fn main() {
     println!("  {:<10} {:>5} matches  {:>9.2} ms  (fix-point interpreter, no automaton)",
         "translate", by_translation.len(), ms);
 
-    let reference = compiled.evaluate(&doc).answers;
+    let reference = compiled.evaluate(&doc, doc.root(), None, 1).answers;
     assert_eq!(by_translation, reference, "all evaluators must agree");
     println!();
     println!("All evaluators agree on {} matching patients.", reference.len());

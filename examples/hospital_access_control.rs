@@ -44,7 +44,7 @@ fn main() {
     for query in research_queries {
         let (result, ms) = timed(|| {
             engine
-                .answer_with_stats(query, &doc, EvaluationMode::OptHyPE)
+                .answer(query, &doc, EvaluationMode::OptHyPE)
                 .expect("valid query")
         });
         println!(
@@ -67,7 +67,10 @@ fn main() {
     ];
     let mut leaked = 0;
     for query in forbidden_queries {
-        let answers = engine.answer(query, &doc).expect("query parses");
+        let answers = engine
+            .answer(query, &doc, EvaluationMode::HyPE)
+            .expect("query parses")
+            .answers;
         println!(
             "  {:<60} -> {} nodes {}",
             query,

@@ -61,12 +61,12 @@ fn main() {
         // Rewriting pipeline on the virtual view.
         let (hype, _) = timed(|| {
             engine
-                .answer_with_stats(query, &doc, EvaluationMode::HyPE)
+                .answer(query, &doc, EvaluationMode::HyPE)
                 .expect("valid query")
         });
         let (opt, ms_rewrite) = timed(|| {
             engine
-                .answer_with_stats(query, &doc, EvaluationMode::OptHyPE)
+                .answer(query, &doc, EvaluationMode::OptHyPE)
                 .expect("valid query")
         });
         // Evaluation on the (already paid-for) materialized view.

@@ -5,10 +5,11 @@
 //! 1. **One service, many threads** — a single [`smoqe::QueryService`] is
 //!    shared (plain `Arc`) by a pool of request threads; its segmented LRU
 //!    caches hand every thread the same compiled query without recompiling.
-//! 2. **One query, many threads** — `answer_parallel` /
-//!    `evaluate_batch_parallel` shard a single document's top-level
-//!    subtrees across a thread budget, with answers and statistics
-//!    *identical* to the sequential path (checked live below).
+//! 2. **One query, many threads** — on a document of at least
+//!    `SHARD_FLOOR_NODES` live nodes, `evaluate` / `evaluate_batch` shard
+//!    the traversal across the service's thread budget, with answers and
+//!    statistics *identical* to a budget-1 service's sequential walk
+//!    (checked live below).
 //!
 //! Run with: `cargo run --example parallel_service`
 
@@ -19,16 +20,18 @@ use smoqe_examples::{section, timed};
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
 
 fn main() {
-    let service = Arc::new(
+    let service_at = |parallel_threads| {
         QueryService::with_config(
             SmoqeEngine::hospital_demo().view().clone(),
             ServiceConfig {
-                parallel_threads: 4,
+                parallel_threads,
                 ..ServiceConfig::default()
             },
         )
-        .expect("σ₀ is a valid view"),
-    );
+        .expect("σ₀ is a valid view")
+    };
+    let walking = service_at(1);
+    let service = Arc::new(service_at(4));
     let doc = Arc::new(generate_hospital(&HospitalConfig {
         patients: 3_000,
         departments: 16,
@@ -37,6 +40,7 @@ fn main() {
         seed: 5,
         ..Default::default()
     }));
+    assert!(doc.live_len() >= smoqe::service::SHARD_FLOOR_NODES);
     println!(
         "document: {} nodes, {} top-level shards; service thread budget: {}",
         doc.len(),
@@ -54,9 +58,8 @@ fn main() {
     section("Sequential vs parallel: same answers, same statistics");
     for q in &queries {
         let (sequential, seq_ms) =
-            timed(|| service.evaluate(q, &doc, EvaluationMode::HyPE).unwrap());
-        let (parallel, par_ms) =
-            timed(|| service.answer_parallel(q, &doc, EvaluationMode::HyPE).unwrap());
+            timed(|| walking.evaluate(q, &doc, EvaluationMode::HyPE).unwrap());
+        let (parallel, par_ms) = timed(|| service.evaluate(q, &doc, EvaluationMode::HyPE).unwrap());
         assert_eq!(parallel.answers, sequential.answers);
         assert_eq!(parallel.stats, sequential.stats);
         println!(
@@ -69,13 +72,13 @@ fn main() {
 
     section("Batched: one sharded pass answers the whole hot set");
     let (sequential, seq_ms) = timed(|| {
-        service
+        walking
             .evaluate_batch(&queries, &doc, EvaluationMode::HyPE)
             .unwrap()
     });
     let (parallel, par_ms) = timed(|| {
         service
-            .evaluate_batch_parallel(&queries, &doc, EvaluationMode::HyPE)
+            .evaluate_batch(&queries, &doc, EvaluationMode::HyPE)
             .unwrap()
     });
     assert_eq!(parallel.stats, sequential.stats);
@@ -100,12 +103,17 @@ fn main() {
         for t in 0..8 {
             let service = Arc::clone(&service);
             let doc = Arc::clone(&doc);
+            let walking = &walking;
             scope.spawn(move || {
                 for round in 0..5 {
                     let q = queries[(t + round) % queries.len()];
-                    let a = service.answer_parallel(q, &doc, EvaluationMode::HyPE).unwrap();
-                    let b = service.evaluate(q, &doc, EvaluationMode::HyPE).unwrap();
-                    assert_eq!(a.answers, b.answers, "thread {t} round {round}");
+                    let a = service.evaluate(q, &doc, EvaluationMode::HyPE).unwrap();
+                    let b = service
+                        .evaluate_batch(&[q], &doc, EvaluationMode::HyPE)
+                        .unwrap();
+                    assert_eq!(a, b.results[0], "thread {t} round {round}");
+                    let c = walking.evaluate(q, &doc, EvaluationMode::HyPE).unwrap();
+                    assert_eq!(a.answers, c.answers, "thread {t} round {round}");
                 }
             });
         }

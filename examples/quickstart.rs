@@ -39,7 +39,7 @@ fn main() {
     // 4. Answer it by rewriting + single-pass evaluation (no materialization).
     let (result, ms) = timed(|| {
         engine
-            .answer_with_stats(query, &doc, EvaluationMode::OptHyPE)
+            .answer(query, &doc, EvaluationMode::OptHyPE)
             .expect("query answers on the view")
     });
     section("Answer via rewriting (SMOQE)");

@@ -315,7 +315,7 @@ pub fn run_case(domain: &Domain, case: &FuzzCase) -> Result<(), Box<Divergence>>
         };
 
         // Compiled tree walk.
-        let solo = c.evaluate(&doc);
+        let solo = c.evaluate(&doc, doc.root(), None, 1);
         if solo.answers != oracle {
             return Err(diverge(name, "compiled", answer_diff(&solo.answers, &oracle)));
         }
@@ -371,7 +371,10 @@ pub fn run_case(domain: &Domain, case: &FuzzCase) -> Result<(), Box<Divergence>>
         // conformance-guarded index build; answers only — pruning changes
         // visit counts by design).
         for mode in [EvaluationMode::HyPE, EvaluationMode::OptHyPE, EvaluationMode::OptHyPEC] {
-            let moded = c.evaluate_with_mode(&doc, domain.document_dtd(), mode);
+            let index = mode
+                .compressed_index()
+                .map(|compressed| c.build_index(domain.document_dtd(), &doc, compressed));
+            let moded = c.evaluate(&doc, doc.root(), index.as_ref(), 1);
             if moded.answers != oracle {
                 return Err(diverge(
                     name,

@@ -56,7 +56,10 @@ fn empty_view_documents_answer_nothing_through_every_engine_and_mode() {
             let by_mode: Vec<_> = MODES
                 .iter()
                 .map(|&mode| {
-                    let r = compiled.evaluate_with_mode(&doc, domain.document_dtd(), mode);
+                    let index = mode.compressed_index().map(|compressed| {
+                        compiled.build_index(domain.document_dtd(), &doc, compressed)
+                    });
+                    let r = compiled.evaluate(&doc, doc.root(), index.as_ref(), 1);
                     assert!(
                         r.answers.is_empty(),
                         "{}: `{query}` answers through {mode:?} on an empty view",

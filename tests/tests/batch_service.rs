@@ -44,7 +44,7 @@ fn batched_equals_sequential_on_the_view_corpus_hype_mode() {
 
     let mut sequential_visits = 0;
     for (i, (query, c)) in compiled.iter().enumerate() {
-        let solo = c.evaluate(&doc);
+        let solo = c.evaluate(&doc, doc.root(), None, 1);
         assert_eq!(batch.results[i].answers, solo.answers, "answers differ on `{query}`");
         assert_eq!(batch.results[i].stats, solo.stats, "stats differ on `{query}`");
         // And both agree with the materialize-then-evaluate oracle.
@@ -181,9 +181,7 @@ fn service_cache_is_semantically_invisible_under_eviction_pressure() {
     for _round in 0..2 {
         for query in view_query_corpus() {
             let via_service = service.evaluate(query, &doc, EvaluationMode::OptHyPE).unwrap();
-            let direct = engine
-                .answer_with_stats(query, &doc, EvaluationMode::OptHyPE)
-                .unwrap();
+            let direct = engine.answer(query, &doc, EvaluationMode::OptHyPE).unwrap();
             assert_eq!(via_service.answers, direct.answers, "on `{query}`");
             assert_eq!(via_service.stats, direct.stats, "on `{query}`");
         }

@@ -26,6 +26,18 @@ use smoqe_xpath::parse_path;
 
 const THREAD_BUDGETS: [usize; 3] = [1, 2, 8];
 
+/// A σ₀ service whose corpus passes run at the thread budget `threads`.
+fn hospital_service_at(threads: usize) -> QueryService {
+    QueryService::with_config(
+        SmoqeEngine::hospital_demo().view().clone(),
+        ServiceConfig {
+            parallel_threads: threads,
+            ..ServiceConfig::default()
+        },
+    )
+    .unwrap()
+}
+
 fn corpus_documents() -> Vec<XmlTree> {
     let mut docs = vec![standard_hospital_document()];
     for seed in 1..=5 {
@@ -136,18 +148,17 @@ fn service_corpus_parallel_is_bit_identical_in_every_mode() {
         EvaluationMode::OptHyPEC,
     ] {
         let reference = QueryService::hospital_demo();
-        let sequential = reference.evaluate_corpus(&store, &requests, mode).unwrap();
+        let sequential: Vec<HypeResult> = requests
+            .iter()
+            .map(|&(id, q)| {
+                reference
+                    .evaluate(q, store.get(id).unwrap().tree(), mode)
+                    .unwrap()
+            })
+            .collect();
         for threads in THREAD_BUDGETS {
-            let service = QueryService::with_config(
-                SmoqeEngine::hospital_demo().view().clone(),
-                ServiceConfig {
-                    parallel_threads: threads,
-                    ..ServiceConfig::default()
-                },
-            )
-            .unwrap();
-            let parallel = service
-                .evaluate_corpus_parallel(&store, &requests, mode)
+            let parallel = hospital_service_at(threads)
+                .evaluate_corpus(&store, &requests, mode)
                 .unwrap();
             assert_eq!(
                 parallel, sequential,
@@ -196,7 +207,10 @@ fn rewritten_answers_match_the_materialize_oracle_in_every_domain() {
             let doc = domain.generate(shape, 1, STANDARD_SEED);
             for &query in domain.view_queries {
                 let want = oracle_answer(&domain.view, &doc, query);
-                let got = engine.answer(query, &doc).unwrap();
+                let got = engine
+                    .answer(query, &doc, EvaluationMode::HyPE)
+                    .unwrap()
+                    .answers;
                 assert_eq!(
                     got, want,
                     "{}/{shape:?}: rewriting diverges from the view oracle on `{query}`",
@@ -228,21 +242,14 @@ fn corpus_results_track_request_order_not_completion_order() {
     requests.extend(tiny.iter().map(|&id| (id, "patient")));
     requests.push((big, "patient/record/diagnosis"));
 
-    let service = QueryService::hospital_demo();
+    let service = hospital_service_at(1);
     let sequential = service
         .evaluate_corpus(&store, &requests, EvaluationMode::HyPE)
         .unwrap();
     for threads in THREAD_BUDGETS {
-        let parallel = QueryService::with_config(
-            SmoqeEngine::hospital_demo().view().clone(),
-            ServiceConfig {
-                parallel_threads: threads,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap()
-        .evaluate_corpus_parallel(&store, &requests, EvaluationMode::HyPE)
-        .unwrap();
+        let parallel = hospital_service_at(threads)
+            .evaluate_corpus(&store, &requests, EvaluationMode::HyPE)
+            .unwrap();
         assert_eq!(parallel, sequential, "skewed corpus at {threads} threads");
     }
     // Each slot equals a solo evaluation of that (document, query) pair.

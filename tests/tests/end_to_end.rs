@@ -14,8 +14,14 @@ fn rewriting_pipeline_matches_materialization_on_the_full_corpus() {
     let view = hospital_view();
     for query in view_query_corpus() {
         let expected = oracle_answer(&view, &doc, query);
-        let got = engine.answer(query, &doc).expect("query answers");
-        assert_eq!(got, expected, "pipeline disagrees with the oracle on `{query}`");
+        let got = engine
+            .answer(query, &doc, EvaluationMode::HyPE)
+            .expect("query answers")
+            .answers;
+        assert_eq!(
+            got, expected,
+            "pipeline disagrees with the oracle on `{query}`"
+        );
     }
 }
 
@@ -24,14 +30,10 @@ fn all_evaluation_modes_agree_on_the_full_corpus() {
     let doc = standard_hospital_document();
     let engine = SmoqeEngine::hospital_demo();
     for query in view_query_corpus() {
-        let base = engine
-            .answer_with_stats(query, &doc, EvaluationMode::HyPE)
-            .unwrap();
-        let opt = engine
-            .answer_with_stats(query, &doc, EvaluationMode::OptHyPE)
-            .unwrap();
+        let base = engine.answer(query, &doc, EvaluationMode::HyPE).unwrap();
+        let opt = engine.answer(query, &doc, EvaluationMode::OptHyPE).unwrap();
         let optc = engine
-            .answer_with_stats(query, &doc, EvaluationMode::OptHyPEC)
+            .answer(query, &doc, EvaluationMode::OptHyPEC)
             .unwrap();
         assert_eq!(base.answers, opt.answers, "OptHyPE differs on `{query}`");
         assert_eq!(base.answers, optc.answers, "OptHyPE-C differs on `{query}`");
@@ -83,7 +85,10 @@ fn pipeline_is_stable_across_documents_of_different_shapes() {
             "patient[not(parent)]/record/diagnosis",
         ] {
             let expected = oracle_answer(&view, &doc, query);
-            let got = engine.answer(query, &doc).unwrap();
+            let got = engine
+                .answer(query, &doc, EvaluationMode::HyPE)
+                .unwrap()
+                .answers;
             assert_eq!(got, expected, "config #{i}, query `{query}`");
         }
     }
@@ -102,9 +107,13 @@ fn compiled_query_reuse_matches_one_shot_answers() {
             ..Default::default()
         });
         let one_shot = engine
-            .answer("patient[*//record/diagnosis/text()='heart disease']", &doc)
+            .answer(
+                "patient[*//record/diagnosis/text()='heart disease']",
+                &doc,
+                EvaluationMode::HyPE,
+            )
             .unwrap();
-        assert_eq!(compiled.evaluate(&doc).answers, one_shot);
+        assert_eq!(compiled.evaluate(&doc, doc.root(), None, 1), one_shot);
     }
 }
 
@@ -122,7 +131,11 @@ fn view_never_exposes_confidential_element_types() {
         });
         for query in ["//pname", "//address", "//doctor", "//test", "//sibling", "//visit"] {
             assert!(
-                engine.answer(query, &doc).unwrap().is_empty(),
+                engine
+                    .answer(query, &doc, EvaluationMode::HyPE)
+                    .unwrap()
+                    .answers
+                    .is_empty(),
                 "`{query}` leaked data (seed {seed})"
             );
         }

@@ -5,7 +5,7 @@
 //! matching the materialize-then-evaluate oracle and never leaking hidden
 //! data.
 
-use smoqe::SmoqeEngine;
+use smoqe::{EvaluationMode, SmoqeEngine};
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
 use smoqe_views::{derive_view, materialize, Access, SecuritySpec};
 use smoqe_xml::hospital::{hospital_document_dtd, HEART_DISEASE};
@@ -59,7 +59,10 @@ fn derived_view_queries_are_answered_correctly_by_the_engine() {
         let q = parse_path(query).unwrap();
         let expected =
             materialized.origins_of(&evaluate(&materialized.tree, materialized.tree.root(), &q));
-        let got = engine.answer(query, &doc).unwrap();
+        let got = engine
+            .answer(query, &doc, EvaluationMode::HyPE)
+            .unwrap()
+            .answers;
         assert_eq!(got, expected, "derived-view pipeline differs on `{query}`");
     }
 }
@@ -85,7 +88,11 @@ fn derived_view_never_leaks_hidden_element_types() {
         "patient/pname",
     ] {
         assert!(
-            engine.answer(query, &doc).unwrap().is_empty(),
+            engine
+                .answer(query, &doc, EvaluationMode::HyPE)
+                .unwrap()
+                .answers
+                .is_empty(),
             "`{query}` must be empty on the derived security view"
         );
     }
@@ -105,13 +112,21 @@ fn conditional_rules_control_which_patients_are_exposed() {
 
     let conditional = derive_view(&research_policy()).unwrap();
     let engine = SmoqeEngine::new(conditional).unwrap();
-    let exposed_conditional = engine.answer("patient", &doc).unwrap().len();
+    let exposed_conditional = engine
+        .answer("patient", &doc, EvaluationMode::HyPE)
+        .unwrap()
+        .answers
+        .len();
 
     let mut open_policy = research_policy();
     open_policy.annotate("department", "patient", Access::Allow);
     let open_view = derive_view(&open_policy).unwrap();
     let open_engine = SmoqeEngine::new(open_view).unwrap();
-    let exposed_open = open_engine.answer("patient", &doc).unwrap().len();
+    let exposed_open = open_engine
+        .answer("patient", &doc, EvaluationMode::HyPE)
+        .unwrap()
+        .answers
+        .len();
 
     assert!(exposed_conditional < exposed_open);
     assert_eq!(exposed_open, 50);
@@ -130,7 +145,13 @@ fn derived_and_handwritten_views_expose_the_same_top_level_patients() {
     });
     let derived = SmoqeEngine::new(derive_view(&research_policy()).unwrap()).unwrap();
     let handwritten = SmoqeEngine::hospital_demo();
-    let from_derived = derived.answer("patient", &doc).unwrap();
-    let from_handwritten = handwritten.answer("patient", &doc).unwrap();
+    let from_derived = derived
+        .answer("patient", &doc, EvaluationMode::HyPE)
+        .unwrap()
+        .answers;
+    let from_handwritten = handwritten
+        .answer("patient", &doc, EvaluationMode::HyPE)
+        .unwrap()
+        .answers;
     assert_eq!(from_derived, from_handwritten);
 }

@@ -105,14 +105,10 @@ fn eight_threads_hammer_one_shared_service() {
                     lookups.fetch_add(1, Ordering::Relaxed);
                     assert_eq!(got.answers, *cold_expected, "cold `{cold}` (thread {t})");
 
-                    // Hot + cold in one batched parallel pass; results stay
-                    // aligned and identical to the solo oracles.
+                    // Hot + cold in one batched pass; results stay aligned
+                    // and identical to the solo oracles.
                     let batch = service
-                        .evaluate_batch_parallel(
-                            &[hot, &cold],
-                            &document,
-                            EvaluationMode::HyPE,
-                        )
+                        .evaluate_batch(&[hot, &cold], &document, EvaluationMode::HyPE)
                         .unwrap();
                     lookups.fetch_add(2, Ordering::Relaxed);
                     assert_eq!(batch.results[0].answers, expected[hot]);

@@ -126,7 +126,7 @@ fn streaming_matches_the_rewritten_view_corpus_solo_and_batched() {
 
     // Solo, per query.
     for (query, c) in queries.iter().zip(&compiled) {
-        let on_tree = c.evaluate(&doc);
+        let on_tree = c.evaluate(&doc, doc.root(), None, 1);
         let mut events = TreeEvents::new(&doc);
         let (streamed, _) = stream_solo(&mut events, c.mfa()).unwrap();
         assert_eq!(
