@@ -22,7 +22,6 @@
 //! Run with: `cargo bench --bench domain_grid`
 //! (`SMOQE_BENCH_JSON=/path/file.json` appends one JSON line per cell.)
 
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -31,7 +30,7 @@ use smoqe::SmoqeEngine;
 use std::sync::Arc;
 
 use smoqe_automata::{compile_query, CompiledMfa, Mfa};
-use smoqe_bench::{ir, run_solo};
+use smoqe_bench::{emit_json, ir, run_solo};
 use smoqe_hype::ReachabilityIndex;
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{all_domains, DocShape, Domain};
@@ -77,17 +76,6 @@ fn grid_queries(domain: &Domain) -> Vec<GridQuery> {
             mfa: view_mfa,
         },
     ]
-}
-
-/// Appends one custom JSON line next to the Criterion records.
-fn emit_json(line: &str) {
-    let Ok(path) = std::env::var("SMOQE_BENCH_JSON") else { return };
-    if path.is_empty() {
-        return;
-    }
-    if let Ok(mut file) = std::fs::OpenOptions::new().create(true).append(true).open(&path) {
-        let _ = writeln!(file, "{line}");
-    }
 }
 
 /// Evaluations-per-second of `f` over [`WINDOW`].

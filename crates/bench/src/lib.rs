@@ -1,10 +1,13 @@
 //! Shared workloads for the SMOQE-RS benchmark harness.
 //!
-//! One Criterion bench target (or plain report binary) exists per table /
-//! figure of the paper's Section 7; this library defines the documents and
-//! query sets they share so that every bench measures exactly the same
-//! workload. See EXPERIMENTS.md for the mapping and for paper-vs-measured
-//! results.
+//! One bench target exists per table / figure of the paper's Section 7
+//! (`fig2_closure`, `fig8_xpath`, `fig9_regular_xpath`, `pruning_stats`,
+//! `rewrite_complexity`), plus `domain_grid`, which sweeps the Fig. 9
+//! comparison over every registered domain, and `speedup_gates`, which
+//! enforces the engines' throughput claims through [`paired_throughput`].
+//! This library defines the documents and query sets they share, so that
+//! every bench measures exactly the same workload. The end-to-end
+//! benchmark of the whole product is `perfbench/` (`BENCHMARK.json`).
 //!
 //! ## Scaling note
 //!
@@ -19,6 +22,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::io::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -49,40 +53,47 @@ pub fn run_solo(
     evaluate_tree(tree, tree.root(), &[query], threads).results.remove(0)
 }
 
-/// Batch node throughput of the sequential walk and of `threads` workers
-/// over `queries` on `tree`, as `(sequential, parallel)` rates in
-/// sequential-equivalent visited nodes per second.
+/// Rates of two passes measured in alternation, as `(base, candidate)` in
+/// work units per second. Each pass runs once and returns the units of
+/// work it did (visited nodes, edits, requests).
 ///
-/// After one untimed pass of each, single passes of the two budgets
+/// After one untimed pass of each, single passes of the two sides
 /// alternate until together they have run for twice `window`, so both
 /// sides run on warm caches and share the host's drift; each side's rate is
-/// its nodes over its own time. (Timing the sequential side once, cold,
-/// before every parallel window let a speed-up gate read the noise of that
-/// one window.)
-pub fn paired_node_throughput(
-    tree: &XmlTree,
-    queries: &[CompiledBatchQuery],
-    threads: usize,
+/// its units over its own time. (Timing the base side once, cold, before
+/// the candidate let a speed-up gate read the noise of that one window.)
+pub fn paired_throughput(
     window: Duration,
+    mut base: impl FnMut() -> u64,
+    mut candidate: impl FnMut() -> u64,
 ) -> (f64, f64) {
-    let pass = |budget| {
-        evaluate_tree(tree, tree.root(), queries, budget)
-            .stats
-            .sequential_node_visits as u64
-    };
-    pass(1);
-    pass(threads);
-    // (nodes, seconds) per side: [sequential, parallel].
+    let mut sides: [&mut dyn FnMut() -> u64; 2] = [&mut base, &mut candidate];
+    for pass in sides.iter_mut() {
+        pass();
+    }
+    // (units, seconds) per side.
     let mut totals = [(0u64, 0f64); 2];
     while totals[0].1 + totals[1].1 < 2.0 * window.as_secs_f64() {
-        for (side, budget) in [1, threads].into_iter().enumerate() {
+        for (pass, total) in sides.iter_mut().zip(&mut totals) {
             let start = Instant::now();
-            totals[side].0 += pass(budget);
-            totals[side].1 += start.elapsed().as_secs_f64();
+            total.0 += pass();
+            total.1 += start.elapsed().as_secs_f64();
         }
     }
-    let [sequential, parallel] = totals.map(|(nodes, secs)| nodes as f64 / secs);
-    (sequential, parallel)
+    let [base, candidate] = totals.map(|(units, secs)| units as f64 / secs);
+    (base, candidate)
+}
+
+/// Appends `line` to the file named by `SMOQE_BENCH_JSON`, if it is set
+/// (the Criterion stand-in appends its timing records to the same file).
+pub fn emit_json(line: &str) {
+    let Ok(path) = std::env::var("SMOQE_BENCH_JSON") else { return };
+    if path.is_empty() {
+        return;
+    }
+    if let Ok(mut file) = std::fs::OpenOptions::new().create(true).append(true).open(&path) {
+        let _ = writeln!(file, "{line}");
+    }
 }
 
 /// One document of the benchmark series.
@@ -194,7 +205,7 @@ pub fn pruning_queries() -> Vec<&'static str> {
         .collect()
 }
 
-/// The multi-query workload of the batched-throughput benchmark: the six
+/// The multi-query workload of the batch speed-up gates: the six
 /// Section-7 queries plus narrow point lookups and a negation, mimicking a
 /// serving mix where broad and narrow queries arrive concurrently against
 /// the same hospital document.

@@ -363,31 +363,50 @@ mod tests {
     #[test]
     fn shared_traversal_visits_fewer_nodes_than_sequential_sum() {
         let doc = hospital_doc();
+        let dtd = hospital_document_dtd();
         let mfas: Vec<_> = QUERIES
             .iter()
             .map(|q| compile_query(&parse_path(q).unwrap()))
             .collect();
-        let batch_queries: Vec<CompiledBatchQuery> =
-            QUERIES.iter().map(|q| CompiledBatchQuery::new(ir(q))).collect();
-        let batch = batch(&doc, &batch_queries);
-        let visits = |m| solo(&doc, doc.root(), m, None).stats.nodes_visited;
-        let sequential: usize = mfas.iter().map(visits).sum();
-        assert_eq!(batch.stats.sequential_node_visits, sequential);
-        assert!(
-            batch.stats.nodes_visited < sequential,
-            "batched {} visits should be fewer than sequential {}",
-            batch.stats.nodes_visited,
-            sequential
-        );
-        // The union of visit sets is at least as large as any single set.
-        let max_single = mfas.iter().map(visits).max().unwrap();
-        assert!(batch.stats.nodes_visited >= max_single);
-        assert!(batch.stats.nodes_visited <= batch.stats.nodes_total);
-        assert!(batch.stats.sharing_factor() > 1.0);
-        assert_eq!(
-            batch.stats.visits_saved(),
-            sequential - batch.stats.nodes_visited
-        );
+        let indexes: Vec<_> = mfas
+            .iter()
+            .map(|m| ReachabilityIndex::new(m, &dtd, doc.labels()))
+            .collect();
+        // Plain HyPE, then OptHyPE with every query pruned by its index.
+        for indexed in [false, true] {
+            let index = |i: usize| indexed.then(|| &indexes[i]);
+            let batch_queries: Vec<CompiledBatchQuery> = mfas
+                .iter()
+                .enumerate()
+                .map(|(i, m)| CompiledBatchQuery {
+                    compiled: Arc::new(CompiledMfa::new(m)),
+                    index: index(i),
+                })
+                .collect();
+            let batch = batch(&doc, &batch_queries);
+            let visits: Vec<usize> = mfas
+                .iter()
+                .enumerate()
+                .map(|(i, m)| solo(&doc, doc.root(), m, index(i)).stats.nodes_visited)
+                .collect();
+            let sequential: usize = visits.iter().sum();
+            assert_eq!(batch.stats.sequential_node_visits, sequential, "indexed: {indexed}");
+            assert!(
+                batch.stats.nodes_visited < sequential,
+                "batched {} visits should be fewer than sequential {} (indexed: {indexed})",
+                batch.stats.nodes_visited,
+                sequential
+            );
+            // The union of visit sets is at least as large as any single set.
+            let max_single = *visits.iter().max().unwrap();
+            assert!(batch.stats.nodes_visited >= max_single);
+            assert!(batch.stats.nodes_visited <= batch.stats.nodes_total);
+            assert!(batch.stats.sharing_factor() > 1.0);
+            assert_eq!(
+                batch.stats.visits_saved(),
+                sequential - batch.stats.nodes_visited
+            );
+        }
     }
 
     #[test]

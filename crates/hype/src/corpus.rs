@@ -18,7 +18,7 @@
 //!   the sequential loop); results are reordered back to input order, so
 //!   answers *and* per-pair [`HypeStats`](crate::HypeStats) are
 //!   **bit-identical** at every thread budget (asserted by the `corpus`
-//!   integration suite and the `corpus_throughput` bench).
+//!   integration suite).
 //!
 //! The service layer (`smoqe::QueryService::evaluate_corpus`, at the
 //! service's thread budget) builds the task list from its `DocumentStore`

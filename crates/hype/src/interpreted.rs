@@ -9,8 +9,8 @@
 //! `HashMap<(AfaId, AfaStateId), bool>` filter values. The corpus-wide
 //! differential suites assert that the compiled engines reproduce these
 //! engines' answers **and** [`HypeStats`] bit for bit, in solo, batched and
-//! streaming modes; the `compiled_throughput` bench measures the speedup
-//! of the IR against this baseline.
+//! streaming modes; the `compiled` gate of the `speedup_gates` bench
+//! measures the speedup of the IR against this baseline.
 //!
 //! Semantics are frozen: behavioural changes belong in the compiled
 //! engines *and* here, or the differential suites lose their meaning.

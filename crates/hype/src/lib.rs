@@ -84,7 +84,8 @@
 //! [`interpreted`], the only engine that runs builder MFAs, as the
 //! reference implementation: the differential suites assert that the
 //! compiled engines reproduce their answers and [`HypeStats`] bit for bit,
-//! and the `compiled_throughput` bench measures the speedup against them.
+//! and the `compiled` gate of the `speedup_gates` bench measures the
+//! speedup against them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

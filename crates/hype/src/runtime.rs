@@ -20,7 +20,8 @@
 //! * all per-node state lives in pooled [`LocalScratch`] buffers — after
 //!   the pool warms up to the document depth, the steady-state per-node
 //!   path performs **no heap allocation** beyond the amortised growth of
-//!   the `cans` output arena (asserted by the `compiled_throughput` bench).
+//!   the `cans` output arena (asserted by the `allocation_discipline`
+//!   suite).
 //!
 //! The two traversal drivers are thin: [`HypeCore::open`] decides, per
 //! query, whether a node has work (building vertices, edges and closures

@@ -1,6 +1,5 @@
 //! `smoqed` — the SMOQE-RS serving surface: a multi-tenant TCP query
-//! server, its wire protocol, a blocking client, and a closed-loop load
-//! generator.
+//! server, its wire protocol, and a blocking client.
 //!
 //! The paper's security-view architecture is per-user-class by
 //! construction: every user class sees the document only through its own
@@ -19,11 +18,9 @@
 //!   admission queue with typed [`Busy`](protocol::Response::Busy)
 //!   load-shedding, worker pool, and a stats endpoint exposing
 //!   [`ServiceStats`] plus queue depth and shed counts.
-//! * **[`client`]** — a thin blocking client used by the tests, the load
-//!   generator, and the demo.
-//! * **[`loadgen`]** — a closed-loop generator simulating N concurrent
-//!   clients over a configurable hot/cold · solo/batched · query/edit
-//!   mix, reporting p50/p95/p99 latency and QPS.
+//! * **[`client`]** — a thin blocking client used by the tests, the
+//!   `speedup_gates` bench, and the demo. Load against a running server is
+//!   measured end to end by perfbench's `serve_mix` workload.
 //!
 //! Quick start (in-process):
 //!
@@ -51,13 +48,11 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod loadgen;
 pub mod protocol;
 pub mod server;
 pub mod tenant;
 
 pub use client::{ClientError, SmoqedClient};
-pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use protocol::{
     decode_request, decode_response, encode_request, encode_response, read_frame, write_frame,
     ErrorCode, FrameError, ProtocolError, Request, Response, WireDtd, WireEditOp, WireResult,

@@ -1131,13 +1131,15 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    read_frame_after(first[0], r).map(Some)
+    let len = read_frame_len_after(first[0], r)?;
+    read_frame_body(len, r).map(Some)
 }
 
-/// Reads the remainder of a frame whose first length-prefix byte has
-/// already been consumed (how the server polls a connection for activity
-/// at a frame boundary without committing a worker to a blocking read).
-pub(crate) fn read_frame_after(first: u8, r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
+/// Reads the rest of a length prefix whose first byte has already been
+/// consumed, and checks the announced body length. (The server polls a
+/// connection for that first byte at a frame boundary, so that it need not
+/// commit a worker to a blocking read.)
+pub(crate) fn read_frame_len_after(first: u8, r: &mut impl Read) -> Result<u32, FrameError> {
     let mut prefix = [first, 0, 0, 0];
     let mut got = 1;
     while got < prefix.len() {
@@ -1163,6 +1165,11 @@ pub(crate) fn read_frame_after(first: u8, r: &mut impl Read) -> Result<Vec<u8>, 
             max: MAX_FRAME_LEN,
         }));
     }
+    Ok(len)
+}
+
+/// Reads a frame body of the length its prefix announced.
+pub(crate) fn read_frame_body(len: u32, r: &mut impl Read) -> Result<Vec<u8>, FrameError> {
     let mut body = vec![0u8; len as usize];
     match r.read_exact(&mut body) {
         Ok(()) => Ok(body),

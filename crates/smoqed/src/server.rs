@@ -35,14 +35,20 @@
 //! Rotated connections re-enter the queue exempt from the admission bound
 //! (they were already admitted; the bound gates new connections only).
 //!
+//! A frame in flight cannot be rotated, so it is read under a **deadline**:
+//! 2 s from its first byte, extended by the announced body length at
+//! 256 KiB/s once the length prefix is in. A client that stalls mid-frame
+//! therefore holds its worker for a bounded time, not for as long as it
+//! stays connected.
+//!
 //! Error handling per connection:
 //!
 //! * clean EOF between frames, or a transport error → close quietly (an
 //!   abruptly vanishing client is normal, and only its own worker
 //!   notices — the accept loop is untouched);
-//! * malformed frame (bad length prefix, truncated body) → the stream can
-//!   no longer be trusted to be frame-aligned: best-effort
-//!   `Error(Protocol)` frame, then close;
+//! * malformed frame (bad length prefix, truncated body) or a frame not
+//!   complete by its deadline → the stream can no longer be trusted to be
+//!   frame-aligned: best-effort `Error(Protocol)` frame, then close;
 //! * well-formed frame whose body fails to decode → the stream is still
 //!   aligned (length-delimited framing): answer a typed `Error(Protocol)`
 //!   frame and keep serving.
@@ -53,13 +59,13 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use smoqe::ServiceConfig;
 
 use crate::protocol::{
-    decode_request, encode_response, read_frame_after, write_frame, ErrorCode, FrameError,
-    Response,
+    decode_request, encode_response, read_frame_body, read_frame_len_after, write_frame,
+    ErrorCode, FrameError, Response,
 };
 use crate::tenant::{handle_request, ServerCounters, TenantRegistry};
 
@@ -71,6 +77,16 @@ pub const IDLE_POLL: Duration = Duration::from_millis(25);
 /// Back-to-back requests one connection may stream while others wait
 /// before it is rotated to the back of the queue.
 pub const FAIR_BURST: u32 = 32;
+
+/// The time a frame may take from its first byte, whatever its length.
+const FRAME_DEADLINE_MIN: Duration = Duration::from_secs(2);
+
+/// The slowest transfer rate, in bytes per second, a frame in flight may
+/// keep up: a frame that announces `len` body bytes must be complete
+/// within [`FRAME_DEADLINE_MIN`] plus `len / FRAME_MIN_RATE` seconds (about
+/// 4.5 minutes for a [`MAX_FRAME_LEN`](crate::protocol::MAX_FRAME_LEN)
+/// frame).
+const FRAME_MIN_RATE: f64 = 256.0 * 1024.0;
 
 /// Tuning knobs for [`Server::spawn`].
 #[derive(Debug, Clone, Copy)]
@@ -359,12 +375,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) -> Option<TcpStream
             // Clean EOF between frames: the client is done.
             Ok(0) => return None,
             Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
+            Err(e) if timed_out(&e) => {
                 // Idle at a frame boundary. Rotate if someone is waiting;
                 // otherwise keep polling (the next poll also re-checks the
                 // shutdown flag).
@@ -379,25 +390,34 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) -> Option<TcpStream
             // Only this worker notices; the accept loop keeps admitting.
             Err(_) => return None,
         }
-        // A frame has begun: finish it with the timeout disarmed — a frame
-        // in flight is bounded work, and a half-read frame cannot be
-        // requeued.
-        if stream.set_read_timeout(None).is_err() {
-            return None;
-        }
-        let body = match read_frame_after(first[0], &mut stream) {
+        // A frame has begun and cannot be requeued half read: finish it
+        // under its deadline.
+        let mut frame = FrameDeadline {
+            stream: &stream,
+            deadline: Instant::now() + FRAME_DEADLINE_MIN,
+        };
+        let read = read_frame_len_after(first[0], &mut frame).and_then(|len| {
+            frame.deadline += Duration::from_secs_f64(f64::from(len) / FRAME_MIN_RATE);
+            read_frame_body(len, &mut frame)
+        });
+        let body = match read {
             Ok(body) => body,
-            Err(FrameError::Io(_)) => return None,
-            Err(FrameError::Protocol(e)) => {
-                // Bad length prefix or truncated body: the stream is no
-                // longer frame-aligned. Answer (best effort) and close.
+            Err(FrameError::Io(e)) if !timed_out(&e) => return None,
+            Err(e) => {
+                // Bad length prefix, truncated body or a stalled frame: the
+                // stream is no longer frame-aligned. Answer (best effort)
+                // and close.
                 shared
                     .counters
                     .protocol_errors
                     .fetch_add(1, Ordering::Relaxed);
+                let message = match e {
+                    FrameError::Protocol(e) => e.to_string(),
+                    FrameError::Io(_) => "frame not complete by its deadline".to_owned(),
+                };
                 let body = encode_response(&Response::Error {
                     code: ErrorCode::Protocol,
-                    message: e.to_string(),
+                    message,
                 });
                 let _ = write_frame(&mut stream, &body);
                 return None;
@@ -437,5 +457,28 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) -> Option<TcpStream
         if burst >= FAIR_BURST && others_waiting(shared) {
             return Some(stream);
         }
+    }
+}
+
+/// True for the error a read returns once its socket timeout has passed.
+fn timed_out(e: &io::Error) -> bool {
+    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+}
+
+/// A frame in flight: reads from the connection until `deadline`, arming
+/// the socket's read timeout with the time left before every read.
+struct FrameDeadline<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for FrameDeadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
     }
 }

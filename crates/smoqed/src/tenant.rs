@@ -248,8 +248,8 @@ fn build_view(
 }
 
 /// Answers one decoded request. Pure with respect to connection state:
-/// the server loop, the integration suite, and the loadgen all call this
-/// same function (the suite directly, the others through the socket).
+/// the server loop and the integration suite both call this same function
+/// (the suite directly, every client through the server loop).
 pub fn handle_request(
     registry: &TenantRegistry,
     counters: &ServerCounters,

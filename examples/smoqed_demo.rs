@@ -1,18 +1,19 @@
 //! `smoqed` end to end, in one process: spawn the multi-tenant TCP
-//! server on a loopback port, register two tenants with different
-//! security views, serve queries over the wire, and run a short
-//! closed-loop load burst.
+//! server on a loopback port, register two tenants, serve queries over the
+//! wire, and read the server's counters back.
 //!
 //! ```text
 //! cargo run --example smoqed_demo
 //! ```
+//!
+//! Load is measured elsewhere: perfbench's `serve_mix` workload drives a
+//! loopback server with a hot/cold query mix and reports operations per
+//! second and latency percentiles (see `BENCHMARK.json`).
 
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
 use smoqe_views::hospital_view;
 use smoqe_xml::snapshot;
-use smoqed::{
-    run_load, EvaluationMode, LoadConfig, Server, ServerConfig, SmoqedClient,
-};
+use smoqed::{EvaluationMode, Server, ServerConfig, SmoqedClient};
 
 fn main() {
     // A real TCP server on an ephemeral loopback port: accept thread,
@@ -77,43 +78,6 @@ fn main() {
         .query("auditor", nurse_doc, EvaluationMode::HyPE, "patient")
         .expect_err("cross-tenant access must fail");
     println!("isolation: auditor querying nurse's doc -> {err}");
-
-    // A short closed-loop load burst: 4 concurrent clients, hot/cold mix
-    // with every 5th request batched.
-    let report = run_load(
-        server.addr(),
-        &LoadConfig {
-            clients: 4,
-            requests_per_client: 40,
-            tenant: "nurse".into(),
-            doc: nurse_doc,
-            hot_queries: vec!["patient".into(), "//diagnosis".into()],
-            cold_queries: vec![
-                "patient/record".into(),
-                "patient[not(parent)]".into(),
-                "(patient/parent)*/patient".into(),
-            ],
-            hot_percent: 75,
-            batch_every: 5,
-            edit_every: 0,
-            edit_target_snapshots: Vec::new(),
-            edit_payload_snapshot: Vec::new(),
-            mode: EvaluationMode::HyPE,
-            seed: 1,
-        },
-    );
-    println!(
-        "loadgen: {} requests in {:.2}s -> {:.0} qps, p50 {}us, p95 {}us, p99 {}us \
-         ({} errors, {} shed)",
-        report.requests,
-        report.elapsed_secs,
-        report.qps,
-        report.p50_us,
-        report.p95_us,
-        report.p99_us,
-        report.errors,
-        report.shed
-    );
 
     // Server-side observability: counters plus the tenant's cache stats.
     let stats = client.stats(Some("nurse")).expect("stats");

@@ -3,7 +3,7 @@
 //! The acceptance bar: [`evaluate_corpus`] must be **bit-identical** to a
 //! loop of solo tree evaluations — same answer sets, same
 //! per-pair [`HypeStats`](smoqe_hype::HypeStats) — at thread budgets
-//! {1, 2, 8}, at both layers (raw `smoqe_hype` engines over compiled MFAs,
+//! {1, 2, 4, 8}, at both layers (raw `smoqe_hype` engines over compiled MFAs,
 //! and the `QueryService` front-ends over a [`DocumentStore`]), in all
 //! three evaluation modes. The corpus itself goes through snapshot bytes
 //! on its way into the store, so this suite also exercises the PR's
@@ -24,7 +24,7 @@ use smoqe_xml::hospital::hospital_document_dtd;
 use smoqe_xml::{snapshot, XmlTree};
 use smoqe_xpath::parse_path;
 
-const THREAD_BUDGETS: [usize; 3] = [1, 2, 8];
+const THREAD_BUDGETS: [usize; 4] = [1, 2, 4, 8];
 
 /// A σ₀ service whose corpus passes run at the thread budget `threads`.
 fn hospital_service_at(threads: usize) -> QueryService {

@@ -29,8 +29,9 @@ use smoqe_xml::{labels_fingerprint, parse_document, EditOp, NodeId, XmlTree};
 use smoqe_xpath::parse_path;
 
 /// The thread budgets under test, mirroring the parallel differential
-/// suite: degenerate, small pool, pool larger than most shard counts.
-const BUDGETS: &[usize] = &[1, 2, 8];
+/// suite: degenerate, small pool, 4-thread pool, pool larger than most
+/// shard counts.
+const BUDGETS: &[usize] = &[1, 2, 4, 8];
 
 /// Queries posed over the evolving documents: child steps, descendant
 /// wildcards, filters with text predicates, negation and recursion.

@@ -26,9 +26,10 @@ use smoqe_xml::{XmlTree, XmlTreeBuilder};
 use smoqe_xpath::parse_path;
 
 /// The thread budgets under test: the sequential walk, the smallest pool
-/// (which already runs the planner, spines and grafting), and a pool larger
-/// than most documents' top-level subtree counts.
-const BUDGETS: &[usize] = &[1, 2, 8];
+/// (which already runs the planner, spines and grafting), the 4-thread pool
+/// of the 4-thread speed-up gates, and a pool larger than most documents'
+/// top-level subtree counts.
+const BUDGETS: &[usize] = &[1, 2, 4, 8];
 
 /// Both corpora as compiled execution IRs over the hospital *document*: the
 /// document corpus compiles directly, the view corpus goes through the σ₀

@@ -8,8 +8,9 @@
 //!   views, under ≥8 concurrent clients;
 //! * tenant isolation: a tenant cannot see another tenant's documents,
 //!   and each tenant's answers come from its own σ;
-//! * robustness: abrupt disconnects mid-request and malformed frames
-//!   degrade one connection at most — the accept loop keeps admitting;
+//! * robustness: abrupt disconnects mid-request, malformed frames and
+//!   frames stalled past their deadline degrade one connection at most —
+//!   the accept loop keeps admitting, and no client wedges a worker;
 //! * admission control: a full queue sheds with a typed `Busy` frame.
 
 use std::io::Write;
@@ -23,6 +24,7 @@ use smoqe::{DocId, DocumentStore, EvaluationMode, QueryService, ServiceConfig};
 use smoqed::protocol::{ErrorCode, Request, Response, WireEditOp, WireResult};
 use smoqed::{ClientError, Server, ServerConfig, SmoqedClient};
 use smoqe_views::{derive_view, hospital_view, Access, SecuritySpec, ViewDefinition};
+use smoqe_toxgene::{generate_hospital, HospitalConfig};
 use smoqe_xml::hospital::hospital_document_dtd;
 use smoqe_xml::snapshot;
 
@@ -188,7 +190,11 @@ fn eight_concurrent_clients_across_two_tenants_get_exact_answers() {
     ];
 
     // 8 concurrent clients, alternating tenants, several passes each, so
-    // both tenants are hammered concurrently through shared caches.
+    // both tenants are hammered concurrently through shared caches. Every
+    // pass also sends the tenant's queries as one batch and edits a
+    // private document of the client's own (the store is content-addressed
+    // and an edit retires the edited id, so a shared target would race),
+    // and every request must succeed.
     let addr = server.addr();
     thread::scope(|scope| {
         for i in 0..8 {
@@ -196,7 +202,17 @@ fn eight_concurrent_clients_across_two_tenants_get_exact_answers() {
             scope.spawn(move || {
                 let (tenant, doc_id, answers) = &expected[i % expected.len()];
                 let mut client = SmoqedClient::connect(addr).expect("client connects");
-                for _pass in 0..3 {
+                let private = generate_hospital(&HospitalConfig {
+                    patients: 6,
+                    departments: 3,
+                    seed: 100 + i as u64,
+                    ..Default::default()
+                });
+                let mut private_id = client
+                    .register_document(tenant, &snapshot::save(&private))
+                    .unwrap_or_else(|e| panic!("client {i} registers its document: {e}"));
+                let queries: Vec<&str> = answers.iter().map(|(q, _)| q.as_str()).collect();
+                for pass in 0..3 {
                     for (query, want) in answers {
                         let got = client
                             .query(tenant, *doc_id, EvaluationMode::HyPE, query)
@@ -206,6 +222,25 @@ fn eight_concurrent_clients_across_two_tenants_get_exact_answers() {
                             "client {i}: wire answer differs on `{query}` for {tenant}"
                         );
                     }
+                    let (batch, _) = client
+                        .batch_query(tenant, *doc_id, EvaluationMode::HyPE, &queries)
+                        .unwrap_or_else(|e| panic!("client {i} batch: {e}"));
+                    for ((query, want), got) in answers.iter().zip(&batch) {
+                        assert_eq!(
+                            got.answers, want.answers,
+                            "client {i}: batched answer differs on `{query}` for {tenant}"
+                        );
+                    }
+                    let department = private.children(private.root())[pass];
+                    let (_, new_id, generation) = client
+                        .apply_edit(
+                            tenant,
+                            private_id,
+                            vec![WireEditOp::Delete { node: department.0 }],
+                        )
+                        .unwrap_or_else(|e| panic!("client {i} edit {pass}: {e}"));
+                    assert_eq!(generation as usize, pass + 1, "client {i}: edit generation");
+                    private_id = new_id;
                 }
             });
         }
@@ -482,4 +517,60 @@ fn an_idle_connection_never_starves_waiting_clients_on_a_single_worker() {
         .expect("camper still served after rotation");
     assert_eq!(again.answers, answers, "same document, same answers");
     server.shutdown();
+}
+
+#[test]
+fn a_stalled_half_frame_never_wedges_a_single_worker() {
+    // A frame in flight cannot be rotated like an idle connection, so a
+    // client that sends part of a frame and stalls used to hold the only
+    // worker for as long as it stayed connected. The worker now reads a
+    // frame under a deadline (2 s plus the announced length at a minimum
+    // transfer rate); past it the stalled client gets a typed Protocol
+    // error and is closed, and waiting clients are served.
+    let server = Server::spawn(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 8,
+            service: ServiceConfig::default(),
+        },
+    )
+    .expect("server spawns");
+
+    // One byte of a four-byte length prefix, then silence. The pause lets
+    // the only worker take the connection and start reading the frame.
+    let mut stalled = TcpStream::connect(server.addr()).expect("stalled client connects");
+    stalled.write_all(&[7]).expect("first prefix byte sent");
+    thread::sleep(Duration::from_millis(200));
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    thread::spawn({
+        let addr = server.addr();
+        move || {
+            let mut waiting = SmoqedClient::connect(addr).expect("waiting client connects");
+            let _ = tx.send(waiting.stats(None).map(|stats| stats.protocol_errors));
+        }
+    });
+    let protocol_errors = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("Stats starved: the stalled half frame still holds the only worker")
+        .expect("Stats answered");
+    assert_eq!(protocol_errors, 1, "the stalled frame is counted as a protocol error");
+
+    // The stalled client got the typed error, then the server closed.
+    stalled
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let body = smoqed::read_frame(&mut stalled)
+        .expect("an error frame arrives")
+        .expect("a frame before the close");
+    let resp = smoqed::decode_response(&body).unwrap();
+    assert!(
+        matches!(resp, Response::Error { code: ErrorCode::Protocol, .. }),
+        "a stalled frame earns a typed Protocol error, got {resp:?}"
+    );
+    assert!(
+        matches!(smoqed::read_frame(&mut stalled), Ok(None)),
+        "the server closes the stalled connection"
+    );
 }

@@ -254,22 +254,28 @@ fn streaming_never_allocates_arena_nodes_and_stays_within_depth() {
         .collect();
     let batch_queries = compile_batch(&mfas.iter().map(BatchQuery::new).collect::<Vec<_>>());
 
-    let before = node_allocations();
-    let mut reader = XmlStreamReader::new(xml.as_bytes());
-    let streamed = stream_batch(&mut reader, &batch_queries).unwrap();
-    assert_eq!(
-        node_allocations(),
-        before,
-        "streaming evaluation must not materialize an arena tree"
-    );
-    assert_eq!(streamed.stats.nodes_total, doc.len());
-    assert!(
-        streamed.stats.peak_frames <= doc.max_depth(),
-        "peak frames {} must be bounded by the document depth {}, not its size {}",
-        streamed.stats.peak_frames,
-        doc.max_depth(),
-        doc.len()
-    );
+    // The whole corpus as one batch, then a broad query streamed alone.
+    let solo = compile_query(&parse_path("//diagnosis").unwrap());
+    let solo_query = compile_batch(&[BatchQuery::new(&solo)]);
+    for queries in [&batch_queries, &solo_query] {
+        let before = node_allocations();
+        let mut reader = XmlStreamReader::new(xml.as_bytes());
+        let streamed = stream_batch(&mut reader, queries).unwrap();
+        assert_eq!(
+            node_allocations(),
+            before,
+            "streaming evaluation must not materialize an arena tree ({} queries)",
+            queries.len()
+        );
+        assert_eq!(streamed.stats.nodes_total, doc.len());
+        assert!(
+            streamed.stats.peak_frames <= doc.max_depth(),
+            "peak frames {} must be bounded by the document depth {}, not its size {}",
+            streamed.stats.peak_frames,
+            doc.max_depth(),
+            doc.len()
+        );
+    }
 }
 
 /// Owned mirror of [`XmlEvent`] for comparing whole sequences.
