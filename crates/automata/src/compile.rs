@@ -199,8 +199,8 @@ pub fn compile_path_afa(
 mod tests {
     use super::*;
     use crate::naive::evaluate_mfa_at;
-    use smoqe_xpath::{evaluate, parse_path};
     use smoqe_xml::{XmlTree, XmlTreeBuilder};
+    use smoqe_xpath::{evaluate, parse_path};
     use std::collections::BTreeSet;
 
     /// The view-shaped tree of Fig. 4 (hospital / patient / parent …).
@@ -263,7 +263,10 @@ mod tests {
     #[test]
     fn simple_filters() {
         assert_equivalent(&fig4_tree(), "patient[record]");
-        assert_equivalent(&fig4_tree(), "patient[record/diagnosis/text()='brain disease']");
+        assert_equivalent(
+            &fig4_tree(),
+            "patient[record/diagnosis/text()='brain disease']",
+        );
         assert_equivalent(&fig4_tree(), "patient[not(parent)]");
     }
 
@@ -309,10 +312,7 @@ mod tests {
 
     #[test]
     fn filter_inside_kleene_star() {
-        assert_equivalent(
-            &fig4_tree(),
-            "(patient/parent[patient])*/patient[record]",
-        );
+        assert_equivalent(&fig4_tree(), "(patient/parent[patient])*/patient[record]");
     }
 
     #[test]
@@ -354,11 +354,7 @@ mod tests {
         let q = parse_path("a[b]/c[d and e]").unwrap();
         let mfa = compile_query(&q);
         assert_eq!(mfa.afas().len(), 2);
-        let annotated = mfa
-            .nfa()
-            .states()
-            .filter(|(_, s)| s.afa.is_some())
-            .count();
+        let annotated = mfa.nfa().states().filter(|(_, s)| s.afa.is_some()).count();
         assert_eq!(annotated, 2);
     }
 }

@@ -169,7 +169,10 @@ pub mod bits {
         let mut diff = 0u64;
         let (dc, dr) = dst.split_at_mut(split);
         let (sc, sr) = src.split_at(split);
-        for (dchunk, schunk) in dc.chunks_exact_mut(WIDE_CHUNK).zip(sc.chunks_exact(WIDE_CHUNK)) {
+        for (dchunk, schunk) in dc
+            .chunks_exact_mut(WIDE_CHUNK)
+            .zip(sc.chunks_exact(WIDE_CHUNK))
+        {
             for (d, &s) in dchunk.iter_mut().zip(schunk) {
                 let next = *d | s;
                 diff |= next ^ *d;
@@ -244,7 +247,10 @@ pub mod bits {
                 return true;
             }
         }
-        a[split..n].iter().zip(&b[split..n]).any(|(&x, &y)| x & y != 0)
+        a[split..n]
+            .iter()
+            .zip(&b[split..n])
+            .any(|(&x, &y)| x & y != 0)
     }
 
     /// Number of set bits. Dispatches on [`kernel`].
@@ -275,7 +281,11 @@ pub mod bits {
             }
             total += sub as usize;
         }
-        total + words[split..].iter().map(|w| w.count_ones() as usize).sum::<usize>()
+        total
+            + words[split..]
+                .iter()
+                .map(|w| w.count_ones() as usize)
+                .sum::<usize>()
     }
 
     /// Number of set bits strictly below `bit` — the index a bit's state
@@ -667,10 +677,7 @@ impl CompiledMfa {
             for &(g, label, tgt) in &trans_states {
                 if label == ANY_LABEL || label == col {
                     row.push((g, tgt));
-                    bits::set(
-                        &mut req_mask[col as usize * aw..(col as usize + 1) * aw],
-                        g,
-                    );
+                    bits::set(&mut req_mask[col as usize * aw..(col as usize + 1) * aw], g);
                 }
             }
             row
@@ -1243,8 +1250,7 @@ mod tests {
         let (mfa, cm) = compiled("(a/b)*/c");
         let nfa = mfa.nfa();
         for (id, _) in nfa.states() {
-            let expected: Vec<u32> =
-                nfa.eps_closure(&[id]).into_iter().map(|s| s.0).collect();
+            let expected: Vec<u32> = nfa.eps_closure(&[id]).into_iter().map(|s| s.0).collect();
             let got: Vec<u32> = bits::ones(cm.state_closure(id.0)).collect();
             assert_eq!(got, expected, "closure of state {id:?}");
         }

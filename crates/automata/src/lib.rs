@@ -50,11 +50,13 @@ pub mod nfa;
 pub mod optimize;
 
 pub use afa::{Afa, AfaId, AfaState, AfaStateId, FinalPredicate};
-pub use compile::{compile_filter, compile_path_afa, compile_path_into, compile_pred_states, compile_query};
+pub use compile::{
+    compile_filter, compile_path_afa, compile_path_into, compile_pred_states, compile_query,
+};
 pub use compiled::{ColumnMap, CompiledAfaState, CompiledMfa, CompiledMfaStats, ANY_LABEL};
 pub use label_map::LabelMap;
 pub use lazy::{LazyDfa, LAZY_DFA_BYTES};
 pub use mfa::{AfaBuilder, Mfa, MfaBuilder, MfaStats};
 pub use naive::{evaluate_mfa, evaluate_mfa_at};
-pub use optimize::{optimize_mfa, wildcard_transition_count, OptimizeStats};
 pub use nfa::{Nfa, StateId, Transition};
+pub use optimize::{optimize_mfa, wildcard_transition_count, OptimizeStats};

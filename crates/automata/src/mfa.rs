@@ -192,7 +192,9 @@ impl MfaBuilder {
     /// # Panics
     /// Panics if no start state was set or no state was created.
     pub fn finish(self) -> Mfa {
-        let start = self.start.expect("MfaBuilder::finish called without a start state");
+        let start = self
+            .start
+            .expect("MfaBuilder::finish called without a start state");
         assert!(!self.states.is_empty(), "MFA must have at least one state");
         Mfa {
             nfa: Nfa::from_parts(self.states, start),

@@ -152,8 +152,8 @@ fn afa_value(
 mod tests {
     use super::*;
     use crate::compile::compile_query;
-    use smoqe_xpath::parse_path;
     use smoqe_xml::XmlTreeBuilder;
+    use smoqe_xpath::parse_path;
 
     /// The tree of the paper's Fig. 4.
     fn fig4_tree() -> (XmlTree, Vec<NodeId>) {

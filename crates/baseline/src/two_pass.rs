@@ -72,12 +72,8 @@ pub fn evaluate_two_pass_mfa(tree: &XmlTree, mfa: &Mfa) -> (BTreeSet<NodeId>, Tw
                             FinalPredicate::TextEq(c) => tree.text(node) == Some(c.as_str()),
                         },
                         AfaState::Not(x) => !values[x.index()],
-                        AfaState::And(children) => {
-                            children.iter().all(|c| values[c.index()])
-                        }
-                        AfaState::Or(children) => {
-                            children.iter().any(|c| values[c.index()])
-                        }
+                        AfaState::And(children) => children.iter().all(|c| values[c.index()]),
+                        AfaState::Or(children) => children.iter().any(|c| values[c.index()]),
                         AfaState::Trans(t, tgt) => tree.children(node).iter().any(|&c| {
                             label_map.matches(*t, tree.label(c))
                                 && filter_values[c.index()][afa_idx][tgt.index()]
@@ -193,13 +189,19 @@ mod tests {
         let expected = evaluate(&tree, tree.root(), &q);
         let (got, stats) = evaluate_two_pass(&tree, &q);
         assert_eq!(got, expected, "two-pass differs on `{query}`");
-        assert_eq!(stats.phase1_nodes, tree.len(), "phase 1 must touch every node");
+        assert_eq!(
+            stats.phase1_nodes,
+            tree.len(),
+            "phase 1 must touch every node"
+        );
     }
 
     #[test]
     fn agrees_with_reference_on_xpath() {
         assert_matches_reference("department/patient");
-        assert_matches_reference("department/patient[visit/treatment/medication/diagnosis/text()='heart disease']/pname");
+        assert_matches_reference(
+            "department/patient[visit/treatment/medication/diagnosis/text()='heart disease']/pname",
+        );
         assert_matches_reference("//diagnosis");
         assert_matches_reference("department/patient[not(visit)]");
     }

@@ -133,9 +133,7 @@ fn grid_report(domains: &[Domain]) {
                     ),
                     (
                         "OptHyPE",
-                        evals_per_sec(&mut || {
-                            run_solo(&doc, &q.ir, Some(&index), 1).answers.len()
-                        }),
+                        evals_per_sec(&mut || run_solo(&doc, &q.ir, Some(&index), 1).answers.len()),
                         opt.stats.nodes_visited as u64,
                     ),
                     (
@@ -196,9 +194,11 @@ fn timing(c: &mut Criterion, domains: &[Domain]) {
         group.bench_with_input(BenchmarkId::new("OptHyPE", domain.name), &doc, |b, doc| {
             b.iter(|| run_solo(doc, &view.ir, Some(&index), 1).answers.len())
         });
-        group.bench_with_input(BenchmarkId::new("OptHyPE-C", domain.name), &doc, |b, doc| {
-            b.iter(|| run_solo(doc, &view.ir, Some(&cindex), 1).answers.len())
-        });
+        group.bench_with_input(
+            BenchmarkId::new("OptHyPE-C", domain.name),
+            &doc,
+            |b, doc| b.iter(|| run_solo(doc, &view.ir, Some(&cindex), 1).answers.len()),
+        );
     }
     group.finish();
 }

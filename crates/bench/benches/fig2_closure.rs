@@ -46,8 +46,12 @@ fn complete_graph_view(n: usize) -> ViewDefinition {
     let mut def = ViewDefinition::new(doc, view);
     for i in 0..n {
         for j in 0..n {
-            def.annotate_str(&format!("v{i}"), &format!("v{j}"), &format!("e{i}_{j}/node"))
-                .unwrap();
+            def.annotate_str(
+                &format!("v{i}"),
+                &format!("v{j}"),
+                &format!("e{i}_{j}/node"),
+            )
+            .unwrap();
         }
     }
     def.check().unwrap();
@@ -84,7 +88,9 @@ fn main() {
     }
 
     println!();
-    println!("# Theorem 5.1 on the recursive hospital view σ₀ (MFA size vs the |Q|·|σ|·|DV| bound)");
+    println!(
+        "# Theorem 5.1 on the recursive hospital view σ₀ (MFA size vs the |Q|·|σ|·|DV| bound)"
+    );
     let view = hospital_view();
     let sigma = view.size();
     let dv = view.view_dtd().size();

@@ -46,7 +46,9 @@ use std::time::Duration;
 
 use smoqe::{EvaluationMode, ServiceConfig};
 use smoqe_automata::{compile_query, CompiledMfa, Mfa};
-use smoqe_bench::{batch_workload_queries, emit_json, medium_document, paired_throughput, run_solo};
+use smoqe_bench::{
+    batch_workload_queries, emit_json, medium_document, paired_throughput, run_solo,
+};
 use smoqe_hype::incremental::{IncrementalEvaluator, IncrementalQuery};
 use smoqe_hype::interpreted::{self, BatchQuery};
 use smoqe_hype::{evaluate_corpus, evaluate_tree, CompiledBatchQuery, CorpusTask};
@@ -88,7 +90,10 @@ impl Gate {
         let mut speedup = ratio(WINDOW, true);
         if enforced && !passes(speedup) {
             let retried = ratio(RETRY_WINDOW, true);
-            println!("{}: first reading {speedup:.2}x, retry {retried:.2}x", self.id);
+            println!(
+                "{}: first reading {speedup:.2}x, retry {retried:.2}x",
+                self.id
+            );
             speedup = speedup.max(retried);
         }
         let control = ratio(WINDOW, false);
@@ -117,12 +122,17 @@ impl Gate {
 }
 
 fn compiled(query: &str) -> Arc<CompiledMfa> {
-    Arc::new(CompiledMfa::new(&compile_query(&parse_path(query).expect("query parses"))))
+    Arc::new(CompiledMfa::new(&compile_query(
+        &parse_path(query).expect("query parses"),
+    )))
 }
 
 /// The batch of `queries`, plain HyPE, over shared IRs.
 fn batch(queries: &[&str]) -> Vec<CompiledBatchQuery<'static>> {
-    queries.iter().map(|q| CompiledBatchQuery::new(compiled(q))).collect()
+    queries
+        .iter()
+        .map(|q| CompiledBatchQuery::new(compiled(q)))
+        .collect()
 }
 
 /// Base and candidate passes of a parallel gate: one `evaluate_tree` pass
@@ -163,8 +173,16 @@ fn uniform_parallel_gates(cores: usize) {
         tree.children(tree.root()).len(),
         queries.len()
     );
-    for (id, threads, threshold) in [("parallel/uniform_2t", 2, 1.25), ("parallel/uniform_4t", 4, 1.5)] {
-        Gate { id, threshold, min_cores: threads }.check(cores, budget_passes(&tree, &queries, threads));
+    for (id, threads, threshold) in [
+        ("parallel/uniform_2t", 2, 1.25),
+        ("parallel/uniform_4t", 4, 1.5),
+    ] {
+        Gate {
+            id,
+            threshold,
+            min_cores: threads,
+        }
+        .check(cores, budget_passes(&tree, &queries, threads));
     }
 }
 
@@ -199,9 +217,16 @@ fn skewed_parallel_gates(cores: usize) {
     let solo = compiled("//diagnosis");
     let fractions: Vec<f64> = [1, 2, 4, 8]
         .into_iter()
-        .map(|threads| run_solo(&tree, &solo, None, threads).stats.max_shard_fraction)
+        .map(|threads| {
+            run_solo(&tree, &solo, None, threads)
+                .stats
+                .max_shard_fraction
+        })
         .collect();
-    assert_eq!(fractions[0], 0.0, "budget 1 runs the sequential walk, unsharded");
+    assert_eq!(
+        fractions[0], 0.0,
+        "budget 1 runs the sequential walk, unsharded"
+    );
     for &frac in &fractions[1..] {
         assert!(
             frac > 0.0 && frac < 0.5,
@@ -222,8 +247,16 @@ fn skewed_parallel_gates(cores: usize) {
         100.0 * dominant as f64 / tree.len() as f64,
         queries.len()
     );
-    for (id, threads, threshold) in [("parallel/skewed_2t", 2, 1.25), ("parallel/skewed_4t", 4, 1.4)] {
-        Gate { id, threshold, min_cores: threads }.check(cores, budget_passes(&tree, &queries, threads));
+    for (id, threads, threshold) in [
+        ("parallel/skewed_2t", 2, 1.25),
+        ("parallel/skewed_4t", 4, 1.4),
+    ] {
+        Gate {
+            id,
+            threshold,
+            min_cores: threads,
+        }
+        .check(cores, budget_passes(&tree, &queries, threads));
     }
 }
 
@@ -244,17 +277,33 @@ fn corpus_gate(cores: usize) {
             })
         })
         .collect();
-    let irs: Vec<Arc<CompiledMfa>> = ["//diagnosis", "patient/record/diagnosis", "patient[not(parent)]"]
-        .iter()
-        .map(|q| compiled(q))
-        .collect();
+    let irs: Vec<Arc<CompiledMfa>> = [
+        "//diagnosis",
+        "patient/record/diagnosis",
+        "patient[not(parent)]",
+    ]
+    .iter()
+    .map(|q| compiled(q))
+    .collect();
     let tasks: Vec<CorpusTask> = docs
         .iter()
-        .flat_map(|doc| irs.iter().map(move |ir| CorpusTask::new(doc, Arc::clone(ir))))
+        .flat_map(|doc| {
+            irs.iter()
+                .map(move |ir| CorpusTask::new(doc, Arc::clone(ir)))
+        })
         .collect();
-    println!("# corpus: {} documents, {} (document, query) pairs", docs.len(), tasks.len());
+    println!(
+        "# corpus: {} documents, {} (document, query) pairs",
+        docs.len(),
+        tasks.len()
+    );
     let tasks = &tasks;
-    Gate { id: "corpus_4t", threshold: 1.5, min_cores: 4 }.check(cores, |candidate| {
+    Gate {
+        id: "corpus_4t",
+        threshold: 1.5,
+        min_cores: 4,
+    }
+    .check(cores, |candidate| {
         let budget = if candidate { 4 } else { 1 };
         Box::new(move || {
             evaluate_corpus(tasks, budget)
@@ -312,7 +361,11 @@ impl EditSource {
             None => {
                 let parent = self.departments[self.next % self.departments.len()];
                 self.next += 1;
-                EditOp::Insert { parent, position: 0, subtree: self.payload.clone() }
+                EditOp::Insert {
+                    parent,
+                    position: 0,
+                    subtree: self.payload.clone(),
+                }
             }
         };
         apply(tree, &op);
@@ -356,23 +409,34 @@ fn edit_gate(cores: usize) {
         irs.len()
     );
     let irs = &irs;
-    Gate { id: "incremental_edits", threshold: 3.0, min_cores: 1 }.check(cores, |candidate| -> Pass {
+    Gate {
+        id: "incremental_edits",
+        threshold: 3.0,
+        min_cores: 1,
+    }
+    .check(cores, |candidate| -> Pass {
         let mut tree = edit_document();
         let mut source = EditSource::new(&tree);
         if candidate {
-            let queries = irs.iter().map(|ir| IncrementalQuery::new(Arc::clone(ir))).collect();
+            let queries = irs
+                .iter()
+                .map(|ir| IncrementalQuery::new(Arc::clone(ir)))
+                .collect();
             let (mut eval, _) = IncrementalEvaluator::new(&tree, tree.root(), queries, 1);
             Box::new(move || {
                 for _ in 0..EDITS_PER_PASS {
                     source.step(&mut tree, |tree, op| {
-                        eval.apply_edits(tree, std::slice::from_ref(op), 1).expect("edit applies");
+                        eval.apply_edits(tree, std::slice::from_ref(op), 1)
+                            .expect("edit applies");
                     });
                 }
                 EDITS_PER_PASS
             })
         } else {
-            let queries: Vec<CompiledBatchQuery> =
-                irs.iter().map(|ir| CompiledBatchQuery::new(Arc::clone(ir))).collect();
+            let queries: Vec<CompiledBatchQuery> = irs
+                .iter()
+                .map(|ir| CompiledBatchQuery::new(Arc::clone(ir)))
+                .collect();
             Box::new(move || {
                 for _ in 0..EDITS_PER_PASS {
                     source.step(&mut tree, |tree, op| {
@@ -396,12 +460,19 @@ fn compiled_gate(cores: usize) {
         .map(|q| compile_query(&parse_path(q).expect("workload query parses")))
         .collect();
     let interpreted_queries: Vec<BatchQuery> = mfas.iter().map(BatchQuery::new).collect();
-    let compiled_queries: Vec<CompiledBatchQuery> =
-        mfas.iter().map(|m| CompiledBatchQuery::new(Arc::new(CompiledMfa::new(m)))).collect();
+    let compiled_queries: Vec<CompiledBatchQuery> = mfas
+        .iter()
+        .map(|m| CompiledBatchQuery::new(Arc::new(CompiledMfa::new(m))))
+        .collect();
     println!("# compiled: {} nodes, {} queries", tree.len(), mfas.len());
     let (tree, interpreted_queries, compiled_queries) =
         (&tree, &interpreted_queries, &compiled_queries);
-    Gate { id: "compiled", threshold: 1.0, min_cores: 1 }.check(cores, |candidate| -> Pass {
+    Gate {
+        id: "compiled",
+        threshold: 1.0,
+        min_cores: 1,
+    }
+    .check(cores, |candidate| -> Pass {
         if candidate {
             Box::new(move || {
                 evaluate_tree(tree, tree.root(), compiled_queries, 1)
@@ -467,7 +538,11 @@ fn serve(addr: SocketAddr, doc: u64, clients: usize) -> u64 {
 fn smoqed_gate(cores: usize) {
     let mut server = Server::spawn(
         "127.0.0.1:0",
-        ServerConfig { workers: 0, queue_capacity: 256, service: ServiceConfig::default() },
+        ServerConfig {
+            workers: 0,
+            queue_capacity: 256,
+            service: ServiceConfig::default(),
+        },
     )
     .expect("loopback server spawns");
     let doc = generate_hospital(&HospitalConfig {
@@ -482,12 +557,25 @@ fn smoqed_gate(cores: usize) {
     });
     let doc_id = {
         let mut setup = SmoqedClient::connect(server.addr()).expect("client connects");
-        setup.register_view(TENANT, &hospital_view()).expect("view registers");
-        setup.register_document(TENANT, &snapshot::save(&doc)).expect("document registers")
+        setup
+            .register_view(TENANT, &hospital_view())
+            .expect("view registers");
+        setup
+            .register_document(TENANT, &snapshot::save(&doc))
+            .expect("document registers")
     };
-    println!("# smoqed: {} nodes, {} queries, loopback", doc.len(), SERVED_QUERIES.len());
+    println!(
+        "# smoqed: {} nodes, {} queries, loopback",
+        doc.len(),
+        SERVED_QUERIES.len()
+    );
     let addr = server.addr();
-    Gate { id: "smoqed_8_clients", threshold: 1.3, min_cores: 4 }.check(cores, |candidate| {
+    Gate {
+        id: "smoqed_8_clients",
+        threshold: 1.3,
+        min_cores: 4,
+    }
+    .check(cores, |candidate| {
         let clients = if candidate { 8 } else { 1 };
         Box::new(move || serve(addr, doc_id, clients))
     });
@@ -495,7 +583,9 @@ fn smoqed_gate(cores: usize) {
 }
 
 fn main() {
-    let cores = thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     println!("# speed-up gates on {cores} core(s)");
     uniform_parallel_gates(cores);
     skewed_parallel_gates(cores);

@@ -50,7 +50,9 @@ pub fn run_solo(
         compiled: Arc::clone(ir),
         index,
     };
-    evaluate_tree(tree, tree.root(), &[query], threads).results.remove(0)
+    evaluate_tree(tree, tree.root(), &[query], threads)
+        .results
+        .remove(0)
 }
 
 /// Rates of two passes measured in alternation, as `(base, candidate)` in
@@ -87,11 +89,17 @@ pub fn paired_throughput(
 /// Appends `line` to the file named by `SMOQE_BENCH_JSON`, if it is set
 /// (the Criterion stand-in appends its timing records to the same file).
 pub fn emit_json(line: &str) {
-    let Ok(path) = std::env::var("SMOQE_BENCH_JSON") else { return };
+    let Ok(path) = std::env::var("SMOQE_BENCH_JSON") else {
+        return;
+    };
     if path.is_empty() {
         return;
     }
-    if let Ok(mut file) = std::fs::OpenOptions::new().create(true).append(true).open(&path) {
+    if let Ok(mut file) = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(&path)
+    {
         let _ = writeln!(file, "{line}");
     }
 }
@@ -127,10 +135,7 @@ pub fn document_series(steps: usize) -> Vec<BenchDocument> {
                 test_visit_fraction: 0.3,
                 seed: 2007,
             });
-            let label = format!(
-                "{:.1}MB",
-                tree.approximate_byte_size() as f64 / 1_000_000.0
-            );
+            let label = format!("{:.1}MB", tree.approximate_byte_size() as f64 / 1_000_000.0);
             BenchDocument {
                 label,
                 patients,

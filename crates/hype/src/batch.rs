@@ -94,7 +94,8 @@ pub struct BatchStats {
 impl BatchStats {
     /// Node visits saved relative to running every query on its own pass.
     pub fn visits_saved(&self) -> usize {
-        self.sequential_node_visits.saturating_sub(self.nodes_visited)
+        self.sequential_node_visits
+            .saturating_sub(self.nodes_visited)
     }
 
     /// How many sequential visits each physical visit amortises
@@ -316,8 +317,10 @@ mod tests {
             .iter()
             .map(|q| compile_query(&parse_path(q).unwrap()))
             .collect();
-        let batch_queries: Vec<CompiledBatchQuery> =
-            QUERIES.iter().map(|q| CompiledBatchQuery::new(ir(q))).collect();
+        let batch_queries: Vec<CompiledBatchQuery> = QUERIES
+            .iter()
+            .map(|q| CompiledBatchQuery::new(ir(q)))
+            .collect();
         let batch = batch(&doc, &batch_queries);
         assert_eq!(batch.results.len(), QUERIES.len());
         for (i, mfa) in mfas.iter().enumerate() {
@@ -355,7 +358,11 @@ mod tests {
         let batch = batch(&doc, &batch_queries);
         for (i, (mfa, index)) in mfas.iter().zip(&indexes).enumerate() {
             let solo = solo(&doc, doc.root(), mfa, Some(index));
-            assert_eq!(batch.results[i].answers, solo.answers, "on `{}`", QUERIES[i]);
+            assert_eq!(
+                batch.results[i].answers, solo.answers,
+                "on `{}`",
+                QUERIES[i]
+            );
             assert_eq!(batch.results[i].stats, solo.stats, "on `{}`", QUERIES[i]);
         }
     }
@@ -390,7 +397,10 @@ mod tests {
                 .map(|(i, m)| solo(&doc, doc.root(), m, index(i)).stats.nodes_visited)
                 .collect();
             let sequential: usize = visits.iter().sum();
-            assert_eq!(batch.stats.sequential_node_visits, sequential, "indexed: {indexed}");
+            assert_eq!(
+                batch.stats.sequential_node_visits, sequential,
+                "indexed: {indexed}"
+            );
             assert!(
                 batch.stats.nodes_visited < sequential,
                 "batched {} visits should be fewer than sequential {} (indexed: {indexed})",
@@ -425,7 +435,10 @@ mod tests {
         );
         let zip_solo = solo(&doc, doc.root(), &zip, Some(&index));
         assert_eq!(batch.results[0].answers, zip_solo.answers);
-        assert_eq!(batch.results[1].answers, solo(&doc, doc.root(), &diag, None).answers);
+        assert_eq!(
+            batch.results[1].answers,
+            solo(&doc, doc.root(), &diag, None).answers
+        );
         // The indexed query prunes for itself, but the plain //diagnosis
         // query keeps most of the document live, so the shared traversal
         // still visits those nodes.
@@ -468,7 +481,10 @@ mod tests {
         }
         // Identical pending sets → the union is one solo traversal.
         assert_eq!(batch.stats.nodes_visited, solo.stats.nodes_visited);
-        assert_eq!(batch.stats.sequential_node_visits, 2 * solo.stats.nodes_visited);
+        assert_eq!(
+            batch.stats.sequential_node_visits,
+            2 * solo.stats.nodes_visited
+        );
     }
 
     #[test]

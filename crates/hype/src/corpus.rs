@@ -79,7 +79,9 @@ impl<'a> CorpusTask<'a> {
             compiled: Arc::clone(&self.compiled),
             index: self.index,
         };
-        evaluate_tree(self.tree, self.tree.root(), &[query], 1).results.remove(0)
+        evaluate_tree(self.tree, self.tree.root(), &[query], 1)
+            .results
+            .remove(0)
     }
 }
 

@@ -120,7 +120,9 @@ pub fn evaluate_compiled_at_with(
         compiled: Arc::clone(compiled),
         index,
     };
-    crate::evaluate_tree(tree, context, &[query], 1).results.remove(0)
+    crate::evaluate_tree(tree, context, &[query], 1)
+        .results
+        .remove(0)
 }
 
 #[cfg(test)]
@@ -161,7 +163,11 @@ mod tests {
         let root = b.root("hospital");
         let dept = b.child(root, "department");
         b.child_with_text(dept, "name", "Cardiology");
-        for (name, diag) in [("Alice", "heart disease"), ("Bob", "flu"), ("Carol", "heart disease")] {
+        for (name, diag) in [
+            ("Alice", "heart disease"),
+            ("Bob", "flu"),
+            ("Carol", "heart disease"),
+        ] {
             let p = b.child(dept, "patient");
             b.child_with_text(p, "pname", name);
             let addr = b.child(p, "address");
@@ -217,10 +223,7 @@ mod tests {
             &t,
             "(patient/parent)*/patient[(parent/patient)*/record/diagnosis[text()='heart disease']]",
         );
-        assert_hype_matches_naive(
-            &t,
-            "patient[*//record/diagnosis/text()='heart disease']",
-        );
+        assert_hype_matches_naive(&t, "patient[*//record/diagnosis/text()='heart disease']");
         assert_hype_matches_naive(&t, "patient[record and not(parent)]");
         assert_hype_matches_naive(&t, "patient[record or parent]");
     }
@@ -236,11 +239,7 @@ mod tests {
         .unwrap();
         let mfa = compile_query(&q);
         let result = solo(&t, t.root(), &mfa, None);
-        let labels: Vec<&str> = result
-            .answers
-            .iter()
-            .map(|&n| t.label_name(n))
-            .collect();
+        let labels: Vec<&str> = result.answers.iter().map(|&n| t.label_name(n)).collect();
         assert_eq!(result.answers.len(), 2);
         assert!(labels.iter().all(|&l| l == "patient"));
     }
@@ -269,7 +268,10 @@ mod tests {
             let optc_index = ReachabilityIndex::new_compressed(&mfa, &dtd, doc.labels());
             let optc = solo(&doc, doc.root(), &mfa, Some(&optc_index));
             assert_eq!(plain.answers, opt.answers, "OptHyPE differs on `{query}`");
-            assert_eq!(plain.answers, optc.answers, "OptHyPE-C differs on `{query}`");
+            assert_eq!(
+                plain.answers, optc.answers,
+                "OptHyPE-C differs on `{query}`"
+            );
             assert!(
                 opt.stats.nodes_visited <= plain.stats.nodes_visited,
                 "index must not visit more nodes (`{query}`)"
@@ -286,7 +288,10 @@ mod tests {
         let q = parse_path("department/patient/pname").unwrap();
         let mfa = compile_query(&q);
         let basic = solo(&doc, doc.root(), &mfa, None);
-        assert!(basic.stats.pruned_fraction() > 0.3, "basic pruning too weak");
+        assert!(
+            basic.stats.pruned_fraction() > 0.3,
+            "basic pruning too weak"
+        );
         let index = ReachabilityIndex::new(&mfa, &dtd, doc.labels());
         let opt = solo(&doc, doc.root(), &mfa, Some(&index));
         assert!(opt.stats.nodes_visited <= basic.stats.nodes_visited);
@@ -393,7 +398,10 @@ mod tests {
                 r.stats.nodes_visited,
                 r.stats.nodes_total
             );
-            assert!(r.stats.nodes_visited >= 1, "the context itself is always visited");
+            assert!(
+                r.stats.nodes_visited >= 1,
+                "the context itself is always visited"
+            );
         }
     }
 
@@ -417,9 +425,19 @@ mod tests {
             let opt = solo(&doc, doc.root(), &mfa, Some(&index));
             let cindex = ReachabilityIndex::new_compressed(&mfa, &dtd, doc.labels());
             let optc = solo(&doc, doc.root(), &mfa, Some(&cindex));
-            assert_eq!(plain.stats.nodes_total, opt.stats.nodes_total, "on `{query}`");
-            assert_eq!(plain.stats.nodes_total, optc.stats.nodes_total, "on `{query}`");
-            assert_eq!(plain.stats.nodes_total, doc.len(), "root run counts the whole document");
+            assert_eq!(
+                plain.stats.nodes_total, opt.stats.nodes_total,
+                "on `{query}`"
+            );
+            assert_eq!(
+                plain.stats.nodes_total, optc.stats.nodes_total,
+                "on `{query}`"
+            );
+            assert_eq!(
+                plain.stats.nodes_total,
+                doc.len(),
+                "root run counts the whole document"
+            );
             assert_eq!(
                 opt.stats.nodes_visited, optc.stats.nodes_visited,
                 "the two index flavours answer the same lookups on `{query}`"

@@ -412,7 +412,10 @@ mod tests {
             .unwrap();
         assert_eq!(eval.cached_shards(), 2);
         assert_matches_scratch(&tree, eval.context(), &result);
-        assert!(result.results[1].answers.is_empty(), "diagnosis was deleted");
+        assert!(
+            result.results[1].answers.is_empty(),
+            "diagnosis was deleted"
+        );
     }
 
     #[test]
@@ -422,8 +425,10 @@ mod tests {
         let op = EditOp::Insert {
             parent: tree.root(),
             position: 3,
-            subtree: parse_document("<department><patient><pname>Dora</pname></patient></department>")
-                .unwrap(),
+            subtree: parse_document(
+                "<department><patient><pname>Dora</pname></patient></department>",
+            )
+            .unwrap(),
         };
         let result = eval.apply_edits(&mut tree, &[op], 1).unwrap();
         assert_eq!(eval.cached_shards(), 4);
@@ -480,8 +485,7 @@ mod tests {
     fn multi_op_scripts_and_thread_budgets_stay_bit_identical() {
         for threads in [1, 2, 8] {
             let mut tree = doc();
-            let (mut eval, _) =
-                IncrementalEvaluator::new(&tree, tree.root(), queries(), threads);
+            let (mut eval, _) = IncrementalEvaluator::new(&tree, tree.root(), queries(), threads);
             let dept3 = tree.children(tree.root())[2];
             let dept1 = tree.children(tree.root())[0];
             let ops = vec![

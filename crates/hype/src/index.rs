@@ -13,8 +13,8 @@
 //! are deduplicated and shared, which shrinks the index roughly by the
 //! number of distinct content models while leaving lookups O(1).
 
-use smoqe_xml::{Dtd, LabelId, LabelInterner};
 use smoqe_automata::{CompiledMfa, Mfa};
+use smoqe_xml::{Dtd, LabelId, LabelInterner};
 
 /// A per-document-label index of the MFA labels reachable strictly below an
 /// element carrying that label.
@@ -74,7 +74,10 @@ impl ReachabilityIndex {
         // can sit below `hospital` even though no production puts it there,
         // and pruning at the root on the DTD's say-so would wrongly answer
         // `//annex` with ∅. Disable pruning wholesale.
-        if doc_labels.iter().any(|(_, name)| !descendants.contains_key(name)) {
+        if doc_labels
+            .iter()
+            .any(|(_, name)| !descendants.contains_key(name))
+        {
             return Self::no_prune(mfa_labels, doc_labels, compressed);
         }
 
@@ -230,14 +233,15 @@ mod tests {
         let q = parse_path("patient").unwrap();
         let mfa = compile_query(&q);
         for compressed in [false, true] {
-            let index =
-                ReachabilityIndex::from_labels(mfa.labels(), &dtd, &labels, compressed);
+            let index = ReachabilityIndex::from_labels(mfa.labels(), &dtd, &labels, compressed);
             assert!(index.allowed_below(alien).is_none());
             assert!(
                 index.prunes_nothing(),
                 "known labels must also lose their rows (compressed={compressed})"
             );
-            assert!(index.allowed_below(labels.get("hospital").unwrap()).is_none());
+            assert!(index
+                .allowed_below(labels.get("hospital").unwrap())
+                .is_none());
             assert_eq!(index.stored_rows(), 0);
         }
         // A clean interner keeps full pruning.

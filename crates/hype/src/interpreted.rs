@@ -321,9 +321,7 @@ impl<'a> QueryRuntime<'a> {
                 FinalPredicate::False => false,
                 FinalPredicate::TextEq(value) => node_text == Some(value.as_str()),
             },
-            AfaState::Not(x) => {
-                !self.value_of(node_text, afa, *x, child_values, memo, in_progress)
-            }
+            AfaState::Not(x) => !self.value_of(node_text, afa, *x, child_values, memo, in_progress),
             AfaState::And(children) => children
                 .iter()
                 .all(|&c| self.value_of(node_text, afa, c, child_values, memo, in_progress)),
@@ -449,9 +447,7 @@ impl BatchEngine<'_> {
                 match stack.last_mut() {
                     None => return outcomes,
                     Some(parent) => {
-                        for (slot, outcome) in
-                            frame.parent_slots.iter().copied().zip(outcomes)
-                        {
+                        for (slot, outcome) in frame.parent_slots.iter().copied().zip(outcomes) {
                             debug_assert_eq!(parent.locals[slot].query, outcome.query);
                             parent.child_values[slot].push((child_label, outcome.values));
                         }
@@ -463,7 +459,12 @@ impl BatchEngine<'_> {
 
     /// The entry half of a node visit: materialize the per-query CANS
     /// vertices, edges from the parent frame, and the AFA request closure.
-    fn enter(&mut self, node: NodeId, pending: Vec<Pending>, parent_slots: Vec<usize>) -> VisitFrame {
+    fn enter(
+        &mut self,
+        node: NodeId,
+        pending: Vec<Pending>,
+        parent_slots: Vec<usize>,
+    ) -> VisitFrame {
         self.physical_visits += 1;
         let node_label = self.tree.label(node);
 
@@ -709,8 +710,10 @@ struct StreamMachine<'a> {
 
 impl<'a> StreamMachine<'a> {
     fn new(queries: &[BatchQuery<'a>], labels: LabelInterner) -> Self {
-        let runtimes: Vec<QueryRuntime> =
-            queries.iter().map(|q| QueryRuntime::new(&labels, q)).collect();
+        let runtimes: Vec<QueryRuntime> = queries
+            .iter()
+            .map(|q| QueryRuntime::new(&labels, q))
+            .collect();
         StreamMachine {
             known_labels: labels.len(),
             init_of: vec![Vec::new(); runtimes.len()],
@@ -888,7 +891,10 @@ impl<'a> StreamMachine<'a> {
             self.skip_depth -= 1;
             return;
         }
-        let frame = self.frames.pop().expect("a work frame exists when not skipping");
+        let frame = self
+            .frames
+            .pop()
+            .expect("a work frame exists when not skipping");
         for local in frame.locals {
             let rt = &mut self.runtimes[local.query];
             let values =

@@ -124,7 +124,9 @@ mod testing {
 
     /// The execution IR of a regular XPath query.
     pub(crate) fn ir(query: &str) -> Arc<CompiledMfa> {
-        Arc::new(CompiledMfa::new(&compile_query(&parse_path(query).unwrap())))
+        Arc::new(CompiledMfa::new(&compile_query(
+            &parse_path(query).unwrap(),
+        )))
     }
 
     /// Compiles `mfa` and evaluates it alone at `context` on the

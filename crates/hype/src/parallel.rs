@@ -138,7 +138,9 @@ const MAX_TASK_SHARE: f64 = 0.8;
 /// Resolves a thread-budget knob: `0` means all available cores.
 pub(crate) fn resolve_threads(budget: usize) -> usize {
     if budget == 0 {
-        thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     } else {
         budget
     }
@@ -184,7 +186,9 @@ pub fn evaluate_parallel_at_with(
         compiled: Arc::clone(compiled),
         index,
     };
-    crate::evaluate_tree(tree, context, &[query], threads).results.remove(0)
+    crate::evaluate_tree(tree, context, &[query], threads)
+        .results
+        .remove(0)
 }
 
 /// The `threads ≥ 2` branch of [`crate::evaluate_tree`] for a non-empty
@@ -692,9 +696,9 @@ pub(crate) fn claim_map<I: Sync, S: Send, R: Send>(
 mod tests {
     use super::*;
     use crate::batch::BatchResult;
+    use crate::evaluate_tree;
     use crate::interpreted;
     use crate::testing::ir;
-    use crate::evaluate_tree;
     use smoqe_automata::compile_query;
     use smoqe_xml::hospital::hospital_document_dtd;
     use smoqe_xml::XmlTreeBuilder;
@@ -711,7 +715,9 @@ mod tests {
             compiled: Arc::clone(compiled),
             index,
         };
-        evaluate_tree(doc, doc.root(), &[query], threads).results.remove(0)
+        evaluate_tree(doc, doc.root(), &[query], threads)
+            .results
+            .remove(0)
     }
 
     fn batch_at_root(doc: &XmlTree, queries: &[CompiledBatchQuery], threads: usize) -> BatchResult {
@@ -722,7 +728,11 @@ mod tests {
     fn doc() -> XmlTree {
         let mut b = XmlTreeBuilder::new();
         let root = b.root("hospital");
-        for (name, diag) in [("Alice", "heart disease"), ("Bob", "flu"), ("Carol", "heart disease")] {
+        for (name, diag) in [
+            ("Alice", "heart disease"),
+            ("Bob", "flu"),
+            ("Carol", "heart disease"),
+        ] {
             let dept = b.child(root, "department");
             let p = b.child(dept, "patient");
             b.child_with_text(p, "pname", name);
@@ -746,7 +756,11 @@ mod tests {
             let v = b.child(p, "visit");
             let t = b.child(v, "treatment");
             let m = b.child(t, "medication");
-            b.child_with_text(m, "diagnosis", if i % 3 == 0 { "flu" } else { "heart disease" });
+            b.child_with_text(
+                m,
+                "diagnosis",
+                if i % 3 == 0 { "flu" } else { "heart disease" },
+            );
         }
         let small = b.child(root, "department");
         let p = b.child(small, "patient");
@@ -861,7 +875,11 @@ mod tests {
     #[test]
     fn resplitting_matches_sequential_on_skewed_doc() {
         let doc = skewed_doc();
-        for query in ["//diagnosis", "department/patient/pname", "//patient[visit]"] {
+        for query in [
+            "//diagnosis",
+            "department/patient/pname",
+            "//patient[visit]",
+        ] {
             let compiled = ir(query);
             let sequential = solo(&doc, &compiled, None, 1);
             for threads in [1, 2, 4, 8] {
@@ -934,7 +952,11 @@ mod tests {
             "re-splitting yields at least one task per worker ({} tasks)",
             plan.tasks.len()
         );
-        assert_eq!(threads.min(plan.tasks.len()), 4, "all four workers occupied");
+        assert_eq!(
+            threads.min(plan.tasks.len()),
+            4,
+            "all four workers occupied"
+        );
     }
 
     #[test]
@@ -957,7 +979,11 @@ mod tests {
         // task holds a share of the visits, and the result is the one the
         // interpreted reference engine computes.
         let doc = skewed_doc();
-        for query in ["//diagnosis", "department/patient/pname", "//patient[visit]"] {
+        for query in [
+            "//diagnosis",
+            "department/patient/pname",
+            "//patient[visit]",
+        ] {
             let mfa = compile_query(&parse_path(query).unwrap());
             let compiled = Arc::new(CompiledMfa::new(&mfa));
             let reference = interpreted::evaluate(&doc, &mfa);
@@ -970,7 +996,10 @@ mod tests {
         // collection stay under test without a budget-1 split.
         let queries = [CompiledBatchQuery::new(ir("//diagnosis"))];
         let (plan, _seeds) = plan_for(&doc, &queries, 2);
-        assert!(!plan.spines.is_empty(), "budget 2 re-splits the dominant subtree");
+        assert!(
+            !plan.spines.is_empty(),
+            "budget 2 re-splits the dominant subtree"
+        );
     }
 
     #[test]
@@ -1069,8 +1098,11 @@ mod tests {
         let doc = doc();
         let mfa = compile_query(&parse_path("department/patient[visit]").unwrap());
         let reference = interpreted::evaluate_batch(&doc, &[interpreted::BatchQuery::new(&mfa)]);
-        let parallel =
-            batch_at_root(&doc, &[CompiledBatchQuery::new(Arc::new(CompiledMfa::new(&mfa)))], 2);
+        let parallel = batch_at_root(
+            &doc,
+            &[CompiledBatchQuery::new(Arc::new(CompiledMfa::new(&mfa)))],
+            2,
+        );
         assert_eq!(parallel.results[0].answers, reference.results[0].answers);
         assert_eq!(parallel.results[0].stats, reference.results[0].stats);
     }

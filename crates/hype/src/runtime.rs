@@ -768,9 +768,7 @@ fn value_of(
             FinalPredicate::False => false,
             FinalPredicate::TextEq(value) => node_text == Some(value.as_str()),
         },
-        CompiledAfaState::Not(x) => {
-            !value_of(cm, *x, node_text, computed, in_progress, sc, stats)
-        }
+        CompiledAfaState::Not(x) => !value_of(cm, *x, node_text, computed, in_progress, sc, stats),
         CompiledAfaState::And { from, to } => cm.succ_pool()[*from as usize..*to as usize]
             .iter()
             .all(|&c| value_of(cm, c, node_text, computed, in_progress, sc, stats)),
@@ -977,7 +975,10 @@ impl<'a> HypeCore<'a> {
     /// parent frame's accumulators (or records the `Init` vertices at the
     /// evaluation context).
     pub fn close(&mut self, node_text: Option<&str>) {
-        let mut frame = self.frames.pop().expect("close() without a matching open()");
+        let mut frame = self
+            .frames
+            .pop()
+            .expect("close() without a matching open()");
         for mut local in frame.locals.drain(..) {
             let q = local.query as usize;
             let rt = &mut self.runtimes[q];
@@ -996,9 +997,8 @@ impl<'a> HypeCore<'a> {
                 // Evaluation context: its entry state is the NFA start.
                 let start = rt.cm.start();
                 debug_assert!(bits::test(local.scratch.mstates(), start));
-                self.init_of[q] = vec![
-                    local.scratch.vertex_base + bits::rank(local.scratch.mstates(), start),
-                ];
+                self.init_of[q] =
+                    vec![local.scratch.vertex_base + bits::rank(local.scratch.mstates(), start)];
             } else {
                 let parent = self
                     .frames
@@ -1129,8 +1129,7 @@ impl<'a> HypeCore<'a> {
         debug_assert!(self.frames.is_empty(), "subtree walk left frames open");
         // The seeded frame may cover a query subset (spine frames): slot
         // each local by its query id so the outputs stay one-per-runtime.
-        let mut locals: Vec<Option<CoreLocal>> =
-            (0..self.runtimes.len()).map(|_| None).collect();
+        let mut locals: Vec<Option<CoreLocal>> = (0..self.runtimes.len()).map(|_| None).collect();
         for local in frame.locals.drain(..) {
             let q = local.query as usize;
             debug_assert!(locals[q].is_none());
@@ -1185,7 +1184,10 @@ impl<'a> HypeCore<'a> {
     /// Consumes the core: collects each query's answers from its `cans` DAG
     /// and finalises statistics. Returns the per-query results plus the
     /// physical and sequential visit counts.
-    pub fn into_results(self, nodes_total: usize) -> (Vec<crate::engine::HypeResult>, usize, usize) {
+    pub fn into_results(
+        self,
+        nodes_total: usize,
+    ) -> (Vec<crate::engine::HypeResult>, usize, usize) {
         let mut scratch = CollectScratch::new();
         let mut results = Vec::with_capacity(self.runtimes.len());
         let mut sequential_node_visits = 0;

@@ -316,11 +316,11 @@ mod tests {
     use crate::index::ReachabilityIndex;
     use crate::testing::solo;
     use smoqe_automata::{compile_query, CompiledMfa, Mfa};
-    use std::sync::Arc;
     use smoqe_xml::hospital::hospital_document_dtd;
     use smoqe_xml::stream::TreeEvents;
     use smoqe_xml::{to_xml_string, XmlStreamReader, XmlTree, XmlTreeBuilder};
     use smoqe_xpath::parse_path;
+    use std::sync::Arc;
 
     /// A small document conforming to the hospital DTD (mirrors the batch
     /// engine's fixture so the differential checks cover the same shapes).
@@ -417,7 +417,10 @@ mod tests {
             let solo = solo(&reparsed, reparsed.root(), &mfa, None);
             let mut reader = XmlStreamReader::new(xml.as_bytes());
             let (streamed, stream_stats) = stream_solo(&mut reader, &mfa).unwrap();
-            assert_eq!(streamed.answers, solo.answers, "answers differ on `{query}`");
+            assert_eq!(
+                streamed.answers, solo.answers,
+                "answers differ on `{query}`"
+            );
             assert_eq!(streamed.stats, solo.stats, "stats differ on `{query}`");
             assert!(stream_stats.peak_frames <= stream_stats.peak_depth);
             assert_eq!(stream_stats.nodes_total, reparsed.len());
@@ -441,10 +444,16 @@ mod tests {
         let streamed = stream_batch(&mut events, &batch_queries).unwrap();
         assert_eq!(streamed.results.len(), tree_batch.results.len());
         for (i, query) in QUERIES.iter().enumerate() {
-            let expected: std::collections::BTreeSet<NodeId> =
-                tree_batch.results[i].answers.iter().map(|n| pre[n]).collect();
+            let expected: std::collections::BTreeSet<NodeId> = tree_batch.results[i]
+                .answers
+                .iter()
+                .map(|n| pre[n])
+                .collect();
             assert_eq!(streamed.results[i].answers, expected, "on `{query}`");
-            assert_eq!(streamed.results[i].stats, tree_batch.results[i].stats, "on `{query}`");
+            assert_eq!(
+                streamed.results[i].stats, tree_batch.results[i].stats,
+                "on `{query}`"
+            );
         }
         assert_eq!(streamed.stats.nodes_visited, tree_batch.stats.nodes_visited);
         assert_eq!(
@@ -464,7 +473,10 @@ mod tests {
             let index = ReachabilityIndex::new(&mfa, &dtd, doc.labels());
             let solo = solo(&doc, doc.root(), &mfa, Some(&index));
             let engine = StreamHype::from_compiled(
-                &[CompiledBatchQuery::with_index(Arc::new(CompiledMfa::new(&mfa)), &index)],
+                &[CompiledBatchQuery::with_index(
+                    Arc::new(CompiledMfa::new(&mfa)),
+                    &index,
+                )],
                 doc.labels().clone(),
             );
             let mut events = TreeEvents::new(&doc);

@@ -210,10 +210,7 @@ impl<'a> DirectRewriter<'a> {
                 let text_typed: Vec<Path> = paths
                     .into_iter()
                     .filter(|(t, _)| {
-                        matches!(
-                            self.view.view_dtd().production(t),
-                            Some(ContentModel::Text)
-                        )
+                        matches!(self.view.view_dtd().production(t), Some(ContentModel::Text))
                     })
                     .map(|(_, p)| p)
                     .collect();

@@ -140,10 +140,8 @@ impl<'a> Rewriter<'a> {
             return s;
         }
         let s = self.builder.new_state();
-        self.nfa_memo
-            .insert((view_state, view_type.to_owned()), s);
-        self.worklist
-            .push((view_state, view_type.to_owned(), s));
+        self.nfa_memo.insert((view_state, view_type.to_owned()), s);
+        self.worklist.push((view_state, view_type.to_owned(), s));
         s
     }
 
@@ -174,8 +172,7 @@ impl<'a> Rewriter<'a> {
                     .cloned()
                     .unwrap_or(Path::Empty);
                 let cont = self.product_state(next, &child_type);
-                let fragment_start =
-                    compile_path_into(&mut self.builder, &annotation, cont);
+                let fragment_start = compile_path_into(&mut self.builder, &annotation, cont);
                 self.builder.add_eps(target, fragment_start);
             }
         }
@@ -192,7 +189,11 @@ impl<'a> Rewriter<'a> {
         match transition {
             Transition::Any => children,
             Transition::Label(l) => {
-                let name = self.view_mfa.labels().name(smoqe_xml::LabelId(l)).to_owned();
+                let name = self
+                    .view_mfa
+                    .labels()
+                    .name(smoqe_xml::LabelId(l))
+                    .to_owned();
                 children.into_iter().filter(|c| *c == name).collect()
             }
         }
@@ -217,13 +218,8 @@ impl<'a> Rewriter<'a> {
         let mut memo: HashMap<(AfaStateId, String), AfaStateId> = HashMap::new();
         let mut worklist: Vec<(AfaStateId, String, AfaStateId)> = Vec::new();
 
-        let start = Self::product_afa_state(
-            &mut afab,
-            &mut memo,
-            &mut worklist,
-            afa.start(),
-            start_type,
-        );
+        let start =
+            Self::product_afa_state(&mut afab, &mut memo, &mut worklist, afa.start(), start_type);
 
         while let Some((view_state, view_type, target)) = worklist.pop() {
             match afa.state(view_state).clone() {
@@ -233,7 +229,11 @@ impl<'a> Rewriter<'a> {
                 }
                 AfaState::Not(inner) => {
                     let inner_t = Self::product_afa_state(
-                        &mut afab, &mut memo, &mut worklist, inner, &view_type,
+                        &mut afab,
+                        &mut memo,
+                        &mut worklist,
+                        inner,
+                        &view_type,
                     );
                     afab.patch(target, AfaState::Not(inner_t));
                 }
@@ -242,7 +242,11 @@ impl<'a> Rewriter<'a> {
                         .iter()
                         .map(|&c| {
                             Self::product_afa_state(
-                                &mut afab, &mut memo, &mut worklist, c, &view_type,
+                                &mut afab,
+                                &mut memo,
+                                &mut worklist,
+                                c,
+                                &view_type,
                             )
                         })
                         .collect();
@@ -253,7 +257,11 @@ impl<'a> Rewriter<'a> {
                         .iter()
                         .map(|&c| {
                             Self::product_afa_state(
-                                &mut afab, &mut memo, &mut worklist, c, &view_type,
+                                &mut afab,
+                                &mut memo,
+                                &mut worklist,
+                                c,
+                                &view_type,
                             )
                         })
                         .collect();
@@ -270,9 +278,14 @@ impl<'a> Rewriter<'a> {
                             .cloned()
                             .unwrap_or(Path::Empty);
                         let cont = Self::product_afa_state(
-                            &mut afab, &mut memo, &mut worklist, next, &child_type,
+                            &mut afab,
+                            &mut memo,
+                            &mut worklist,
+                            next,
+                            &child_type,
                         );
-                        let fragment = compile_path_afa(&mut self.builder, &mut afab, &annotation, cont);
+                        let fragment =
+                            compile_path_afa(&mut self.builder, &mut afab, &annotation, cont);
                         alternatives.push(fragment);
                     }
                     afab.patch(target, AfaState::Or(alternatives));
@@ -342,11 +355,34 @@ mod tests {
         b.child_with_text(dept, "name", "Cardiology");
 
         let alice = full_patient(&mut b, dept, "Alice", &[("medication", HEART_DISEASE)]);
-        let mona = wrap_patient(&mut b, alice, "parent", "Mona", &[("medication", "lung disease")]);
-        wrap_patient(&mut b, mona, "parent", "Greta", &[("medication", HEART_DISEASE)]);
-        wrap_patient(&mut b, alice, "sibling", "Sid", &[("medication", HEART_DISEASE)]);
+        let mona = wrap_patient(
+            &mut b,
+            alice,
+            "parent",
+            "Mona",
+            &[("medication", "lung disease")],
+        );
+        wrap_patient(
+            &mut b,
+            mona,
+            "parent",
+            "Greta",
+            &[("medication", HEART_DISEASE)],
+        );
+        wrap_patient(
+            &mut b,
+            alice,
+            "sibling",
+            "Sid",
+            &[("medication", HEART_DISEASE)],
+        );
 
-        let bob = full_patient(&mut b, dept, "Bob", &[("test", ""), ("medication", HEART_DISEASE)]);
+        let bob = full_patient(
+            &mut b,
+            dept,
+            "Bob",
+            &[("test", ""), ("medication", HEART_DISEASE)],
+        );
         wrap_patient(&mut b, bob, "parent", "Pat", &[("test", "")]);
 
         full_patient(&mut b, dept, "Carol", &[("medication", "flu")]);
@@ -530,10 +566,7 @@ mod tests {
         let sigma = view.size();
         let dv = view.view_dtd().size();
         for n in 1..6usize {
-            let q_text = format!(
-                "patient{}",
-                "/parent/patient".repeat(n)
-            );
+            let q_text = format!("patient{}", "/parent/patient".repeat(n));
             let q = parse_path(&q_text).unwrap();
             let mfa = rewrite_to_mfa(&q, &view).unwrap();
             let bound = 20 * q.size() * sigma * dv;

@@ -153,7 +153,9 @@ impl CompiledQuery {
             compiled: Arc::clone(&self.compiled),
             index,
         };
-        smoqe_hype::evaluate_tree(doc, context, &[query], threads).results.remove(0)
+        smoqe_hype::evaluate_tree(doc, context, &[query], threads)
+            .results
+            .remove(0)
     }
 
     /// Evaluates the query over a **streamed** XML document read from
@@ -167,8 +169,7 @@ impl CompiledQuery {
     ) -> Result<(HypeResult, StreamStats), EngineError> {
         let mut reader = XmlStreamReader::new(input);
         let query = CompiledBatchQuery::new(Arc::clone(&self.compiled));
-        let mut out = StreamHype::from_compiled(&[query], LabelInterner::new())
-            .run(&mut reader)?;
+        let mut out = StreamHype::from_compiled(&[query], LabelInterner::new()).run(&mut reader)?;
         let result = out.results.pop().expect("one result per query");
         Ok((result, out.stats))
     }
@@ -182,7 +183,12 @@ impl CompiledQuery {
     /// the DTD's say-so would then skip answers. For such documents this
     /// returns the [`ReachabilityIndex::no_prune`] fallback, making the Opt
     /// modes bit-identical to plain HyPE instead of wrong.
-    pub fn build_index(&self, document_dtd: &Dtd, doc: &XmlTree, compressed: bool) -> ReachabilityIndex {
+    pub fn build_index(
+        &self,
+        document_dtd: &Dtd,
+        doc: &XmlTree,
+        compressed: bool,
+    ) -> ReachabilityIndex {
         if !document_dtd.edge_conformant(doc) {
             return ReachabilityIndex::no_prune(self.compiled.labels(), doc.labels(), compressed);
         }

@@ -462,7 +462,10 @@ mod tests {
             );
             for (i, seg) in c.segments.iter().enumerate() {
                 let cap = seg.lock().unwrap().capacity();
-                assert!(cap >= 1, "({capacity},{segments}): segment {i} has capacity 0");
+                assert!(
+                    cap >= 1,
+                    "({capacity},{segments}): segment {i} has capacity 0"
+                );
             }
             assert!(
                 c.capacity() >= capacity.max(1),
@@ -517,7 +520,12 @@ mod tests {
         for i in 0..1000 {
             c.insert(i, i);
         }
-        assert!(c.len() <= c.capacity(), "len {} > capacity {}", c.len(), c.capacity());
+        assert!(
+            c.len() <= c.capacity(),
+            "len {} > capacity {}",
+            c.len(),
+            c.capacity()
+        );
         assert!(c.evictions() >= 1000 - c.capacity() as u64);
     }
 

@@ -371,7 +371,12 @@ impl QueryService {
         // also degrades when `doc` is the non-conformant one — the taint
         // covers the conforming sibling that would otherwise repopulate the
         // shared entry with pruning rows.)
-        let index = if self.tainted.lock().expect("taint set lock").contains(&doc_labels) {
+        let index = if self
+            .tainted
+            .lock()
+            .expect("taint set lock")
+            .contains(&doc_labels)
+        {
             Arc::new(ReachabilityIndex::no_prune(
                 compiled.compiled().labels(),
                 doc.labels(),
@@ -693,7 +698,10 @@ impl QueryService {
         // No resident document keys this fingerprint any more: a future
         // document that happens to share the layout starts with a clean
         // (pruning-capable) slate.
-        self.tainted.lock().expect("taint set lock").remove(&fingerprint);
+        self.tainted
+            .lock()
+            .expect("taint set lock")
+            .remove(&fingerprint);
         let removed = self
             .indexes
             .invalidate_where(|key, _| key.doc_labels == fingerprint);
@@ -777,7 +785,9 @@ mod tests {
         let service = QueryService::hospital_demo();
         let d = doc(1);
         for _ in 0..5 {
-            service.evaluate("patient/record", &d, EvaluationMode::HyPE).unwrap();
+            service
+                .evaluate("patient/record", &d, EvaluationMode::HyPE)
+                .unwrap();
         }
         let stats = service.stats();
         assert_eq!(stats.compiled_misses, 1);
@@ -789,9 +799,17 @@ mod tests {
     fn normalization_merges_equivalent_query_texts() {
         let service = QueryService::hospital_demo();
         let d = doc(1);
-        let a = service.evaluate("./patient/./record", &d, EvaluationMode::HyPE).unwrap();
-        let b = service.evaluate("patient/record", &d, EvaluationMode::HyPE).unwrap();
-        let c = service.evaluate("patient[not(not(record))]/record | patient/record", &d, EvaluationMode::HyPE);
+        let a = service
+            .evaluate("./patient/./record", &d, EvaluationMode::HyPE)
+            .unwrap();
+        let b = service
+            .evaluate("patient/record", &d, EvaluationMode::HyPE)
+            .unwrap();
+        let c = service.evaluate(
+            "patient[not(not(record))]/record | patient/record",
+            &d,
+            EvaluationMode::HyPE,
+        );
         assert!(c.is_ok());
         assert_eq!(a.answers, b.answers);
         let stats = service.stats();
@@ -822,7 +840,10 @@ mod tests {
             ] {
                 let by_service = service.evaluate(query, &d, mode).unwrap();
                 let by_engine = engine.answer(query, &d, mode).unwrap();
-                assert_eq!(by_service.answers, by_engine.answers, "on `{query}` ({mode:?})");
+                assert_eq!(
+                    by_service.answers, by_engine.answers,
+                    "on `{query}` ({mode:?})"
+                );
                 assert_eq!(by_service.stats, by_engine.stats, "on `{query}` ({mode:?})");
             }
         }
@@ -832,25 +853,35 @@ mod tests {
     fn indexes_are_shared_across_calls_and_documents_with_one_interner() {
         let service = QueryService::hospital_demo();
         let d1 = doc(1);
-        service.evaluate("patient/record", &d1, EvaluationMode::OptHyPE).unwrap();
-        service.evaluate("patient/record", &d1, EvaluationMode::OptHyPE).unwrap();
+        service
+            .evaluate("patient/record", &d1, EvaluationMode::OptHyPE)
+            .unwrap();
+        service
+            .evaluate("patient/record", &d1, EvaluationMode::OptHyPE)
+            .unwrap();
         let stats = service.stats();
         assert_eq!(stats.index_misses, 1);
         assert_eq!(stats.index_hits, 1);
         // A distinct document instance with the same interner layout (same
         // generator run) shares the cached index.
         let d2 = doc(1);
-        service.evaluate("patient/record", &d2, EvaluationMode::OptHyPE).unwrap();
+        service
+            .evaluate("patient/record", &d2, EvaluationMode::OptHyPE)
+            .unwrap();
         assert_eq!(service.stats().index_misses, 1);
         assert_eq!(service.stats().index_hits, 2);
         // A document whose interner differs (different content ⇒ different
         // interning order) must NOT reuse the index: its LabelIds would row
         // into the wrong entries.
         let d3 = doc(2);
-        service.evaluate("patient/record", &d3, EvaluationMode::OptHyPE).unwrap();
+        service
+            .evaluate("patient/record", &d3, EvaluationMode::OptHyPE)
+            .unwrap();
         assert_eq!(service.stats().index_misses, 2);
         // The compressed flavour is a distinct cache entry.
-        service.evaluate("patient/record", &d1, EvaluationMode::OptHyPEC).unwrap();
+        service
+            .evaluate("patient/record", &d1, EvaluationMode::OptHyPEC)
+            .unwrap();
         assert_eq!(service.stats().index_misses, 3);
     }
 
@@ -868,14 +899,22 @@ mod tests {
         )
         .unwrap();
         let d = doc(1);
-        service.evaluate("patient", &d, EvaluationMode::HyPE).unwrap();
-        service.evaluate("patient/record", &d, EvaluationMode::HyPE).unwrap();
-        service.evaluate("patient/parent", &d, EvaluationMode::HyPE).unwrap();
+        service
+            .evaluate("patient", &d, EvaluationMode::HyPE)
+            .unwrap();
+        service
+            .evaluate("patient/record", &d, EvaluationMode::HyPE)
+            .unwrap();
+        service
+            .evaluate("patient/parent", &d, EvaluationMode::HyPE)
+            .unwrap();
         let stats = service.stats();
         assert_eq!(stats.compiled_cached, 2);
         assert_eq!(stats.compiled_evictions, 1);
         // The evicted entry ("patient") recompiles on next use.
-        service.evaluate("patient", &d, EvaluationMode::HyPE).unwrap();
+        service
+            .evaluate("patient", &d, EvaluationMode::HyPE)
+            .unwrap();
         assert_eq!(service.stats().compiled_misses, 4);
     }
 
@@ -883,7 +922,11 @@ mod tests {
     fn batch_results_align_with_solo_evaluation() {
         let service = QueryService::hospital_demo();
         let d = doc(3);
-        let queries = ["patient", "patient/record/diagnosis", "patient[not(parent)]"];
+        let queries = [
+            "patient",
+            "patient/record/diagnosis",
+            "patient[not(parent)]",
+        ];
         let batch = service
             .evaluate_batch(&queries, &d, EvaluationMode::HyPE)
             .unwrap();
@@ -934,8 +977,13 @@ mod tests {
         )
         .unwrap();
         let d = doc(1);
-        let r = service.evaluate("patient", &d, EvaluationMode::OptHyPE).unwrap();
-        assert!(r.stats.nodes_total > 0, "evaluation ran despite zero-capacity config");
+        let r = service
+            .evaluate("patient", &d, EvaluationMode::OptHyPE)
+            .unwrap();
+        assert!(
+            r.stats.nodes_total > 0,
+            "evaluation ran despite zero-capacity config"
+        );
         assert_eq!(service.stats().compiled_cached, 1);
     }
 
@@ -945,8 +993,12 @@ mod tests {
         let d = doc(4);
         let xml = smoqe_xml::to_xml_string(&d);
         let reparsed = smoqe_xml::parse_document(&xml).unwrap();
-        let on_tree = service.evaluate("patient/record", &reparsed, EvaluationMode::HyPE).unwrap();
-        let (streamed, stream_stats) = service.answer_stream("patient/record", xml.as_bytes()).unwrap();
+        let on_tree = service
+            .evaluate("patient/record", &reparsed, EvaluationMode::HyPE)
+            .unwrap();
+        let (streamed, stream_stats) = service
+            .answer_stream("patient/record", xml.as_bytes())
+            .unwrap();
         assert_eq!(streamed.answers, on_tree.answers);
         assert_eq!(streamed.stats, on_tree.stats);
         assert!(stream_stats.peak_frames <= stream_stats.peak_depth);
@@ -966,7 +1018,11 @@ mod tests {
         )
         .unwrap();
         let d = doc(9);
-        for query in ["patient", "patient/record/diagnosis", "(patient/parent)*/patient[record]"] {
+        for query in [
+            "patient",
+            "patient/record/diagnosis",
+            "(patient/parent)*/patient[record]",
+        ] {
             for mode in [
                 EvaluationMode::HyPE,
                 EvaluationMode::OptHyPE,
@@ -974,7 +1030,10 @@ mod tests {
             ] {
                 let sequential = service.evaluate(query, &d, mode).unwrap();
                 let parallel = service.answer_parallel(query, &d, mode).unwrap();
-                assert_eq!(parallel.answers, sequential.answers, "on `{query}` ({mode:?})");
+                assert_eq!(
+                    parallel.answers, sequential.answers,
+                    "on `{query}` ({mode:?})"
+                );
                 assert_eq!(parallel.stats, sequential.stats, "on `{query}` ({mode:?})");
             }
         }
@@ -1145,7 +1204,9 @@ mod tests {
     fn service_is_shareable_across_threads() {
         let service = std::sync::Arc::new(QueryService::hospital_demo());
         let d = std::sync::Arc::new(doc(5));
-        let expected = service.evaluate("patient/record", &d, EvaluationMode::OptHyPE).unwrap();
+        let expected = service
+            .evaluate("patient/record", &d, EvaluationMode::OptHyPE)
+            .unwrap();
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let service = std::sync::Arc::clone(&service);
@@ -1165,7 +1226,10 @@ mod tests {
             h.join().unwrap();
         }
         let stats = service.stats();
-        assert_eq!(stats.compiled_misses, 1, "all threads share one compilation");
+        assert_eq!(
+            stats.compiled_misses, 1,
+            "all threads share one compilation"
+        );
         assert_eq!(stats.compiled_hits, 40);
     }
 
@@ -1173,7 +1237,11 @@ mod tests {
     fn corpus_front_ends_agree_and_match_solo_evaluation() {
         let store = DocumentStore::new();
         let ids: Vec<DocId> = (1..=4).map(|s| store.insert_tree(doc(s))).collect();
-        let queries = ["patient", "patient/record/diagnosis", "patient[not(parent)]"];
+        let queries = [
+            "patient",
+            "patient/record/diagnosis",
+            "patient[not(parent)]",
+        ];
         let requests: Vec<(DocId, &str)> = ids
             .iter()
             .flat_map(|&id| queries.iter().map(move |&q| (id, q)))
@@ -1221,7 +1289,13 @@ mod tests {
         let store = DocumentStore::new();
         let a = store.insert_tree(doc(1));
         let b = store.insert_tree(doc(2)); // different interner layout than a
-        service.evaluate_corpus(&store, &[(a, "patient"), (b, "patient")], EvaluationMode::OptHyPE).unwrap();
+        service
+            .evaluate_corpus(
+                &store,
+                &[(a, "patient"), (b, "patient")],
+                EvaluationMode::OptHyPE,
+            )
+            .unwrap();
         assert_eq!(service.stats().index_cached, 2);
         assert!(service.remove_document(&store, a));
         let stats = service.stats();
@@ -1230,7 +1304,9 @@ mod tests {
         assert_eq!(stats.index_evictions, 0, "invalidation is not eviction");
         // b's entry is still hot: re-evaluating b hits, never rebuilds.
         let hits = stats.index_hits;
-        service.evaluate_corpus(&store, &[(b, "patient")], EvaluationMode::OptHyPE).unwrap();
+        service
+            .evaluate_corpus(&store, &[(b, "patient")], EvaluationMode::OptHyPE)
+            .unwrap();
         assert_eq!(service.stats().index_hits, hits + 1);
         assert_eq!(service.stats().index_misses, 2);
         // Removing an unknown id is a no-op.
@@ -1276,7 +1352,11 @@ mod tests {
         service
             .evaluate_corpus(&store, &[(b, "patient")], EvaluationMode::OptHyPE)
             .unwrap();
-        assert_eq!(service.stats().index_hits, hits + 1, "b hits the shared entry");
+        assert_eq!(
+            service.stats().index_hits,
+            hits + 1,
+            "b hits the shared entry"
+        );
     }
 
     #[test]
@@ -1286,7 +1366,11 @@ mod tests {
         let a = store.insert_tree(doc(1));
         let b = store.insert_tree(doc(2));
         service
-            .evaluate_corpus(&store, &[(a, "patient"), (b, "patient")], EvaluationMode::OptHyPE)
+            .evaluate_corpus(
+                &store,
+                &[(a, "patient"), (b, "patient")],
+                EvaluationMode::OptHyPE,
+            )
             .unwrap();
         assert_eq!(service.stats().index_cached, 2);
 
@@ -1358,11 +1442,9 @@ mod tests {
             ContentModel::Sequence(vec![Child::star("diagnosis")]),
         );
         view_dtd.define("diagnosis", ContentModel::Text);
-        let mut view = ViewDefinition::new(
-            smoqe_xml::hospital::hospital_document_dtd(),
-            view_dtd,
-        );
-        view.annotate_str("hospital", "diagnosis", "//diagnosis").unwrap();
+        let mut view = ViewDefinition::new(smoqe_xml::hospital::hospital_document_dtd(), view_dtd);
+        view.annotate_str("hospital", "diagnosis", "//diagnosis")
+            .unwrap();
         view.check().unwrap();
         view
     }
@@ -1381,7 +1463,11 @@ mod tests {
 
         // Warm the cache with a pruning index for the pristine version.
         let before = service
-            .evaluate("diagnosis", store.get(a).unwrap().tree(), EvaluationMode::OptHyPE)
+            .evaluate(
+                "diagnosis",
+                store.get(a).unwrap().tree(),
+                EvaluationMode::OptHyPE,
+            )
             .unwrap();
         assert!(!before.answers.is_empty());
         assert_eq!(service.stats().index_misses, 1);
@@ -1400,8 +1486,7 @@ mod tests {
                 &[EditOp::Insert {
                     parent: address,
                     position: 0,
-                    subtree: smoqe_xml::parse_document("<diagnosis>spliced</diagnosis>")
-                        .unwrap(),
+                    subtree: smoqe_xml::parse_document("<diagnosis>spliced</diagnosis>").unwrap(),
                 }],
             )
             .unwrap();
@@ -1438,7 +1523,11 @@ mod tests {
         // keeps answering correctly (through no-prune indexes).
         let b = store.insert_tree(doc(1));
         let sibling = service
-            .evaluate("diagnosis", store.get(b).unwrap().tree(), EvaluationMode::OptHyPE)
+            .evaluate(
+                "diagnosis",
+                store.get(b).unwrap().tree(),
+                EvaluationMode::OptHyPE,
+            )
             .unwrap();
         assert_eq!(sibling.answers, before.answers);
     }
@@ -1461,7 +1550,11 @@ mod tests {
         let store = DocumentStore::new();
         let a = store.insert_tree(doc(2));
         let before = service
-            .evaluate("diagnosis", store.get(a).unwrap().tree(), EvaluationMode::OptHyPEC)
+            .evaluate(
+                "diagnosis",
+                store.get(a).unwrap().tree(),
+                EvaluationMode::OptHyPEC,
+            )
             .unwrap();
 
         let tree = store.get(a).unwrap().tree().clone();

@@ -378,7 +378,8 @@ mod tests {
     #[test]
     fn insert_routes_agree_on_ids_and_content() {
         let store = DocumentStore::new();
-        let xml = "<hospital><department><patient><pname>Ann</pname></patient></department></hospital>";
+        let xml =
+            "<hospital><department><patient><pname>Ann</pname></patient></department></hospital>";
         let by_xml = store.insert_xml(xml).unwrap();
         let by_tree = store.insert_tree(parse_document(xml).unwrap());
         assert_eq!(by_xml, by_tree);
@@ -444,10 +445,12 @@ mod tests {
     fn apply_edit_creates_a_new_version_and_retires_the_old() {
         let store = DocumentStore::new();
         let id = store.insert_xml("<r><a>x</a><b>y</b></r>").unwrap();
-        let a = store.get(id).unwrap().tree().children(store.get(id).unwrap().tree().root())[0];
-        let receipt = store
-            .apply_edit(id, &[EditOp::Delete { node: a }])
-            .unwrap();
+        let a = store
+            .get(id)
+            .unwrap()
+            .tree()
+            .children(store.get(id).unwrap().tree().root())[0];
+        let receipt = store.apply_edit(id, &[EditOp::Delete { node: a }]).unwrap();
         assert_eq!(receipt.old_id, id);
         assert_ne!(receipt.new_id, id);
         assert_eq!(receipt.generation, 1);
@@ -502,7 +505,11 @@ mod tests {
         let same = store
             .apply_edit(
                 id,
-                &[EditOp::Insert { parent: root, position: 1, subtree: payload("<a/>") }],
+                &[EditOp::Insert {
+                    parent: root,
+                    position: 1,
+                    subtree: payload("<a/>"),
+                }],
             )
             .unwrap();
         assert_eq!(same.old_fingerprint, same.new_fingerprint);
@@ -512,12 +519,19 @@ mod tests {
         let grew = store
             .apply_edit(
                 same.new_id,
-                &[EditOp::Insert { parent: root, position: 0, subtree: payload("<z/>") }],
+                &[EditOp::Insert {
+                    parent: root,
+                    position: 0,
+                    subtree: payload("<z/>"),
+                }],
             )
             .unwrap();
         assert_ne!(grew.old_fingerprint, grew.new_fingerprint);
         let doc = store.get(grew.new_id).unwrap();
-        assert_eq!(doc.labels_fingerprint(), labels_fingerprint(doc.tree().labels()));
+        assert_eq!(
+            doc.labels_fingerprint(),
+            labels_fingerprint(doc.tree().labels())
+        );
     }
 
     #[test]
@@ -545,7 +559,10 @@ mod tests {
         let store = DocumentStore::new();
         let err = store.apply_edit(DocId(42), &[]).unwrap_err();
         assert!(matches!(err, StoreError::UnknownDocument(DocId(42))));
-        assert_eq!(err.to_string(), "no document doc:000000000000002a in the store");
+        assert_eq!(
+            err.to_string(),
+            "no document doc:000000000000002a in the store"
+        );
     }
 
     #[test]
@@ -578,6 +595,10 @@ mod tests {
                 });
             }
         });
-        assert_eq!(store.len(), 6, "content addressing deduplicates across threads");
+        assert_eq!(
+            store.len(),
+            6,
+            "content addressing deduplicates across threads"
+        );
     }
 }

@@ -26,8 +26,8 @@ use smoqe::EvaluationMode;
 use smoqe_views::ViewDefinition;
 
 use crate::protocol::{
-    decode_response, encode_request, read_frame, view_to_wire, write_frame, ErrorCode,
-    FrameError, ProtocolError, Request, Response, WireEditOp, WireResult, WireStats,
+    decode_response, encode_request, read_frame, view_to_wire, write_frame, ErrorCode, FrameError,
+    ProtocolError, Request, Response, WireEditOp, WireResult, WireStats,
 };
 
 /// Everything a client call can fail with.
@@ -66,7 +66,10 @@ impl fmt::Display for ClientError {
                 write!(f, "server error ({code:?}): {message}")
             }
             ClientError::Busy { queue_capacity } => {
-                write!(f, "server busy (admission queue of {queue_capacity} is full)")
+                write!(
+                    f,
+                    "server busy (admission queue of {queue_capacity} is full)"
+                )
             }
             ClientError::Unexpected(resp) => write!(f, "unexpected response: {resp:?}"),
         }
@@ -159,11 +162,7 @@ impl SmoqedClient {
 
     /// Registers a document (snapshot bytes) with `tenant`; returns its
     /// tenant-scoped id.
-    pub fn register_document(
-        &mut self,
-        tenant: &str,
-        snapshot: &[u8],
-    ) -> Result<u64, ClientError> {
+    pub fn register_document(&mut self, tenant: &str, snapshot: &[u8]) -> Result<u64, ClientError> {
         self.expect(
             &Request::RegisterDocument {
                 tenant: tenant.to_owned(),
@@ -237,9 +236,12 @@ impl SmoqedClient {
                 ops,
             },
             |resp| match resp {
-                Response::EditApplied { old_doc, new_doc, generation, .. } => {
-                    Ok((old_doc, new_doc, generation))
-                }
+                Response::EditApplied {
+                    old_doc,
+                    new_doc,
+                    generation,
+                    ..
+                } => Ok((old_doc, new_doc, generation)),
                 other => Err(Box::new(other)),
             },
         )

@@ -36,8 +36,8 @@ use std::io::{self, Read, Write};
 
 use smoqe::{EvaluationMode, ServiceStats};
 use smoqe_hype::{BatchStats, HypeResult, HypeStats};
-use smoqe_xml::{Child, ContentModel, Dtd, NodeId};
 use smoqe_views::ViewDefinition;
+use smoqe_xml::{Child, ContentModel, Dtd, NodeId};
 
 /// Upper bound on a frame body (tag + payload), in bytes. Large enough for
 /// a multi-megabyte document snapshot, small enough that a hostile length
@@ -94,11 +94,17 @@ impl fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ProtocolError::Truncated { needed, available } => {
-                write!(f, "truncated frame: needed {needed} bytes, have {available}")
+                write!(
+                    f,
+                    "truncated frame: needed {needed} bytes, have {available}"
+                )
             }
             ProtocolError::EmptyFrame => write!(f, "empty frame body"),
             ProtocolError::Oversized { declared, max } => {
-                write!(f, "frame body of {declared} bytes exceeds the {max}-byte limit")
+                write!(
+                    f,
+                    "frame body of {declared} bytes exceeds the {max}-byte limit"
+                )
             }
             ProtocolError::UnknownRequestTag(t) => write!(f, "unknown request tag 0x{t:02x}"),
             ProtocolError::UnknownResponseTag(t) => write!(f, "unknown response tag 0x{t:02x}"),
@@ -213,7 +219,9 @@ impl WireDtd {
                 .map(|ty| {
                     (
                         ty.to_owned(),
-                        dtd.production(ty).expect("listed type has a production").clone(),
+                        dtd.production(ty)
+                            .expect("listed type has a production")
+                            .clone(),
                     )
                 })
                 .collect(),
@@ -595,7 +603,10 @@ impl<'a> Dec<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
         let available = self.buf.len() - self.pos;
         if n > available {
-            return Err(ProtocolError::Truncated { needed: n, available });
+            return Err(ProtocolError::Truncated {
+                needed: n,
+                available,
+            });
         }
         let out = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -606,13 +617,19 @@ impl<'a> Dec<'a> {
         Ok(self.take(1)?[0])
     }
     fn u16(&mut self) -> Result<u16, ProtocolError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
     }
     fn u32(&mut self) -> Result<u32, ProtocolError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
     fn u64(&mut self) -> Result<u64, ProtocolError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
     fn bool(&mut self) -> Result<bool, ProtocolError> {
         match self.u8()? {
@@ -758,7 +775,11 @@ fn dec_dtd(d: &mut Dec<'_>) -> Result<WireDtd, ProtocolError> {
 
 fn enc_edit_op(e: &mut Enc, op: &WireEditOp) {
     match op {
-        WireEditOp::Insert { parent, position, snapshot } => {
+        WireEditOp::Insert {
+            parent,
+            position,
+            snapshot,
+        } => {
             e.u8(0);
             e.u32(*parent);
             e.u32(*position);
@@ -831,7 +852,12 @@ fn dec_result(d: &mut Dec<'_>) -> Result<WireResult, ProtocolError> {
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut e = Enc::default();
     match req {
-        Request::RegisterView { tenant, document_dtd, view_dtd, annotations } => {
+        Request::RegisterView {
+            tenant,
+            document_dtd,
+            view_dtd,
+            annotations,
+        } => {
             e.u8(TAG_REGISTER_VIEW);
             e.str(tenant);
             enc_dtd(&mut e, document_dtd);
@@ -848,14 +874,24 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             e.str(tenant);
             e.bytes(snapshot);
         }
-        Request::Query { tenant, doc, mode, query } => {
+        Request::Query {
+            tenant,
+            doc,
+            mode,
+            query,
+        } => {
             e.u8(TAG_QUERY);
             e.str(tenant);
             e.u64(*doc);
             e.u8(mode_to_u8(*mode));
             e.str(query);
         }
-        Request::BatchQuery { tenant, doc, mode, queries } => {
+        Request::BatchQuery {
+            tenant,
+            doc,
+            mode,
+            queries,
+        } => {
             e.u8(TAG_BATCH_QUERY);
             e.str(tenant);
             e.u64(*doc);
@@ -909,7 +945,12 @@ pub fn decode_request(body: &[u8]) -> Result<Request, ProtocolError> {
                 let query = d.str()?;
                 annotations.push((parent, child, query));
             }
-            Request::RegisterView { tenant, document_dtd, view_dtd, annotations }
+            Request::RegisterView {
+                tenant,
+                document_dtd,
+                view_dtd,
+                annotations,
+            }
         }
         TAG_REGISTER_DOCUMENT => Request::RegisterDocument {
             tenant: d.str()?,
@@ -930,7 +971,12 @@ pub fn decode_request(body: &[u8]) -> Result<Request, ProtocolError> {
             for _ in 0..n {
                 queries.push(d.str()?);
             }
-            Request::BatchQuery { tenant, doc, mode, queries }
+            Request::BatchQuery {
+                tenant,
+                doc,
+                mode,
+                queries,
+            }
         }
         TAG_APPLY_EDIT => {
             let tenant = d.str()?;
@@ -979,7 +1025,13 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             e.u64(stats.nodes_visited);
             e.u64(stats.sequential_node_visits);
         }
-        Response::EditApplied { old_doc, new_doc, old_fingerprint, new_fingerprint, generation } => {
+        Response::EditApplied {
+            old_doc,
+            new_doc,
+            old_fingerprint,
+            new_fingerprint,
+            generation,
+        } => {
             e.u8(TAG_EDIT_APPLIED);
             e.u64(*old_doc);
             e.u64(*new_doc);
@@ -1035,7 +1087,9 @@ pub fn decode_response(body: &[u8]) -> Result<Response, ProtocolError> {
     let mut d = Dec::new(body);
     let tag = d.u8()?;
     let resp = match tag {
-        TAG_VIEW_REGISTERED => Response::ViewRegistered { fingerprint: d.u64()? },
+        TAG_VIEW_REGISTERED => Response::ViewRegistered {
+            fingerprint: d.u64()?,
+        },
         TAG_DOCUMENT_REGISTERED => Response::DocumentRegistered { doc: d.u64()? },
         TAG_ANSWER => Response::Answer(dec_result(&mut d)?),
         TAG_BATCH_ANSWER => {
@@ -1098,7 +1152,9 @@ pub fn decode_response(body: &[u8]) -> Result<Response, ProtocolError> {
             code: ErrorCode::from_u16(d.u16()?)?,
             message: d.str()?,
         },
-        TAG_BUSY => Response::Busy { queue_capacity: d.u32()? },
+        TAG_BUSY => Response::Busy {
+            queue_capacity: d.u32()?,
+        },
         other => return Err(ProtocolError::UnknownResponseTag(other)),
     };
     d.finish()?;
@@ -1228,7 +1284,10 @@ mod tests {
         let mut cursor = &wire[..];
         let read = read_frame(&mut cursor).unwrap().expect("one frame");
         assert_eq!(read, body);
-        assert!(read_frame(&mut cursor).unwrap().is_none(), "clean EOF after");
+        assert!(
+            read_frame(&mut cursor).unwrap().is_none(),
+            "clean EOF after"
+        );
     }
 
     #[test]

@@ -64,8 +64,8 @@ use std::time::{Duration, Instant};
 use smoqe::ServiceConfig;
 
 use crate::protocol::{
-    decode_request, encode_response, read_frame_body, read_frame_len_after, write_frame,
-    ErrorCode, FrameError, Response,
+    decode_request, encode_response, read_frame_body, read_frame_len_after, write_frame, ErrorCode,
+    FrameError, Response,
 };
 use crate::tenant::{handle_request, ServerCounters, TenantRegistry};
 
@@ -146,7 +146,9 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let workers = if config.workers == 0 {
-            thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+            thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
         } else {
             config.workers
         };
@@ -311,13 +313,16 @@ fn worker_loop(shared: &Shared, index: usize) {
         // Publish the connection so shutdown() can unblock this worker,
         // re-checking the flag to close the race where shutdown() swept
         // the slots while this stream was still queue-local.
-        *shared.active[index].lock().expect("active slot lock poisoned") =
-            stream.try_clone().ok();
+        *shared.active[index]
+            .lock()
+            .expect("active slot lock poisoned") = stream.try_clone().ok();
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
         let rotated = handle_connection(shared, stream);
-        *shared.active[index].lock().expect("active slot lock poisoned") = None;
+        *shared.active[index]
+            .lock()
+            .expect("active slot lock poisoned") = None;
         if let Some(stream) = rotated {
             requeue(shared, stream);
         }
@@ -462,7 +467,10 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) -> Option<TcpStream
 
 /// True for the error a read returns once its socket timeout has passed.
 fn timed_out(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
 }
 
 /// A frame in flight: reads from the connection until `deadline`, arming

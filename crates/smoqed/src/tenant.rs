@@ -74,11 +74,7 @@ impl TenantRegistry {
     /// document store — a new σ means previously cached answers and
     /// previously visible documents are no longer trustworthy for this
     /// user class. Returns the view's fingerprint.
-    pub fn register_view(
-        &self,
-        tenant: &str,
-        view: ViewDefinition,
-    ) -> Result<u64, EngineError> {
+    pub fn register_view(&self, tenant: &str, view: ViewDefinition) -> Result<u64, EngineError> {
         let fingerprint = view.fingerprint();
         let service = QueryService::with_config(view, self.service_config)?;
         let entry = Arc::new(Tenant {
@@ -214,14 +210,23 @@ fn decode_ops(ops: &[WireEditOp]) -> Result<Vec<EditOp>, Box<Response>> {
     let mut out = Vec::with_capacity(ops.len());
     for op in ops {
         out.push(match op {
-            WireEditOp::Insert { parent, position, snapshot: bytes } => EditOp::Insert {
+            WireEditOp::Insert {
+                parent,
+                position,
+                snapshot: bytes,
+            } => EditOp::Insert {
                 parent: NodeId(*parent),
                 position: *position as usize,
                 subtree: snapshot::load(bytes)
                     .map_err(|e| Box::new(err(ErrorCode::BadSnapshot, e.to_string())))?,
             },
-            WireEditOp::Delete { node } => EditOp::Delete { node: NodeId(*node) },
-            WireEditOp::Replace { node, snapshot: bytes } => EditOp::Replace {
+            WireEditOp::Delete { node } => EditOp::Delete {
+                node: NodeId(*node),
+            },
+            WireEditOp::Replace {
+                node,
+                snapshot: bytes,
+            } => EditOp::Replace {
                 node: NodeId(*node),
                 subtree: snapshot::load(bytes)
                     .map_err(|e| Box::new(err(ErrorCode::BadSnapshot, e.to_string())))?,
@@ -256,7 +261,12 @@ pub fn handle_request(
     request: &Request,
 ) -> Response {
     match request {
-        Request::RegisterView { tenant, document_dtd, view_dtd, annotations } => {
+        Request::RegisterView {
+            tenant,
+            document_dtd,
+            view_dtd,
+            annotations,
+        } => {
             let view = match build_view(document_dtd, view_dtd, annotations) {
                 Ok(view) => view,
                 Err(resp) => return *resp,
@@ -266,7 +276,10 @@ pub fn handle_request(
                 Err(e) => engine_error(e),
             }
         }
-        Request::RegisterDocument { tenant, snapshot: bytes } => {
+        Request::RegisterDocument {
+            tenant,
+            snapshot: bytes,
+        } => {
             let Some(entry) = registry.get(tenant) else {
                 return unknown_tenant(tenant);
             };
@@ -275,7 +288,12 @@ pub fn handle_request(
                 Err(e) => err(ErrorCode::BadSnapshot, e.to_string()),
             }
         }
-        Request::Query { tenant, doc, mode, query } => {
+        Request::Query {
+            tenant,
+            doc,
+            mode,
+            query,
+        } => {
             let Some(entry) = registry.get(tenant) else {
                 return unknown_tenant(tenant);
             };
@@ -286,7 +304,12 @@ pub fn handle_request(
                 Err(e) => engine_error(e),
             }
         }
-        Request::BatchQuery { tenant, doc, mode, queries } => {
+        Request::BatchQuery {
+            tenant,
+            doc,
+            mode,
+            queries,
+        } => {
             let Some(entry) = registry.get(tenant) else {
                 return unknown_tenant(tenant);
             };
@@ -366,12 +389,18 @@ mod tests {
             .expect("second tenant");
         let counters = ServerCounters::default();
 
-        let doc = generate_hospital(&HospitalConfig { patients: 4, ..Default::default() });
+        let doc = generate_hospital(&HospitalConfig {
+            patients: 4,
+            ..Default::default()
+        });
         let bytes = snapshot::save(&doc);
         let resp = handle_request(
             &registry,
             &counters,
-            &Request::RegisterDocument { tenant: "nurse".into(), snapshot: bytes },
+            &Request::RegisterDocument {
+                tenant: "nurse".into(),
+                snapshot: bytes,
+            },
         );
         let Response::DocumentRegistered { doc } = resp else {
             panic!("expected DocumentRegistered, got {resp:?}");
@@ -389,7 +418,13 @@ mod tests {
             },
         );
         assert!(
-            matches!(resp, Response::Error { code: ErrorCode::UnknownDocument, .. }),
+            matches!(
+                resp,
+                Response::Error {
+                    code: ErrorCode::UnknownDocument,
+                    ..
+                }
+            ),
             "cross-tenant document access must fail, got {resp:?}"
         );
     }
@@ -411,10 +446,16 @@ mod tests {
         );
         assert_eq!(
             resp,
-            Response::ViewRegistered { fingerprint: hospital_view().fingerprint() }
+            Response::ViewRegistered {
+                fingerprint: hospital_view().fingerprint()
+            }
         );
         assert_eq!(
-            registry.get("nurse").expect("registered").service.fingerprint(),
+            registry
+                .get("nurse")
+                .expect("registered")
+                .service
+                .fingerprint(),
             hospital_view().fingerprint()
         );
     }
@@ -515,11 +556,16 @@ mod tests {
         let resp = handle_request(
             &registry,
             &counters,
-            &Request::Stats { tenant: Some("ghost".into()) },
+            &Request::Stats {
+                tenant: Some("ghost".into()),
+            },
         );
         assert!(matches!(
             resp,
-            Response::Error { code: ErrorCode::UnknownTenant, .. }
+            Response::Error {
+                code: ErrorCode::UnknownTenant,
+                ..
+            }
         ));
     }
 }

@@ -129,7 +129,11 @@ pub fn generate_deep_bom(depth: usize, seed: u64) -> XmlTree {
         b.child_with_text(part, "pnum", &format!("N-{level}"));
         // An occasional non-domestic link makes the view chain shorter than
         // the document chain without changing its unbounded depth.
-        let origin = if rng.gen_bool(0.95) { DOMESTIC } else { "overseas" };
+        let origin = if rng.gen_bool(0.95) {
+            DOMESTIC
+        } else {
+            "overseas"
+        };
         b.child_with_text(part, "origin", origin);
         b.child_with_text(part, "cost", &format!("{}", level % 97));
         anchor = part;

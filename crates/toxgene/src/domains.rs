@@ -449,7 +449,7 @@ mod tests {
     }
 
     #[test]
-    fn every_query_of_every_corpus_parses(){
+    fn every_query_of_every_corpus_parses() {
         for domain in all_domains() {
             for q in domain.view_queries.iter().chain(domain.document_queries) {
                 smoqe_xpath::parse_path(q)

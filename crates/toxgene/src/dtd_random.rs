@@ -207,7 +207,10 @@ mod tests {
                 produced += 1;
             }
         }
-        assert!(produced > 5, "generator should usually succeed ({produced}/20)");
+        assert!(
+            produced > 5,
+            "generator should usually succeed ({produced}/20)"
+        );
     }
 
     #[test]
@@ -243,7 +246,9 @@ mod tests {
         let a = generate_from_dtd(&dtd, &config);
         let b = generate_from_dtd(&dtd, &config);
         match (a, b) {
-            (Some(a), Some(b)) => assert_eq!(smoqe_xml::to_xml_string(&a), smoqe_xml::to_xml_string(&b)),
+            (Some(a), Some(b)) => {
+                assert_eq!(smoqe_xml::to_xml_string(&a), smoqe_xml::to_xml_string(&b))
+            }
             (None, None) => {}
             _ => panic!("determinism violated"),
         }

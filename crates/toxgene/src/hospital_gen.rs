@@ -71,7 +71,12 @@ const OTHER_DIAGNOSES: &[&str] = &[
     "hypertension",
 ];
 
-const STREETS: &[&str] = &["1 Infirmary St", "2 Lauriston Pl", "3 Crichton St", "4 Chambers St"];
+const STREETS: &[&str] = &[
+    "1 Infirmary St",
+    "2 Lauriston Pl",
+    "3 Crichton St",
+    "4 Chambers St",
+];
 const CITIES: &[&str] = &["Edinburgh", "Glasgow", "Dundee", "Aberdeen"];
 const SPECIALTIES: &[&str] = &["cardiology", "oncology", "neurology", "general"];
 
@@ -92,8 +97,7 @@ pub fn generate_hospital(config: &HospitalConfig) -> XmlTree {
 /// subtree shape (one dominant top-level subtree) changes. This is the
 /// adversarial input for the parallel evaluator's shard re-splitting.
 pub fn generate_skewed_hospital(config: &HospitalConfig, dominant_fraction: f64) -> XmlTree {
-    let dominant =
-        (config.patients as f64 * dominant_fraction.clamp(0.0, 1.0)).floor() as usize;
+    let dominant = (config.patients as f64 * dominant_fraction.clamp(0.0, 1.0)).floor() as usize;
     generate_with(config, move |patient, departments| {
         if patient < dominant || departments == 1 {
             0
@@ -145,10 +149,7 @@ pub fn generate_deep_hospital(depth: usize, seed: u64) -> XmlTree {
 
 /// Shared generator body: `assign(patient_index, departments)` names the
 /// department each patient lands in; everything else is policy-free.
-fn generate_with(
-    config: &HospitalConfig,
-    assign: impl Fn(usize, usize) -> usize,
-) -> XmlTree {
+fn generate_with(config: &HospitalConfig, assign: impl Fn(usize, usize) -> usize) -> XmlTree {
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut b = XmlTreeBuilder::new();
     let root = b.root("hospital");
@@ -272,10 +273,7 @@ mod tests {
         let a = generate_hospital(&config);
         let b = generate_hospital(&config);
         assert_eq!(a.len(), b.len());
-        assert_eq!(
-            smoqe_xml::to_xml_string(&a),
-            smoqe_xml::to_xml_string(&b)
-        );
+        assert_eq!(smoqe_xml::to_xml_string(&a), smoqe_xml::to_xml_string(&b));
         let other = generate_hospital(&HospitalConfig { seed: 99, ..config });
         assert_ne!(
             smoqe_xml::to_xml_string(&a),
@@ -361,8 +359,9 @@ mod tests {
         // document are unchanged, only the subtree shape differs.
         let uniform = generate_hospital(&config);
         assert_eq!(doc.len(), uniform.len());
-        let q = parse_path("//patient[visit/treatment/medication/diagnosis/text()='heart disease']")
-            .unwrap();
+        let q =
+            parse_path("//patient[visit/treatment/medication/diagnosis/text()='heart disease']")
+                .unwrap();
         assert_eq!(
             evaluate(&doc, doc.root(), &q).len(),
             evaluate(&uniform, uniform.root(), &q).len()

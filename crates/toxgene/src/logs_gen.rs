@@ -63,7 +63,11 @@ pub fn generate_logs(config: &LogsConfig) -> XmlTree {
         for _ in 0..config.entries_per_shard {
             counter += 1;
             let entry = b.child(shard, "entry");
-            b.child_with_text(entry, "ts", &format!("2026-08-{:02}T12:{:02}", counter % 28 + 1, counter % 60));
+            b.child_with_text(
+                entry,
+                "ts",
+                &format!("2026-08-{:02}T12:{:02}", counter % 28 + 1, counter % 60),
+            );
             let level = if rng.gen_bool(config.error_fraction) {
                 ERROR_LEVEL
             } else {

@@ -51,7 +51,14 @@ pub fn generate_social(config: &SocialConfig) -> XmlTree {
     let root = b.root("network");
     let mut counter = 0usize;
     for _ in 0..config.members.max(1) {
-        emit_member(config, &mut rng, &mut b, &mut counter, root, config.friend_depth);
+        emit_member(
+            config,
+            &mut rng,
+            &mut b,
+            &mut counter,
+            root,
+            config.friend_depth,
+        );
     }
     b.finish()
 }

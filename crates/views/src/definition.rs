@@ -54,13 +54,23 @@ impl fmt::Display for ViewError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ViewError::MissingAnnotation { parent, child } => {
-                write!(f, "view DTD edge ({parent}, {child}) has no annotation query")
+                write!(
+                    f,
+                    "view DTD edge ({parent}, {child}) has no annotation query"
+                )
             }
             ViewError::UnknownEdge { parent, child } => {
                 write!(f, "({parent}, {child}) is not an edge of the view DTD")
             }
-            ViewError::BadQuery { parent, child, message } => {
-                write!(f, "annotation σ({parent},{child}) does not parse: {message}")
+            ViewError::BadQuery {
+                parent,
+                child,
+                message,
+            } => {
+                write!(
+                    f,
+                    "annotation σ({parent},{child}) does not parse: {message}"
+                )
             }
             ViewError::BadDtd(msg) => write!(f, "ill-formed DTD: {msg}"),
             ViewError::ViewTooLarge { limit } => {
@@ -130,7 +140,12 @@ impl ViewDefinition {
     }
 
     /// Annotates the edge `(parent, child)` with a query given as text.
-    pub fn annotate_str(&mut self, parent: &str, child: &str, query: &str) -> Result<(), ViewError> {
+    pub fn annotate_str(
+        &mut self,
+        parent: &str,
+        child: &str,
+        query: &str,
+    ) -> Result<(), ViewError> {
         let parsed = parse_path(query).map_err(|e| ViewError::BadQuery {
             parent: parent.to_owned(),
             child: child.to_owned(),
@@ -149,8 +164,7 @@ impl ViewDefinition {
 
     /// The raw annotation `σ(parent, child)`, if present.
     pub fn annotation(&self, parent: &str, child: &str) -> Option<&Path> {
-        self.annotations
-            .get(&(parent.to_owned(), child.to_owned()))
+        self.annotations.get(&(parent.to_owned(), child.to_owned()))
     }
 
     /// The annotation expanded to pure `Xreg` over the **document** DTD
@@ -264,10 +278,13 @@ pub fn hospital_view() -> ViewDefinition {
         ),
     )
     .expect("Q1");
-    view.annotate_str("patient", "parent", "parent").expect("Q2");
+    view.annotate_str("patient", "parent", "parent")
+        .expect("Q2");
     view.annotate_str("patient", "record", "visit").expect("Q3");
-    view.annotate_str("parent", "patient", "patient").expect("Q4");
-    view.annotate_str("record", "empty", "treatment/test").expect("Q5");
+    view.annotate_str("parent", "patient", "patient")
+        .expect("Q4");
+    view.annotate_str("record", "empty", "treatment/test")
+        .expect("Q5");
     view.annotate_str("record", "diagnosis", "treatment/medication/diagnosis")
         .expect("Q6");
     view.check().expect("σ₀ is complete");
@@ -350,11 +367,16 @@ mod tests {
     fn fingerprint_is_stable_and_annotation_sensitive() {
         let a = hospital_view();
         let b = hospital_view();
-        assert_eq!(a.fingerprint(), b.fingerprint(), "same view, same fingerprint");
+        assert_eq!(
+            a.fingerprint(),
+            b.fingerprint(),
+            "same view, same fingerprint"
+        );
 
         // Changing any annotation must change the fingerprint.
         let mut c = hospital_view();
-        c.annotate_str("patient", "record", "visit/treatment").unwrap();
+        c.annotate_str("patient", "record", "visit/treatment")
+            .unwrap();
         assert_ne!(a.fingerprint(), c.fingerprint());
 
         // An incomplete view fingerprints differently from the full one.

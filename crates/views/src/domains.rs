@@ -120,7 +120,8 @@ pub fn social_view() -> ViewDefinition {
     let mut view = ViewDefinition::new(social_document_dtd(), social_view_dtd());
     view.annotate_str("network", "member", "member[not(banned)]")
         .expect("σ(network, member)");
-    view.annotate_str("member", "handle", "handle").expect("σ(member, handle)");
+    view.annotate_str("member", "handle", "handle")
+        .expect("σ(member, handle)");
     view.annotate_str("member", "member", "friend/member[not(banned)]")
         .expect("σ(member, member)");
     view.annotate_str(
@@ -129,7 +130,8 @@ pub fn social_view() -> ViewDefinition {
         "(friend/member)*/post[not(tag/text()='private')]",
     )
     .expect("σ(member, post)");
-    view.annotate_str("post", "content", "content").expect("σ(post, content)");
+    view.annotate_str("post", "content", "content")
+        .expect("σ(post, content)");
     view.check().expect("social view is complete");
     view
 }
@@ -160,7 +162,10 @@ mod tests {
     fn logs_view_promotes_error_entries_to_the_root() {
         let view = logs_view();
         assert!(!view.is_recursive(), "logs stays flat");
-        assert!(view.is_edge("logbook", "entry"), "entries promote past shards");
+        assert!(
+            view.is_edge("logbook", "entry"),
+            "entries promote past shards"
+        );
         assert!(!view.is_edge("entry", "ts"), "timestamps are hidden");
         let q = view.annotation("logbook", "entry").expect("promoted edge");
         assert!(format!("{q}").contains(ERROR_LEVEL));
@@ -192,14 +197,18 @@ mod tests {
         let mv = materialize(&view, &doc).unwrap();
         // Alice is visible; bob is banned so the member recursion stops at
         // him — but the starred post annotation still reaches carol's post.
-        let members = evaluate(
+        let members = evaluate(&mv.tree, mv.tree.root(), &parse_path("member").unwrap());
+        assert_eq!(members.len(), 1, "only alice at the top level");
+        let posts = evaluate(
             &mv.tree,
             mv.tree.root(),
-            &parse_path("member").unwrap(),
+            &parse_path("//post/content").unwrap(),
         );
-        assert_eq!(members.len(), 1, "only alice at the top level");
-        let posts = evaluate(&mv.tree, mv.tree.root(), &parse_path("//post/content").unwrap());
-        assert_eq!(posts.len(), 1, "carol's post is reachable through the closure");
+        assert_eq!(
+            posts.len(),
+            1,
+            "carol's post is reachable through the closure"
+        );
         let origins = mv.origins_of(&posts);
         let texts: Vec<_> = origins.iter().map(|&n| doc.text(n).unwrap_or("")).collect();
         assert_eq!(texts, ["deep"]);

@@ -28,11 +28,9 @@ pub mod domains;
 pub mod materialize;
 pub mod security;
 
-pub use domains::{
-    bom_security_spec, bom_view, logs_security_spec, logs_view, social_view,
-};
 pub use definition::{
     fingerprint_field, hospital_view, ViewDefinition, ViewError, FINGERPRINT_SEED,
 };
+pub use domains::{bom_security_spec, bom_view, logs_security_spec, logs_view, social_view};
 pub use materialize::{materialize, MaterializedView};
 pub use security::{derive_view, Access, SecuritySpec};

@@ -83,9 +83,7 @@ pub fn materialize_with_budget(
             .clone();
         let child_types: Vec<String> = match production {
             ContentModel::Text | ContentModel::Empty => Vec::new(),
-            ContentModel::Sequence(children) => {
-                children.into_iter().map(|c| c.ty).collect()
-            }
+            ContentModel::Sequence(children) => children.into_iter().map(|c| c.ty).collect(),
             ContentModel::Choice(options) => options,
         };
         for child_type in child_types {
@@ -107,7 +105,14 @@ pub fn materialize_with_budget(
                 }
                 let view_child = builder.child(view_node, &child_type);
                 origins.push(source_child);
-                copy_text_if_needed(view, tree, &mut builder, view_child, source_child, &child_type);
+                copy_text_if_needed(
+                    view,
+                    tree,
+                    &mut builder,
+                    view_child,
+                    source_child,
+                    &child_type,
+                );
                 let mut child_chain = chain.clone();
                 child_chain.push((child_type.clone(), source_child));
                 stack.push((view_child, child_type.clone(), source_child, child_chain));
@@ -133,7 +138,10 @@ fn copy_text_if_needed(
     origin: NodeId,
     view_type: &str,
 ) {
-    if matches!(view.view_dtd().production(view_type), Some(ContentModel::Text)) {
+    if matches!(
+        view.view_dtd().production(view_type),
+        Some(ContentModel::Text)
+    ) {
         if let Some(text) = tree.text(origin) {
             builder.set_text(view_node, text);
         }
@@ -351,11 +359,9 @@ mod tests {
         // forever over any document.
         use smoqe_xml::{Child, ContentModel, Dtd};
         let mut doc_dtd = Dtd::new("part");
-        doc_dtd
-            .define("part", ContentModel::Sequence(vec![Child::star("part")]));
+        doc_dtd.define("part", ContentModel::Sequence(vec![Child::star("part")]));
         let mut view_dtd = Dtd::new("part");
-        view_dtd
-            .define("part", ContentModel::Sequence(vec![Child::star("part")]));
+        view_dtd.define("part", ContentModel::Sequence(vec![Child::star("part")]));
         let mut view = crate::definition::ViewDefinition::new(doc_dtd, view_dtd);
         view.annotate_str("part", "part", ".").unwrap();
 

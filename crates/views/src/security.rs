@@ -221,11 +221,7 @@ pub fn derive_view(spec: &SecuritySpec) -> Result<ViewDefinition, ViewError> {
 fn promoted_children(spec: &SecuritySpec, types: &[String], a: &str) -> Vec<(String, Path)> {
     // Hidden types reachable from `a` through denied edges form the "hidden
     // region"; paths inside it are closed with McNaughton–Yamada.
-    let hidden_region: Vec<String> = types
-        .iter()
-        .filter(|t| t.as_str() != a)
-        .cloned()
-        .collect();
+    let hidden_region: Vec<String> = types.iter().filter(|t| t.as_str() != a).cloned().collect();
     let n = hidden_region.len();
 
     // reach[i]: the path (over the document) from `a` to hidden type i using
@@ -426,7 +422,15 @@ mod tests {
         let view = derive_view(&research_spec()).unwrap();
         let types: Vec<&str> = view.view_dtd().element_types();
         // Hidden types are gone from the view DTD entirely.
-        for hidden in ["pname", "address", "doctor", "sibling", "test", "department", "visit"] {
+        for hidden in [
+            "pname",
+            "address",
+            "doctor",
+            "sibling",
+            "test",
+            "department",
+            "visit",
+        ] {
             assert!(!types.contains(&hidden), "{hidden} should be hidden");
         }
         // Promoted types are present.

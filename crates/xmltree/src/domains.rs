@@ -59,7 +59,10 @@ pub fn bom_document_dtd() -> Dtd {
         "product",
         ContentModel::Sequence(vec![Child::one("pid"), Child::star("assembly")]),
     )
-    .define("assembly", ContentModel::Sequence(vec![Child::star("part")]))
+    .define(
+        "assembly",
+        ContentModel::Sequence(vec![Child::star("part")]),
+    )
     .define(
         "part",
         ContentModel::Sequence(vec![
@@ -82,9 +85,26 @@ pub fn bom_document_dtd() -> Dtd {
 /// flat vocabulary (the "label explosion"), including aliases of labels
 /// that are structural in the *other* domains.
 pub const LOG_KEYS: &[&str] = &[
-    "k00", "k01", "k02", "k03", "k04", "k05", "k06", "k07", "k08", "k09", "k10", "k11", "k12",
-    "k13", "k14", "k15", // aliases of other domains' structural labels:
-    "patient", "part", "diagnosis", "type",
+    "k00",
+    "k01",
+    "k02",
+    "k03",
+    "k04",
+    "k05",
+    "k06",
+    "k07",
+    "k08",
+    "k09",
+    "k10",
+    "k11",
+    "k12",
+    "k13",
+    "k14",
+    "k15", // aliases of other domains' structural labels:
+    "patient",
+    "part",
+    "diagnosis",
+    "type",
 ];
 
 /// Builds the **log-archive** document DTD.
@@ -103,30 +123,33 @@ pub const LOG_KEYS: &[&str] = &[
 /// types of the hospital and bom domains.
 pub fn logs_document_dtd() -> Dtd {
     let mut d = Dtd::new("logbook");
-    d.define("logbook", ContentModel::Sequence(vec![Child::star("shard")]))
-        .define(
-            "shard",
-            ContentModel::Sequence(vec![Child::one("host"), Child::star("entry")]),
-        )
-        .define(
-            "entry",
-            ContentModel::Sequence(vec![
-                Child::one("ts"),
-                Child::one("level"),
-                Child::one("svc"),
-                Child::one("msg"),
-                Child::star("ctx"),
-            ]),
-        )
-        .define(
-            "ctx",
-            ContentModel::Sequence(LOG_KEYS.iter().map(|k| Child::star(k)).collect()),
-        )
-        .define("host", ContentModel::Text)
-        .define("ts", ContentModel::Text)
-        .define("level", ContentModel::Text)
-        .define("svc", ContentModel::Text)
-        .define("msg", ContentModel::Text);
+    d.define(
+        "logbook",
+        ContentModel::Sequence(vec![Child::star("shard")]),
+    )
+    .define(
+        "shard",
+        ContentModel::Sequence(vec![Child::one("host"), Child::star("entry")]),
+    )
+    .define(
+        "entry",
+        ContentModel::Sequence(vec![
+            Child::one("ts"),
+            Child::one("level"),
+            Child::one("svc"),
+            Child::one("msg"),
+            Child::star("ctx"),
+        ]),
+    )
+    .define(
+        "ctx",
+        ContentModel::Sequence(LOG_KEYS.iter().map(|k| Child::star(k)).collect()),
+    )
+    .define("host", ContentModel::Text)
+    .define("ts", ContentModel::Text)
+    .define("level", ContentModel::Text)
+    .define("svc", ContentModel::Text)
+    .define("msg", ContentModel::Text);
     for key in LOG_KEYS {
         d.define(key, ContentModel::Text);
     }
@@ -149,27 +172,30 @@ pub fn logs_document_dtd() -> Dtd {
 /// DTD, exercised by the view's negated filters.
 pub fn social_document_dtd() -> Dtd {
     let mut d = Dtd::new("network");
-    d.define("network", ContentModel::Sequence(vec![Child::star("member")]))
-        .define(
-            "member",
-            ContentModel::Sequence(vec![
-                Child::one("mid"),
-                Child::one("handle"),
-                Child::star("banned"),
-                Child::star("friend"),
-                Child::star("post"),
-            ]),
-        )
-        .define("friend", ContentModel::Sequence(vec![Child::one("member")]))
-        .define(
-            "post",
-            ContentModel::Sequence(vec![Child::one("content"), Child::star("tag")]),
-        )
-        .define("mid", ContentModel::Text)
-        .define("handle", ContentModel::Text)
-        .define("content", ContentModel::Text)
-        .define("tag", ContentModel::Text)
-        .define("banned", ContentModel::Empty);
+    d.define(
+        "network",
+        ContentModel::Sequence(vec![Child::star("member")]),
+    )
+    .define(
+        "member",
+        ContentModel::Sequence(vec![
+            Child::one("mid"),
+            Child::one("handle"),
+            Child::star("banned"),
+            Child::star("friend"),
+            Child::star("post"),
+        ]),
+    )
+    .define("friend", ContentModel::Sequence(vec![Child::one("member")]))
+    .define(
+        "post",
+        ContentModel::Sequence(vec![Child::one("content"), Child::star("tag")]),
+    )
+    .define("mid", ContentModel::Text)
+    .define("handle", ContentModel::Text)
+    .define("content", ContentModel::Text)
+    .define("tag", ContentModel::Text)
+    .define("banned", ContentModel::Empty);
     d
 }
 
@@ -187,18 +213,21 @@ pub fn social_document_dtd() -> Dtd {
 /// `smoqe_views`) traverse the friend relation with a Kleene closure.
 pub fn social_view_dtd() -> Dtd {
     let mut d = Dtd::new("network");
-    d.define("network", ContentModel::Sequence(vec![Child::star("member")]))
-        .define(
-            "member",
-            ContentModel::Sequence(vec![
-                Child::star("handle"),
-                Child::star("member"),
-                Child::star("post"),
-            ]),
-        )
-        .define("post", ContentModel::Sequence(vec![Child::star("content")]))
-        .define("handle", ContentModel::Text)
-        .define("content", ContentModel::Text);
+    d.define(
+        "network",
+        ContentModel::Sequence(vec![Child::star("member")]),
+    )
+    .define(
+        "member",
+        ContentModel::Sequence(vec![
+            Child::star("handle"),
+            Child::star("member"),
+            Child::star("post"),
+        ]),
+    )
+    .define("post", ContentModel::Sequence(vec![Child::star("content")]))
+    .define("handle", ContentModel::Text)
+    .define("content", ContentModel::Text);
     d
 }
 
@@ -223,7 +252,10 @@ mod tests {
         assert!(bom_document_dtd().is_recursive(), "bom is deeply recursive");
         assert!(!logs_document_dtd().is_recursive(), "logs is flat");
         assert!(social_document_dtd().is_recursive());
-        assert!(social_view_dtd().is_recursive(), "view recursion is the point");
+        assert!(
+            social_view_dtd().is_recursive(),
+            "view recursion is the point"
+        );
     }
 
     #[test]

@@ -366,8 +366,11 @@ impl DtdGraph {
             Grey,
             Black,
         }
-        let mut marks: HashMap<&str, Mark> =
-            self.edges.keys().map(|k| (k.as_str(), Mark::White)).collect();
+        let mut marks: HashMap<&str, Mark> = self
+            .edges
+            .keys()
+            .map(|k| (k.as_str(), Mark::White))
+            .collect();
 
         // Iterative DFS with an explicit stack; (node, child-iterator index).
         for start in self.edges.keys() {
@@ -471,7 +474,10 @@ mod tests {
         d.check_well_formed().unwrap();
         assert!(!d.is_recursive());
         assert_eq!(d.root(), "library");
-        assert_eq!(d.element_types(), vec!["author", "book", "library", "title"]);
+        assert_eq!(
+            d.element_types(),
+            vec!["author", "book", "library", "title"]
+        );
     }
 
     #[test]
@@ -529,7 +535,10 @@ mod tests {
         b.child_with_text(book, "author", "Fan");
         b.child_with_text(book, "title", "Databases");
         let t = b.finish();
-        assert!(matches!(d.validate(&t), Err(XmlError::InvalidContent { .. })));
+        assert!(matches!(
+            d.validate(&t),
+            Err(XmlError::InvalidContent { .. })
+        ));
     }
 
     #[test]
@@ -575,7 +584,10 @@ mod tests {
         assert!(reach.contains("name"));
         assert_eq!(reach.len(), 2);
         let desc = g.descendant_types();
-        assert!(desc["part"].contains("part"), "recursive type reaches itself below");
+        assert!(
+            desc["part"].contains("part"),
+            "recursive type reaches itself below"
+        );
         assert!(desc["name"].is_empty());
     }
 

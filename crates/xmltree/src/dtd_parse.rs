@@ -123,9 +123,9 @@ enum Particle {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Occurrence {
     One,
-    Optional,  // ?
-    Star,      // *
-    Plus,      // +
+    Optional, // ?
+    Star,     // *
+    Plus,     // +
 }
 
 fn scan_declarations(input: &str) -> Result<Vec<Declaration>, ParseError> {
@@ -356,10 +356,7 @@ impl Normalizer {
             RawContent::Pcdata => Ok(ContentModel::Text),
             // `ANY` is approximated by a star over every declared element type.
             RawContent::Any => Ok(ContentModel::Sequence(
-                declarations
-                    .iter()
-                    .map(|d| Child::star(&d.name))
-                    .collect(),
+                declarations.iter().map(|d| Child::star(&d.name)).collect(),
             )),
             RawContent::Group(group) => self.normalize_group(owner, group),
         }

@@ -132,9 +132,7 @@ impl XmlTree {
                 subtree,
             } => self.insert_subtree(*parent, *position, subtree).map(Some),
             EditOp::Delete { node } => self.delete_subtree(*node).map(|_| None),
-            EditOp::Replace { node, subtree } => {
-                self.replace_subtree(*node, subtree).map(Some)
-            }
+            EditOp::Replace { node, subtree } => self.replace_subtree(*node, subtree).map(Some),
         }
     }
 

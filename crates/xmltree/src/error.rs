@@ -30,7 +30,10 @@ impl fmt::Display for XmlError {
         match self {
             XmlError::InvalidNode(id) => write!(f, "invalid node id {id}"),
             XmlError::RootMismatch { expected, found } => {
-                write!(f, "root element mismatch: expected <{expected}>, found <{found}>")
+                write!(
+                    f,
+                    "root element mismatch: expected <{expected}>, found <{found}>"
+                )
             }
             XmlError::InvalidContent { element, reason } => {
                 write!(f, "invalid content for <{element}>: {reason}")

@@ -197,7 +197,11 @@ mod tests {
             .collect();
         for i in 0..prints.len() {
             for j in (i + 1)..prints.len() {
-                assert_ne!(prints[i], prints[j], "{:?} aliases {:?}", shapes[i], shapes[j]);
+                assert_ne!(
+                    prints[i], prints[j],
+                    "{:?} aliases {:?}",
+                    shapes[i], shapes[j]
+                );
             }
         }
     }

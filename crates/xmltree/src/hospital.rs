@@ -82,8 +82,14 @@ pub fn hospital_document_dtd() -> Dtd {
         "doctor",
         ContentModel::Sequence(vec![Child::one("dname"), Child::one("specialty")]),
     )
-    .define("parent", ContentModel::Sequence(vec![Child::one("patient")]))
-    .define("sibling", ContentModel::Sequence(vec![Child::one("patient")]))
+    .define(
+        "parent",
+        ContentModel::Sequence(vec![Child::one("patient")]),
+    )
+    .define(
+        "sibling",
+        ContentModel::Sequence(vec![Child::one("patient")]),
+    )
     .define("name", ContentModel::Text)
     .define("pname", ContentModel::Text)
     .define("street", ContentModel::Text)
@@ -119,7 +125,10 @@ pub fn hospital_view_dtd() -> Dtd {
         "patient",
         ContentModel::Sequence(vec![Child::star("parent"), Child::star("record")]),
     )
-    .define("parent", ContentModel::Sequence(vec![Child::one("patient")]))
+    .define(
+        "parent",
+        ContentModel::Sequence(vec![Child::one("patient")]),
+    )
     .define(
         "record",
         ContentModel::Choice(vec!["empty".to_owned(), "diagnosis".to_owned()]),
@@ -140,7 +149,10 @@ mod tests {
     fn document_dtd_is_well_formed_and_recursive() {
         let d = hospital_document_dtd();
         d.check_well_formed().unwrap();
-        assert!(d.is_recursive(), "Fig. 1(a) is recursive via parent/sibling");
+        assert!(
+            d.is_recursive(),
+            "Fig. 1(a) is recursive via parent/sibling"
+        );
         assert_eq!(d.root(), "hospital");
         assert_eq!(d.len(), 21);
     }
@@ -178,7 +190,10 @@ mod tests {
         let d = hospital_view_dtd();
         let types = d.element_types();
         for hidden in ["pname", "address", "doctor", "test", "sibling"] {
-            assert!(!types.contains(&hidden), "{hidden} must not be in the view DTD");
+            assert!(
+                !types.contains(&hidden),
+                "{hidden} must not be in the view DTD"
+            );
         }
     }
 

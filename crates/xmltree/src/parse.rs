@@ -275,10 +275,7 @@ mod tests {
         .unwrap();
         assert_eq!(t.len(), 6);
         t.check_consistency().unwrap();
-        let pname = t
-            .node_ids()
-            .find(|&n| t.label_name(n) == "pname")
-            .unwrap();
+        let pname = t.node_ids().find(|&n| t.label_name(n) == "pname").unwrap();
         assert_eq!(t.text(pname), Some("Alice"));
     }
 
@@ -325,12 +322,18 @@ mod tests {
 
     #[test]
     fn unclosed_element_is_an_error() {
-        assert_eq!(parse_document("<a><b>").unwrap_err(), ParseError::UnexpectedEof);
+        assert_eq!(
+            parse_document("<a><b>").unwrap_err(),
+            ParseError::UnexpectedEof
+        );
     }
 
     #[test]
     fn empty_document_is_an_error() {
-        assert_eq!(parse_document("   ").unwrap_err(), ParseError::EmptyDocument);
+        assert_eq!(
+            parse_document("   ").unwrap_err(),
+            ParseError::EmptyDocument
+        );
         assert_eq!(
             parse_document("<!-- only a comment -->").unwrap_err(),
             ParseError::EmptyDocument

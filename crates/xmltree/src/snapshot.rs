@@ -217,7 +217,8 @@ pub fn save(tree: &XmlTree) -> Vec<u8> {
     for id in tree.node_ids() {
         let node = tree.node(id);
         debug_assert!(
-            node.children.windows(2).all(|w| w[0] < w[1]) && node.children.first().is_none_or(|&c| c > id),
+            node.children.windows(2).all(|w| w[0] < w[1])
+                && node.children.first().is_none_or(|&c| c > id),
             "arena child lists must be ascending and parent-before-child"
         );
         body.extend_from_slice(&node.label.0.to_le_bytes());
@@ -344,7 +345,10 @@ pub fn load(bytes: &[u8]) -> Result<XmlTree, SnapshotError> {
         });
     }
 
-    let mut cur = Cursor { bytes: body, pos: 0 };
+    let mut cur = Cursor {
+        bytes: body,
+        pos: 0,
+    };
     let mut tree = decode_base(&header, &mut cur)?;
 
     if header.version == FORMAT_VERSION {
@@ -369,11 +373,9 @@ pub fn load(bytes: &[u8]) -> Result<XmlTree, SnapshotError> {
     // Version 2: replay the delta log, then verify the final fingerprint.
     let delta_count = cur.u32()?;
     for i in 0..delta_count {
-        let op = decode_delta_record(&mut cur)
-            .map_err(|e| corrupt_record(i, e))?;
-        tree.apply(&op).map_err(|e| {
-            SnapshotError::Corrupt(format!("delta record {i} does not apply: {e}"))
-        })?;
+        let op = decode_delta_record(&mut cur).map_err(|e| corrupt_record(i, e))?;
+        tree.apply(&op)
+            .map_err(|e| SnapshotError::Corrupt(format!("delta record {i} does not apply: {e}")))?;
     }
     if cur.pos != body.len() {
         return Err(SnapshotError::Corrupt(format!(
@@ -688,9 +690,10 @@ pub fn extend_snapshot(
     };
 
     let new_count = old_count
-        .checked_add(u32::try_from(ops.len()).map_err(|_| {
-            SnapshotError::Corrupt("delta log exceeds u32 records".to_owned())
-        })?)
+        .checked_add(
+            u32::try_from(ops.len())
+                .map_err(|_| SnapshotError::Corrupt("delta log exceeds u32 records".to_owned()))?,
+        )
         .ok_or_else(|| SnapshotError::Corrupt("delta log exceeds u32 records".to_owned()))?;
 
     let mut delta = Vec::with_capacity(4 + old_records.len());
@@ -700,7 +703,10 @@ pub fn extend_snapshot(
         encode_delta_record(&mut delta, op)?;
     }
 
-    let checksum = checksum_fold(checksum_fold(FINGERPRINT_SEED, &snapshot[sections.clone()]), &delta);
+    let checksum = checksum_fold(
+        checksum_fold(FINGERPRINT_SEED, &snapshot[sections.clone()]),
+        &delta,
+    );
 
     let mut new_header = snapshot[..HEADER_LEN].to_vec();
     new_header[8..12].copy_from_slice(&DELTA_FORMAT_VERSION.to_le_bytes());
@@ -725,9 +731,8 @@ pub fn extend_snapshot(
 pub fn save_delta(snapshot: &[u8], ops: &[EditOp]) -> Result<Vec<u8>, SnapshotError> {
     let mut tree = load(snapshot)?;
     for (i, op) in ops.iter().enumerate() {
-        tree.apply(op).map_err(|e| {
-            SnapshotError::Corrupt(format!("delta op {i} does not apply: {e}"))
-        })?;
+        tree.apply(op)
+            .map_err(|e| SnapshotError::Corrupt(format!("delta op {i} does not apply: {e}")))?;
     }
     let tail = extend_snapshot(snapshot, ops, labels_fingerprint(tree.labels()))?;
     Ok(tail.assemble(snapshot))
@@ -768,7 +773,11 @@ mod tests {
         let t2 = load(&bytes).unwrap();
         assert_trees_identical(&t, &t2);
         t2.check_consistency().unwrap();
-        assert_eq!(save(&t2), bytes, "save is deterministic across a round-trip");
+        assert_eq!(
+            save(&t2),
+            bytes,
+            "save is deterministic across a round-trip"
+        );
     }
 
     #[test]
@@ -808,7 +817,14 @@ mod tests {
     #[test]
     fn truncated_input_is_rejected() {
         let bytes = save(&sample());
-        for cut in [0, 7, HEADER_LEN - 1, HEADER_LEN, HEADER_LEN + 3, bytes.len() - 1] {
+        for cut in [
+            0,
+            7,
+            HEADER_LEN - 1,
+            HEADER_LEN,
+            HEADER_LEN + 3,
+            bytes.len() - 1,
+        ] {
             let err = load(&bytes[..cut]).unwrap_err();
             assert!(
                 matches!(
@@ -865,7 +881,10 @@ mod tests {
         let e = SnapshotError::UnsupportedVersion(7);
         assert!(e.to_string().contains('7'));
         assert_eq!(e.clone(), e);
-        let t = SnapshotError::Truncated { needed: 48, have: 3 };
+        let t = SnapshotError::Truncated {
+            needed: 48,
+            have: 3,
+        };
         assert!(t.to_string().contains("48"));
     }
 

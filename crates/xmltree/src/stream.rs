@@ -346,7 +346,8 @@ impl<R: Read> XmlStreamReader<R> {
             // Bulk-copy everything buffered up to the next '<'.
             match self.buf[self.pos..].iter().position(|&b| b == b'<') {
                 Some(k) => {
-                    self.raw_text.extend_from_slice(&self.buf[self.pos..self.pos + k]);
+                    self.raw_text
+                        .extend_from_slice(&self.buf[self.pos..self.pos + k]);
                     self.pos += k;
                     match self.byte_at(1)? {
                         // Comments and PIs end a fragment (but not the run):
@@ -503,7 +504,10 @@ impl EventSource for TreeEvents<'_> {
         }
         if self.pending_text {
             self.pending_text = false;
-            let (node, _) = *self.stack.last().expect("pending text implies an open node");
+            let (node, _) = *self
+                .stack
+                .last()
+                .expect("pending text implies an open node");
             return Ok(Some(XmlEvent::Text(
                 self.tree.text(node).expect("pending text was checked"),
             )));
@@ -613,7 +617,10 @@ mod tests {
             read_events("<a><b></a></b>").unwrap_err(),
             ParseError::MismatchedTag { .. }
         ));
-        assert_eq!(read_events("<a><b>").unwrap_err(), ParseError::UnexpectedEof);
+        assert_eq!(
+            read_events("<a><b>").unwrap_err(),
+            ParseError::UnexpectedEof
+        );
         assert_eq!(read_events("   ").unwrap_err(), ParseError::EmptyDocument);
         assert_eq!(
             read_events("<!-- only a comment -->").unwrap_err(),
@@ -654,8 +661,8 @@ mod tests {
     #[test]
     fn escaped_text_round_trips_through_serialize_parse_serialize() {
         for text in [
-            "a&amp;b",       // literal characters a & a m p ; b
-            "a & b",         // lone ampersand
+            "a&amp;b", // literal characters a & a m p ; b
+            "a & b",   // lone ampersand
             "x < y > z",
             "\"quoted\" and 'apos'",
             "line1\nline2",

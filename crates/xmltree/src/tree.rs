@@ -470,13 +470,13 @@ impl XmlTree {
         if position > child_count {
             return Err(XmlError::InvalidContent {
                 element: self.label_name(parent).to_owned(),
-                reason: format!(
-                    "insert position {position} is out of range 0..={child_count}"
-                ),
+                reason: format!("insert position {position} is out of range 0..={child_count}"),
             });
         }
         let new_root = self.graft(subtree, Some(parent));
-        self.nodes[parent.index()].children.insert(position, new_root);
+        self.nodes[parent.index()]
+            .children
+            .insert(position, new_root);
         self.resize_path(parent, 0, subtree.len());
         Ok(new_root)
     }
@@ -538,18 +538,16 @@ impl XmlTree {
     /// # Errors
     /// Fails if `node` is out of range or tombstoned, or if `subtree`
     /// carries tombstones. The tree is unchanged on error.
-    pub fn replace_subtree(
-        &mut self,
-        node: NodeId,
-        subtree: &XmlTree,
-    ) -> Result<NodeId, XmlError> {
+    pub fn replace_subtree(&mut self, node: NodeId, subtree: &XmlTree) -> Result<NodeId, XmlError> {
         self.require_live(node)?;
         Self::require_clean_payload(subtree)?;
         match self.parent(node) {
             Some(parent) => {
                 let (position, _) = self.detach(node, parent);
                 let new_root = self.graft(subtree, Some(parent));
-                self.nodes[parent.index()].children.insert(position, new_root);
+                self.nodes[parent.index()]
+                    .children
+                    .insert(position, new_root);
                 self.resize_path(parent, 0, subtree.len());
                 Ok(new_root)
             }
@@ -758,7 +756,14 @@ mod tests {
         let labels: Vec<_> = desc.iter().map(|&n| t.label_name(n)).collect();
         assert_eq!(
             labels,
-            vec!["department", "patient", "pname", "department", "patient", "pname"]
+            vec![
+                "department",
+                "patient",
+                "pname",
+                "department",
+                "patient",
+                "pname"
+            ]
         );
     }
 
@@ -1033,7 +1038,9 @@ mod tests {
         assert!(t.insert_subtree(root, 0, &edited_payload).is_err());
         assert!(t.replace_subtree(root, &edited_payload).is_err());
         // The compacted payload is clean and accepted.
-        assert!(t.insert_subtree(root, 0, &edited_payload.compacted()).is_ok());
+        assert!(t
+            .insert_subtree(root, 0, &edited_payload.compacted())
+            .is_ok());
         t.check_consistency().unwrap();
     }
 

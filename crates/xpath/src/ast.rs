@@ -203,9 +203,7 @@ impl Pred {
         match self {
             Pred::Exists(p) | Pred::TextEq(p, _) => p.contains_xpath_axes(),
             Pred::Not(q) => q.contains_xpath_axes(),
-            Pred::And(a, b) | Pred::Or(a, b) => {
-                a.contains_xpath_axes() || b.contains_xpath_axes()
-            }
+            Pred::And(a, b) | Pred::Or(a, b) => a.contains_xpath_axes() || b.contains_xpath_axes(),
         }
     }
 
@@ -420,11 +418,15 @@ mod tests {
         assert_eq!(Path::label("a").then(Path::label("b")).size(), 3);
         assert_eq!(Path::label("a").star().size(), 2);
         assert_eq!(
-            Path::label("a").filter(Pred::exists(Path::label("b"))).size(),
+            Path::label("a")
+                .filter(Pred::exists(Path::label("b")))
+                .size(),
             4
         );
         assert_eq!(
-            Pred::exists(Path::label("a")).and(Pred::exists(Path::label("b"))).size(),
+            Pred::exists(Path::label("a"))
+                .and(Pred::exists(Path::label("b")))
+                .size(),
             5
         );
     }
@@ -434,7 +436,10 @@ mod tests {
         assert_eq!(Path::chain(&["a", "b", "c"]).to_string(), "a/b/c");
         assert_eq!(Path::label("a").or(Path::label("b")).to_string(), "a | b");
         assert_eq!(
-            Path::chain(&["a", "b"]).star().then(Path::label("c")).to_string(),
+            Path::chain(&["a", "b"])
+                .star()
+                .then(Path::label("c"))
+                .to_string(),
             "(a/b)*/c"
         );
         assert_eq!(Path::AnyLabel.to_string(), "*");
@@ -460,14 +465,18 @@ mod tests {
 
     #[test]
     fn labels_are_collected_from_paths_and_filters() {
-        let q = Path::label("a").filter(Pred::exists(Path::label("b"))).then(Path::label("c"));
+        let q = Path::label("a")
+            .filter(Pred::exists(Path::label("b")))
+            .then(Path::label("c"));
         let labels = q.labels();
         assert_eq!(labels, vec!["a", "b", "c"]);
     }
 
     #[test]
     fn xpath_axis_detection() {
-        let q = Path::label("a").then(Path::DescendantOrSelf).then(Path::label("b"));
+        let q = Path::label("a")
+            .then(Path::DescendantOrSelf)
+            .then(Path::label("b"));
         assert!(q.contains_xpath_axes());
         assert!(!q.contains_star());
         let r = Path::label("a").filter(Pred::exists(Path::AnyLabel));
@@ -493,8 +502,8 @@ mod tests {
 
     fn assert_round_trips(p: &Path) {
         let printed = p.to_string();
-        let reparsed = parse_path(&printed)
-            .unwrap_or_else(|e| panic!("re-parse of `{printed}` failed: {e}"));
+        let reparsed =
+            parse_path(&printed).unwrap_or_else(|e| panic!("re-parse of `{printed}` failed: {e}"));
         assert_eq!(
             normalize(&reparsed),
             normalize(p),
@@ -528,12 +537,8 @@ mod tests {
         let b = || Path::label("b");
         assert_round_trips(&a().filter(Pred::exists(b()).not()));
         assert_round_trips(&a().filter(Pred::exists(b()).not().not()));
-        assert_round_trips(&a().filter(
-            Pred::exists(b()).not().and(Pred::text_eq(a(), "x").not()),
-        ));
-        assert_round_trips(&a().filter(
-            Pred::exists(b()).or(Pred::exists(a())).not(),
-        ));
+        assert_round_trips(&a().filter(Pred::exists(b()).not().and(Pred::text_eq(a(), "x").not())));
+        assert_round_trips(&a().filter(Pred::exists(b()).or(Pred::exists(a())).not()));
         // not over a union path and over a starred group.
         assert_round_trips(&a().filter(Pred::exists(a().or(b())).not()));
         assert_round_trips(&a().filter(Pred::exists(a().then(b()).star()).not()));
@@ -574,10 +579,15 @@ mod tests {
         assert_round_trips(&p);
         // Adjacent and trailing axes materialise explicit `.` steps.
         assert_eq!(
-            Path::DescendantOrSelf.then(Path::DescendantOrSelf).to_string(),
+            Path::DescendantOrSelf
+                .then(Path::DescendantOrSelf)
+                .to_string(),
             "//.//."
         );
-        assert_eq!(Path::label("a").then(Path::DescendantOrSelf).to_string(), "a//.");
+        assert_eq!(
+            Path::label("a").then(Path::DescendantOrSelf).to_string(),
+            "a//."
+        );
         assert_eq!(
             Path::label("a")
                 .then(Path::DescendantOrSelf)
@@ -595,14 +605,18 @@ mod tests {
         assert_round_trips(&Path::DescendantOrSelf);
         assert_round_trips(&Path::DescendantOrSelf.then(a()));
         assert_round_trips(&a().then(Path::DescendantOrSelf));
-        assert_round_trips(&a().then(Path::DescendantOrSelf.then(Path::DescendantOrSelf.then(b()))));
+        assert_round_trips(
+            &a().then(Path::DescendantOrSelf.then(Path::DescendantOrSelf.then(b()))),
+        );
         assert_round_trips(&Path::DescendantOrSelf.then(Path::DescendantOrSelf));
         assert_round_trips(&Path::Filter(
             Box::new(Path::DescendantOrSelf),
             Box::new(Pred::exists(b())),
         ));
-        assert_round_trips(&Pred::text_eq(Path::DescendantOrSelf.then(a()), "x")
-            .pipe(|q| Path::label("p").filter(q)));
+        assert_round_trips(
+            &Pred::text_eq(Path::DescendantOrSelf.then(a()), "x")
+                .pipe(|q| Path::label("p").filter(q)),
+        );
     }
 
     #[test]

@@ -262,10 +262,7 @@ mod tests {
         let (t, _) = view_like_tree();
         let star = parse_path("(*)*").unwrap();
         let dos = Path::DescendantOrSelf;
-        assert_eq!(
-            evaluate(&t, t.root(), &star),
-            evaluate(&t, t.root(), &dos)
-        );
+        assert_eq!(evaluate(&t, t.root(), &star), evaluate(&t, t.root(), &dos));
     }
 
     #[test]

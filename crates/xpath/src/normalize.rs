@@ -58,10 +58,9 @@ fn simplify_path(path: &Path) -> Path {
                 (a, Path::Empty) => a,
                 // Re-associate to the right so printed forms are stable and
                 // duplicate-union detection sees a canonical shape.
-                (Path::Seq(a1, a2), b) => Path::Seq(
-                    a1,
-                    Box::new(simplify_path(&Path::Seq(a2, Box::new(b)))),
-                ),
+                (Path::Seq(a1, a2), b) => {
+                    Path::Seq(a1, Box::new(simplify_path(&Path::Seq(a2, Box::new(b)))))
+                }
                 (a, b) => Path::Seq(Box::new(a), Box::new(b)),
             }
         }
@@ -199,16 +198,16 @@ mod tests {
 
     #[test]
     fn removes_identity_steps() {
-        assert_eq!(normalize(&parse_path("./a/./b/.").unwrap()), Path::chain(&["a", "b"]));
+        assert_eq!(
+            normalize(&parse_path("./a/./b/.").unwrap()),
+            Path::chain(&["a", "b"])
+        );
         assert_eq!(normalize(&parse_path(".").unwrap()), Path::Empty);
     }
 
     #[test]
     fn collapses_duplicate_unions_and_filters() {
-        assert_eq!(
-            normalize(&parse_path("a | a").unwrap()),
-            Path::label("a")
-        );
+        assert_eq!(normalize(&parse_path("a | a").unwrap()), Path::label("a"));
         assert_eq!(
             normalize(&parse_path("a[b and b]").unwrap()),
             parse_path("a[b]").unwrap()
@@ -311,7 +310,10 @@ mod tests {
             )),
         );
         assert_eq!(normalize(&left), normalize(&right));
-        assert_eq!(normalize(&left), normalize(&parse_path("a | b | c").unwrap()));
+        assert_eq!(
+            normalize(&left),
+            normalize(&parse_path("a | b | c").unwrap())
+        );
         // Still equivalent on a real document, and idempotent.
         assert_equivalent_and_not_larger("patient | record | diagnosis | patient");
         assert_eq!(normalize(&normalize(&left)), normalize(&left));

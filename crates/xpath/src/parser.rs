@@ -33,7 +33,11 @@ pub struct ParseQueryError {
 
 impl fmt::Display for ParseQueryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "query parse error at offset {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "query parse error at offset {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -80,7 +84,7 @@ enum Tok {
     LBracket,
     RBracket,
     Eq,
-    Text,          // `text()`
+    Text, // `text()`
     And,
     Or,
     Not,
@@ -108,26 +112,41 @@ fn lex(input: &str) -> Result<Vec<Spanned>, ParseQueryError> {
             }
             b'/' => {
                 if bytes.get(i + 1) == Some(&b'/') {
-                    out.push(Spanned { tok: Tok::DoubleSlash, offset });
+                    out.push(Spanned {
+                        tok: Tok::DoubleSlash,
+                        offset,
+                    });
                     i += 2;
                 } else {
-                    out.push(Spanned { tok: Tok::Slash, offset });
+                    out.push(Spanned {
+                        tok: Tok::Slash,
+                        offset,
+                    });
                     i += 1;
                 }
             }
             b'|' => {
                 // Accept both `|` (union) and `||` (or).
                 if bytes.get(i + 1) == Some(&b'|') {
-                    out.push(Spanned { tok: Tok::Or, offset });
+                    out.push(Spanned {
+                        tok: Tok::Or,
+                        offset,
+                    });
                     i += 2;
                 } else {
-                    out.push(Spanned { tok: Tok::Pipe, offset });
+                    out.push(Spanned {
+                        tok: Tok::Pipe,
+                        offset,
+                    });
                     i += 1;
                 }
             }
             b'&' => {
                 if bytes.get(i + 1) == Some(&b'&') {
-                    out.push(Spanned { tok: Tok::And, offset });
+                    out.push(Spanned {
+                        tok: Tok::And,
+                        offset,
+                    });
                     i += 2;
                 } else {
                     return Err(ParseQueryError {
@@ -137,35 +156,59 @@ fn lex(input: &str) -> Result<Vec<Spanned>, ParseQueryError> {
                 }
             }
             b'!' => {
-                out.push(Spanned { tok: Tok::Not, offset });
+                out.push(Spanned {
+                    tok: Tok::Not,
+                    offset,
+                });
                 i += 1;
             }
             b'*' => {
-                out.push(Spanned { tok: Tok::Star, offset });
+                out.push(Spanned {
+                    tok: Tok::Star,
+                    offset,
+                });
                 i += 1;
             }
             b'.' => {
-                out.push(Spanned { tok: Tok::Dot, offset });
+                out.push(Spanned {
+                    tok: Tok::Dot,
+                    offset,
+                });
                 i += 1;
             }
             b'(' => {
-                out.push(Spanned { tok: Tok::LParen, offset });
+                out.push(Spanned {
+                    tok: Tok::LParen,
+                    offset,
+                });
                 i += 1;
             }
             b')' => {
-                out.push(Spanned { tok: Tok::RParen, offset });
+                out.push(Spanned {
+                    tok: Tok::RParen,
+                    offset,
+                });
                 i += 1;
             }
             b'[' => {
-                out.push(Spanned { tok: Tok::LBracket, offset });
+                out.push(Spanned {
+                    tok: Tok::LBracket,
+                    offset,
+                });
                 i += 1;
             }
             b']' => {
-                out.push(Spanned { tok: Tok::RBracket, offset });
+                out.push(Spanned {
+                    tok: Tok::RBracket,
+                    offset,
+                });
                 i += 1;
             }
             b'=' => {
-                out.push(Spanned { tok: Tok::Eq, offset });
+                out.push(Spanned {
+                    tok: Tok::Eq,
+                    offset,
+                });
                 i += 1;
             }
             b'\'' | b'"' => {
@@ -201,7 +244,10 @@ fn lex(input: &str) -> Result<Vec<Spanned>, ParseQueryError> {
                 // `text()` is a single token.
                 if word == "text" && bytes.get(i) == Some(&b'(') && bytes.get(i + 1) == Some(&b')')
                 {
-                    out.push(Spanned { tok: Tok::Text, offset });
+                    out.push(Spanned {
+                        tok: Tok::Text,
+                        offset,
+                    });
                     i += 2;
                 } else {
                     let tok = match word {
@@ -216,7 +262,10 @@ fn lex(input: &str) -> Result<Vec<Spanned>, ParseQueryError> {
             _ => {
                 return Err(ParseQueryError {
                     offset,
-                    message: format!("unexpected character '{}'", input[i..].chars().next().unwrap()),
+                    message: format!(
+                        "unexpected character '{}'",
+                        input[i..].chars().next().unwrap()
+                    ),
                 });
             }
         }
@@ -449,10 +498,7 @@ impl Parser {
                 if let Ok(inner) = self.pred() {
                     if self.eat(&Tok::RParen) {
                         match self.peek() {
-                            None
-                            | Some(Tok::And)
-                            | Some(Tok::Or)
-                            | Some(Tok::RBracket)
+                            None | Some(Tok::And) | Some(Tok::Or) | Some(Tok::RBracket)
                             | Some(Tok::RParen) => return Ok(inner),
                             _ => {}
                         }
@@ -506,7 +552,10 @@ mod tests {
         let q = parse_path("(a | b)*/c").unwrap();
         assert_eq!(
             q,
-            Path::label("a").or(Path::label("b")).star().then(Path::label("c"))
+            Path::label("a")
+                .or(Path::label("b"))
+                .star()
+                .then(Path::label("c"))
         );
     }
 
@@ -668,10 +717,12 @@ mod tests {
         for q in queries {
             let parsed = parse_path(q).unwrap();
             let printed = parsed.to_string();
-            let reparsed = parse_path(&printed).unwrap_or_else(|e| {
-                panic!("re-parse of `{printed}` (from `{q}`) failed: {e}")
-            });
-            assert_eq!(parsed, reparsed, "round trip failed for `{q}` -> `{printed}`");
+            let reparsed = parse_path(&printed)
+                .unwrap_or_else(|e| panic!("re-parse of `{printed}` (from `{q}`) failed: {e}"));
+            assert_eq!(
+                parsed, reparsed,
+                "round trip failed for `{q}` -> `{printed}`"
+            );
         }
     }
 
@@ -687,7 +738,9 @@ mod tests {
         let q = parse_path("(patient/parent)*/patient").unwrap();
         assert_eq!(
             q,
-            Path::chain(&["patient", "parent"]).star().then(Path::label("patient"))
+            Path::chain(&["patient", "parent"])
+                .star()
+                .then(Path::label("patient"))
         );
         assert!(q.contains_star());
         assert!(!q.contains_xpath_axes());
@@ -725,16 +778,14 @@ mod tests {
         let q = parse_path("patient/(record | parent/patient/record)").unwrap();
         assert_eq!(
             q,
-            Path::label("patient").then(
-                Path::label("record").or(Path::chain(&["parent", "patient", "record"]))
-            )
+            Path::label("patient")
+                .then(Path::label("record").or(Path::chain(&["parent", "patient", "record"])))
         );
     }
 
     #[test]
     fn parses_corpus_text_predicates_and_conjunction() {
-        let q =
-            parse_path("patient[record/diagnosis/text()='heart disease' and parent]").unwrap();
+        let q = parse_path("patient[record/diagnosis/text()='heart disease' and parent]").unwrap();
         assert_eq!(
             q,
             Path::label("patient").filter(
@@ -795,7 +846,10 @@ mod tests {
             let printed = parsed.to_string();
             let reparsed = parse_path(&printed)
                 .unwrap_or_else(|e| panic!("re-parse of `{printed}` (from `{q}`) failed: {e}"));
-            assert_eq!(parsed, reparsed, "round trip failed for `{q}` -> `{printed}`");
+            assert_eq!(
+                parsed, reparsed,
+                "round trip failed for `{q}` -> `{printed}`"
+            );
         }
     }
 
@@ -804,15 +858,15 @@ mod tests {
         // Broken versions of corpus queries; each must fail with an offset
         // inside the input, not panic or mis-parse.
         let malformed = [
-            "(patient/parent*",                          // unclosed group
-            "(patient/parent)*/",                        // dangling slash
-            "patient[not(parent]",                       // unclosed not(...)
-            "patient[record |]",                         // union missing operand
-            "patient[record/diagnosis/text()=heart]",    // unquoted string
-            "patient[record/diagnosis/text()]",          // text() outside comparison
-            "patient[]",                                 // empty predicate
-            "| patient",                                 // union missing left operand
-            "patient[not]",                              // not without an operand
+            "(patient/parent*",                            // unclosed group
+            "(patient/parent)*/",                          // dangling slash
+            "patient[not(parent]",                         // unclosed not(...)
+            "patient[record |]",                           // union missing operand
+            "patient[record/diagnosis/text()=heart]",      // unquoted string
+            "patient[record/diagnosis/text()]",            // text() outside comparison
+            "patient[]",                                   // empty predicate
+            "| patient",                                   // union missing left operand
+            "patient[not]",                                // not without an operand
             "patient[record/diagnosis/text()='heart' or]", // or missing operand
         ];
         for q in malformed {
@@ -858,7 +912,11 @@ mod tests {
                 err.message
             );
 
-            let nots = format!("patient[{}record{}]", "not(".repeat(depth), ")".repeat(depth));
+            let nots = format!(
+                "patient[{}record{}]",
+                "not(".repeat(depth),
+                ")".repeat(depth)
+            );
             let err = parse_path(&nots).unwrap_err();
             assert!(err.message.contains("nesting too deep"), "depth {depth}");
         }

@@ -75,10 +75,18 @@ fn main() {
     let first = store.get(ids[0]).unwrap();
     let again = store.insert_snapshot(&first.snapshot_bytes()).unwrap();
     assert_eq!(again, ids[0]);
-    println!("re-insert of {} deduplicated -> store still holds {}", ids[0], store.len());
+    println!(
+        "re-insert of {} deduplicated -> store still holds {}",
+        ids[0],
+        store.len()
+    );
 
     section("3. Corpus serving: sequential vs across-documents parallel");
-    let queries = ["patient", "patient/record/diagnosis", "patient[not(parent)]"];
+    let queries = [
+        "patient",
+        "patient/record/diagnosis",
+        "patient[not(parent)]",
+    ];
     let requests: Vec<_> = ids
         .iter()
         .flat_map(|&id| queries.iter().map(move |&q| (id, q)))
@@ -106,7 +114,10 @@ fn main() {
             .evaluate_corpus(&store, &requests, EvaluationMode::OptHyPE)
             .unwrap()
     });
-    assert_eq!(parallel, sequential, "corpus-parallel must be bit-identical");
+    assert_eq!(
+        parallel, sequential,
+        "corpus-parallel must be bit-identical"
+    );
     let answers: usize = sequential.iter().map(|r| r.answers.len()).sum();
     println!(
         "{} requests over {} documents: sequential {seq_ms:.1} ms | parallel(4t) {par_ms:.1} ms \

@@ -70,11 +70,18 @@ fn main() {
     // The translation-style baseline (the role Galax plays in the paper).
     let parsed = compiled.query().clone();
     let (by_translation, ms) = timed(|| smoqe_baseline::evaluate_by_translation(&doc, &parsed));
-    println!("  {:<10} {:>5} matches  {:>9.2} ms  (fix-point interpreter, no automaton)",
-        "translate", by_translation.len(), ms);
+    println!(
+        "  {:<10} {:>5} matches  {:>9.2} ms  (fix-point interpreter, no automaton)",
+        "translate",
+        by_translation.len(),
+        ms
+    );
 
     let reference = compiled.evaluate(&doc, doc.root(), None, 1).answers;
     assert_eq!(by_translation, reference, "all evaluators must agree");
     println!();
-    println!("All evaluators agree on {} matching patients.", reference.len());
+    println!(
+        "All evaluators agree on {} matching patients.",
+        reference.len()
+    );
 }

@@ -75,11 +75,18 @@ fn main() {
             "  {:<60} -> {} nodes {}",
             query,
             answers.len(),
-            if answers.is_empty() { "(denied)" } else { "(LEAK!)" }
+            if answers.is_empty() {
+                "(denied)"
+            } else {
+                "(LEAK!)"
+            }
         );
         leaked += answers.len();
     }
-    assert_eq!(leaked, 0, "the security view must not leak confidential data");
+    assert_eq!(
+        leaked, 0,
+        "the security view must not leak confidential data"
+    );
 
     println!();
     println!("All confidential queries returned empty answers: the view is enforced.");

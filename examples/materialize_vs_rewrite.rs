@@ -73,7 +73,10 @@ fn main() {
         let q = parse_path(query).unwrap();
         let (on_view, ms_view) = timed(|| evaluate(&view.tree, view.tree.root(), &q));
         let expected = view.origins_of(&on_view);
-        assert_eq!(opt.answers, expected, "rewriting must agree with the materialized view");
+        assert_eq!(
+            opt.answers, expected,
+            "rewriting must agree with the materialized view"
+        );
 
         hype_pruned.push(hype.stats.pruned_fraction());
         opt_pruned.push(opt.stats.pruned_fraction());
@@ -90,6 +93,12 @@ fn main() {
 
     section("Average pruning across the example queries (paper: 78.2% / 88%)");
     let avg = |v: &[f64]| 100.0 * v.iter().sum::<f64>() / v.len() as f64;
-    println!("  HyPE    prunes {:>5.1}% of element nodes on average", avg(&hype_pruned));
-    println!("  OptHyPE prunes {:>5.1}% of element nodes on average", avg(&opt_pruned));
+    println!(
+        "  HyPE    prunes {:>5.1}% of element nodes on average",
+        avg(&hype_pruned)
+    );
+    println!(
+        "  OptHyPE prunes {:>5.1}% of element nodes on average",
+        avg(&opt_pruned)
+    );
 }

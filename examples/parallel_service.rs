@@ -89,9 +89,7 @@ fn main() {
     println!(
         "  {} queries, {} physical node visits (vs {} sequential-equivalent): \
          batch {seq_ms:.1} ms, parallel batch {par_ms:.1} ms (identical results)",
-        parallel.stats.queries,
-        parallel.stats.nodes_visited,
-        parallel.stats.sequential_node_visits
+        parallel.stats.queries, parallel.stats.nodes_visited, parallel.stats.sequential_node_visits
     );
 
     section("Eight request threads sharing one service");

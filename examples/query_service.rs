@@ -59,7 +59,10 @@ fn main() {
         }
     });
     println!("first round (cold caches): {cold_ms:>8.2} ms");
-    println!("next 4 rounds (warm):      {warm_ms:>8.2} ms ({:.2} ms/round)", warm_ms / 4.0);
+    println!(
+        "next 4 rounds (warm):      {warm_ms:>8.2} ms ({:.2} ms/round)",
+        warm_ms / 4.0
+    );
     let stats = service.stats();
     println!(
         "compiled queries: {} cached, {} hits / {} misses (normalization merged {} texts)",
@@ -96,7 +99,10 @@ fn main() {
     );
     for (q, r) in queries.iter().zip(&batch.results) {
         let solo = service.evaluate(q, doc, EvaluationMode::OptHyPE).unwrap();
-        assert_eq!(r.answers, solo.answers, "batched answers equal solo answers");
+        assert_eq!(
+            r.answers, solo.answers,
+            "batched answers equal solo answers"
+        );
         println!(
             "  {:>4} answers, {:>6} nodes visited by this query  <-  {q}",
             r.answers.len(),
@@ -109,6 +115,9 @@ fn main() {
         "every repeated query skipped the rewrite+compile path ({} cache hits),",
         service.stats().compiled_hits
     );
-    println!("and a batch of {} queries traversed the document once, not {} times.",
-        queries.len(), queries.len());
+    println!(
+        "and a batch of {} queries traversed the document once, not {} times.",
+        queries.len(),
+        queries.len()
+    );
 }

@@ -18,7 +18,11 @@ fn main() {
         ..Default::default()
     });
     section("Document");
-    println!("hospital document: {} element nodes, depth {}", doc.len(), doc.max_depth());
+    println!(
+        "hospital document: {} element nodes, depth {}",
+        doc.len(),
+        doc.max_depth()
+    );
 
     // 2. The research-institute security view σ₀ of the paper's Fig. 1:
     //    only heart-disease patients, their ancestor hierarchy and their

@@ -18,8 +18,8 @@ use smoqed::{EvaluationMode, Server, ServerConfig, SmoqedClient};
 fn main() {
     // A real TCP server on an ephemeral loopback port: accept thread,
     // bounded admission queue, worker pool.
-    let mut server = Server::spawn("127.0.0.1:0", ServerConfig::default())
-        .expect("loopback server spawns");
+    let mut server =
+        Server::spawn("127.0.0.1:0", ServerConfig::default()).expect("loopback server spawns");
     println!("smoqed listening on {}", server.addr());
 
     // Two tenants (user classes), each with its own σ, caches and
@@ -44,7 +44,10 @@ fn main() {
     });
     let bytes = snapshot::save(&doc);
     let nurse_doc = client.register_document("nurse", &bytes).expect("register");
-    println!("registered {} snapshot bytes as doc {nurse_doc:#x} for nurse", bytes.len());
+    println!(
+        "registered {} snapshot bytes as doc {nurse_doc:#x} for nurse",
+        bytes.len()
+    );
 
     // Queries over the wire, solo and batched.
     for query in ["patient", "(patient/parent)*/patient", "//diagnosis"] {

@@ -205,7 +205,9 @@ fn edit_script(case: &FuzzCase, domain: &Domain, tree: &XmlTree) -> Vec<EditOp> 
     let mut ops = Vec::with_capacity(case.edit_len);
     for _ in 0..case.edit_len {
         let op = random_op(&mut rng, &probe, &payloads);
-        probe.apply(&op).expect("generated ops are valid in sequence");
+        probe
+            .apply(&op)
+            .expect("generated ops are valid in sequence");
         ops.push(op);
     }
     ops
@@ -219,7 +221,10 @@ const QUERIES_PER_CORPUS: usize = 3;
 /// is covered across a campaign.
 fn query_mix<'d>(case: &FuzzCase, domain: &'d Domain) -> Vec<(String, bool, &'d str)> {
     let mut out = Vec::new();
-    for (corpus, is_view) in [(domain.document_queries, false), (domain.view_queries, true)] {
+    for (corpus, is_view) in [
+        (domain.document_queries, false),
+        (domain.view_queries, true),
+    ] {
         for k in 0..QUERIES_PER_CORPUS.min(corpus.len()) {
             let q = corpus[(case.query_offset + k * 7) % corpus.len()];
             let tag = if is_view { "view" } else { "doc" };
@@ -317,13 +322,21 @@ pub fn run_case(domain: &Domain, case: &FuzzCase) -> Result<(), Box<Divergence>>
         // Compiled tree walk.
         let solo = c.evaluate(&doc, doc.root(), None, 1);
         if solo.answers != oracle {
-            return Err(diverge(name, "compiled", answer_diff(&solo.answers, &oracle)));
+            return Err(diverge(
+                name,
+                "compiled",
+                answer_diff(&solo.answers, &oracle),
+            ));
         }
 
         // Interpreted reference: oracle answers, compiled stats.
         let interp = interpreted::evaluate(&doc, c.mfa());
         if interp.answers != oracle {
-            return Err(diverge(name, "interpreted", answer_diff(&interp.answers, &oracle)));
+            return Err(diverge(
+                name,
+                "interpreted",
+                answer_diff(&interp.answers, &oracle),
+            ));
         }
         if interp.stats != solo.stats {
             return Err(diverge(
@@ -341,7 +354,11 @@ pub fn run_case(domain: &Domain, case: &FuzzCase) -> Result<(), Box<Divergence>>
             return Err(diverge(
                 name,
                 "streamed",
-                format!("{:?} vs oracle(pre-order) {:?}", streamed.answers, to_preorder(&oracle, &pre)),
+                format!(
+                    "{:?} vs oracle(pre-order) {:?}",
+                    streamed.answers,
+                    to_preorder(&oracle, &pre)
+                ),
             ));
         }
         if streamed.stats != solo.stats {
@@ -356,7 +373,11 @@ pub fn run_case(domain: &Domain, case: &FuzzCase) -> Result<(), Box<Divergence>>
         for threads in BUDGETS {
             let par = run_ir(&doc, doc.root(), c.compiled(), None, threads);
             if par.answers != oracle {
-                return Err(diverge(name, "parallel", format!("{threads}t: {}", answer_diff(&par.answers, &oracle))));
+                return Err(diverge(
+                    name,
+                    "parallel",
+                    format!("{threads}t: {}", answer_diff(&par.answers, &oracle)),
+                ));
             }
             if par.stats != solo.stats {
                 return Err(diverge(
@@ -370,7 +391,11 @@ pub fn run_case(domain: &Domain, case: &FuzzCase) -> Result<(), Box<Divergence>>
         // The three evaluation modes (the Opt modes route through the
         // conformance-guarded index build; answers only — pruning changes
         // visit counts by design).
-        for mode in [EvaluationMode::HyPE, EvaluationMode::OptHyPE, EvaluationMode::OptHyPEC] {
+        for mode in [
+            EvaluationMode::HyPE,
+            EvaluationMode::OptHyPE,
+            EvaluationMode::OptHyPEC,
+        ] {
             let index = mode
                 .compressed_index()
                 .map(|compressed| c.build_index(domain.document_dtd(), &doc, compressed));
@@ -410,7 +435,11 @@ pub fn run_case(domain: &Domain, case: &FuzzCase) -> Result<(), Box<Divergence>>
 fn answer_diff(got: &BTreeSet<NodeId>, want: &BTreeSet<NodeId>) -> String {
     let missing: Vec<_> = want.difference(got).collect();
     let extra: Vec<_> = got.difference(want).collect();
-    format!("missing {missing:?}, extra {extra:?} (got {}, want {})", got.len(), want.len())
+    format!(
+        "missing {missing:?}, extra {extra:?} (got {}, want {})",
+        got.len(),
+        want.len()
+    )
 }
 
 /// Shrinks a failing case: fewer edit ops first (scale is already minimal),

@@ -72,7 +72,10 @@ pub fn domain_corpus_mfas(domain: &Domain) -> Vec<(String, Mfa)> {
         let compiled = engine
             .compile(query)
             .unwrap_or_else(|e| panic!("{}: `{query}` fails to rewrite: {e}", domain.name));
-        out.push((format!("{}/view:{query}", domain.name), compiled.mfa().clone()));
+        out.push((
+            format!("{}/view:{query}", domain.name),
+            compiled.mfa().clone(),
+        ));
     }
     out
 }
@@ -108,7 +111,9 @@ pub fn run_ir(
         compiled: Arc::clone(ir),
         index,
     };
-    evaluate_tree(tree, context, &[query], threads).results.remove(0)
+    evaluate_tree(tree, context, &[query], threads)
+        .results
+        .remove(0)
 }
 
 /// Compiles the builder MFA `mfa` and evaluates it alone at `context` on
@@ -165,11 +170,15 @@ mod tests {
     #[test]
     fn view_query_corpus_matches_parser_unit_mirror() {
         let corpus = view_query_corpus();
-        assert_eq!(corpus.len(), 20, "corpus changed: update the parser unit-test mirror");
+        assert_eq!(
+            corpus.len(),
+            20,
+            "corpus changed: update the parser unit-test mirror"
+        );
         let joined = corpus.join("\n");
-        let checksum = joined
-            .bytes()
-            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3));
+        let checksum = joined.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+        });
         assert_eq!(
             checksum, 0xc101_ed93_94fa_c9f5,
             "corpus changed (checksum {checksum:#x}): update the mirror in \

@@ -36,7 +36,11 @@ fn empty_view_documents_answer_nothing_through_every_engine_and_mode() {
             continue;
         }
         let doc = domain.generate(DocShape::EmptyView, 1, STANDARD_SEED);
-        assert!(doc.len() > 1, "{}: the *document* is not empty", domain.name);
+        assert!(
+            doc.len() > 1,
+            "{}: the *document* is not empty",
+            domain.name
+        );
         let engine = SmoqeEngine::new(domain.view.clone()).expect("registered views check");
 
         for &query in domain.view_queries {
@@ -86,7 +90,11 @@ fn empty_view_documents_answer_nothing_through_every_engine_and_mode() {
             // still reproduce the sequential stats bit for bit.
             for &threads in BUDGETS {
                 let par = run_ir(&doc, doc.root(), compiled.compiled(), None, threads);
-                assert!(par.answers.is_empty(), "{}: `{query}` ({threads}t)", domain.name);
+                assert!(
+                    par.answers.is_empty(),
+                    "{}: `{query}` ({threads}t)",
+                    domain.name
+                );
                 assert_eq!(
                     par.stats, solo.stats,
                     "{}: parallel 'no answers' stats differ on `{query}` ({threads}t)",
@@ -126,7 +134,11 @@ fn empty_view_documents_answer_nothing_through_every_engine_and_mode() {
         let mut events = TreeEvents::new(&doc);
         let streamed = stream_batch(&mut events, &batch).unwrap();
         for (i, q) in domain.view_queries.iter().enumerate() {
-            assert!(streamed.results[i].answers.is_empty(), "{}: `{q}` streamed", domain.name);
+            assert!(
+                streamed.results[i].answers.is_empty(),
+                "{}: `{q}` streamed",
+                domain.name
+            );
             assert_eq!(
                 streamed.results[i].stats, tree_batch.results[i].stats,
                 "{}: streamed 'no answers' stats differ on `{q}`",
@@ -164,8 +176,14 @@ fn alias_explosions_stay_bit_identical_through_every_engine() {
 
         for (i, (name, ir)) in irs.iter().enumerate() {
             let solo = run_ir(&doc, doc.root(), ir, None, 1);
-            assert_eq!(solo.answers, tree_batch.results[i].answers, "`{name}` solo vs batched");
-            assert_eq!(solo.stats, tree_batch.results[i].stats, "`{name}` solo vs batched stats");
+            assert_eq!(
+                solo.answers, tree_batch.results[i].answers,
+                "`{name}` solo vs batched"
+            );
+            assert_eq!(
+                solo.stats, tree_batch.results[i].stats,
+                "`{name}` solo vs batched stats"
+            );
             for &threads in BUDGETS {
                 let par = run_ir(&doc, doc.root(), ir, None, threads);
                 assert_eq!(par.answers, solo.answers, "`{name}` ({threads}t)");
@@ -175,10 +193,20 @@ fn alias_explosions_stay_bit_identical_through_every_engine() {
 
         for &threads in BUDGETS {
             let par = evaluate_tree(&doc, doc.root(), &batch, threads);
-            assert_eq!(par.stats, tree_batch.stats, "{}: aggregate ({threads}t)", domain.name);
+            assert_eq!(
+                par.stats, tree_batch.stats,
+                "{}: aggregate ({threads}t)",
+                domain.name
+            );
             for (i, (name, _)) in irs.iter().enumerate() {
-                assert_eq!(par.results[i].answers, tree_batch.results[i].answers, "`{name}`");
-                assert_eq!(par.results[i].stats, tree_batch.results[i].stats, "`{name}` stats");
+                assert_eq!(
+                    par.results[i].answers, tree_batch.results[i].answers,
+                    "`{name}`"
+                );
+                assert_eq!(
+                    par.results[i].stats, tree_batch.results[i].stats,
+                    "`{name}` stats"
+                );
             }
         }
     }

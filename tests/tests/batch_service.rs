@@ -9,8 +9,10 @@
 //! On top of that sits the [`smoqe::QueryService`], whose caches must be
 //! semantically invisible.
 
-use integration_tests::{oracle_answer, standard_hospital_document, view_query_corpus,
-    document_query_corpus, compile_batch, hype_at};
+use integration_tests::{
+    compile_batch, document_query_corpus, hype_at, oracle_answer, standard_hospital_document,
+    view_query_corpus,
+};
 use smoqe::{EvaluationMode, QueryService, ServiceConfig, SmoqeEngine};
 use smoqe_automata::compile_query;
 use smoqe_hype::interpreted::BatchQuery;
@@ -23,7 +25,12 @@ use smoqe_xpath::parse_path;
 fn compiled_view_corpus(engine: &SmoqeEngine) -> Vec<(String, smoqe::CompiledQuery)> {
     view_query_corpus()
         .into_iter()
-        .map(|q| (q.to_owned(), engine.compile(q).expect("corpus query compiles")))
+        .map(|q| {
+            (
+                q.to_owned(),
+                engine.compile(q).expect("corpus query compiles"),
+            )
+        })
         .collect()
 }
 
@@ -38,18 +45,29 @@ fn batched_equals_sequential_on_the_view_corpus_hype_mode() {
     let engine = SmoqeEngine::hospital_demo();
     let compiled = compiled_view_corpus(&engine);
 
-    let batch_queries: Vec<BatchQuery> =
-        compiled.iter().map(|(_, c)| BatchQuery::new(c.mfa())).collect();
+    let batch_queries: Vec<BatchQuery> = compiled
+        .iter()
+        .map(|(_, c)| BatchQuery::new(c.mfa()))
+        .collect();
     let batch = walk_batch(&doc, &batch_queries);
 
     let mut sequential_visits = 0;
     for (i, (query, c)) in compiled.iter().enumerate() {
         let solo = c.evaluate(&doc, doc.root(), None, 1);
-        assert_eq!(batch.results[i].answers, solo.answers, "answers differ on `{query}`");
-        assert_eq!(batch.results[i].stats, solo.stats, "stats differ on `{query}`");
+        assert_eq!(
+            batch.results[i].answers, solo.answers,
+            "answers differ on `{query}`"
+        );
+        assert_eq!(
+            batch.results[i].stats, solo.stats,
+            "stats differ on `{query}`"
+        );
         // And both agree with the materialize-then-evaluate oracle.
         let oracle = oracle_answer(engine.view(), &doc, query);
-        assert_eq!(batch.results[i].answers, oracle, "oracle differs on `{query}`");
+        assert_eq!(
+            batch.results[i].answers, oracle,
+            "oracle differs on `{query}`"
+        );
         sequential_visits += solo.stats.nodes_visited;
     }
     assert_eq!(batch.stats.queries, compiled.len());
@@ -116,8 +134,13 @@ fn batched_equals_sequential_on_the_document_corpus() {
         .map(|(_, m)| ReachabilityIndex::new(m, &dtd, doc.labels()))
         .collect();
 
-    let plain_batch =
-        walk_batch(&doc, &mfas.iter().map(|(_, m)| BatchQuery::new(m)).collect::<Vec<_>>());
+    let plain_batch = walk_batch(
+        &doc,
+        &mfas
+            .iter()
+            .map(|(_, m)| BatchQuery::new(m))
+            .collect::<Vec<_>>(),
+    );
     let indexed_batch = walk_batch(
         &doc,
         &mfas
@@ -131,10 +154,19 @@ fn batched_equals_sequential_on_the_document_corpus() {
         assert_eq!(plain_batch.results[i].answers, solo.answers, "on `{query}`");
         assert_eq!(plain_batch.results[i].stats, solo.stats, "on `{query}`");
         let solo_opt = hype_at(&doc, doc.root(), mfa, Some(&indexes[i]));
-        assert_eq!(indexed_batch.results[i].answers, solo_opt.answers, "on `{query}` (opt)");
-        assert_eq!(indexed_batch.results[i].stats, solo_opt.stats, "on `{query}` (opt)");
+        assert_eq!(
+            indexed_batch.results[i].answers, solo_opt.answers,
+            "on `{query}` (opt)"
+        );
+        assert_eq!(
+            indexed_batch.results[i].stats, solo_opt.stats,
+            "on `{query}` (opt)"
+        );
         // Batched answers are mode-independent too.
-        assert_eq!(plain_batch.results[i].answers, indexed_batch.results[i].answers);
+        assert_eq!(
+            plain_batch.results[i].answers,
+            indexed_batch.results[i].answers
+        );
     }
     assert!(plain_batch.stats.nodes_visited < plain_batch.stats.sequential_node_visits);
     assert!(indexed_batch.stats.nodes_visited <= indexed_batch.stats.sequential_node_visits);
@@ -153,8 +185,14 @@ fn service_batch_matches_sequential_service_calls_on_the_corpus() {
         let batch = service.evaluate_batch(&queries, &doc, mode).unwrap();
         for (i, query) in queries.iter().enumerate() {
             let solo = service.evaluate(query, &doc, mode).unwrap();
-            assert_eq!(batch.results[i].answers, solo.answers, "on `{query}` ({mode:?})");
-            assert_eq!(batch.results[i].stats, solo.stats, "on `{query}` ({mode:?})");
+            assert_eq!(
+                batch.results[i].answers, solo.answers,
+                "on `{query}` ({mode:?})"
+            );
+            assert_eq!(
+                batch.results[i].stats, solo.stats,
+                "on `{query}` ({mode:?})"
+            );
         }
     }
     // Every query was compiled exactly once across all six passes.
@@ -180,7 +218,9 @@ fn service_cache_is_semantically_invisible_under_eviction_pressure() {
     .unwrap();
     for _round in 0..2 {
         for query in view_query_corpus() {
-            let via_service = service.evaluate(query, &doc, EvaluationMode::OptHyPE).unwrap();
+            let via_service = service
+                .evaluate(query, &doc, EvaluationMode::OptHyPE)
+                .unwrap();
             let direct = engine.answer(query, &doc, EvaluationMode::OptHyPE).unwrap();
             assert_eq!(via_service.answers, direct.answers, "on `{query}`");
             assert_eq!(via_service.stats, direct.stats, "on `{query}`");
@@ -210,7 +250,10 @@ fn batch_sharing_factor_grows_with_overlapping_queries() {
         .collect();
     let batch = walk_batch(&doc, &mfas.iter().map(BatchQuery::new).collect::<Vec<_>>());
     let factor = batch.stats.sharing_factor();
-    assert!(factor > 1.0, "overlapping queries must share visits (factor {factor})");
+    assert!(
+        factor > 1.0,
+        "overlapping queries must share visits (factor {factor})"
+    );
     assert!(factor <= queries.len() as f64 + 1e-9);
     assert_eq!(
         batch.stats.visits_saved(),

@@ -13,11 +13,11 @@
 //!   MFA produced by algorithm `rewrite`.
 //! * **Theorem 5.1** — the MFA rewriting is polynomial in |Q|, |σ|, |DV|.
 
+use integration_tests::hype_at;
 use smoqe_rewrite::{rewrite_to_mfa, rewrite_to_xreg};
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
 use smoqe_views::{hospital_view, materialize, ViewDefinition};
 use smoqe_xml::{Child, ContentModel, Dtd};
-use integration_tests::hype_at;
 use smoqe_xpath::{evaluate, parse_path};
 
 /// The incorrect translation the paper warns about: rewriting Example 1.1's
@@ -81,17 +81,17 @@ fn xreg_is_closed_under_rewriting() {
         "patient[not(parent)]/record",
     ] {
         let q = parse_path(query).unwrap();
-        let expected = materialized.origins_of(&evaluate(
-            &materialized.tree,
-            materialized.tree.root(),
-            &q,
-        ));
+        let expected =
+            materialized.origins_of(&evaluate(&materialized.tree, materialized.tree.root(), &q));
         let direct = rewrite_to_xreg(&q, &view).unwrap();
         let got = match direct.query {
             None => std::collections::BTreeSet::new(),
             Some(rewritten) => evaluate(&doc, doc.root(), &rewritten),
         };
-        assert_eq!(got, expected, "direct rewriting not equivalent for `{query}`");
+        assert_eq!(
+            got, expected,
+            "direct rewriting not equivalent for `{query}`"
+        );
     }
 }
 
@@ -197,7 +197,10 @@ fn mfa_rewriting_is_linear_in_query_size_over_the_hospital_view() {
     }
     // Increments between consecutive sizes must be (roughly) constant:
     // max increment no more than 3x the min increment.
-    let increments: Vec<i64> = sizes.windows(2).map(|w| w[1] as i64 - w[0] as i64).collect();
+    let increments: Vec<i64> = sizes
+        .windows(2)
+        .map(|w| w[1] as i64 - w[0] as i64)
+        .collect();
     let min = *increments.iter().min().unwrap();
     let max = *increments.iter().max().unwrap();
     assert!(min > 0, "sizes must be strictly increasing: {sizes:?}");

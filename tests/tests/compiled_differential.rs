@@ -46,7 +46,10 @@ fn solo_compiled_matches_interpreted_on_both_corpora() {
     for (name, mfa) in corpus_mfas() {
         let reference = interpreted::evaluate(&doc, &mfa);
         let compiled = hype_at(&doc, doc.root(), &mfa, None);
-        assert_eq!(compiled.answers, reference.answers, "answers differ on `{name}`");
+        assert_eq!(
+            compiled.answers, reference.answers,
+            "answers differ on `{name}`"
+        );
         assert_eq!(compiled.stats, reference.stats, "stats differ on `{name}`");
 
         for compressed in [false, true] {
@@ -55,8 +58,7 @@ fn solo_compiled_matches_interpreted_on_both_corpora() {
             } else {
                 ReachabilityIndex::new(&mfa, &dtd, doc.labels())
             };
-            let reference =
-                interpreted::evaluate_at_with(&doc, doc.root(), &mfa, Some(&index));
+            let reference = interpreted::evaluate_at_with(&doc, doc.root(), &mfa, Some(&index));
             let compiled = hype_at(&doc, doc.root(), &mfa, Some(&index));
             assert_eq!(
                 compiled.answers, reference.answers,
@@ -80,7 +82,10 @@ fn batched_compiled_matches_interpreted_per_query_and_in_aggregate() {
     let queries: Vec<BatchQuery> = mfas.iter().map(|(_, m)| BatchQuery::new(m)).collect();
     let reference = interpreted::evaluate_batch(&doc, &queries);
     let compiled = evaluate_tree(&doc, doc.root(), &compile_batch(&queries), 1);
-    assert_eq!(compiled.stats, reference.stats, "aggregate batch stats differ");
+    assert_eq!(
+        compiled.stats, reference.stats,
+        "aggregate batch stats differ"
+    );
     for (i, (name, _)) in mfas.iter().enumerate() {
         assert_eq!(
             compiled.results[i].answers, reference.results[i].answers,
@@ -96,9 +101,7 @@ fn batched_compiled_matches_interpreted_per_query_and_in_aggregate() {
     let indexes: Vec<Option<ReachabilityIndex>> = mfas
         .iter()
         .enumerate()
-        .map(|(i, (_, m))| {
-            (i % 2 == 0).then(|| ReachabilityIndex::new(m, &dtd, doc.labels()))
-        })
+        .map(|(i, (_, m))| (i % 2 == 0).then(|| ReachabilityIndex::new(m, &dtd, doc.labels())))
         .collect();
     let queries: Vec<BatchQuery> = mfas
         .iter()
@@ -134,7 +137,10 @@ fn streamed_compiled_matches_interpreted_solo_and_batched() {
         let reference = interpreted::evaluate_stream_batch(&mut events, &queries).unwrap();
         let mut events = TreeEvents::new(&doc);
         let compiled = stream_batch(&mut events, &compile_batch(&queries)).unwrap();
-        assert_eq!(compiled.stats, reference.stats, "stream stats differ on `{name}`");
+        assert_eq!(
+            compiled.stats, reference.stats,
+            "stream stats differ on `{name}`"
+        );
         assert_eq!(
             compiled.results[0].answers, reference.results[0].answers,
             "streamed answers differ on `{name}`"
@@ -150,7 +156,10 @@ fn streamed_compiled_matches_interpreted_solo_and_batched() {
     let reference = interpreted::evaluate_stream_batch(&mut events, &queries).unwrap();
     let mut events = TreeEvents::new(&doc);
     let compiled = stream_batch(&mut events, &compile_batch(&queries)).unwrap();
-    assert_eq!(compiled.stats, reference.stats, "batched stream stats differ");
+    assert_eq!(
+        compiled.stats, reference.stats,
+        "batched stream stats differ"
+    );
     for (i, (name, _)) in mfas.iter().enumerate() {
         assert_eq!(
             compiled.results[i].answers, reference.results[i].answers,
@@ -182,11 +191,18 @@ fn every_domain_and_shape_compiled_matches_interpreted() {
                     compiled.answers, reference.answers,
                     "answers differ on `{name}` ({shape:?})"
                 );
-                assert_eq!(compiled.stats, reference.stats, "stats differ on `{name}` ({shape:?})");
+                assert_eq!(
+                    compiled.stats, reference.stats,
+                    "stats differ on `{name}` ({shape:?})"
+                );
 
                 for compressed in [false, true] {
-                    let index =
-                        ReachabilityIndex::from_labels(mfa.labels(), &dtd, doc.labels(), compressed);
+                    let index = ReachabilityIndex::from_labels(
+                        mfa.labels(),
+                        &dtd,
+                        doc.labels(),
+                        compressed,
+                    );
                     let reference =
                         interpreted::evaluate_at_with(&doc, doc.root(), mfa, Some(&index));
                     let compiled = hype_at(&doc, doc.root(), mfa, Some(&index));
@@ -259,7 +275,10 @@ fn compiled_matches_interpreted_from_every_context_node() {
     for ctx in doc.node_ids() {
         let reference = interpreted::evaluate_at_with(&doc, ctx, &mfa, None);
         let compiled = hype_at(&doc, ctx, &mfa, None);
-        assert_eq!(compiled.answers, reference.answers, "answers differ at {ctx:?}");
+        assert_eq!(
+            compiled.answers, reference.answers,
+            "answers differ at {ctx:?}"
+        );
         assert_eq!(compiled.stats, reference.stats, "stats differ at {ctx:?}");
     }
 }

@@ -82,7 +82,10 @@ fn hype_corpus_parallel_is_bit_identical_to_sequential() {
     assert_eq!(sequential.len(), docs.len() * queries.len());
     for threads in THREAD_BUDGETS {
         let parallel = evaluate_corpus(&tasks, threads);
-        assert_eq!(parallel, sequential, "unindexed corpus at {threads} threads");
+        assert_eq!(
+            parallel, sequential,
+            "unindexed corpus at {threads} threads"
+        );
     }
 }
 
@@ -136,7 +139,12 @@ fn service_corpus_parallel_is_bit_identical_in_every_mode() {
         .collect();
     assert_eq!(store.len(), ids.len(), "corpus documents are all distinct");
 
-    let queries = ["patient", "patient/record/diagnosis", "patient[not(parent)]", "//visit"];
+    let queries = [
+        "patient",
+        "patient/record/diagnosis",
+        "patient[not(parent)]",
+        "//visit",
+    ];
     let requests: Vec<_> = ids
         .iter()
         .flat_map(|&id| queries.iter().map(move |&q| (id, q)))
@@ -180,7 +188,10 @@ fn corpus_parallel_is_bit_identical_across_all_domains() {
         let irs = domain_corpus_irs(&domain);
         let tasks: Vec<CorpusTask> = docs
             .iter()
-            .flat_map(|doc| irs.iter().map(move |(_, c)| CorpusTask::new(doc, Arc::clone(c))))
+            .flat_map(|doc| {
+                irs.iter()
+                    .map(move |(_, c)| CorpusTask::new(doc, Arc::clone(c)))
+            })
             .collect();
         let sequential = one_by_one(&tasks);
         assert_eq!(sequential.len(), docs.len() * irs.len());

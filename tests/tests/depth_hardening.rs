@@ -10,8 +10,8 @@
 
 use std::sync::Arc;
 
-use smoqe_automata::compile_query;
 use integration_tests::{hype_at, run_ir, stream_solo};
+use smoqe_automata::compile_query;
 use smoqe_hype::interpreted;
 use smoqe_toxgene::{generate_deep_bom, generate_deep_hospital};
 use smoqe_xml::stream::TreeEvents;
@@ -57,7 +57,10 @@ fn deep_hospital_chain_survives_every_engine() {
         let shared = Arc::new(smoqe_automata::CompiledMfa::new(&mfa));
         for threads in [1usize, 2, 8] {
             let par = run_ir(&doc, doc.root(), &shared, None, threads);
-            assert_eq!(par.answers, oracle, "parallel({threads}) differs on `{query}`");
+            assert_eq!(
+                par.answers, oracle,
+                "parallel({threads}) differs on `{query}`"
+            );
         }
     }
 }
@@ -80,7 +83,9 @@ fn deep_documents_serialize_and_round_trip() {
 fn deep_bom_chain_agrees_across_engines() {
     // Second recursive domain: the bill-of-materials assembly chain.
     let doc = generate_deep_bom(DEEP, 3);
-    smoqe_xml::domains::bom_document_dtd().validate(&doc).unwrap();
+    smoqe_xml::domains::bom_document_dtd()
+        .validate(&doc)
+        .unwrap();
 
     let path = parse_path("//part[origin/text()='domestic']/pnum").unwrap();
     let oracle = smoqe_xpath::evaluate(&doc, doc.root(), &path);
@@ -102,7 +107,11 @@ fn pathologically_nested_queries_error_instead_of_crashing() {
     let err = parse_path(&grouped).unwrap_err();
     assert!(err.message.contains("nesting too deep"));
 
-    let nots = format!("patient[{}record{}]", "not(".repeat(depth), ")".repeat(depth));
+    let nots = format!(
+        "patient[{}record{}]",
+        "not(".repeat(depth),
+        ")".repeat(depth)
+    );
     let err = parse_path(&nots).unwrap_err();
     assert!(err.message.contains("nesting too deep"));
 }

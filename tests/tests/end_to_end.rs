@@ -129,7 +129,14 @@ fn view_never_exposes_confidential_element_types() {
             seed,
             ..Default::default()
         });
-        for query in ["//pname", "//address", "//doctor", "//test", "//sibling", "//visit"] {
+        for query in [
+            "//pname",
+            "//address",
+            "//doctor",
+            "//test",
+            "//sibling",
+            "//visit",
+        ] {
             assert!(
                 engine
                     .answer(query, &doc, EvaluationMode::HyPE)

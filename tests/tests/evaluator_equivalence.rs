@@ -34,11 +34,17 @@ fn all_evaluators_agree_on_the_document_corpus() {
         assert_eq!(optc.answers, reference, "OptHyPE-C differs on `{query}`");
 
         let (two_pass, stats) = evaluate_two_pass(&doc, &q);
-        assert_eq!(two_pass, reference, "two-pass baseline differs on `{query}`");
+        assert_eq!(
+            two_pass, reference,
+            "two-pass baseline differs on `{query}`"
+        );
         assert_eq!(stats.phase1_nodes, doc.len());
 
         let translation = evaluate_by_translation(&doc, &q);
-        assert_eq!(translation, reference, "translation baseline differs on `{query}`");
+        assert_eq!(
+            translation, reference,
+            "translation baseline differs on `{query}`"
+        );
     }
 }
 
@@ -72,13 +78,20 @@ fn hype_prunes_substantially_on_the_document_corpus() {
         hype_avg > 0.3,
         "average HyPE pruning {hype_avg:.2} is implausibly low"
     );
-    assert!(opt_avg >= hype_avg, "OptHyPE must prune at least as much as HyPE");
+    assert!(
+        opt_avg >= hype_avg,
+        "OptHyPE must prune at least as much as HyPE"
+    );
 }
 
 #[test]
 fn evaluators_agree_from_arbitrary_context_nodes() {
     let doc = standard_hospital_document();
-    let queries = ["visit/treatment/medication/diagnosis", "(parent/patient)*/visit", "pname"];
+    let queries = [
+        "visit/treatment/medication/diagnosis",
+        "(parent/patient)*/visit",
+        "pname",
+    ];
     // Sample a few dozen context nodes spread over the document.
     let step = (doc.len() / 40).max(1);
     for query in queries {

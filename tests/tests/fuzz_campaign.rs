@@ -14,9 +14,7 @@
 //! `integration_tests::fuzz` for the exact engine matrix and oracle
 //! contract. A failure message carries the reproduction instructions.
 
-use integration_tests::fuzz::{
-    fuzz_cases_per_domain, run_case, run_domain_campaign, FuzzCase,
-};
+use integration_tests::fuzz::{fuzz_cases_per_domain, run_case, run_domain_campaign, FuzzCase};
 use proptest::prelude::*;
 use smoqe_toxgene::{all_domains, domain};
 

@@ -117,7 +117,10 @@ impl Rng {
 
 /// The hospital-vocabulary payload set, parsed once.
 fn hospital_payloads() -> Vec<XmlTree> {
-    PAYLOADS.iter().map(|p| parse_document(p).unwrap()).collect()
+    PAYLOADS
+        .iter()
+        .map(|p| parse_document(p).unwrap())
+        .collect()
 }
 
 /// Edit payloads spelled in `dtd`'s own element vocabulary — single
@@ -173,7 +176,9 @@ fn random_script(rng: &mut Rng, tree: &XmlTree, payloads: &[XmlTree], len: usize
     let mut ops = Vec::with_capacity(len);
     for _ in 0..len {
         let op = random_op(rng, &probe, payloads);
-        probe.apply(&op).expect("generated ops are valid in sequence");
+        probe
+            .apply(&op)
+            .expect("generated ops are valid in sequence");
         ops.push(op);
     }
     ops
@@ -376,7 +381,11 @@ fn replacing_the_entire_context_subtree_reroots_the_evaluator() {
         };
         let result = eval.apply_edits(&mut tree, &[op], threads).unwrap();
         tree.check_consistency().unwrap();
-        assert_ne!(eval.context(), dept, "evaluator re-rooted at the replacement");
+        assert_ne!(
+            eval.context(),
+            dept,
+            "evaluator re-rooted at the replacement"
+        );
         assert!(tree.is_live(eval.context()));
         let scratch: Vec<CompiledBatchQuery> = queries
             .iter()

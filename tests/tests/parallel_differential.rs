@@ -12,8 +12,7 @@
 use std::sync::Arc;
 
 use integration_tests::{
-    document_query_corpus, domain_corpus_irs, run_ir, standard_hospital_document,
-    view_query_corpus,
+    document_query_corpus, domain_corpus_irs, run_ir, standard_hospital_document, view_query_corpus,
 };
 use proptest::prelude::*;
 use smoqe::SmoqeEngine;
@@ -76,8 +75,7 @@ fn solo_parallel_matches_sequential_with_indexes() {
             let index = ReachabilityIndex::for_compiled(&ir, &dtd, doc.labels(), compressed);
             let sequential = run_ir(&doc, doc.root(), &ir, Some(&index), 1);
             for &threads in BUDGETS {
-                let parallel =
-                    run_ir(&doc, doc.root(), &ir, Some(&index), threads);
+                let parallel = run_ir(&doc, doc.root(), &ir, Some(&index), threads);
                 assert_eq!(
                     parallel.answers, sequential.answers,
                     "indexed answers differ on `{name}` (compressed={compressed}, {threads}t)"
@@ -223,7 +221,9 @@ fn parallel_matches_sequential_from_every_context_node() {
         "(department/patient/parent/patient)*",
     ];
     for query in probes {
-        let ir = Arc::new(CompiledMfa::new(&compile_query(&parse_path(query).unwrap())));
+        let ir = Arc::new(CompiledMfa::new(&compile_query(
+            &parse_path(query).unwrap(),
+        )));
         for ctx in doc.node_ids() {
             let sequential = run_ir(&doc, ctx, &ir, None, 1);
             for &threads in BUDGETS {
@@ -251,11 +251,16 @@ fn single_node_document_has_nothing_to_shard() {
     b.root("hospital");
     let doc = b.finish();
     for query in ["hospital", "patient", "//diagnosis", "."] {
-        let ir = Arc::new(CompiledMfa::new(&compile_query(&parse_path(query).unwrap())));
+        let ir = Arc::new(CompiledMfa::new(&compile_query(
+            &parse_path(query).unwrap(),
+        )));
         let sequential = run_ir(&doc, doc.root(), &ir, None, 1);
         for &threads in BUDGETS {
             let parallel = run_ir(&doc, doc.root(), &ir, None, threads);
-            assert_eq!(parallel.answers, sequential.answers, "`{query}` ({threads}t)");
+            assert_eq!(
+                parallel.answers, sequential.answers,
+                "`{query}` ({threads}t)"
+            );
             assert_eq!(parallel.stats, sequential.stats, "`{query}` ({threads}t)");
         }
     }
@@ -270,11 +275,16 @@ fn depth_one_document_shards_into_leaf_subtrees() {
     }
     let doc = b.finish();
     for query in ["patient", "patient[text()='p7']", "doctor"] {
-        let ir = Arc::new(CompiledMfa::new(&compile_query(&parse_path(query).unwrap())));
+        let ir = Arc::new(CompiledMfa::new(&compile_query(
+            &parse_path(query).unwrap(),
+        )));
         let sequential = run_ir(&doc, doc.root(), &ir, None, 1);
         for &threads in BUDGETS {
             let parallel = run_ir(&doc, doc.root(), &ir, None, threads);
-            assert_eq!(parallel.answers, sequential.answers, "`{query}` ({threads}t)");
+            assert_eq!(
+                parallel.answers, sequential.answers,
+                "`{query}` ({threads}t)"
+            );
             assert_eq!(parallel.stats, sequential.stats, "`{query}` ({threads}t)");
         }
     }
@@ -294,9 +304,9 @@ fn fewer_subtrees_than_threads_caps_the_worker_pool() {
         }
     }
     let doc = b.finish();
-    let ir = Arc::new(CompiledMfa::new(
-        &compile_query(&parse_path("department/patient/pname").unwrap()),
-    ));
+    let ir = Arc::new(CompiledMfa::new(&compile_query(
+        &parse_path("department/patient/pname").unwrap(),
+    )));
     let sequential = run_ir(&doc, doc.root(), &ir, None, 1);
     for threads in [3, 8, 64] {
         let parallel = run_ir(&doc, doc.root(), &ir, None, threads);
@@ -310,7 +320,9 @@ fn answers_come_back_in_preorder_index_order() {
     // The merged BTreeSet must enumerate ascending pre-order NodeIds even
     // though shards finish in arbitrary order.
     let doc = standard_hospital_document();
-    let ir = Arc::new(CompiledMfa::new(&compile_query(&parse_path("//diagnosis").unwrap())));
+    let ir = Arc::new(CompiledMfa::new(&compile_query(
+        &parse_path("//diagnosis").unwrap(),
+    )));
     let parallel = run_ir(&doc, doc.root(), &ir, None, 8);
     assert!(!parallel.answers.is_empty());
     let ids: Vec<_> = parallel.answers.iter().copied().collect();

@@ -169,7 +169,11 @@ fn optimizer_preserves_direct_query_answers() {
         let reference = reference_evaluate(&doc, doc.root(), &parsed);
         let mfa = compile_query(&parsed);
         let (optimized, _) = optimize_mfa(&mfa);
-        assert_eq!(hype_at(&doc, doc.root(), &optimized, None).answers, reference, "`{query}`");
+        assert_eq!(
+            hype_at(&doc, doc.root(), &optimized, None).answers,
+            reference,
+            "`{query}`"
+        );
     }
 }
 

@@ -15,13 +15,13 @@
 
 use proptest::prelude::*;
 
+use integration_tests::hype_at;
 use smoqe_automata::{compile_query, evaluate_mfa};
 use smoqe_rewrite::rewrite_to_mfa;
 use smoqe_toxgene::{generate_from_dtd, generate_hospital, DtdGenConfig, HospitalConfig};
 use smoqe_views::{hospital_view, materialize};
 use smoqe_xml::hospital::{hospital_document_dtd, hospital_view_dtd};
 use smoqe_xml::NodeId;
-use integration_tests::hype_at;
 use smoqe_xpath::{evaluate, parse_path, Path, Pred};
 
 // ---------------------------------------------------------------------------
@@ -29,7 +29,14 @@ use smoqe_xpath::{evaluate, parse_path, Path, Pred};
 // ---------------------------------------------------------------------------
 
 /// Labels of the view DTD — used for generating queries over the view.
-const VIEW_LABELS: &[&str] = &["patient", "parent", "record", "diagnosis", "empty", "hospital"];
+const VIEW_LABELS: &[&str] = &[
+    "patient",
+    "parent",
+    "record",
+    "diagnosis",
+    "empty",
+    "hospital",
+];
 /// Text constants that actually occur in generated documents.
 const TEXTS: &[&str] = &["heart disease", "lung disease", "alpha", "beta"];
 
@@ -57,8 +64,8 @@ fn path_strategy(depth: u32) -> impl Strategy<Value = Path> {
 /// Strategy for predicates built from already-available path strategies.
 fn pred_strategy_from(paths: impl Strategy<Value = Path> + Clone + 'static) -> BoxedStrategy<Pred> {
     let exists = paths.clone().prop_map(Pred::Exists);
-    let texteq = (paths, prop::sample::select(TEXTS))
-        .prop_map(|(p, c)| Pred::TextEq(p, c.to_owned()));
+    let texteq =
+        (paths, prop::sample::select(TEXTS)).prop_map(|(p, c)| Pred::TextEq(p, c.to_owned()));
     let atom = prop_oneof![3 => exists, 2 => texteq].boxed();
     atom.prop_recursive(2, 8, 2, |inner| {
         prop_oneof![

@@ -14,12 +14,12 @@
 
 use proptest::prelude::*;
 use smoqe::EvaluationMode;
+use smoqe_views::hospital_view;
 use smoqed::protocol::{
     decode_request, decode_response, encode_request, encode_response, read_frame, view_to_wire,
     write_frame, ErrorCode, FrameError, ProtocolError, Request, Response, WireBatchStats,
     WireEditOp, WireHypeStats, WireResult, WireServiceStats, WireStats, MAX_FRAME_LEN,
 };
-use smoqe_views::hospital_view;
 
 // ---------------------------------------------------------------------------
 // Fixtures: one message of every variant, with every optional arm exercised
@@ -54,13 +54,22 @@ fn sample_requests() -> Vec<Request> {
             tenant: "nurse".into(),
             doc: 7,
             ops: vec![
-                WireEditOp::Insert { parent: 0, position: 3, snapshot: vec![1, 2, 3] },
+                WireEditOp::Insert {
+                    parent: 0,
+                    position: 3,
+                    snapshot: vec![1, 2, 3],
+                },
                 WireEditOp::Delete { node: 42 },
-                WireEditOp::Replace { node: u32::MAX, snapshot: vec![] },
+                WireEditOp::Replace {
+                    node: u32::MAX,
+                    snapshot: vec![],
+                },
             ],
         },
         Request::Stats { tenant: None },
-        Request::Stats { tenant: Some("nurse".into()) },
+        Request::Stats {
+            tenant: Some("nurse".into()),
+        },
     ]
 }
 
@@ -80,11 +89,19 @@ fn sample_result() -> WireResult {
 
 fn sample_responses() -> Vec<Response> {
     vec![
-        Response::ViewRegistered { fingerprint: 0x455a_1fb1_4ae6_96a4 },
+        Response::ViewRegistered {
+            fingerprint: 0x455a_1fb1_4ae6_96a4,
+        },
         Response::DocumentRegistered { doc: 0xfeed_f00d },
         Response::Answer(sample_result()),
         Response::BatchAnswer {
-            results: vec![sample_result(), WireResult { answers: vec![], stats: Default::default() }],
+            results: vec![
+                sample_result(),
+                WireResult {
+                    answers: vec![],
+                    stats: Default::default(),
+                },
+            ],
             stats: WireBatchStats {
                 queries: 2,
                 nodes_total: 100,
@@ -146,8 +163,8 @@ fn sample_responses() -> Vec<Response> {
 fn every_request_variant_round_trips() {
     for request in sample_requests() {
         let body = encode_request(&request);
-        let decoded = decode_request(&body)
-            .unwrap_or_else(|e| panic!("decode failed for {request:?}: {e}"));
+        let decoded =
+            decode_request(&body).unwrap_or_else(|e| panic!("decode failed for {request:?}: {e}"));
         assert_eq!(decoded, request);
     }
 }
@@ -188,11 +205,16 @@ fn a_view_crossing_the_wire_keeps_its_fingerprint() {
         annotations,
     };
     let decoded = decode_request(&encode_request(&request)).unwrap();
-    let Request::RegisterView { document_dtd, view_dtd, annotations, .. } = decoded else {
+    let Request::RegisterView {
+        document_dtd,
+        view_dtd,
+        annotations,
+        ..
+    } = decoded
+    else {
         panic!("variant changed in flight");
     };
-    let mut rebuilt =
-        smoqe_views::ViewDefinition::new(document_dtd.to_dtd(), view_dtd.to_dtd());
+    let mut rebuilt = smoqe_views::ViewDefinition::new(document_dtd.to_dtd(), view_dtd.to_dtd());
     for (parent, child, query) in &annotations {
         rebuilt.annotate_str(parent, child, query).unwrap();
     }
@@ -210,9 +232,7 @@ fn every_truncation_of_every_request_is_a_typed_error() {
         let body = encode_request(&request);
         for len in 0..body.len() {
             match decode_request(&body[..len]) {
-                Ok(other) => panic!(
-                    "truncating {request:?} to {len} bytes decoded as {other:?}"
-                ),
+                Ok(other) => panic!("truncating {request:?} to {len} bytes decoded as {other:?}"),
                 Err(
                     ProtocolError::Truncated { .. }
                     | ProtocolError::EmptyFrame
@@ -404,7 +424,7 @@ fn byte_soup(seed: u64, len: usize, bias_tags: bool) -> Vec<u8> {
             // Land on a real tag often, so the fuzz exercises payload
             // decoding, not just the unknown-tag arm.
             bytes.push(match v % 4 {
-                0 => (v >> 8) as u8 % 7,        // request tags 0..=6
+                0 => (v >> 8) as u8 % 7,          // request tags 0..=6
                 1 => 0x80 | ((v >> 8) as u8 % 9), // response tags 0x80..=0x88
                 _ => (v >> 8) as u8,
             });

@@ -26,8 +26,17 @@ fn research_policy() -> SecuritySpec {
     spec.annotate("visit", "date", Access::Deny);
     spec.annotate("department", "name", Access::Deny);
     for hidden in [
-        "pname", "address", "doctor", "sibling", "test", "street", "city", "zip", "dname",
-        "specialty", "type",
+        "pname",
+        "address",
+        "doctor",
+        "sibling",
+        "test",
+        "street",
+        "city",
+        "zip",
+        "dname",
+        "specialty",
+        "type",
     ] {
         spec.deny_everywhere(hidden);
     }

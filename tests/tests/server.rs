@@ -21,12 +21,12 @@ use std::time::Duration;
 
 use integration_tests::{standard_hospital_document, view_query_corpus};
 use smoqe::{DocId, DocumentStore, EvaluationMode, QueryService, ServiceConfig};
-use smoqed::protocol::{ErrorCode, Request, Response, WireEditOp, WireResult};
-use smoqed::{ClientError, Server, ServerConfig, SmoqedClient};
-use smoqe_views::{derive_view, hospital_view, Access, SecuritySpec, ViewDefinition};
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
+use smoqe_views::{derive_view, hospital_view, Access, SecuritySpec, ViewDefinition};
 use smoqe_xml::hospital::hospital_document_dtd;
 use smoqe_xml::snapshot;
+use smoqed::protocol::{ErrorCode, Request, Response, WireEditOp, WireResult};
+use smoqed::{ClientError, Server, ServerConfig, SmoqedClient};
 
 /// A second, genuinely different σ (an *open* variant of the
 /// research-institute policy from the security-views suite): every patient
@@ -42,8 +42,17 @@ fn research_view() -> ViewDefinition {
     spec.annotate("visit", "date", Access::Deny);
     spec.annotate("department", "name", Access::Deny);
     for hidden in [
-        "pname", "address", "doctor", "sibling", "test", "street", "city", "zip", "dname",
-        "specialty", "type",
+        "pname",
+        "address",
+        "doctor",
+        "sibling",
+        "test",
+        "street",
+        "city",
+        "zip",
+        "dname",
+        "specialty",
+        "type",
     ] {
         spec.deny_everywhere(hidden);
     }
@@ -90,10 +99,11 @@ fn wire_answers_and_stats_match_direct_service_calls_across_tenants() {
     for (name, view, queries) in &tenants {
         let fingerprint = client.register_view(name, view).expect("register view");
         assert_eq!(fingerprint, view.fingerprint(), "fingerprint for {name}");
-        let id = client.register_document(name, &bytes).expect("register doc");
+        let id = client
+            .register_document(name, &bytes)
+            .expect("register doc");
 
-        let reference =
-            QueryService::with_config(view.clone(), ServiceConfig::default()).unwrap();
+        let reference = QueryService::with_config(view.clone(), ServiceConfig::default()).unwrap();
         let store = DocumentStore::new();
         let ref_id = store.insert_snapshot(&bytes).unwrap();
         assert_eq!(id, ref_id.0, "content-addressed ids must agree");
@@ -126,7 +136,11 @@ fn wire_answers_and_stats_match_direct_service_calls_across_tenants() {
         for (w, d) in wire_results.iter().zip(&direct.results) {
             assert_eq!(w, &WireResult::from_result(d), "batch result for {name}");
         }
-        assert_eq!(wire_stats.to_stats(), direct.stats, "batch stats for {name}");
+        assert_eq!(
+            wire_stats.to_stats(),
+            direct.stats,
+            "batch stats for {name}"
+        );
 
         // And the per-tenant cache accounting matches the reference
         // service that saw the identical request sequence.
@@ -137,8 +151,14 @@ fn wire_answers_and_stats_match_direct_service_calls_across_tenants() {
         assert_eq!(wire_service.compiled_misses, direct_stats.compiled_misses);
         assert_eq!(wire_service.index_hits, direct_stats.index_hits);
         assert_eq!(wire_service.index_misses, direct_stats.index_misses);
-        assert_eq!(wire_service.compiled_cached as usize, direct_stats.compiled_cached);
-        assert_eq!(wire_service.index_cached as usize, direct_stats.index_cached);
+        assert_eq!(
+            wire_service.compiled_cached as usize,
+            direct_stats.compiled_cached
+        );
+        assert_eq!(
+            wire_service.index_cached as usize,
+            direct_stats.index_cached
+        );
     }
 }
 
@@ -160,8 +180,7 @@ fn eight_concurrent_clients_across_two_tenants_get_exact_answers() {
 
     // Expected answers, computed once, directly.
     type TenantExpectations = (&'static str, u64, Vec<(String, WireResult)>);
-    let nurse_ref =
-        QueryService::with_config(hospital_view(), ServiceConfig::default()).unwrap();
+    let nurse_ref = QueryService::with_config(hospital_view(), ServiceConfig::default()).unwrap();
     let research_ref =
         QueryService::with_config(research_view(), ServiceConfig::default()).unwrap();
     let expected: Vec<TenantExpectations> = vec![
@@ -182,7 +201,9 @@ fn eight_concurrent_clients_across_two_tenants_get_exact_answers() {
             research_query_corpus()
                 .into_iter()
                 .map(|q| {
-                    let r = research_ref.evaluate(q, &doc, EvaluationMode::HyPE).unwrap();
+                    let r = research_ref
+                        .evaluate(q, &doc, EvaluationMode::HyPE)
+                        .unwrap();
                     (q.to_owned(), WireResult::from_result(&r))
                 })
                 .collect(),
@@ -262,7 +283,13 @@ fn tenants_cannot_reach_each_others_documents_or_views() {
         .query("research", nurse_doc, EvaluationMode::HyPE, "patient")
         .expect_err("cross-tenant document access must fail");
     assert!(
-        matches!(err, ClientError::Server { code: ErrorCode::UnknownDocument, .. }),
+        matches!(
+            err,
+            ClientError::Server {
+                code: ErrorCode::UnknownDocument,
+                ..
+            }
+        ),
         "got {err}"
     );
 
@@ -271,7 +298,13 @@ fn tenants_cannot_reach_each_others_documents_or_views() {
         .query("ghost", nurse_doc, EvaluationMode::HyPE, "patient")
         .expect_err("unknown tenant must fail");
     assert!(
-        matches!(err, ClientError::Server { code: ErrorCode::UnknownTenant, .. }),
+        matches!(
+            err,
+            ClientError::Server {
+                code: ErrorCode::UnknownTenant,
+                ..
+            }
+        ),
         "got {err}"
     );
 
@@ -319,7 +352,13 @@ fn abrupt_disconnects_and_malformed_frames_do_not_wedge_the_server() {
         if let Ok(Some(body)) = smoqed::read_frame(&mut hostile) {
             let resp = smoqed::decode_response(&body).unwrap();
             assert!(
-                matches!(resp, Response::Error { code: ErrorCode::Protocol, .. }),
+                matches!(
+                    resp,
+                    Response::Error {
+                        code: ErrorCode::Protocol,
+                        ..
+                    }
+                ),
                 "oversized prefix must earn a typed error, got {resp:?}"
             );
         }
@@ -343,7 +382,10 @@ fn abrupt_disconnects_and_malformed_frames_do_not_wedge_the_server() {
         }
         thread::sleep(Duration::from_millis(40));
     }
-    assert!(counted >= 1, "expected counted protocol errors, got {counted}");
+    assert!(
+        counted >= 1,
+        "expected counted protocol errors, got {counted}"
+    );
 }
 
 #[test]
@@ -360,7 +402,13 @@ fn a_garbage_body_in_a_valid_frame_keeps_the_connection_serving() {
     let body = smoqed::read_frame(&mut stream).unwrap().expect("an answer");
     let resp = smoqed::decode_response(&body).unwrap();
     assert!(
-        matches!(resp, Response::Error { code: ErrorCode::Protocol, .. }),
+        matches!(
+            resp,
+            Response::Error {
+                code: ErrorCode::Protocol,
+                ..
+            }
+        ),
         "got {resp:?}"
     );
 
@@ -391,23 +439,21 @@ fn edits_over_the_wire_match_direct_apply_edit() {
     // Delete the first top-level subtree, over the wire and directly.
     let victim = doc.children(doc.root())[0];
     let (old_id, new_id, generation) = client
-        .apply_edit(
-            "nurse",
-            id,
-            vec![WireEditOp::Delete { node: victim.0 }],
-        )
+        .apply_edit("nurse", id, vec![WireEditOp::Delete { node: victim.0 }])
         .expect("edit applies");
     assert_eq!(old_id, id);
     assert_eq!(generation, 1);
 
-    let reference =
-        QueryService::with_config(hospital_view(), ServiceConfig::default()).unwrap();
+    let reference = QueryService::with_config(hospital_view(), ServiceConfig::default()).unwrap();
     let store = DocumentStore::new();
     let ref_id = store.insert_snapshot(&bytes).unwrap();
     let receipt = store
         .apply_edit(ref_id, &[smoqe_xml::EditOp::Delete { node: victim }])
         .expect("direct edit applies");
-    assert_eq!(new_id, receipt.new_id.0, "edited versions content-address equal");
+    assert_eq!(
+        new_id, receipt.new_id.0,
+        "edited versions content-address equal"
+    );
 
     // Post-edit answers agree too.
     let wire = client
@@ -426,7 +472,10 @@ fn edits_over_the_wire_match_direct_apply_edit() {
         .expect_err("retired id");
     assert!(matches!(
         err,
-        ClientError::Server { code: ErrorCode::UnknownDocument, .. }
+        ClientError::Server {
+            code: ErrorCode::UnknownDocument,
+            ..
+        }
     ));
 }
 
@@ -446,7 +495,9 @@ fn a_full_admission_queue_sheds_with_a_typed_busy_frame() {
 
     for i in 0..3 {
         let mut victim = TcpStream::connect(server.addr()).expect("tcp connect");
-        victim.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        victim
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         let body = smoqed::read_frame(&mut victim)
             .unwrap_or_else(|e| panic!("shed connection {i} got no frame: {e}"))
             .expect("a Busy frame, not silence");
@@ -488,7 +539,9 @@ fn an_idle_connection_never_starves_waiting_clients_on_a_single_worker() {
     camper
         .register_view("nurse", &hospital_view())
         .expect("camper is being served");
-    let id = camper.register_document("nurse", &bytes).expect("register doc");
+    let id = camper
+        .register_document("nurse", &bytes)
+        .expect("register doc");
 
     // The waiting client: with connection-until-EOF workers this would
     // block forever; with rotation it must be answered promptly. Bounded
@@ -555,7 +608,10 @@ fn a_stalled_half_frame_never_wedges_a_single_worker() {
         .recv_timeout(Duration::from_secs(10))
         .expect("Stats starved: the stalled half frame still holds the only worker")
         .expect("Stats answered");
-    assert_eq!(protocol_errors, 1, "the stalled frame is counted as a protocol error");
+    assert_eq!(
+        protocol_errors, 1,
+        "the stalled frame is counted as a protocol error"
+    );
 
     // The stalled client got the typed error, then the server closed.
     stalled
@@ -566,7 +622,13 @@ fn a_stalled_half_frame_never_wedges_a_single_worker() {
         .expect("a frame before the close");
     let resp = smoqed::decode_response(&body).unwrap();
     assert!(
-        matches!(resp, Response::Error { code: ErrorCode::Protocol, .. }),
+        matches!(
+            resp,
+            Response::Error {
+                code: ErrorCode::Protocol,
+                ..
+            }
+        ),
         "a stalled frame earns a typed Protocol error, got {resp:?}"
     );
     assert!(

@@ -65,7 +65,10 @@ fn eight_threads_hammer_one_shared_service() {
     for &q in HOT_QUERIES {
         expected.insert(
             q.to_owned(),
-            service.evaluate(q, &document, EvaluationMode::HyPE).unwrap().answers,
+            service
+                .evaluate(q, &document, EvaluationMode::HyPE)
+                .unwrap()
+                .answers,
         );
     }
     let cold_expected = service
@@ -93,7 +96,9 @@ fn eight_threads_hammer_one_shared_service() {
                 for round in 0..ROUNDS {
                     // Hot query, sequential front-end.
                     let hot = HOT_QUERIES[(t + round) % HOT_QUERIES.len()];
-                    let got = service.evaluate(hot, &document, EvaluationMode::HyPE).unwrap();
+                    let got = service
+                        .evaluate(hot, &document, EvaluationMode::HyPE)
+                        .unwrap();
                     lookups.fetch_add(1, Ordering::Relaxed);
                     assert_eq!(got.answers, expected[hot], "hot `{hot}` (thread {t})");
 
@@ -145,7 +150,10 @@ fn eight_threads_hammer_one_shared_service() {
     // The cold-query space (THREADS × ROUNDS distinct keys) vastly exceeds
     // capacity 4: evictions and misses beyond warm-up are certain, and hits
     // happened too (the hot set re-poses constantly).
-    assert!(stats.compiled_evictions > 0, "tiny cache must evict under pressure");
+    assert!(
+        stats.compiled_evictions > 0,
+        "tiny cache must evict under pressure"
+    );
     assert!(
         stats.compiled_hits > baseline.compiled_hits,
         "hot queries must hit"
@@ -154,7 +162,10 @@ fn eight_threads_hammer_one_shared_service() {
         stats.compiled_misses > baseline.compiled_misses,
         "cold queries must miss"
     );
-    assert!(stats.compiled_cached <= 4, "cached entries bounded by capacity");
+    assert!(
+        stats.compiled_cached <= 4,
+        "cached entries bounded by capacity"
+    );
 }
 
 /// Invalidation precision under concurrency: while reader threads hammer
@@ -243,7 +254,10 @@ fn editing_one_document_leaves_other_documents_entries_hot() {
 
     let stats = service.stats();
     // A's two stale entries are gone, B's two entries survived.
-    assert_eq!(stats.index_invalidations, 2, "exactly A's entries were swept");
+    assert_eq!(
+        stats.index_invalidations, 2,
+        "exactly A's entries were swept"
+    );
     assert_eq!(stats.index_cached, 2, "B's entries remain resident");
     // Precision in the counters: not a single lookup of B missed — the
     // sweep never touched B's keys, so misses sit exactly at warm-up level.
@@ -284,8 +298,14 @@ fn concurrent_stats_snapshots_never_block_progress() {
         let document = Arc::clone(&document);
         scope.spawn(move || {
             for i in 0..100 {
-                let q = if i % 2 == 0 { "patient" } else { "patient/record" };
-                service.evaluate(q, &document, EvaluationMode::HyPE).unwrap();
+                let q = if i % 2 == 0 {
+                    "patient"
+                } else {
+                    "patient/record"
+                };
+                service
+                    .evaluate(q, &document, EvaluationMode::HyPE)
+                    .unwrap();
             }
         });
     });

@@ -33,7 +33,11 @@ fn assert_trees_identical(a: &XmlTree, b: &XmlTree) {
     );
     for id in a.node_ids() {
         assert_eq!(a.label(id), b.label(id), "label id differs at {id:?}");
-        assert_eq!(a.label_name(id), b.label_name(id), "label differs at {id:?}");
+        assert_eq!(
+            a.label_name(id),
+            b.label_name(id),
+            "label differs at {id:?}"
+        );
         assert_eq!(a.parent(id), b.parent(id), "parent differs at {id:?}");
         assert_eq!(a.children(id), b.children(id), "children differ at {id:?}");
         assert_eq!(a.text(id), b.text(id), "text differs at {id:?}");
@@ -68,7 +72,10 @@ fn the_standard_document_round_trips_with_identical_answers_and_stats() {
         let mfa = compile_query(&parse_path(query).unwrap());
         let original = hype_at(&doc, doc.root(), &mfa, None);
         let reloaded = hype_at(&loaded, loaded.root(), &mfa, None);
-        assert_eq!(original.answers, reloaded.answers, "answers differ on `{query}`");
+        assert_eq!(
+            original.answers, reloaded.answers,
+            "answers differ on `{query}`"
+        );
         assert_eq!(original.stats, reloaded.stats, "stats differ on `{query}`");
     }
 }
@@ -138,11 +145,13 @@ fn every_truncation_is_rejected_and_never_panics() {
     let doc = standard_hospital_document();
     let bytes = snapshot::save(&doc);
     for len in 0..bytes.len() {
-        let err = snapshot::load(&bytes[..len])
-            .expect_err("every proper prefix must be rejected");
+        let err = snapshot::load(&bytes[..len]).expect_err("every proper prefix must be rejected");
         if len < HEADER_LEN {
             assert!(
-                matches!(err, SnapshotError::Truncated { .. } | SnapshotError::BadMagic),
+                matches!(
+                    err,
+                    SnapshotError::Truncated { .. } | SnapshotError::BadMagic
+                ),
                 "prefix of {len} bytes gave {err:?}"
             );
         }

@@ -24,7 +24,9 @@ use smoqe_automata::compile_query;
 use smoqe_hype::interpreted::BatchQuery;
 use smoqe_hype::{evaluate_tree, CompiledBatchQuery, StreamHype};
 use smoqe_toxgene::domains::STANDARD_SEED;
-use smoqe_toxgene::{all_domains, generate_from_dtd, generate_hospital, DtdGenConfig, HospitalConfig};
+use smoqe_toxgene::{
+    all_domains, generate_from_dtd, generate_hospital, DtdGenConfig, HospitalConfig,
+};
 use smoqe_xml::hospital::{hospital_document_dtd, hospital_view_dtd};
 use smoqe_xml::stream::{EventSource, TreeEvents, XmlEvent};
 use smoqe_xml::{
@@ -65,8 +67,14 @@ fn streaming_matches_the_tree_engine_on_the_document_corpus_solo() {
         // Source 1: replaying the tree as events.
         let mut events = TreeEvents::new(&doc);
         let (replayed, _) = stream_solo(&mut events, &mfa).unwrap();
-        assert_eq!(replayed.answers, expected, "replay answers differ on `{query}`");
-        assert_eq!(replayed.stats, on_tree.stats, "replay stats differ on `{query}`");
+        assert_eq!(
+            replayed.answers, expected,
+            "replay answers differ on `{query}`"
+        );
+        assert_eq!(
+            replayed.stats, on_tree.stats,
+            "replay stats differ on `{query}`"
+        );
 
         // Source 2: incrementally parsing the serialized document. The
         // parser assigns pre-order ids, so they line up with the stream's.
@@ -74,8 +82,14 @@ fn streaming_matches_the_tree_engine_on_the_document_corpus_solo() {
         let on_reparsed = hype_at(&reparsed, reparsed.root(), &mfa, None);
         let mut reader = XmlStreamReader::new(xml.as_bytes());
         let (streamed, stream_stats) = stream_solo(&mut reader, &mfa).unwrap();
-        assert_eq!(streamed.answers, on_reparsed.answers, "stream answers differ on `{query}`");
-        assert_eq!(streamed.stats, on_reparsed.stats, "stream stats differ on `{query}`");
+        assert_eq!(
+            streamed.answers, on_reparsed.answers,
+            "stream answers differ on `{query}`"
+        );
+        assert_eq!(
+            streamed.stats, on_reparsed.stats,
+            "stream stats differ on `{query}`"
+        );
         assert_eq!(stream_stats.nodes_total, doc.len());
         assert!(stream_stats.peak_frames <= doc.max_depth());
     }
@@ -98,7 +112,10 @@ fn streaming_matches_the_tree_engine_on_the_document_corpus_batched() {
     assert_eq!(streamed.results.len(), queries.len());
     for (i, query) in queries.iter().enumerate() {
         let expected = to_preorder(&tree_batch.results[i].answers, &pre);
-        assert_eq!(streamed.results[i].answers, expected, "batched answers differ on `{query}`");
+        assert_eq!(
+            streamed.results[i].answers, expected,
+            "batched answers differ on `{query}`"
+        );
         assert_eq!(
             streamed.results[i].stats, tree_batch.results[i].stats,
             "batched stats differ on `{query}`"
@@ -134,7 +151,10 @@ fn streaming_matches_the_rewritten_view_corpus_solo_and_batched() {
             to_preorder(&on_tree.answers, &pre),
             "view answers differ on `{query}`"
         );
-        assert_eq!(streamed.stats, on_tree.stats, "view stats differ on `{query}`");
+        assert_eq!(
+            streamed.stats, on_tree.stats,
+            "view stats differ on `{query}`"
+        );
     }
 
     // The whole corpus as one batch.
@@ -167,8 +187,12 @@ fn every_domain_and_shape_streams_identically_to_the_tree_engine() {
     // and the two sources must agree with each other bit for bit.
     for domain in all_domains() {
         let mfas = domain_corpus_mfas(&domain);
-        let batch_queries =
-            compile_batch(&mfas.iter().map(|(_, m)| BatchQuery::new(m)).collect::<Vec<_>>());
+        let batch_queries = compile_batch(
+            &mfas
+                .iter()
+                .map(|(_, m)| BatchQuery::new(m))
+                .collect::<Vec<_>>(),
+        );
         for &shape in domain.shapes {
             let doc = domain.generate(shape, 1, STANDARD_SEED);
             let pre = preorder_ids(&doc);
@@ -235,7 +259,10 @@ fn indexed_streaming_matches_opthype_on_the_document_corpus() {
             to_preorder(&on_tree.answers, &pre),
             "indexed answers differ on `{query}`"
         );
-        assert_eq!(streamed.stats, on_tree.stats, "indexed stats differ on `{query}`");
+        assert_eq!(
+            streamed.stats, on_tree.stats,
+            "indexed stats differ on `{query}`"
+        );
     }
 }
 
@@ -320,8 +347,24 @@ fn assert_stream_and_replay_agree(tree: &XmlTree) {
 /// entities (which must stay literal), lone ampersands, markup characters,
 /// quotes, `]]>`, tabs and both line-ending conventions.
 const NASTY_FRAGMENTS: &[&str] = &[
-    "x", "&", "&&", "&amp;", "&lt;", "a&am", "p;b", "&amp", "amp;", "<", ">", "\"", "'", "]]>",
-    "line\nbreak", "dos\r\nline", "\ttab", "caf\u{e9}",
+    "x",
+    "&",
+    "&&",
+    "&amp;",
+    "&lt;",
+    "a&am",
+    "p;b",
+    "&amp",
+    "amp;",
+    "<",
+    ">",
+    "\"",
+    "'",
+    "]]>",
+    "line\nbreak",
+    "dos\r\nline",
+    "\ttab",
+    "caf\u{e9}",
 ];
 
 /// Deterministically concatenates `fragments` nasty fragments picked by a
