@@ -2,8 +2,7 @@
 //!
 //! The comparison systems of the paper's experimental study (Section 7),
 //! re-implemented over the same in-memory tree so that the benchmarks
-//! compare algorithms rather than parsing stacks (see DESIGN.md,
-//! substitution table):
+//! compare algorithms rather than parsing stacks:
 //!
 //! * [`two_pass`] — a classic **two-phase XPath evaluator** in the style of
 //!   Koch's tree-automaton approach \[16\] and of conventional engines such

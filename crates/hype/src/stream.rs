@@ -101,7 +101,7 @@ pub struct StreamResult {
 }
 
 /// Pooled text buffer of one open element: a later text run overwrites an
-/// earlier one, matching the tree parser's "text attached at close"
+/// earlier one, matching `parse_document`'s "text attached at close"
 /// semantics, and the `String` capacity is recycled across elements so the
 /// steady state allocates nothing per text event.
 #[derive(Default)]
@@ -232,7 +232,7 @@ impl<'a> StreamHype<'a> {
 
     /// Pushes a text event for the innermost open element. A later text run
     /// of the same element overwrites an earlier one (children in between),
-    /// matching the tree parser's "text attached at close" semantics.
+    /// matching `parse_document`'s "text attached at close" semantics.
     pub fn text(&mut self, text: &str) {
         self.events += 1;
         if self.skip_depth > 0 {

@@ -14,8 +14,10 @@
 //! slow or stuck client cannot wedge admission. When the queue is full the
 //! server **sheds load visibly**: the new connection receives a typed
 //! [`Response::Busy`] frame (carrying the queue bound) and is closed —
-//! never a silent drop — and the shed counter ticks. Within a connection,
-//! requests are answered in order.
+//! never a silent drop — and the shed counter ticks. The close is a
+//! half-close held for [`SHED_GRACE`]: closing a socket whose peer's request
+//! is still unread sends a reset, which can destroy the `Busy` frame before
+//! the peer reads it. Within a connection, requests are answered in order.
 //!
 //! Workers **rotate** connections rather than owning them until EOF, so
 //! idle-but-open clients can never starve waiting ones (with blocking
@@ -51,11 +53,15 @@
 //!   frame-aligned: best-effort `Error(Protocol)` frame, then close;
 //! * well-formed frame whose body fails to decode → the stream is still
 //!   aligned (length-delimited framing): answer a typed `Error(Protocol)`
-//!   frame and keep serving.
+//!   frame and keep serving;
+//! * a request whose handler panics → the panic is caught at the request
+//!   boundary, answered with a typed `Error(Internal)` frame and counted;
+//!   the worker and the connection serve on.
 
 use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -65,7 +71,7 @@ use smoqe::ServiceConfig;
 
 use crate::protocol::{
     decode_request, encode_response, read_frame_body, read_frame_len_after, write_frame, ErrorCode,
-    FrameError, Response,
+    FrameError, Request, Response,
 };
 use crate::tenant::{handle_request, ServerCounters, TenantRegistry};
 
@@ -77,6 +83,15 @@ pub const IDLE_POLL: Duration = Duration::from_millis(25);
 /// Back-to-back requests one connection may stream while others wait
 /// before it is rotated to the back of the queue.
 pub const FAIR_BURST: u32 = 32;
+
+/// How long a shed connection stays half-closed (its `Busy` frame and end
+/// of stream sent, its socket open) at least. The next shed after that
+/// drops it, or the server's shutdown.
+pub const SHED_GRACE: Duration = Duration::from_secs(1);
+
+/// Shed connections held half-closed at once; past this the oldest is
+/// dropped early.
+const SHED_HELD_MAX: usize = 64;
 
 /// The time a frame may take from its first byte, whatever its length.
 const FRAME_DEADLINE_MIN: Duration = Duration::from_secs(2);
@@ -237,6 +252,8 @@ impl Drop for Server {
 }
 
 fn accept_loop(listener: TcpListener, shared: &Shared) {
+    // Shed connections in their grace period, oldest first.
+    let mut held: VecDeque<(Instant, TcpStream)> = VecDeque::new();
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -261,7 +278,11 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
             .expect("admission queue lock poisoned");
         if queue.len() >= shared.admission.capacity {
             drop(queue);
-            shed(shared, stream);
+            held.retain(|(since, _)| since.elapsed() < SHED_GRACE);
+            if held.len() == SHED_HELD_MAX {
+                held.pop_front();
+            }
+            held.push_back((Instant::now(), shed(shared, stream)));
             continue;
         }
         queue.push_back(stream);
@@ -275,13 +296,16 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
 }
 
 /// Sheds one connection: typed `Busy` frame (best effort — the peer may
-/// already be gone), then drop.
-fn shed(shared: &Shared, mut stream: TcpStream) {
+/// already be gone), then end of stream. Returns the half-closed stream for
+/// the caller to hold through its grace period.
+fn shed(shared: &Shared, mut stream: TcpStream) -> TcpStream {
     shared.counters.shed_total.fetch_add(1, Ordering::Relaxed);
     let body = encode_response(&Response::Busy {
         queue_capacity: shared.admission.capacity as u32,
     });
     let _ = write_frame(&mut stream, &body);
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    stream
 }
 
 fn worker_loop(shared: &Shared, index: usize) {
@@ -434,7 +458,7 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) -> Option<TcpStream
                     .counters
                     .requests_total
                     .fetch_add(1, Ordering::Relaxed);
-                handle_request(&shared.registry, &shared.counters, &request)
+                answer(shared, &request)
             }
             Err(e) => {
                 // The frame itself was well-formed, so the stream is still
@@ -465,6 +489,33 @@ fn handle_connection(shared: &Shared, mut stream: TcpStream) -> Option<TcpStream
     }
 }
 
+/// Answers one request, turning a panic in its handler into a typed
+/// `Error(Internal)` response and a count, so the worker lives on.
+///
+/// The handler's shared state is the tenant registry and each tenant's
+/// service and store; a panic leaves them as they were at the panic, and a
+/// lock it poisoned fails the later requests that take it the same way —
+/// each answered, none fatal to the worker.
+fn answer(shared: &Shared, request: &Request) -> Response {
+    let handled = panic::catch_unwind(AssertUnwindSafe(|| {
+        #[cfg(test)]
+        tests::panic_on_marker(request);
+        handle_request(&shared.registry, &shared.counters, request)
+    }));
+    handled.unwrap_or_else(|payload| {
+        shared.counters.panics_total.fetch_add(1, Ordering::Relaxed);
+        let detail = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("no message");
+        Response::Error {
+            code: ErrorCode::Internal,
+            message: format!("request handler panicked: {detail}"),
+        }
+    })
+}
+
 /// True for the error a read returns once its socket timeout has passed.
 fn timed_out(e: &io::Error) -> bool {
     matches!(
@@ -488,5 +539,114 @@ impl Read for FrameDeadline<'_> {
         }
         self.stream.set_read_timeout(Some(left))?;
         self.stream.read(buf)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{decode_response, encode_request, read_frame, view_to_wire};
+    use smoqe::EvaluationMode;
+    use smoqe_toxgene::{generate_hospital, HospitalConfig};
+    use smoqe_views::hospital_view;
+    use smoqe_xml::snapshot;
+
+    /// A `Query` with this text panics inside the request handler.
+    const PANIC_QUERY: &str = "panic-in-handler";
+
+    pub(super) fn panic_on_marker(request: &Request) {
+        if matches!(request, Request::Query { query, .. } if query == PANIC_QUERY) {
+            panic!("injected handler panic");
+        }
+    }
+
+    /// One request and its answer over `stream`; a closed connection or a
+    /// read past the stream's timeout fails the test.
+    fn call(stream: &mut TcpStream, request: &Request) -> Response {
+        write_frame(stream, &encode_request(request)).expect("request sent");
+        let body = read_frame(stream)
+            .expect("an answer before the read timeout")
+            .expect("an answer, not a closed connection");
+        decode_response(&body).expect("a typed response")
+    }
+
+    fn connect(server: &Server) -> TcpStream {
+        let stream = TcpStream::connect(server.addr()).expect("client connects");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+    }
+
+    fn query(tenant: &str, doc: u64, query: &str) -> Request {
+        Request::Query {
+            tenant: tenant.into(),
+            doc,
+            mode: EvaluationMode::HyPE,
+            query: query.into(),
+        }
+    }
+
+    #[test]
+    fn a_panicking_request_is_answered_internal_and_the_worker_serves_on() {
+        let mut server = Server::spawn(
+            "127.0.0.1:0",
+            ServerConfig {
+                workers: 1,
+                queue_capacity: 8,
+                service: ServiceConfig::default(),
+            },
+        )
+        .expect("server spawns");
+        let mut first = connect(&server);
+        let (document_dtd, view_dtd, annotations) = view_to_wire(&hospital_view());
+        let resp = call(
+            &mut first,
+            &Request::RegisterView {
+                tenant: "nurse".into(),
+                document_dtd,
+                view_dtd,
+                annotations,
+            },
+        );
+        assert!(matches!(resp, Response::ViewRegistered { .. }), "{resp:?}");
+        let tree = generate_hospital(&HospitalConfig {
+            patients: 4,
+            ..Default::default()
+        });
+        let resp = call(
+            &mut first,
+            &Request::RegisterDocument {
+                tenant: "nurse".into(),
+                snapshot: snapshot::save(&tree),
+            },
+        );
+        let Response::DocumentRegistered { doc } = resp else {
+            panic!("expected DocumentRegistered, got {resp:?}");
+        };
+
+        let resp = call(&mut first, &query("nurse", doc, PANIC_QUERY));
+        let Response::Error {
+            code: ErrorCode::Internal,
+            message,
+        } = resp
+        else {
+            panic!("a panicking handler earns a typed Internal error, got {resp:?}");
+        };
+        assert!(message.contains("injected handler panic"), "{message}");
+
+        // The only worker lives on: the same connection and a new one are
+        // both answered on the same tenant.
+        let resp = call(&mut first, &query("nurse", doc, "patient"));
+        let Response::Answer(answer) = resp else {
+            panic!("expected an Answer after the panic, got {resp:?}");
+        };
+        assert!(!answer.answers.is_empty());
+        let resp = call(&mut connect(&server), &query("nurse", doc, "patient"));
+        assert_eq!(resp, Response::Answer(answer));
+
+        assert_eq!(server.counters().panics_total.load(Ordering::Relaxed), 1);
+        assert_eq!(server.counters().requests_total.load(Ordering::Relaxed), 5);
+        server.shutdown();
     }
 }

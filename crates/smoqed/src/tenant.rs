@@ -141,6 +141,9 @@ pub struct ServerCounters {
     pub shed_total: AtomicU64,
     /// Malformed frames or bodies seen since start.
     pub protocol_errors: AtomicU64,
+    /// Requests whose handler panicked since start; each was answered
+    /// `Error(Internal)` and its worker served on.
+    pub panics_total: AtomicU64,
 }
 
 impl ServerCounters {
@@ -153,6 +156,7 @@ impl ServerCounters {
             requests_total: AtomicU64::new(0),
             shed_total: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
+            panics_total: AtomicU64::new(0),
         }
     }
 }

@@ -385,8 +385,8 @@ impl Normalizer {
                     // `a+` ≡ `a, a*` and `a?` ≡ `a*` up to cardinality; the
                     // normal form only has `B` and `B*`, so `+` becomes a
                     // mandatory child followed by a starred one, and `?`
-                    // becomes a starred child (a slight relaxation, noted in
-                    // DESIGN.md, that never rejects a valid document).
+                    // becomes a starred child (a slight relaxation that
+                    // never rejects a valid document).
                     (Particle::Name(name), Occurrence::Plus) => {
                         children.push(Child::one(name));
                         children.push(Child::star(name));

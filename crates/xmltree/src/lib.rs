@@ -1,9 +1,10 @@
 //! # smoqe-xml
 //!
 //! The XML substrate of SMOQE-RS: an arena-based XML tree model, a label
-//! interner, a small XML parser/serializer, and the DTD model of
-//! *Rewriting Regular XPath Queries on XML Views* (Fan et al., ICDE 2007),
-//! Section 2.2.
+//! interner, one streaming XML tokenizer ([`XmlStreamReader`], which
+//! [`parse_document`] drives into a tree), a serializer, and the DTD model
+//! of *Rewriting Regular XPath Queries on XML Views* (Fan et al., ICDE
+//! 2007), Section 2.2.
 //!
 //! The paper works on node-labelled ordered trees where certain element
 //! types carry a single PCDATA (text) child. We model documents as an

@@ -1,19 +1,26 @@
-//! A minimal XML parser for the document subset used by the paper.
+//! Builds an [`XmlTree`] from XML text.
 //!
-//! Supports: element tags (with attributes *skipped*), text content,
+//! [`parse_document`] drives the one XML tokenizer,
+//! [`XmlStreamReader`], into an [`XmlTreeBuilder`], so the tree path and the
+//! streaming path accept the same documents and see the same text. The
+//! subset: element tags (with attributes *skipped*), text content,
 //! comments, processing instructions / XML declarations (skipped),
 //! self-closing tags, and the five predefined entities. It does not support
-//! namespaces, CDATA sections, DOCTYPE internal subsets, or mixed content
-//! (text is attached to the innermost enclosing element).
+//! namespaces, CDATA sections or DOCTYPE internal subsets.
+//!
+//! Text is attached at close: a text run followed by a child's open tag is
+//! dropped, so an element keeps only the run just before its close tag.
 //!
 //! The rewriting and evaluation algorithms only need a node-labelled tree
 //! with PCDATA leaves, so this subset is sufficient and keeps the substrate
-//! dependency-free (see DESIGN.md, substitution table).
+//! dependency-free.
 
 use crate::error::ParseError;
+use crate::stream::{EventSource, XmlEvent, XmlStreamReader};
 use crate::tree::{NodeId, XmlTree, XmlTreeBuilder};
 
-/// Parses an XML document string into an [`XmlTree`].
+/// Parses an XML document string into an [`XmlTree`]. Node ids are in
+/// document (pre-)order.
 ///
 /// ```
 /// let tree = smoqe_xml::parse_document(
@@ -23,221 +30,31 @@ use crate::tree::{NodeId, XmlTree, XmlTreeBuilder};
 /// assert_eq!(tree.label_name(tree.root()), "hospital");
 /// ```
 pub fn parse_document(input: &str) -> Result<XmlTree, ParseError> {
-    Parser::new(input).parse()
-}
-
-struct Parser<'a> {
-    input: &'a [u8],
-    pos: usize,
-    builder: XmlTreeBuilder,
-    /// Stack of currently open elements.
-    open: Vec<(NodeId, String)>,
-    /// Pending text for the innermost open element.
-    text_buf: String,
-}
-
-impl<'a> Parser<'a> {
-    fn new(input: &'a str) -> Self {
-        Parser {
-            input: input.as_bytes(),
-            pos: 0,
-            builder: XmlTreeBuilder::new(),
-            open: Vec::new(),
-            text_buf: String::new(),
-        }
-    }
-
-    fn parse(mut self) -> Result<XmlTree, ParseError> {
-        let mut root_seen = false;
-        let mut root_closed = false;
-        while self.pos < self.input.len() {
-            if self.peek() == Some(b'<') {
-                match self.input.get(self.pos + 1) {
-                    Some(b'?') => self.skip_until("?>")?,
-                    Some(b'!') => self.skip_markup_declaration()?,
-                    Some(b'/') => {
-                        self.close_tag()?;
-                        if self.open.is_empty() {
-                            root_closed = true;
-                        }
-                    }
-                    _ => {
-                        if root_closed {
-                            return Err(ParseError::TrailingContent(self.pos));
-                        }
-                        self.open_tag(&mut root_seen)?;
-                        if self.open.is_empty() {
-                            // self-closing root
-                            root_closed = true;
-                        }
-                    }
-                }
-            } else {
-                self.text()?;
-                if root_closed && !self.text_buf.trim().is_empty() {
-                    return Err(ParseError::TrailingContent(self.pos));
-                }
-                if self.open.is_empty() {
-                    self.text_buf.clear();
-                }
+    let mut reader = XmlStreamReader::new(input.as_bytes());
+    let mut builder = XmlTreeBuilder::new();
+    let mut open: Vec<NodeId> = Vec::new();
+    while let Some(event) = reader.next_event()? {
+        match event {
+            XmlEvent::Open(name) => {
+                let node = match open.last() {
+                    Some(&parent) => builder.child(parent, name),
+                    None => builder.root(name),
+                };
+                open.push(node);
+            }
+            XmlEvent::Text(text) => {
+                builder.set_text(*open.last().expect("text is inside an element"), text);
+            }
+            XmlEvent::Close => {
+                open.pop();
             }
         }
-        if !self.open.is_empty() {
-            return Err(ParseError::UnexpectedEof);
-        }
-        if !root_seen {
-            return Err(ParseError::EmptyDocument);
-        }
-        Ok(self.builder.finish())
     }
-
-    #[inline]
-    fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
-    }
-
-    fn skip_until(&mut self, pat: &str) -> Result<(), ParseError> {
-        let bytes = pat.as_bytes();
-        let mut i = self.pos;
-        while i + bytes.len() <= self.input.len() {
-            if &self.input[i..i + bytes.len()] == bytes {
-                self.pos = i + bytes.len();
-                return Ok(());
-            }
-            i += 1;
-        }
-        Err(ParseError::UnexpectedEof)
-    }
-
-    fn skip_markup_declaration(&mut self) -> Result<(), ParseError> {
-        // `<!-- ... -->` comment or `<!DOCTYPE ...>` (without internal subset).
-        if self.input[self.pos..].starts_with(b"<!--") {
-            self.skip_until("-->")
-        } else {
-            self.skip_until(">")
-        }
-    }
-
-    fn read_name(&mut self) -> Result<String, ParseError> {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c.is_ascii_alphanumeric() || c == b'_' || c == b'-' || c == b'.' || c == b':' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
-            return Err(ParseError::Syntax {
-                offset: start,
-                message: "expected an element name".to_owned(),
-            });
-        }
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
-    }
-
-    fn open_tag(&mut self, root_seen: &mut bool) -> Result<(), ParseError> {
-        self.flush_text();
-        self.pos += 1; // consume '<'
-        let name = self.read_name()?;
-        // Skip attributes up to '>' or '/>'.
-        let mut self_closing = false;
-        loop {
-            match self.peek() {
-                Some(b'>') => {
-                    self.pos += 1;
-                    break;
-                }
-                Some(b'/') if self.input.get(self.pos + 1) == Some(&b'>') => {
-                    self.pos += 2;
-                    self_closing = true;
-                    break;
-                }
-                Some(b'"') | Some(b'\'') => {
-                    let quote = self.peek().unwrap();
-                    self.pos += 1;
-                    while let Some(c) = self.peek() {
-                        self.pos += 1;
-                        if c == quote {
-                            break;
-                        }
-                    }
-                }
-                Some(_) => self.pos += 1,
-                None => return Err(ParseError::UnexpectedEof),
-            }
-        }
-        let node = if let Some(&(parent, _)) = self.open.last() {
-            self.builder.child(parent, &name)
-        } else {
-            if *root_seen {
-                return Err(ParseError::TrailingContent(self.pos));
-            }
-            *root_seen = true;
-            self.builder.root(&name)
-        };
-        if !self_closing {
-            self.open.push((node, name));
-        }
-        Ok(())
-    }
-
-    fn close_tag(&mut self) -> Result<(), ParseError> {
-        let offset = self.pos;
-        self.pos += 2; // consume "</"
-        let name = self.read_name()?;
-        if self.peek() != Some(b'>') {
-            return Err(ParseError::Syntax {
-                offset: self.pos,
-                message: "expected '>' after closing tag name".to_owned(),
-            });
-        }
-        self.pos += 1;
-        let (node, open_name) = self.open.pop().ok_or(ParseError::Syntax {
-            offset,
-            message: "closing tag with no open element".to_owned(),
-        })?;
-        if open_name != name {
-            return Err(ParseError::MismatchedTag {
-                expected: open_name,
-                found: name,
-                offset,
-            });
-        }
-        let text = std::mem::take(&mut self.text_buf);
-        let trimmed = text.trim();
-        if !trimmed.is_empty() {
-            self.builder.set_text(node, trimmed);
-        }
-        Ok(())
-    }
-
-    fn flush_text(&mut self) {
-        // Text interleaved before a child element is attached to the parent
-        // only if the parent ends up childless; for the paper's DTD normal
-        // form (text only on leaf elements), simply clearing is correct.
-        self.text_buf.clear();
-    }
-
-    fn text(&mut self) -> Result<(), ParseError> {
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if c == b'<' {
-                break;
-            }
-            self.pos += 1;
-        }
-        let raw = String::from_utf8_lossy(&self.input[start..self.pos]);
-        self.text_buf.push_str(&unescape(&raw));
-        Ok(())
-    }
+    Ok(builder.finish())
 }
 
 /// Replaces the five predefined XML entities by their characters.
 pub(crate) fn unescape(s: &str) -> String {
-    if !s.contains('&') {
-        return s.to_owned();
-    }
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
     while let Some(idx) = rest.find('&') {
@@ -346,6 +163,61 @@ mod tests {
             parse_document("<a></a><b></b>").unwrap_err(),
             ParseError::TrailingContent(_)
         ));
+    }
+
+    #[test]
+    fn every_parse_error_has_a_fixed_variant_and_offset() {
+        fn syntax(offset: usize, message: &str) -> ParseError {
+            ParseError::Syntax {
+                offset,
+                message: message.to_owned(),
+            }
+        }
+        fn mismatched(expected: &str, found: &str, offset: usize) -> ParseError {
+            ParseError::MismatchedTag {
+                expected: expected.to_owned(),
+                found: found.to_owned(),
+                offset,
+            }
+        }
+        const NAME: &str = "expected an element name";
+        for (xml, expected) in [
+            // Input ends inside an element, a tag, an attribute or markup.
+            ("<a><b>", ParseError::UnexpectedEof),
+            ("<a", ParseError::UnexpectedEof),
+            ("<a x=\"1", ParseError::UnexpectedEof),
+            ("<a><!-- never closed", ParseError::UnexpectedEof),
+            ("<a><?pi", ParseError::UnexpectedEof),
+            ("<a><!DOCTYPE", ParseError::UnexpectedEof),
+            // Close tags name the open element; the offset is the `<`.
+            ("<a><b></a></b>", mismatched("b", "a", 6)),
+            ("<a></b>", mismatched("a", "b", 3)),
+            ("<a/></a>", syntax(4, "closing tag with no open element")),
+            ("<a></a >", syntax(6, "expected '>' after closing tag name")),
+            ("<a>x</a", syntax(7, "expected '>' after closing tag name")),
+            // A tag without a name; the offset is just past `<` or `</`.
+            ("<", syntax(1, NAME)),
+            ("<a>< b/></a>", syntax(4, NAME)),
+            ("<a></ a>", syntax(5, NAME)),
+            ("<a></", syntax(5, NAME)),
+            // No root element at all.
+            ("", ParseError::EmptyDocument),
+            ("   ", ParseError::EmptyDocument),
+            ("<!-- only a comment -->", ParseError::EmptyDocument),
+            ("<?xml version=\"1.0\"?>", ParseError::EmptyDocument),
+            // After the root: a tag errs at its `<`, text at the end of its
+            // first non-blank fragment.
+            ("<a></a><b></b>", ParseError::TrailingContent(7)),
+            ("<a/><b/>", ParseError::TrailingContent(4)),
+            ("<a></a><", ParseError::TrailingContent(7)),
+            ("<a/>junk", ParseError::TrailingContent(8)),
+            ("<a>text</a>more", ParseError::TrailingContent(15)),
+            ("<a></a>x<b/>", ParseError::TrailingContent(8)),
+            ("<a/> x <!-- c -->", ParseError::TrailingContent(7)),
+            ("<a/> <!-- c --> y", ParseError::TrailingContent(17)),
+        ] {
+            assert_eq!(parse_document(xml).unwrap_err(), expected, "on {xml:?}");
+        }
     }
 
     #[test]

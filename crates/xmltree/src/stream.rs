@@ -15,20 +15,19 @@
 //! * [`XmlEvent::Text`] — a trimmed, entity-unescaped, non-empty PCDATA run,
 //! * [`XmlEvent::Close`] — the innermost open element ended.
 //!
-//! The reader accepts exactly the XML subset of [`crate::parse_document`]
-//! (attributes skipped, comments/PIs skipped, five predefined entities, no
-//! namespaces or CDATA) and performs the same well-formedness checks, so
-//! `parse_document(s)` succeeds if and only if streaming `s` to exhaustion
-//! succeeds. Text semantics also mirror the tree parser exactly: a run
-//! interrupted by comments or processing instructions is accumulated into
-//! one event, and text is **attached at close** — a run followed by a child
-//! element's open tag is dropped (the tree parser's `flush_text`), so each
-//! element yields at most one [`XmlEvent::Text`], the run immediately
-//! preceding its close tag. Note the one sequencing difference between the
-//! two sources: the reader emits that text just before `Close`, while
-//! [`TreeEvents`] emits a node's stored text right after its `Open`;
-//! consumers that track "the element's text" per open element (as
-//! `smoqe_hype::stream` does) are agnostic to the position.
+//! [`XmlStreamReader`] is the crate's one XML tokenizer:
+//! [`crate::parse_document`] drives it into a tree builder, so the tree and
+//! the streaming path accept the same documents, fail with the same errors
+//! and see the same text. It skips attributes, comments and processing
+//! instructions, knows the five predefined entities, and has no namespaces
+//! or CDATA. A text run interrupted by comments or processing instructions
+//! is one event, and text is **attached at close** — a run followed by a
+//! child element's open tag is dropped — so each element yields at most one
+//! [`XmlEvent::Text`], the run immediately preceding its close tag. The
+//! reader emits that text just before `Close`, while [`TreeEvents`] emits a
+//! node's stored text right after its `Open`; consumers that track "the
+//! element's text" per open element (as `smoqe_hype::stream` does) are
+//! agnostic to the position.
 
 use std::io::Read;
 
@@ -96,28 +95,35 @@ const COMPACT_THRESHOLD: usize = 64 * 1024;
 pub struct XmlStreamReader<R> {
     reader: R,
     buf: Vec<u8>,
-    /// Next unconsumed byte in `buf`.
+    /// Next unconsumed byte in `buf`. A refill may drop the bytes before it
+    /// and move the rest to the front, so only offsets *relative* to `pos`
+    /// survive a [`Self::byte_at`] call.
     pos: usize,
     /// Bytes discarded before `buf[0]` (for error offsets).
     discarded: usize,
     eof: bool,
-    /// Names of the currently open elements (well-formedness checking).
+    /// Names of the open elements are `open[..depth]`. The slots past
+    /// `depth` keep their allocations for the next tags; `open[depth]` holds
+    /// a self-closing tag's name while its `Close` is owed.
     open: Vec<String>,
+    depth: usize,
     root_seen: bool,
     root_closed: bool,
     /// A self-closing tag produced an `Open`; its `Close` is owed next.
     pending_close: bool,
-    /// Backing storage for the name borrowed by [`XmlEvent::Open`].
-    name_buf: String,
-    /// Backing storage for the text borrowed by [`XmlEvent::Text`].
-    text_buf: String,
     /// Raw byte accumulator for the current text *fragment* (up to the next
     /// markup of any kind).
     raw_text: Vec<u8>,
     /// Unescaped accumulator for the current text *run* (fragments joined
     /// across comments/PIs, each unescaped on its own — see
-    /// [`Self::flush_fragment`]).
+    /// [`Self::flush_fragment`]); [`XmlEvent::Text`] borrows its trimmed
+    /// middle.
     text_acc: String,
+}
+
+/// Bytes allowed in an element name.
+fn is_name_byte(c: u8) -> bool {
+    c.is_ascii_alphanumeric() || matches!(c, b'_' | b'-' | b'.' | b':')
 }
 
 impl<R: Read> XmlStreamReader<R> {
@@ -131,11 +137,10 @@ impl<R: Read> XmlStreamReader<R> {
             discarded: 0,
             eof: false,
             open: Vec::new(),
+            depth: 0,
             root_seen: false,
             root_closed: false,
             pending_close: false,
-            name_buf: String::new(),
-            text_buf: String::new(),
             raw_text: Vec::new(),
             text_acc: String::new(),
         }
@@ -144,7 +149,7 @@ impl<R: Read> XmlStreamReader<R> {
     /// Current nesting depth: the number of open elements, including a
     /// self-closing element whose `Close` event is still owed.
     pub fn depth(&self) -> usize {
-        self.open.len() + usize::from(self.pending_close)
+        self.depth + usize::from(self.pending_close)
     }
 
     /// Absolute byte offset of the next unconsumed input byte.
@@ -184,29 +189,26 @@ impl<R: Read> XmlStreamReader<R> {
         Ok(())
     }
 
-    /// Consumes bytes until the last `pat.len()` consumed bytes equal `pat`.
+    /// Consumes the input through the first `pat` at or after the cursor.
     fn skip_until(&mut self, pat: &[u8]) -> Result<(), ParseError> {
-        let mut window: Vec<u8> = Vec::with_capacity(pat.len());
         loop {
-            match self.byte_at(0)? {
-                None => return Err(ParseError::UnexpectedEof),
-                Some(c) => {
-                    self.pos += 1;
-                    if window.len() == pat.len() {
-                        window.remove(0);
-                    }
-                    window.push(c);
-                    if window == pat {
-                        return Ok(());
-                    }
-                }
+            let rest = &self.buf[self.pos..];
+            if let Some(k) = rest.windows(pat.len()).position(|w| w == pat) {
+                self.pos += k + pat.len();
+                return Ok(());
+            }
+            // Keep the bytes a match straddling the refill would start with.
+            let keep = rest.len().min(pat.len() - 1);
+            self.pos = self.buf.len() - keep;
+            if self.byte_at(keep)?.is_none() {
+                return Err(ParseError::UnexpectedEof);
             }
         }
     }
 
-    /// Skips `<!-- ... -->` or `<!DOCTYPE ...>` (cursor on `<`). Like the
-    /// tree parser, the search starts *at the opener*, so degenerate forms
-    /// whose terminator overlaps it (`<!-->`, `<!--->`) are accepted.
+    /// Skips `<!-- ... -->` or `<!DOCTYPE ...>` (cursor on `<`). The search
+    /// starts *at the opener*, so degenerate forms whose terminator
+    /// overlaps it (`<!-->`, `<!--->`) are accepted.
     fn skip_markup_declaration(&mut self) -> Result<(), ParseError> {
         if self.byte_at(2)? == Some(b'-') && self.byte_at(3)? == Some(b'-') {
             self.skip_until(b"-->")
@@ -215,127 +217,163 @@ impl<R: Read> XmlStreamReader<R> {
         }
     }
 
-    /// Reads an element name at the cursor into an owned string.
-    fn read_name(&mut self) -> Result<String, ParseError> {
-        let mut len = 0;
-        while let Some(c) = self.byte_at(len)? {
-            if c.is_ascii_alphanumeric() || c == b'_' || c == b'-' || c == b'.' || c == b':' {
-                len += 1;
-            } else {
-                break;
+    /// Moves the cursor to the next byte that satisfies `hit` and returns
+    /// it, or `None` at end of input.
+    fn skip_to(&mut self, hit: impl Fn(u8) -> bool) -> Result<Option<u8>, ParseError> {
+        loop {
+            if let Some(k) = self.buf[self.pos..].iter().position(|&c| hit(c)) {
+                self.pos += k;
+                return Ok(Some(self.buf[self.pos]));
+            }
+            self.pos = self.buf.len();
+            if self.byte_at(0)?.is_none() {
+                return Ok(None);
             }
         }
-        if len == 0 {
-            return Err(ParseError::Syntax {
-                offset: self.offset(),
-                message: "expected an element name".to_owned(),
-            });
-        }
-        let name = String::from_utf8_lossy(&self.buf[self.pos..self.pos + len]).into_owned();
-        self.pos += len;
-        Ok(name)
     }
 
-    /// Parses an open tag (cursor on `<`), filling `name_buf` and the open
-    /// stack; schedules the matching `Close` for self-closing tags.
-    fn parse_open_tag(&mut self) -> Result<(), ParseError> {
-        if self.root_closed || (self.root_seen && self.open.is_empty()) {
+    /// Length of the element name that starts `from` bytes past the cursor.
+    /// The name stays unconsumed, so it is buffered whole at
+    /// `buf[pos + from..]` afterwards.
+    fn name_len(&mut self, from: usize) -> Result<usize, ParseError> {
+        let mut len = 0;
+        loop {
+            let rest = self.buf.get(self.pos + from + len..).unwrap_or_default();
+            match rest.iter().position(|&c| !is_name_byte(c)) {
+                Some(k) => return Ok(len + k),
+                None => len += rest.len(),
+            }
+            if self.byte_at(from + len)?.is_none() {
+                return Ok(len);
+            }
+        }
+    }
+
+    fn expected_name(&self, offset: usize) -> ParseError {
+        ParseError::Syntax {
+            offset,
+            message: "expected an element name".to_owned(),
+        }
+    }
+
+    /// Parses an open tag (cursor on `<`) into the open stack's next slot
+    /// and returns that slot; schedules the matching `Close` for
+    /// self-closing tags.
+    fn parse_open_tag(&mut self) -> Result<usize, ParseError> {
+        if self.root_closed {
             return Err(ParseError::TrailingContent(self.offset()));
         }
-        self.pos += 1; // '<'
-        let name = self.read_name()?;
-        let mut self_closing = false;
-        loop {
-            match self.byte_at(0)? {
+        let len = self.name_len(1)?;
+        if len == 0 {
+            return Err(self.expected_name(self.offset() + 1));
+        }
+        let name = std::str::from_utf8(&self.buf[self.pos + 1..self.pos + 1 + len])
+            .expect("name bytes are ASCII");
+        match self.open.get_mut(self.depth) {
+            Some(slot) => {
+                slot.clear();
+                slot.push_str(name);
+            }
+            None => self.open.push(name.to_owned()),
+        }
+        self.pos += 1 + len;
+        // Skip attributes up to `>` or `/>`; quoted values may hold either.
+        let self_closing = loop {
+            match self.skip_to(|c| matches!(c, b'>' | b'/' | b'"' | b'\''))? {
                 Some(b'>') => {
                     self.pos += 1;
-                    break;
+                    break false;
                 }
-                Some(b'/') if self.byte_at(1)? == Some(b'>') => {
-                    self.pos += 2;
-                    self_closing = true;
-                    break;
-                }
-                Some(quote @ (b'"' | b'\'')) => {
+                Some(b'/') => {
                     self.pos += 1;
-                    loop {
-                        match self.byte_at(0)? {
-                            Some(c) => {
-                                self.pos += 1;
-                                if c == quote {
-                                    break;
-                                }
-                            }
-                            None => return Err(ParseError::UnexpectedEof),
-                        }
+                    if self.byte_at(0)? == Some(b'>') {
+                        self.pos += 1;
+                        break true;
                     }
                 }
-                Some(_) => self.pos += 1,
+                Some(quote) => {
+                    self.pos += 1;
+                    if self.skip_to(|c| c == quote)?.is_none() {
+                        return Err(ParseError::UnexpectedEof);
+                    }
+                    self.pos += 1;
+                }
                 None => return Err(ParseError::UnexpectedEof),
             }
-        }
+        };
         self.root_seen = true;
+        let slot = self.depth;
         if self_closing {
             self.pending_close = true;
-            if self.open.is_empty() {
-                self.root_closed = true;
-            }
+            self.root_closed = self.depth == 0;
         } else {
-            self.open.push(name.clone());
+            self.depth += 1;
         }
-        self.name_buf = name;
-        Ok(())
+        Ok(slot)
     }
 
-    /// Parses a closing tag (cursor on `<`, next byte `/`).
+    /// Parses a closing tag (cursor on `<`, next byte `/`), comparing its
+    /// name with the open element's where it lies in the buffer.
     fn parse_close_tag(&mut self) -> Result<(), ParseError> {
-        let offset = self.offset();
-        self.pos += 2; // "</"
-        let name = self.read_name()?;
-        if self.byte_at(0)? != Some(b'>') {
+        let len = self.name_len(2)?;
+        if len == 0 {
+            return Err(self.expected_name(self.offset() + 2));
+        }
+        if self.byte_at(2 + len)? != Some(b'>') {
             return Err(ParseError::Syntax {
-                offset: self.offset(),
+                offset: self.offset() + 2 + len,
                 message: "expected '>' after closing tag name".to_owned(),
             });
         }
-        self.pos += 1;
-        let open_name = self.open.pop().ok_or(ParseError::Syntax {
-            offset,
-            message: "closing tag with no open element".to_owned(),
-        })?;
-        if open_name != name {
-            return Err(ParseError::MismatchedTag {
-                expected: open_name,
-                found: name,
-                offset,
+        if self.depth == 0 {
+            return Err(ParseError::Syntax {
+                offset: self.offset(),
+                message: "closing tag with no open element".to_owned(),
             });
         }
-        if self.open.is_empty() {
-            self.root_closed = true;
+        let found = &self.buf[self.pos + 2..self.pos + 2 + len];
+        let open_name = &self.open[self.depth - 1];
+        if found != open_name.as_bytes() {
+            return Err(ParseError::MismatchedTag {
+                expected: open_name.clone(),
+                found: String::from_utf8_lossy(found).into_owned(),
+                offset: self.offset(),
+            });
         }
+        self.pos += 3 + len;
+        self.depth -= 1;
+        self.root_closed = self.depth == 0;
         Ok(())
     }
 
     /// Unescapes the raw fragment gathered so far and appends it to the
     /// run accumulator.
     ///
-    /// The tree parser unescapes each fragment **separately** (its `text()`
-    /// runs once per stretch between markup), so an entity reference split
-    /// by a comment — `a&am<!-- -->p;b` — stays the literal `a&amp;b` rather
-    /// than collapsing to `a&b`. Unescaping the joined raw bytes once would
-    /// silently diverge from `parse_document` on exactly those inputs, which
-    /// the reader-vs-tree property test now covers.
-    fn flush_fragment(&mut self) {
-        if self.raw_text.is_empty() {
-            return;
+    /// Each fragment is unescaped **separately**, so an entity reference
+    /// split by a comment — `a&am<!-- -->p;b` — stays the literal `a&amp;b`
+    /// rather than collapsing to `a&b`.
+    ///
+    /// Text after the root is an error at the end of its first non-blank
+    /// fragment.
+    fn flush_fragment(&mut self) -> Result<(), ParseError> {
+        if !self.raw_text.is_empty() {
+            let raw = String::from_utf8_lossy(&self.raw_text);
+            if raw.contains('&') {
+                self.text_acc.push_str(&unescape(&raw));
+            } else {
+                self.text_acc.push_str(&raw);
+            }
+            self.raw_text.clear();
         }
-        let raw = String::from_utf8_lossy(&self.raw_text);
-        self.text_acc.push_str(&unescape(&raw));
-        self.raw_text.clear();
+        if self.root_closed && !self.text_acc.trim().is_empty() {
+            return Err(ParseError::TrailingContent(self.offset()));
+        }
+        Ok(())
     }
 
     /// Accumulates the text run at the cursor (spanning comments and PIs)
-    /// into `text_buf`. Returns `true` if a non-whitespace run was produced.
+    /// into `text_acc`. Returns `true` if the run is an element's text: not
+    /// blank, and followed by its close tag.
     fn read_text_run(&mut self) -> Result<bool, ParseError> {
         self.raw_text.clear();
         self.text_acc.clear();
@@ -350,15 +388,13 @@ impl<R: Read> XmlStreamReader<R> {
                         .extend_from_slice(&self.buf[self.pos..self.pos + k]);
                     self.pos += k;
                     match self.byte_at(1)? {
-                        // Comments and PIs end a fragment (but not the run):
-                        // unescape what we have before skipping the markup,
-                        // exactly like the tree parser's per-fragment text().
+                        // Comments and PIs end a fragment but not the run.
                         Some(b'?') => {
-                            self.flush_fragment();
+                            self.flush_fragment()?;
                             self.skip_until(b"?>")?;
                         }
                         Some(b'!') => {
-                            self.flush_fragment();
+                            self.flush_fragment()?;
                             self.skip_markup_declaration()?;
                         }
                         _ => break,
@@ -370,28 +406,18 @@ impl<R: Read> XmlStreamReader<R> {
                 }
             }
         }
-        self.flush_fragment();
-        if self.open.is_empty() {
-            // Top-level text: ignored before the root (like the tree
-            // parser), an error after it.
-            if self.root_closed && !self.text_acc.trim().is_empty() {
-                return Err(ParseError::TrailingContent(self.offset()));
-            }
+        self.flush_fragment()?;
+        // Top-level text is ignored before the root; after it,
+        // `flush_fragment` has rejected any that is not blank.
+        if self.depth == 0 {
             return Ok(false);
         }
-        // Tree-parser parity: text is attached at *close*. A run followed by
-        // a child's open tag is dropped (the tree parser's flush_text); only
-        // a run immediately preceding the enclosing close tag is emitted.
+        // Text is attached at *close*: a run followed by a child's open tag
+        // is dropped.
         if self.byte_at(0)? == Some(b'<') && self.byte_at(1)? != Some(b'/') {
             return Ok(false);
         }
-        let trimmed = self.text_acc.trim();
-        if trimmed.is_empty() {
-            return Ok(false);
-        }
-        self.text_buf.clear();
-        self.text_buf.push_str(trimmed);
-        Ok(true)
+        Ok(!self.text_acc.trim().is_empty())
     }
 }
 
@@ -404,7 +430,7 @@ impl<R: Read> EventSource for XmlStreamReader<R> {
         loop {
             match self.byte_at(0)? {
                 None => {
-                    if !self.open.is_empty() {
+                    if self.depth != 0 {
                         return Err(ParseError::UnexpectedEof);
                     }
                     if !self.root_seen {
@@ -413,8 +439,8 @@ impl<R: Read> EventSource for XmlStreamReader<R> {
                     return Ok(None);
                 }
                 Some(b'<') => match self.byte_at(1)? {
-                    // The search starts at the opener (tree-parser parity):
-                    // `<?>` is a complete processing instruction.
+                    // The search starts at the opener: `<?>` is a complete
+                    // processing instruction.
                     Some(b'?') => self.skip_until(b"?>")?,
                     Some(b'!') => self.skip_markup_declaration()?,
                     Some(b'/') => {
@@ -422,13 +448,13 @@ impl<R: Read> EventSource for XmlStreamReader<R> {
                         return Ok(Some(XmlEvent::Close));
                     }
                     _ => {
-                        self.parse_open_tag()?;
-                        return Ok(Some(XmlEvent::Open(&self.name_buf)));
+                        let slot = self.parse_open_tag()?;
+                        return Ok(Some(XmlEvent::Open(&self.open[slot])));
                     }
                 },
                 Some(_) => {
                     if self.read_text_run()? {
-                        return Ok(Some(XmlEvent::Text(&self.text_buf)));
+                        return Ok(Some(XmlEvent::Text(self.text_acc.trim())));
                     }
                 }
             }
@@ -611,50 +637,73 @@ mod tests {
         );
     }
 
+    /// Renders an event list compactly: `Open(n)` as `n(`, `Text(t)` as
+    /// `"t"`, `Close` as `)` — so `<r><a>x</a><b/></r>` reads `r(a("x")b())`.
+    fn render(events: &[Owned]) -> String {
+        let mut out = String::new();
+        for event in events {
+            match event {
+                Owned::Open(n) => {
+                    out.push_str(n);
+                    out.push('(');
+                }
+                Owned::Text(t) => {
+                    out.push('"');
+                    out.push_str(t);
+                    out.push('"');
+                }
+                Owned::Close => out.push(')'),
+            }
+        }
+        out
+    }
+
+    fn read_rendered(xml: &str) -> Result<String, ParseError> {
+        read_events(xml).map(|events| render(&events))
+    }
+
+    fn mismatched(expected: &str, found: &str, offset: usize) -> ParseError {
+        ParseError::MismatchedTag {
+            expected: expected.into(),
+            found: found.into(),
+            offset,
+        }
+    }
+
     #[test]
     fn errors_match_the_tree_parser() {
-        assert!(matches!(
-            read_events("<a><b></a></b>").unwrap_err(),
-            ParseError::MismatchedTag { .. }
-        ));
-        assert_eq!(
-            read_events("<a><b>").unwrap_err(),
-            ParseError::UnexpectedEof
-        );
-        assert_eq!(read_events("   ").unwrap_err(), ParseError::EmptyDocument);
-        assert_eq!(
-            read_events("<!-- only a comment -->").unwrap_err(),
-            ParseError::EmptyDocument
-        );
-        assert!(matches!(
-            read_events("<a></a><b></b>").unwrap_err(),
-            ParseError::TrailingContent(_)
-        ));
-        assert!(matches!(
-            read_events("<a/>junk").unwrap_err(),
-            ParseError::TrailingContent(_)
-        ));
+        for (xml, expected) in [
+            ("<a><b></a></b>", mismatched("b", "a", 6)),
+            ("<a><b>", ParseError::UnexpectedEof),
+            ("   ", ParseError::EmptyDocument),
+            ("<!-- only a comment -->", ParseError::EmptyDocument),
+            ("<a></a><b></b>", ParseError::TrailingContent(7)),
+            ("<a/>junk", ParseError::TrailingContent(8)),
+            ("<a/> x <!-- c -->", ParseError::TrailingContent(7)),
+        ] {
+            assert_eq!(read_events(xml).unwrap_err(), expected, "on {xml:?}");
+        }
     }
 
     #[test]
     fn entities_split_by_comments_match_the_tree_parser() {
-        // The tree parser unescapes per fragment, so a comment interrupting
-        // `&amp;` leaves the literal characters `a&amp;b` — the reader must
-        // not join the raw fragments first and unescape them to `a&b`.
-        for (xml, expected) in [
+        // Each fragment between markup is unescaped on its own, so a comment
+        // interrupting `&amp;` leaves the literal characters `a&amp;b`; the
+        // raw fragments are never joined first and unescaped to `a&b`.
+        for (xml, text) in [
             ("<r><a>a&am<!-- split -->p;b</a></r>", "a&amp;b"),
             ("<r><a>a&am<?pi?>p;b</a></r>", "a&amp;b"),
             ("<r><a>x&lt;<!-- c -->&gt;y</a></r>", "x<>y"),
             ("<r><a>&amp;<!-- c -->&amp;</a></r>", "&&"),
         ] {
+            assert_eq!(
+                read_rendered(xml).unwrap(),
+                format!("r(a(\"{text}\"))"),
+                "on {xml:?}"
+            );
             let tree = parse_document(xml).unwrap();
             let a = tree.children(tree.root())[0];
-            assert_eq!(tree.text(a), Some(expected), "tree parser on {xml:?}");
-            let events = read_events(xml).unwrap();
-            assert!(
-                events.contains(&Owned::Text(expected.into())),
-                "stream reader diverged from tree parser on {xml:?}: {events:?}"
-            );
+            assert_eq!(tree.text(a), Some(text), "parse_document on {xml:?}");
         }
     }
 
@@ -690,58 +739,44 @@ mod tests {
 
     #[test]
     fn text_before_a_child_element_is_dropped_like_the_tree_parser() {
-        // parse_document flushes text when a child opens; the reader must
-        // not hand that text to consumers either, or streamed evaluation
-        // would diverge from tree evaluation on mixed content.
-        let events = read_events("<r><a>x<b/>y</a></r>").unwrap();
-        assert_eq!(
-            events,
-            vec![
-                Owned::Open("r".into()),
-                Owned::Open("a".into()),
-                Owned::Open("b".into()),
-                Owned::Close,
-                Owned::Text("y".into()),
-                Owned::Close,
-                Owned::Close,
-            ]
-        );
-        // With no trailing run, the element ends up with no text at all.
-        let events = read_events("<r><a>x<b/></a></r>").unwrap();
-        assert!(
-            !events.iter().any(|e| matches!(e, Owned::Text(_))),
-            "flushed text must not surface: {events:?}"
-        );
+        // Text is attached at close: a run followed by a child's open tag is
+        // dropped, so streamed evaluation sees what the built tree holds.
+        for (xml, events, a_text) in [
+            ("<r><a>x<b/>y</a></r>", r#"r(a(b()"y"))"#, Some("y")),
+            ("<r><a>x<b/></a></r>", "r(a(b()))", None),
+            ("<r><a>x<!-- c --><b/></a></r>", "r(a(b()))", None),
+        ] {
+            assert_eq!(read_rendered(xml).unwrap(), events, "on {xml:?}");
+            let tree = parse_document(xml).unwrap();
+            let a = tree.children(tree.root())[0];
+            assert_eq!(tree.text(a), a_text, "parse_document on {xml:?}");
+        }
     }
 
     #[test]
     fn reader_accepts_exactly_what_parse_document_accepts() {
-        for xml in [
-            "<r/>",
-            "<r>t</r>",
-            "<r><a/><b>x</b></r>",
-            "<?xml version=\"1.0\"?><r/>",
-            "<a><b></a></b>",
-            "<a><b>",
-            "",
-            "<a></a><b></b>",
-            "<a>text</a>more",
+        for (xml, expected) in [
+            ("<r/>", Ok("r()")),
+            ("<r>t</r>", Ok(r#"r("t")"#)),
+            ("<r><a/><b>x</b></r>", Ok(r#"r(a()b("x"))"#)),
+            ("<?xml version=\"1.0\"?><r/>", Ok("r()")),
+            ("<a><b></a></b>", Err(mismatched("b", "a", 6))),
+            ("<a><b>", Err(ParseError::UnexpectedEof)),
+            ("", Err(ParseError::EmptyDocument)),
+            ("<a></a><b></b>", Err(ParseError::TrailingContent(7))),
+            ("<a>text</a>more", Err(ParseError::TrailingContent(15))),
             // Degenerate comment/PI forms whose terminators overlap their
-            // openers — the tree parser accepts these.
-            "<a><!--></a>",
-            "<a><!---></a>",
-            "<a><?></a>",
-            "<a>t<!-->u</a>",
+            // openers are accepted: the search starts at the opener.
+            ("<a><!--></a>", Ok("a()")),
+            ("<a><!---></a>", Ok("a()")),
+            ("<a><?></a>", Ok("a()")),
+            ("<a>t<!-->u</a>", Ok(r#"a("tu")"#)),
         ] {
-            let tree = parse_document(xml);
-            let stream = read_events(xml);
-            assert_eq!(
-                tree.is_ok(),
-                stream.is_ok(),
-                "parse ({:?}) and stream ({:?}) disagree on {xml:?}",
-                tree.err(),
-                stream.err()
-            );
+            let expected = expected.map(str::to_owned);
+            assert_eq!(read_rendered(xml), expected, "reader on {xml:?}");
+            let tree =
+                parse_document(xml).map(|t| render(&collect(&mut TreeEvents::new(&t)).unwrap()));
+            assert_eq!(tree, expected, "parse_document on {xml:?}");
         }
     }
 
@@ -783,6 +818,19 @@ mod tests {
         let whole = read_events(xml).unwrap();
         let bytewise = collect(&mut XmlStreamReader::new(OneByte(xml.as_bytes()))).unwrap();
         assert_eq!(whole, bytewise);
+        // Errors and their offsets do not depend on the chunking either.
+        for xml in [
+            "<alpha><beta></alpha>",
+            "<alpha></alpha >",
+            "<alpha></ alpha>",
+            "<alpha x=\"1",
+            "<alpha><!-- never closed -",
+            "<alpha/> x <!-- c -->",
+        ] {
+            let bytewise = collect(&mut XmlStreamReader::new(OneByte(xml.as_bytes())));
+            assert_eq!(bytewise, read_events(xml), "on {xml:?}");
+            assert!(bytewise.is_err(), "on {xml:?}");
+        }
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! * robustness: abrupt disconnects mid-request, malformed frames and
 //!   frames stalled past their deadline degrade one connection at most —
 //!   the accept loop keeps admitting, and no client wedges a worker;
-//! * admission control: a full queue sheds with a typed `Busy` frame.
+//! * admission control: a full queue sheds with a typed `Busy` frame, and
+//!   more clients than workers plus queue slots are each either answered
+//!   or shed, never left in silence.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -508,6 +510,119 @@ fn a_full_admission_queue_sheds_with_a_typed_busy_frame() {
         );
     }
     assert!(server.counters().shed_total.load(Ordering::Relaxed) >= 3);
+    server.shutdown();
+}
+
+#[test]
+fn more_clients_than_workers_and_queue_slots_are_each_answered_or_shed() {
+    // One worker and one queue slot hold two connections at most; six
+    // clients that keep their connections open until all six have a reply
+    // oversubscribe that, so at least four are shed.
+    const CLIENTS: usize = 6;
+    let mut server = Server::spawn(
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            queue_capacity: 1,
+            service: ServiceConfig::default(),
+        },
+    )
+    .expect("server spawns");
+    let doc = standard_hospital_document();
+    let bytes = snapshot::save(&doc);
+    server
+        .registry()
+        .register_view("nurse", hospital_view())
+        .expect("view registers");
+    let id = server
+        .registry()
+        .get("nurse")
+        .unwrap()
+        .store
+        .insert_snapshot(&bytes)
+        .expect("document registers")
+        .0;
+    let reference = QueryService::new(hospital_view()).unwrap();
+    let store = DocumentStore::new();
+    let ref_id = store.insert_snapshot(&bytes).unwrap();
+    let expected = reference
+        .evaluate_corpus(&store, &[(ref_id, "patient")], EvaluationMode::HyPE)
+        .unwrap()
+        .pop()
+        .unwrap();
+    let expected = WireResult::from_result(&expected).answers;
+    let request = smoqed::encode_request(&Request::Query {
+        tenant: "nurse".into(),
+        doc: id,
+        mode: EvaluationMode::HyPE,
+        query: "patient".into(),
+    });
+
+    let all_replied = std::sync::Barrier::new(CLIENTS);
+    let replies: Vec<Response> = thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut stream = TcpStream::connect(server.addr()).expect("tcp connect");
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(30)))
+                        .unwrap();
+                    // A shed connection may be closed before the request
+                    // is out; its Busy frame is still there to read.
+                    let _ = smoqed::write_frame(&mut stream, &request);
+                    let reply = smoqed::read_frame(&mut stream);
+                    all_replied.wait();
+                    let body = reply
+                        .unwrap_or_else(|e| panic!("a reply, not {e}"))
+                        .expect("a reply, not silence");
+                    smoqed::decode_response(&body).expect("a typed reply")
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).collect()
+    });
+
+    let mut answered = 0u64;
+    for reply in &replies {
+        match reply {
+            Response::Answer(result) => {
+                assert_eq!(
+                    result.answers, expected,
+                    "an answered client gets the exact answer"
+                );
+                answered += 1;
+            }
+            Response::Busy { queue_capacity: 1 } => {}
+            other => panic!("expected an Answer or Busy, got {other:?}"),
+        }
+    }
+    let shed = server.counters().shed_total.load(Ordering::Relaxed);
+    assert_eq!(
+        shed + answered,
+        CLIENTS as u64,
+        "every client is answered or shed"
+    );
+    assert!(answered >= 1, "the first admitted client is answered");
+    assert!(
+        shed >= 4,
+        "two connections at most are admitted at once, shed {shed}"
+    );
+
+    // Once the crowd has gone and the worker has dropped its connections
+    // from the queue, a later client is served.
+    let drained = std::time::Instant::now();
+    while server.counters().queue_depth.load(Ordering::Relaxed) > 0 {
+        assert!(
+            drained.elapsed() < Duration::from_secs(10),
+            "the queue drains"
+        );
+        thread::sleep(Duration::from_millis(10));
+    }
+    let mut late = SmoqedClient::connect(server.addr()).expect("late client connects");
+    let result = late
+        .query("nurse", id, EvaluationMode::HyPE, "patient")
+        .expect("a later client is served");
+    assert_eq!(result.answers, expected);
     server.shutdown();
 }
 
