@@ -44,13 +44,13 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use integration_tests::interpreted::{self, BatchQuery};
 use smoqe::{EvaluationMode, ServiceConfig};
 use smoqe_automata::{compile_query, CompiledMfa, Mfa};
 use smoqe_bench::{
     batch_workload_queries, emit_json, medium_document, paired_throughput, run_solo,
 };
 use smoqe_hype::incremental::{IncrementalEvaluator, IncrementalQuery};
-use smoqe_hype::interpreted::{self, BatchQuery};
 use smoqe_hype::{evaluate_corpus, evaluate_tree, CompiledBatchQuery, CorpusTask};
 use smoqe_toxgene::{generate_hospital, generate_skewed_hospital, HospitalConfig};
 use smoqe_views::hospital_view;

@@ -20,7 +20,7 @@
 //! integration suite checks the equivalence query-by-query over the whole
 //! corpus, and the `compiled_differential` suite pins answers and
 //! statistics to the interpreted reference engines in
-//! [`crate::interpreted`].
+//! `integration_tests::interpreted`.
 //!
 //! What batching buys is the traversal itself: a node shared by the pending
 //! sets of k queries is visited once instead of k times, so the *physical*

@@ -19,8 +19,9 @@
 //! [`crate::evaluate_tree`] drives N queries through one pass, and a solo
 //! evaluation is the 1-query special case of it. That implementation runs
 //! on the bitset-based [`CompiledMfa`] rather than interpreting the builder
-//! [`Mfa`](smoqe_automata::Mfa) directly; the pre-IR engines survive in
-//! [`crate::interpreted`] as the differential oracle. This keeps the hot
+//! [`Mfa`](smoqe_automata::Mfa) directly; the pre-IR engines survive as the
+//! differential oracle in the `integration_tests` crate
+//! (`integration_tests::interpreted`). This keeps the hot
 //! path in one place and makes "batched equals solo" true by construction
 //! (the integration suite still checks it end-to-end over the whole query
 //! corpus).

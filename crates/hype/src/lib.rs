@@ -80,12 +80,12 @@
 //! precompiled rows. Callers compile the IR once per query and share it
 //! by `Arc` ([`CompiledBatchQuery`], [`CorpusTask`],
 //! [`StreamHype::from_compiled`]) — the `smoqe` service layer caches it
-//! next to the rewritten query. The pre-IR engines survive unchanged in
-//! [`interpreted`], the only engine that runs builder MFAs, as the
-//! reference implementation: the differential suites assert that the
-//! compiled engines reproduce their answers and [`HypeStats`] bit for bit,
-//! and the `compiled` gate of the `speedup_gates` bench measures the
-//! speedup against them.
+//! next to the rewritten query. The pre-IR engines that run builder MFAs
+//! are kept as the reference implementation in the `integration_tests`
+//! crate (`integration_tests::interpreted`), not in this one: the
+//! differential suites assert that the compiled engines reproduce their
+//! answers and [`HypeStats`] bit for bit, and the `compiled` gate of the
+//! `speedup_gates` bench measures the speedup against them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -95,7 +95,6 @@ pub mod corpus;
 pub mod engine;
 pub mod incremental;
 pub mod index;
-pub mod interpreted;
 pub mod parallel;
 mod runtime;
 pub mod stream;

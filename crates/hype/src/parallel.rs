@@ -697,7 +697,6 @@ mod tests {
     use super::*;
     use crate::batch::BatchResult;
     use crate::evaluate_tree;
-    use crate::interpreted;
     use crate::testing::ir;
     use smoqe_automata::compile_query;
     use smoqe_xml::hospital::hospital_document_dtd;
@@ -976,20 +975,16 @@ mod tests {
     #[test]
     fn budget_one_is_the_sequential_walk() {
         // Budget 1 never reaches the planner: no shard is formed, so no
-        // task holds a share of the visits, and the result is the one the
-        // interpreted reference engine computes.
+        // task holds a share of the visits. The `parallel_differential`
+        // suite checks the same walks against the interpreted reference
+        // engine.
         let doc = skewed_doc();
         for query in [
             "//diagnosis",
             "department/patient/pname",
             "//patient[visit]",
         ] {
-            let mfa = compile_query(&parse_path(query).unwrap());
-            let compiled = Arc::new(CompiledMfa::new(&mfa));
-            let reference = interpreted::evaluate(&doc, &mfa);
-            let walked = solo(&doc, &compiled, None, 1);
-            assert_eq!(walked.answers, reference.answers, "`{query}`");
-            assert_eq!(walked.stats, reference.stats, "`{query}`");
+            let walked = solo(&doc, &ir(query), None, 1);
             assert_eq!(walked.stats.max_shard_fraction, 0.0, "`{query}`");
         }
         // The same document does split at budget 2, so spines and their
@@ -1094,16 +1089,15 @@ mod tests {
 
     #[test]
     fn mirrors_sequential_batch_with_builder_queries() {
-        // Cross-check against the interpreted engine over the builder MFA too.
+        // A filter query compiled from its builder MFA. The
+        // `parallel_differential` suite checks the budget-2 batch against
+        // the interpreted engine over the same builder MFA too.
         let doc = doc();
         let mfa = compile_query(&parse_path("department/patient[visit]").unwrap());
-        let reference = interpreted::evaluate_batch(&doc, &[interpreted::BatchQuery::new(&mfa)]);
-        let parallel = batch_at_root(
-            &doc,
-            &[CompiledBatchQuery::new(Arc::new(CompiledMfa::new(&mfa)))],
-            2,
-        );
-        assert_eq!(parallel.results[0].answers, reference.results[0].answers);
-        assert_eq!(parallel.results[0].stats, reference.results[0].stats);
+        let queries = [CompiledBatchQuery::new(Arc::new(CompiledMfa::new(&mfa)))];
+        let sequential = batch_at_root(&doc, &queries, 1);
+        let parallel = batch_at_root(&doc, &queries, 2);
+        assert_eq!(parallel.results[0].answers, sequential.results[0].answers);
+        assert_eq!(parallel.results[0].stats, sequential.results[0].stats);
     }
 }

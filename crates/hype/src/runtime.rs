@@ -12,7 +12,7 @@
 //!   `step-then-ε-close` and operator-closure rows instead of worklists;
 //! * filter values are bitset rows too — the per-node
 //!   `HashMap<(AfaId, AfaStateId), bool>` of the interpreted engine
-//!   ([`crate::interpreted`]) becomes three word rows (`computed`,
+//!   (`integration_tests::interpreted`) becomes three word rows (`computed`,
 //!   `in-progress`, `value`) cleared in O(words);
 //! * children hand their value rows up by OR-ing them into per-label
 //!   *accumulators*, so a `Trans` state evaluates with one bit test instead

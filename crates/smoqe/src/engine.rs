@@ -100,8 +100,8 @@ impl EvaluationMode {
 /// states no answer can pass through (`//diagnosis` over the logs view
 /// keeps 61 of 1,407), and the IR's step-closure tables grow with the
 /// square of the state count. [`Self::mfa`] and [`Self::compiled`] are the
-/// same trimmed automaton, so the interpreted oracle checks exactly what
-/// the compiled engines run.
+/// same trimmed automaton, so the interpreted oracle of the
+/// `integration_tests` crate checks exactly what the compiled engines run.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     original: Path,

@@ -452,8 +452,20 @@ mod tests {
     fn every_query_of_every_corpus_parses() {
         for domain in all_domains() {
             for q in domain.view_queries.iter().chain(domain.document_queries) {
-                smoqe_xpath::parse_path(q)
+                let parsed = smoqe_xpath::parse_path(q)
                     .unwrap_or_else(|e| panic!("{}: `{q}` fails to parse: {e}", domain.name));
+                let printed = parsed.to_string();
+                let reparsed = smoqe_xpath::parse_path(&printed).unwrap_or_else(|e| {
+                    panic!(
+                        "{}: re-parse of `{printed}` (from `{q}`) fails: {e}",
+                        domain.name
+                    )
+                });
+                assert_eq!(
+                    parsed, reparsed,
+                    "{}: round trip fails for `{q}` -> `{printed}`",
+                    domain.name
+                );
             }
         }
     }

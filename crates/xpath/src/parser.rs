@@ -816,44 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn whole_view_query_corpus_parses_and_round_trips() {
-        // Mirror of `integration_tests::view_query_corpus()` (the tests
-        // crate depends on this one, so the list is duplicated here).
-        let corpus = [
-            "patient",
-            "patient/record",
-            "patient/record/diagnosis",
-            "patient/parent/patient",
-            "patient/parent/patient/record/diagnosis",
-            "(patient/parent)*/patient",
-            "(patient/parent)*/patient[record]",
-            "patient[*//record/diagnosis/text()='heart disease']",
-            "patient[record/diagnosis/text()='heart disease' and parent]",
-            "patient[not(parent)]",
-            "patient[not(record/diagnosis/text()='heart disease')]",
-            "patient/record/empty",
-            "patient/(record | parent/patient/record)",
-            "//diagnosis",
-            "//record[diagnosis]",
-            "patient//patient[record/empty]",
-            "(patient/parent)*/patient[(parent/patient)*/record/diagnosis[text()='heart disease']]",
-            "patient[parent/patient[not(record)]/parent/patient[record]]",
-            "doctor",
-            "patient/pname",
-        ];
-        for q in corpus {
-            let parsed = parse_path(q).unwrap_or_else(|e| panic!("`{q}` failed to parse: {e}"));
-            let printed = parsed.to_string();
-            let reparsed = parse_path(&printed)
-                .unwrap_or_else(|e| panic!("re-parse of `{printed}` (from `{q}`) failed: {e}"));
-            assert_eq!(
-                parsed, reparsed,
-                "round trip failed for `{q}` -> `{printed}`"
-            );
-        }
-    }
-
-    #[test]
     fn rejects_malformed_corpus_variants() {
         // Broken versions of corpus queries; each must fail with an offset
         // inside the input, not panic or mis-parse.

@@ -36,14 +36,12 @@ use std::fmt;
 use std::sync::Arc;
 
 use smoqe::{CompiledQuery, EvaluationMode, RegularXPathEngine, SmoqeEngine};
-use smoqe_hype::{
-    evaluate_tree, interpreted, CompiledBatchQuery, IncrementalEvaluator, IncrementalQuery,
-};
+use smoqe_hype::{evaluate_tree, CompiledBatchQuery, IncrementalEvaluator, IncrementalQuery};
 use smoqe_toxgene::{DocShape, Domain};
 use smoqe_xml::stream::TreeEvents;
 use smoqe_xml::{parse_document, EditOp, NodeId, XmlTree};
 
-use crate::{oracle_answer, run_ir, stream_solo};
+use crate::{interpreted, oracle_answer, run_ir, stream_solo};
 
 /// The parallel thread budgets the campaign sweeps.
 pub const BUDGETS: [usize; 3] = [1, 2, 8];

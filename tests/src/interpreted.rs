@@ -3,14 +3,18 @@
 //!
 //! Before the execution-IR refactor these were *the* engines; they now
 //! serve as the differential oracle for the compiled engines in
-//! [`crate::batch`] and [`crate::stream`]: same traversal, same pruning
-//! rules, same `cans` construction — but implemented over the builder
-//! representation with `BTreeSet` request closures and per-node
+//! [`smoqe_hype::batch`] and [`smoqe_hype::stream`]: same traversal, same
+//! pruning rules, same `cans` construction — but implemented over the
+//! builder representation with `BTreeSet` request closures and per-node
 //! `HashMap<(AfaId, AfaStateId), bool>` filter values. The corpus-wide
 //! differential suites assert that the compiled engines reproduce these
 //! engines' answers **and** [`HypeStats`] bit for bit, in solo, batched and
 //! streaming modes; the `compiled` gate of the `speedup_gates` bench
 //! measures the speedup of the IR against this baseline.
+//!
+//! The engines live here, beside the suites that check against them, and
+//! use only `smoqe_hype`'s public API; `smoqe_hype` itself ships one
+//! engine, the compiled one.
 //!
 //! Semantics are frozen: behavioural changes belong in the compiled
 //! engines *and* here, or the differential suites lose their meaning.
@@ -21,17 +25,15 @@ use std::rc::Rc;
 use smoqe_automata::{
     AfaId, AfaState, AfaStateId, FinalPredicate, LabelMap, Mfa, StateId, Transition,
 };
+use smoqe_hype::{
+    BatchResult, BatchStats, HypeResult, HypeStats, ReachabilityIndex, StreamResult, StreamStats,
+};
 use smoqe_xml::stream::{EventSource, XmlEvent};
 use smoqe_xml::{LabelId, LabelInterner, NodeId, ParseError, XmlTree};
 
-use crate::batch::{BatchResult, BatchStats};
-use crate::engine::{HypeResult, HypeStats};
-use crate::index::ReachabilityIndex;
-use crate::stream::{StreamResult, StreamStats};
-
 /// One query of an interpreted batch: a builder-representation MFA plus,
 /// optionally, its OptHyPE(-C) reachability index. The compiled engines
-/// take a [`CompiledBatchQuery`](crate::CompiledBatchQuery) instead.
+/// take a [`CompiledBatchQuery`](smoqe_hype::CompiledBatchQuery) instead.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchQuery<'a> {
     /// The builder automaton.
@@ -575,7 +577,7 @@ impl BatchEngine<'_> {
     }
 }
 
-/// Interpreted equivalent of [`crate::evaluate_tree`].
+/// Interpreted equivalent of [`smoqe_hype::evaluate_tree`].
 pub fn evaluate_batch_at(tree: &XmlTree, context: NodeId, queries: &[BatchQuery]) -> BatchResult {
     let nodes_total = tree.subtree_size(context);
     if queries.is_empty() {
@@ -640,12 +642,12 @@ pub fn evaluate_batch_at(tree: &XmlTree, context: NodeId, queries: &[BatchQuery]
     }
 }
 
-/// Interpreted equivalent of [`crate::evaluate_tree`] at the root.
+/// Interpreted equivalent of [`smoqe_hype::evaluate_tree`] at the root.
 pub fn evaluate_batch(tree: &XmlTree, queries: &[BatchQuery]) -> BatchResult {
     evaluate_batch_at(tree, tree.root(), queries)
 }
 
-/// Interpreted equivalent of a one-query [`crate::evaluate_tree`].
+/// Interpreted equivalent of a one-query [`smoqe_hype::evaluate_tree`].
 pub fn evaluate_at_with(
     tree: &XmlTree,
     context: NodeId,
@@ -656,7 +658,7 @@ pub fn evaluate_at_with(
     batch.results.pop().expect("one result per batched query")
 }
 
-/// Interpreted equivalent of a one-query [`crate::evaluate_tree`] at the
+/// Interpreted equivalent of a one-query [`smoqe_hype::evaluate_tree`] at the
 /// root, with plain HyPE.
 pub fn evaluate(tree: &XmlTree, mfa: &Mfa) -> HypeResult {
     evaluate_at_with(tree, tree.root(), mfa, None)
@@ -964,7 +966,7 @@ impl<'a> StreamMachine<'a> {
     }
 }
 
-/// Interpreted equivalent of [`StreamHype`](crate::StreamHype) with a
+/// Interpreted equivalent of [`StreamHype`](smoqe_hype::StreamHype) with a
 /// pre-seeded label interner (required when any query carries an index).
 pub fn evaluate_stream_batch_with_interner(
     source: &mut impl EventSource,
@@ -982,7 +984,7 @@ pub fn evaluate_stream_batch_with_interner(
     Ok(machine.finish())
 }
 
-/// Interpreted equivalent of [`StreamHype`](crate::StreamHype) over an
+/// Interpreted equivalent of [`StreamHype`](smoqe_hype::StreamHype) over an
 /// empty label interner.
 pub fn evaluate_stream_batch(
     source: &mut impl EventSource,
@@ -991,7 +993,7 @@ pub fn evaluate_stream_batch(
     evaluate_stream_batch_with_interner(source, queries, LabelInterner::new())
 }
 
-/// Interpreted equivalent of a one-query [`StreamHype`](crate::StreamHype)
+/// Interpreted equivalent of a one-query [`StreamHype`](smoqe_hype::StreamHype)
 /// run with plain HyPE.
 pub fn evaluate_stream(
     source: &mut impl EventSource,

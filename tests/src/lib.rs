@@ -1,6 +1,7 @@
 //! Shared fixtures and helpers for the cross-crate integration tests.
 
 pub mod fuzz;
+pub mod interpreted;
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -8,8 +9,8 @@ use std::sync::Arc;
 use smoqe::SmoqeEngine;
 use smoqe_automata::{compile_query, CompiledMfa, Mfa};
 use smoqe_hype::{
-    evaluate_tree, interpreted, CompiledBatchQuery, HypeResult, ReachabilityIndex, StreamHype,
-    StreamResult, StreamStats,
+    evaluate_tree, CompiledBatchQuery, HypeResult, ReachabilityIndex, StreamHype, StreamResult,
+    StreamStats,
 };
 use smoqe_toxgene::domains::{HOSPITAL_DOCUMENT_QUERIES, HOSPITAL_VIEW_QUERIES};
 use smoqe_toxgene::{generate_hospital, Domain, HospitalConfig};
@@ -40,12 +41,6 @@ pub fn standard_hospital_document() -> XmlTree {
 /// The canonical copy lives in the domain registry
 /// (`smoqe_toxgene::domains::HOSPITAL_VIEW_QUERIES`); this function keeps
 /// the historical `Vec` signature the suites use.
-///
-/// NOTE: `smoqe_xpath::parser`'s unit tests pin a mirror of this list
-/// (`whole_view_query_corpus_parses_and_round_trips`) — the dependency goes
-/// the other way, so the list cannot be shared. When editing the corpus,
-/// update the mirror too; `view_query_corpus_matches_parser_unit_mirror`
-/// below fails loudly on drift.
 pub fn view_query_corpus() -> Vec<&'static str> {
     HOSPITAL_VIEW_QUERIES.to_vec()
 }
@@ -158,32 +153,4 @@ pub fn stream_solo(
     let query = CompiledBatchQuery::new(Arc::new(CompiledMfa::new(mfa)));
     let mut out = stream_batch(source, &[query])?;
     Ok((out.results.remove(0), out.stats))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::view_query_corpus;
-
-    /// Drift guard for the mirror of this corpus in `smoqe_xpath::parser`'s
-    /// unit tests (which cannot depend on this crate). A checksum over the
-    /// concatenated queries fails the moment either copy changes alone.
-    #[test]
-    fn view_query_corpus_matches_parser_unit_mirror() {
-        let corpus = view_query_corpus();
-        assert_eq!(
-            corpus.len(),
-            20,
-            "corpus changed: update the parser unit-test mirror"
-        );
-        let joined = corpus.join("\n");
-        let checksum = joined.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-            (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
-        });
-        assert_eq!(
-            checksum, 0xc101_ed93_94fa_c9f5,
-            "corpus changed (checksum {checksum:#x}): update the mirror in \
-             crates/xpath/src/parser.rs (whole_view_query_corpus_parses_and_round_trips), \
-             the canonical copy in crates/toxgene/src/domains.rs, and this checksum"
-        );
-    }
 }

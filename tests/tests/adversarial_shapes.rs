@@ -13,9 +13,8 @@
 
 use std::sync::Arc;
 
-use integration_tests::{domain_corpus_irs, oracle_answer, run_ir, stream_batch};
+use integration_tests::{domain_corpus_irs, interpreted, oracle_answer, run_ir, stream_batch};
 use smoqe::{EvaluationMode, SmoqeEngine};
-use smoqe_hype::interpreted;
 use smoqe_hype::{evaluate_tree, CompiledBatchQuery};
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{all_domains, DocShape};

@@ -13,9 +13,8 @@ use std::cell::Cell;
 use std::hint::black_box;
 use std::sync::Arc;
 
-use integration_tests::run_ir;
+use integration_tests::{interpreted, run_ir};
 use smoqe_automata::{compile_query, CompiledMfa, Mfa};
-use smoqe_hype::interpreted;
 use smoqe_toxgene::{generate_hospital, HospitalConfig};
 use smoqe_xml::XmlTree;
 use smoqe_xpath::parse_path;

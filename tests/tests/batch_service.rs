@@ -9,13 +9,13 @@
 //! On top of that sits the [`smoqe::QueryService`], whose caches must be
 //! semantically invisible.
 
+use integration_tests::interpreted::BatchQuery;
 use integration_tests::{
     compile_batch, document_query_corpus, hype_at, oracle_answer, standard_hospital_document,
     view_query_corpus,
 };
 use smoqe::{EvaluationMode, QueryService, ServiceConfig, SmoqeEngine};
 use smoqe_automata::compile_query;
-use smoqe_hype::interpreted::BatchQuery;
 use smoqe_hype::{evaluate_tree, BatchResult, ReachabilityIndex};
 use smoqe_xml::hospital::hospital_document_dtd;
 use smoqe_xml::XmlTree;

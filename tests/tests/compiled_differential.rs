@@ -5,6 +5,7 @@
 //! batched, and streaming, with and without OptHyPE(-C) indexes — plus a
 //! property test over randomly generated toxgene documents.
 
+use integration_tests::interpreted::{self, BatchQuery};
 use integration_tests::{
     compile_batch, document_query_corpus, domain_corpus_mfas, hype_at, standard_hospital_document,
     stream_batch, view_query_corpus,
@@ -12,7 +13,6 @@ use integration_tests::{
 use proptest::prelude::*;
 use smoqe::SmoqeEngine;
 use smoqe_automata::{compile_query, Mfa};
-use smoqe_hype::interpreted::{self, BatchQuery};
 use smoqe_hype::{evaluate_tree, ReachabilityIndex};
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{all_domains, generate_hospital, HospitalConfig};

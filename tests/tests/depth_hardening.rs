@@ -10,9 +10,8 @@
 
 use std::sync::Arc;
 
-use integration_tests::{hype_at, run_ir, stream_solo};
+use integration_tests::{hype_at, interpreted, run_ir, stream_solo};
 use smoqe_automata::compile_query;
-use smoqe_hype::interpreted;
 use smoqe_toxgene::{generate_deep_bom, generate_deep_hospital};
 use smoqe_xml::stream::TreeEvents;
 use smoqe_xml::{parse_document, to_xml_string};

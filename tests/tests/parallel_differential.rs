@@ -3,8 +3,9 @@
 //! evaluation must produce **identical answers and identical per-query
 //! `HypeStats`** — and, for batches, identical aggregate `BatchStats` — to
 //! the sequential compiled engines, over both query corpora, solo, batched,
-//! and from every context node; plus shard-split/merge edge cases and a
-//! property test over randomly generated toxgene documents.
+//! and from every context node; plus shard-split/merge edge cases, two
+//! checks against the interpreted reference engine and a property test
+//! over randomly generated toxgene documents.
 //!
 //! Parallelism is allowed to change exactly one observable: wall-clock
 //! time. Everything else in the result is pinned here bit for bit.
@@ -12,7 +13,8 @@
 use std::sync::Arc;
 
 use integration_tests::{
-    document_query_corpus, domain_corpus_irs, run_ir, standard_hospital_document, view_query_corpus,
+    document_query_corpus, domain_corpus_irs, interpreted, run_ir, standard_hospital_document,
+    view_query_corpus,
 };
 use proptest::prelude::*;
 use smoqe::SmoqeEngine;
@@ -329,6 +331,85 @@ fn answers_come_back_in_preorder_index_order() {
     let mut sorted = ids.clone();
     sorted.sort();
     assert_eq!(ids, sorted, "BTreeSet iteration is ascending pre-order");
+}
+
+// ---------------------------------------------------------------------------
+// The interpreted reference engine over the builder MFA.
+// ---------------------------------------------------------------------------
+
+/// Three departments of one patient each, with different diagnoses.
+fn three_department_document() -> XmlTree {
+    let mut b = XmlTreeBuilder::new();
+    let root = b.root("hospital");
+    for (name, diag) in [
+        ("Alice", "heart disease"),
+        ("Bob", "flu"),
+        ("Carol", "heart disease"),
+    ] {
+        let dept = b.child(root, "department");
+        let p = b.child(dept, "patient");
+        b.child_with_text(p, "pname", name);
+        let v = b.child(p, "visit");
+        let t = b.child(v, "treatment");
+        let m = b.child(t, "medication");
+        b.child_with_text(m, "diagnosis", diag);
+    }
+    b.finish()
+}
+
+/// Two top-level subtrees, one holding ~99% of the nodes, so budget 2
+/// re-splits the dominant one.
+fn skewed_document() -> XmlTree {
+    let mut b = XmlTreeBuilder::new();
+    let root = b.root("hospital");
+    let big = b.child(root, "department");
+    for i in 0..300 {
+        let p = b.child(big, "patient");
+        b.child_with_text(p, "pname", if i % 2 == 0 { "Alice" } else { "Bob" });
+        let v = b.child(p, "visit");
+        let t = b.child(v, "treatment");
+        let m = b.child(t, "medication");
+        b.child_with_text(
+            m,
+            "diagnosis",
+            if i % 3 == 0 { "flu" } else { "heart disease" },
+        );
+    }
+    let small = b.child(root, "department");
+    let p = b.child(small, "patient");
+    b.child_with_text(p, "pname", "Carol");
+    b.finish()
+}
+
+#[test]
+fn budget_one_walk_matches_the_interpreted_engine() {
+    let doc = skewed_document();
+    for query in [
+        "//diagnosis",
+        "department/patient/pname",
+        "//patient[visit]",
+    ] {
+        let mfa = compile_query(&parse_path(query).unwrap());
+        let reference = interpreted::evaluate(&doc, &mfa);
+        let walked = run_ir(&doc, doc.root(), &Arc::new(CompiledMfa::new(&mfa)), None, 1);
+        assert_eq!(walked.answers, reference.answers, "`{query}`");
+        assert_eq!(walked.stats, reference.stats, "`{query}`");
+    }
+}
+
+#[test]
+fn parallel_batch_matches_the_interpreted_batch_over_a_builder_query() {
+    let doc = three_department_document();
+    let mfa = compile_query(&parse_path("department/patient[visit]").unwrap());
+    let reference = interpreted::evaluate_batch(&doc, &[interpreted::BatchQuery::new(&mfa)]);
+    let parallel = evaluate_tree(
+        &doc,
+        doc.root(),
+        &[CompiledBatchQuery::new(Arc::new(CompiledMfa::new(&mfa)))],
+        2,
+    );
+    assert_eq!(parallel.results[0].answers, reference.results[0].answers);
+    assert_eq!(parallel.results[0].stats, reference.results[0].stats);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 
 use std::sync::Arc;
 
+use integration_tests::interpreted::BatchQuery;
 use integration_tests::{
     compile_batch, document_query_corpus, domain_corpus_mfas, hype_at, standard_hospital_document,
     stream_batch, stream_solo, view_query_corpus,
@@ -21,7 +22,6 @@ use proptest::prelude::*;
 
 use smoqe::SmoqeEngine;
 use smoqe_automata::compile_query;
-use smoqe_hype::interpreted::BatchQuery;
 use smoqe_hype::{evaluate_tree, CompiledBatchQuery, StreamHype};
 use smoqe_toxgene::domains::STANDARD_SEED;
 use smoqe_toxgene::{
